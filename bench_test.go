@@ -95,6 +95,8 @@ func BenchmarkEndToEndMixPooled(b *testing.B)      { bench.Run(b, "EndToEndMixPo
 func BenchmarkSweepColdWarmup(b *testing.B)        { bench.Run(b, "SweepColdWarmup") }
 func BenchmarkSweepWarmRestore(b *testing.B)       { bench.Run(b, "SweepWarmRestore") }
 func BenchmarkSweepPooled(b *testing.B)            { bench.Run(b, "SweepPooled") }
+func BenchmarkWarmSnapshot(b *testing.B)           { bench.Run(b, "WarmSnapshot") }
+func BenchmarkWarmRestore(b *testing.B)            { bench.Run(b, "WarmRestore") }
 func BenchmarkTraceNextKVStore(b *testing.B)       { bench.Run(b, "TraceNextKVStore") }
 func BenchmarkTraceNextWebserve(b *testing.B)      { bench.Run(b, "TraceNextWebserve") }
 func BenchmarkTraceNextScan(b *testing.B)          { bench.Run(b, "TraceNextScan") }

@@ -72,6 +72,8 @@ var cases = []Case{
 	{"SweepColdWarmup", "10-cell same-prefix sweep, every cell warming from cold", sweepColdWarmup},
 	{"SweepWarmRestore", "10-cell same-prefix sweep warming once via snapshot restore", sweepWarmRestore},
 	{"SweepPooled", "10-seed one-cell sweep recycling a single pooled simulator", sweepPooled},
+	{"WarmSnapshot", "seal the warm state of a Bi-Modal Q7 cache/64 simulator", warmSnapshot},
+	{"WarmRestore", "open and restore a sealed Bi-Modal Q7 cache/64 warm snapshot", warmRestore},
 	{"TraceNextKVStore", "datacenter kvstore profile stream generation", traceNextCase("kvstore")},
 	{"TraceNextWebserve", "bursty webserve profile stream generation", traceNextCase("webserve")},
 	{"TraceNextScan", "analytics scan profile stream generation", traceNextCase("scan")},
@@ -402,6 +404,71 @@ func sweepPooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := runSweepPooled(pool); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// --- warm-state checkpointing: the snapshot codec itself ---
+//
+// WarmSnapshot and WarmRestore isolate the two halves of a warm fork on
+// the largest blob a service sweep seals: a Bi-Modal Q7 cell at cache/64,
+// whose way locator and set table make up nearly all of its ~1.1 MB.
+
+// warmBiModalQ7 returns a warmed Bi-Modal Q7 cache/64 simulator, its
+// congruent unwarmed twin, and the prefix hash they share.
+func warmBiModalQ7() (warm, twin *sim.Sim, prefix string, err error) {
+	rs, err := spec.RunSpec{Scheme: "bimodal", Mix: "Q7", Seed: 1,
+		Options: spec.Options{AccessesPerCore: 200, WarmupPerCore: 400, CacheDivisor: 64}}.Canonical()
+	if err != nil {
+		return nil, nil, "", err
+	}
+	prefix, _, err = rs.PrefixHash()
+	if err != nil {
+		return nil, nil, "", err
+	}
+	mix, err := workloads.MixForSpec(rs)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	factory, err := sim.FactoryForSpec(rs, mix.Cores())
+	if err != nil {
+		return nil, nil, "", err
+	}
+	so := sim.OptionsForSpec(rs)
+	warm = sim.NewSim(mix, factory, so)
+	if err := warm.Warmup(context.Background()); err != nil {
+		return nil, nil, "", err
+	}
+	return warm, sim.NewSim(mix, factory, so), prefix, nil
+}
+
+// warmSnapshot measures sealing one warm snapshot.
+func warmSnapshot(b *testing.B) {
+	s, _, prefix, err := warmBiModalQ7()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Snapshot(prefix)
+	}
+}
+
+// warmRestore measures opening and restoring that snapshot into a
+// congruent simulator (Restore overwrites all state, so one target serves
+// every iteration).
+func warmRestore(b *testing.B) {
+	s, twin, prefix, err := warmBiModalQ7()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob := s.Snapshot(prefix)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := twin.Restore(blob, prefix); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "bimodal/internal/snapshot"
+import (
+	"encoding/binary"
+
+	"bimodal/internal/snapshot"
+)
 
 // This file implements snapshot.Snapshotter for the functional Bi-Modal
 // cache and its satellite structures. Only mutable state is serialized;
@@ -79,15 +83,23 @@ func (g *GlobalState) RestoreState(r *snapshot.Reader) {
 	g.dBig, g.dSmall, g.accesses, g.Transitions = dBig, dSmall, accesses, transitions
 }
 
-// SnapshotState implements snapshot.Snapshotter.
+// wlEntryBytes is the encoded width of one way-locator entry: valid, big,
+// blockID, way (as int64), lastUse.
+const wlEntryBytes = 1 + 1 + 8 + 8 + 8
+
+// SnapshotState implements snapshot.Snapshotter. The entry table is the
+// bulk of a Bi-Modal snapshot and is encoded as one Extend table.
 func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	sw.Tag("waylocator")
-	for _, e := range w.entries {
-		sw.Bool(e.valid)
-		sw.Bool(e.big)
-		sw.U64(e.blockID)
-		sw.Int(e.way)
-		sw.U64(e.lastUse)
+	b := sw.Extend(len(w.entries) * wlEntryBytes)
+	for i := range w.entries {
+		e := &w.entries[i]
+		snapshot.PutBool(b, e.valid)
+		snapshot.PutBool(b[1:], e.big)
+		binary.LittleEndian.PutUint64(b[2:], e.blockID)
+		binary.LittleEndian.PutUint64(b[10:], uint64(e.way))
+		binary.LittleEndian.PutUint64(b[18:], e.lastUse)
+		b = b[wlEntryBytes:]
 	}
 	sw.U64(w.clock)
 	sw.I64(w.Lookups)
@@ -98,12 +110,18 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 // RestoreState implements snapshot.Snapshotter.
 func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 	r.Tag("waylocator")
+	b := r.Next(len(w.entries) * wlEntryBytes)
+	if r.Err() != nil {
+		return
+	}
 	for i := range w.entries {
-		w.entries[i].valid = r.Bool()
-		w.entries[i].big = r.Bool()
-		w.entries[i].blockID = r.U64()
-		w.entries[i].way = r.Int()
-		w.entries[i].lastUse = r.U64()
+		e := &w.entries[i]
+		e.valid = r.DecodeBool(b[0])
+		e.big = r.DecodeBool(b[1])
+		e.blockID = binary.LittleEndian.Uint64(b[2:])
+		e.way = int(binary.LittleEndian.Uint64(b[10:]))
+		e.lastUse = binary.LittleEndian.Uint64(b[18:])
+		b = b[wlEntryBytes:]
 	}
 	w.clock = r.U64()
 	w.Lookups = r.I64()
@@ -143,29 +161,50 @@ func restoreStats(r *snapshot.Reader, s *CacheStats) {
 	s.StateChanges = r.I64()
 }
 
+// Encoded widths of the set table: each set is a header (X and Y as
+// int64, then the big and small occupancy masks) followed by its big ways
+// (valid, tag, dirty, used) and small ways (valid, lineID, dirty).
+const (
+	setHeaderBytes = 8 + 8 + 4 + 4
+	bigWayBytes    = 1 + 8 + 4 + 4
+	smallWayBytes  = 1 + 8 + 1
+)
+
+// setTableBytes is the encoded size of the set table; every set carries
+// MaxBig big and MaxSmall small way slots (NewCache).
+func (c *Cache) setTableBytes() int {
+	return len(c.sets) * (setHeaderBytes + c.params.MaxBig()*bigWayBytes + c.params.MaxSmall()*smallWayBytes)
+}
+
 // SnapshotState implements snapshot.Snapshotter: per-set state, occupancy
-// bitmasks and way metadata, followed by the locator, predictor, tracker
-// histogram, global adaptation state, replacement rng and statistics. The
-// eviction scratch buffer is transient (truncated by every Access) and is
-// not part of the state.
+// bitmasks and way metadata as one Extend table, followed by the locator,
+// predictor, tracker histogram, global adaptation state, replacement rng
+// and statistics. The eviction scratch buffer is transient (truncated by
+// every Access) and is not part of the state.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("corecache")
+	b := w.Extend(c.setTableBytes())
 	for i := range c.sets {
 		s := &c.sets[i]
-		w.Int(s.st.X)
-		w.Int(s.st.Y)
-		w.U32(s.validBig)
-		w.U32(s.validSmall)
-		for _, b := range s.big {
-			w.Bool(b.valid)
-			w.U64(b.tag)
-			w.U32(b.dirty)
-			w.U32(b.used)
+		binary.LittleEndian.PutUint64(b, uint64(s.st.X))
+		binary.LittleEndian.PutUint64(b[8:], uint64(s.st.Y))
+		binary.LittleEndian.PutUint32(b[16:], s.validBig)
+		binary.LittleEndian.PutUint32(b[20:], s.validSmall)
+		b = b[setHeaderBytes:]
+		for j := range s.big {
+			bw := &s.big[j]
+			snapshot.PutBool(b, bw.valid)
+			binary.LittleEndian.PutUint64(b[1:], bw.tag)
+			binary.LittleEndian.PutUint32(b[9:], bw.dirty)
+			binary.LittleEndian.PutUint32(b[13:], bw.used)
+			b = b[bigWayBytes:]
 		}
-		for _, sm := range s.small {
-			w.Bool(sm.valid)
-			w.U64(sm.lineID)
-			w.Bool(sm.dirty)
+		for j := range s.small {
+			sw := &s.small[j]
+			snapshot.PutBool(b, sw.valid)
+			binary.LittleEndian.PutUint64(b[1:], sw.lineID)
+			snapshot.PutBool(b[9:], sw.dirty)
+			b = b[smallWayBytes:]
 		}
 	}
 	w.Bool(c.locator != nil)
@@ -184,22 +223,31 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 // restored state is validated with CheckInvariants.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("corecache")
+	b := r.Next(c.setTableBytes())
+	if r.Err() != nil {
+		return
+	}
 	for i := range c.sets {
 		s := &c.sets[i]
-		s.st.X = r.Int()
-		s.st.Y = r.Int()
-		s.validBig = r.U32()
-		s.validSmall = r.U32()
+		s.st.X = int(binary.LittleEndian.Uint64(b))
+		s.st.Y = int(binary.LittleEndian.Uint64(b[8:]))
+		s.validBig = binary.LittleEndian.Uint32(b[16:])
+		s.validSmall = binary.LittleEndian.Uint32(b[20:])
+		b = b[setHeaderBytes:]
 		for j := range s.big {
-			s.big[j].valid = r.Bool()
-			s.big[j].tag = r.U64()
-			s.big[j].dirty = r.U32()
-			s.big[j].used = r.U32()
+			bw := &s.big[j]
+			bw.valid = r.DecodeBool(b[0])
+			bw.tag = binary.LittleEndian.Uint64(b[1:])
+			bw.dirty = binary.LittleEndian.Uint32(b[9:])
+			bw.used = binary.LittleEndian.Uint32(b[13:])
+			b = b[bigWayBytes:]
 		}
 		for j := range s.small {
-			s.small[j].valid = r.Bool()
-			s.small[j].lineID = r.U64()
-			s.small[j].dirty = r.Bool()
+			sw := &s.small[j]
+			sw.valid = r.DecodeBool(b[0])
+			sw.lineID = binary.LittleEndian.Uint64(b[1:])
+			sw.dirty = r.DecodeBool(b[9])
+			b = b[smallWayBytes:]
 		}
 	}
 	hasLocator := r.Bool()

@@ -38,7 +38,7 @@ type Footprint struct {
 	state   []fpcPage // parallel payload to pages (indexed set*fpcWays+way)
 
 	hist     []uint32 // footprint history table
-	histMask uint64 //bmlint:resetconst //bmlint:nosnapshot
+	histMask uint64   //bmlint:resetconst //bmlint:nosnapshot
 
 	tagLatency int64 //bmlint:resetconst //bmlint:nosnapshot
 

@@ -1,6 +1,7 @@
 package dramcache
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"bimodal/internal/addr"
@@ -39,24 +40,37 @@ func (p *regionPredictor) RestoreState(r *snapshot.Reader) {
 	r.U8s(p.counters[:])
 }
 
+// assocWayBytes is the encoded width of one assocArray way: valid, tag,
+// lastUse, aux.
+const assocWayBytes = 1 + 8 + 8 + 8
+
 func (a *assocArray) snapshotState(w *snapshot.Writer) {
 	w.Tag("assoc")
-	for _, e := range a.ways {
-		w.Bool(e.valid)
-		w.U64(e.tag)
-		w.U64(e.lastUse)
-		w.U64(e.aux)
+	b := w.Extend(len(a.ways) * assocWayBytes)
+	for i := range a.ways {
+		e := &a.ways[i]
+		snapshot.PutBool(b, e.valid)
+		binary.LittleEndian.PutUint64(b[1:], e.tag)
+		binary.LittleEndian.PutUint64(b[9:], e.lastUse)
+		binary.LittleEndian.PutUint64(b[17:], e.aux)
+		b = b[assocWayBytes:]
 	}
 	w.U64(a.clock)
 }
 
 func (a *assocArray) restoreState(r *snapshot.Reader) {
 	r.Tag("assoc")
+	b := r.Next(len(a.ways) * assocWayBytes)
+	if r.Err() != nil {
+		return
+	}
 	for i := range a.ways {
-		a.ways[i].valid = r.Bool()
-		a.ways[i].tag = r.U64()
-		a.ways[i].lastUse = r.U64()
-		a.ways[i].aux = r.U64()
+		e := &a.ways[i]
+		e.valid = r.DecodeBool(b[0])
+		e.tag = binary.LittleEndian.Uint64(b[1:])
+		e.lastUse = binary.LittleEndian.Uint64(b[9:])
+		e.aux = binary.LittleEndian.Uint64(b[17:])
+		b = b[assocWayBytes:]
 	}
 	a.clock = r.U64()
 }
@@ -114,8 +128,9 @@ func (b *BiModal) SnapshotState(w *snapshot.Writer) {
 	w.I64(b.metaRowHits)
 	w.I64(b.WastedProbeBytes)
 	w.I64(b.VictimHits)
-	for _, f := range b.metaWriteFilter {
-		w.U64(f)
+	f := w.Extend(8 * len(b.metaWriteFilter))
+	for i, row := range b.metaWriteFilter {
+		binary.LittleEndian.PutUint64(f[8*i:], row)
 	}
 	w.I64(b.MetaWrites)
 	w.I64(b.MetaWritesCoalesced)
@@ -141,8 +156,10 @@ func (b *BiModal) RestoreState(r *snapshot.Reader) {
 	b.metaRowHits = r.I64()
 	b.WastedProbeBytes = r.I64()
 	b.VictimHits = r.I64()
-	for i := range b.metaWriteFilter {
-		b.metaWriteFilter[i] = r.U64()
+	if f := r.Next(8 * len(b.metaWriteFilter)); f != nil {
+		for i := range b.metaWriteFilter {
+			b.metaWriteFilter[i] = binary.LittleEndian.Uint64(f[8*i:])
+		}
 	}
 	b.MetaWrites = r.I64()
 	b.MetaWritesCoalesced = r.I64()
@@ -200,10 +217,7 @@ func (l *LohHill) SnapshotState(w *snapshot.Writer) {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.U64(k)
-		}
+		w.U64s(keys)
 	}
 	w.I64(l.metaReads)
 	w.I64(l.metaRowHits)
@@ -261,16 +275,23 @@ func (a *ATCache) RestoreState(r *snapshot.Reader) {
 	a.offchip.RestoreState(r)
 }
 
+// fpcStateBytes is the encoded width of one Footprint page state:
+// present, used, dirty, trigger.
+const fpcStateBytes = 4 + 4 + 4 + 8
+
 // SnapshotState implements snapshot.Snapshotter.
 func (f *Footprint) SnapshotState(w *snapshot.Writer) {
 	w.Tag("footprint")
 	f.baseStats.snapshotState(w)
 	f.pages.snapshotState(w)
-	for _, p := range f.state {
-		w.U32(p.present)
-		w.U32(p.used)
-		w.U32(p.dirty)
-		w.U64(p.trigger)
+	b := w.Extend(len(f.state) * fpcStateBytes)
+	for i := range f.state {
+		p := &f.state[i]
+		binary.LittleEndian.PutUint32(b, p.present)
+		binary.LittleEndian.PutUint32(b[4:], p.used)
+		binary.LittleEndian.PutUint32(b[8:], p.dirty)
+		binary.LittleEndian.PutUint64(b[12:], p.trigger)
+		b = b[fpcStateBytes:]
 	}
 	w.U32s(f.hist)
 	w.I64(f.Bypassed)
@@ -285,11 +306,15 @@ func (f *Footprint) RestoreState(r *snapshot.Reader) {
 	r.Tag("footprint")
 	f.baseStats.restoreState(r)
 	f.pages.restoreState(r)
-	for i := range f.state {
-		f.state[i].present = r.U32()
-		f.state[i].used = r.U32()
-		f.state[i].dirty = r.U32()
-		f.state[i].trigger = r.U64()
+	if b := r.Next(len(f.state) * fpcStateBytes); b != nil {
+		for i := range f.state {
+			p := &f.state[i]
+			p.present = binary.LittleEndian.Uint32(b)
+			p.used = binary.LittleEndian.Uint32(b[4:])
+			p.dirty = binary.LittleEndian.Uint32(b[8:])
+			p.trigger = binary.LittleEndian.Uint64(b[12:])
+			b = b[fpcStateBytes:]
+		}
 	}
 	r.U32s(f.hist)
 	f.Bypassed = r.I64()

@@ -33,6 +33,11 @@ type Sim struct {
 	// Reset deliberately leaves them so a pooled Sim stays pooled.
 	key    poolKey //bmlint:resetconst
 	pooled bool    //bmlint:resetconst
+	// payloadMax is the largest payload Snapshot has sealed, the capacity
+	// hint for the next one. Reset leaves it: a pooled Sim keeps its
+	// geometry, so only the variable-length parts (write queues, in-flight
+	// misses, trace tails) move the size of its snapshots.
+	payloadMax int //bmlint:resetconst
 }
 
 // NewSim assembles a simulation without running it. The construction path
@@ -124,11 +129,15 @@ func (s *Sim) Warmup(ctx context.Context) error {
 
 // Snapshot seals the complete simulator state into a blob bound to
 // prefixHash (see spec.PrefixHash). Valid at the warmup/measure boundary:
-// after Warmup, before Measure.
+// after Warmup, before Measure. The state is encoded in place behind the
+// envelope header, so sealing copies nothing, and a Sim that sealed before
+// allocates the blob once, sized from its largest earlier payload plus a
+// sixteenth for the variable-length parts.
 func (s *Sim) Snapshot(prefixHash string) []byte {
-	w := snapshot.NewWriter()
+	w := snapshot.NewSealer(prefixHash, s.payloadMax+s.payloadMax/16)
 	s.eng.SnapshotState(w)
-	return snapshot.Seal(prefixHash, w.Bytes())
+	s.payloadMax = max(s.payloadMax, w.Len())
+	return w.Seal()
 }
 
 // Restore overwrites the simulator state from a blob produced by Snapshot

@@ -3,7 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"bimodal/internal/cpu"
@@ -220,6 +223,57 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 	blob[len(blob)/2] ^= 0x10
 	if err := NewSim(mix, factory, o).Restore(blob, prefix); err == nil {
 		t.Fatal("corrupt blob restored")
+	}
+}
+
+// TestRestoreRejectsBadTableBool proves the bulk table decoders keep the
+// per-element bool check: a sealed Bi-Modal blob whose first way-locator
+// entry or first cache-set way carries a valid byte of 2, resealed with a
+// correct checksum, must still fail restore.
+func TestRestoreRejectsBadTableBool(t *testing.T) {
+	rs := goldenSpec(t, "bimodal", nil, 0)
+	prefix, _, err := rs.PrefixHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workloads.MustByName(rs.Mix)
+	factory, err := FactoryForSpec(rs, mix.Cores())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := OptionsForSpec(rs)
+	s := NewSim(mix, factory, o)
+	if err := s.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	blob := s.Snapshot(prefix)
+	if err := NewSim(mix, factory, o).Restore(blob, prefix); err != nil {
+		t.Fatalf("unmodified blob: %v", err)
+	}
+	// A section tag is 0xA5, its u32 length and its name; the table
+	// follows. The first cache-set way's valid byte sits behind the set
+	// header (X, Y, and the two occupancy masks: 24 bytes).
+	for _, tc := range []struct {
+		tag  string
+		skip int
+	}{{"waylocator", 0}, {"corecache", 24}} {
+		t.Run(tc.tag, func(t *testing.T) {
+			marker := append([]byte{0xA5}, binary.LittleEndian.AppendUint32(nil, uint32(len(tc.tag)))...)
+			marker = append(marker, tc.tag...)
+			at := bytes.Index(blob, marker)
+			if at < 0 || bytes.Index(blob[at+1:], marker) >= 0 {
+				t.Fatalf("section %q not found exactly once", tc.tag)
+			}
+			bad := append([]byte(nil), blob...)
+			bad[at+len(marker)+tc.skip] = 2
+			body := bad[:len(bad)-sha256.Size]
+			sum := sha256.Sum256(body)
+			copy(bad[len(body):], sum[:])
+			err := NewSim(mix, factory, o).Restore(bad, prefix)
+			if err == nil || !strings.Contains(err.Error(), "invalid bool byte 2") {
+				t.Fatalf("restore of a blob with bool byte 2: err = %v", err)
+			}
+		})
 	}
 }
 

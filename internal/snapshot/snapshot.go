@@ -18,6 +18,14 @@
 // and constants are rebuilt by the constructor. Section tags (Tag) mark
 // component boundaries so a producer/consumer skew fails loudly at the
 // first drifted field instead of silently misreading the rest.
+//
+// Large tables (cache sets, way-locator entries, tag arrays) are encoded in
+// bulk: Writer.Extend reserves a table's bytes once and the owner fills them
+// in place with encoding/binary little-endian puts, in exactly the layout
+// the per-element primitives would write; Reader.Next hands the decoder the
+// same span as one bounds-checked slice. Warm snapshots are sealed in
+// place (NewSealer, Writer.Seal) and Open returns the payload as a
+// sub-slice of the blob, so neither direction copies the payload.
 package snapshot
 
 import (
@@ -25,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Snapshotter is implemented by every simulator component that supports
@@ -52,16 +61,44 @@ const magic = "BMSN"
 // The zero value is ready to use.
 type Writer struct {
 	buf []byte
+	// payload is the offset of the payload in buf: 0 for a plain Writer,
+	// the envelope header's length for one started by NewSealer.
+	payload int
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
 // Bytes returns the accumulated payload (not yet sealed).
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[w.payload:] }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the number of payload bytes written so far.
+func (w *Writer) Len() int { return len(w.buf) - w.payload }
+
+// Extend reserves n bytes at the end of the payload and returns them for
+// the caller to fill in place, in the little-endian layout the per-element
+// primitives would write (PutBool and encoding/binary's LittleEndian.Put*).
+// The slice is valid until the next write.
+func (w *Writer) Extend(n int) []byte {
+	l := len(w.buf)
+	if n > cap(w.buf)-l {
+		// Reserve an eighth more than needed, so the small writes that
+		// follow a big table do not copy it again.
+		w.buf = slices.Grow(w.buf, n+(l+n)/8)
+	}
+	w.buf = w.buf[:l+n]
+	return w.buf[l : l+n : l+n]
+}
+
+// PutBool stores v in b[0] as the 0/1 byte Bool writes, for filling
+// Extend tables.
+func PutBool(b []byte, v bool) {
+	var x byte
+	if v {
+		x = 1
+	}
+	b[0] = x
+}
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -108,24 +145,27 @@ func (w *Writer) U8s(s []uint8) { w.Bytes8(s) }
 // U32s writes a length-prefixed []uint32.
 func (w *Writer) U32s(s []uint32) {
 	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.U32(v)
+	b := w.Extend(4 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
 }
 
 // U64s writes a length-prefixed []uint64.
 func (w *Writer) U64s(s []uint64) {
 	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.U64(v)
+	b := w.Extend(8 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
 }
 
 // I64s writes a length-prefixed []int64.
 func (w *Writer) I64s(s []int64) {
 	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.I64(v)
+	b := w.Extend(8 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 	}
 }
 
@@ -163,22 +203,42 @@ func (r *Reader) Failf(format string, args ...any) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-func (r *Reader) take(n int) []byte {
+// Next consumes the next n bytes and returns them as one bounds-checked
+// slice, for decoding a bulk table in place (encoding/binary's
+// LittleEndian getters and DecodeBool), or nil after recording a
+// truncation error. The slice aliases the payload, which may be a shared
+// read-only blob: decode from it, never write or retain it.
+func (r *Reader) Next(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.Remaining() < n {
+	if n < 0 || r.Remaining() < n {
 		r.Failf("truncated payload: want %d bytes at offset %d, have %d", n, r.off, r.Remaining())
 		return nil
 	}
-	b := r.data[r.off : r.off+n]
+	b := r.data[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
 
+// DecodeBool decodes a bool byte taken from a Next table, recording an
+// error for bytes other than 0/1 exactly as Bool does.
+func (r *Reader) DecodeBool(v byte) bool {
+	if v > 1 {
+		r.badBool(v)
+	}
+	return v == 1
+}
+
+// badBool records a DecodeBool failure; kept out of line so DecodeBool
+// inlines into table loops.
+func (r *Reader) badBool(v byte) {
+	r.Failf("invalid bool byte %d in the table ending at offset %d", v, r.off)
+}
+
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	b := r.take(1)
+	b := r.Next(1)
 	if b == nil {
 		return 0
 	}
@@ -187,7 +247,7 @@ func (r *Reader) U8() uint8 {
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	b := r.take(4)
+	b := r.Next(4)
 	if b == nil {
 		return 0
 	}
@@ -196,7 +256,7 @@ func (r *Reader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
+	b := r.Next(8)
 	if b == nil {
 		return 0
 	}
@@ -225,8 +285,9 @@ func (r *Reader) Bool() bool {
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes8 reads a length-prefixed byte string.
-func (r *Reader) Bytes8() []byte {
+// bytes8 reads a length-prefixed byte string as a sub-slice of the
+// payload.
+func (r *Reader) bytes8() []byte {
 	n := int(r.U32())
 	if r.err != nil {
 		return nil
@@ -235,11 +296,14 @@ func (r *Reader) Bytes8() []byte {
 		r.Failf("byte string length %d exceeds remaining %d", n, r.Remaining())
 		return nil
 	}
-	return append([]byte(nil), r.take(n)...)
+	return r.Next(n)
 }
 
+// Bytes8 reads a length-prefixed byte string into a fresh slice.
+func (r *Reader) Bytes8() []byte { return append([]byte(nil), r.bytes8()...) }
+
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes8()) }
+func (r *Reader) String() string { return string(r.bytes8()) }
 
 // SliceLen reads a variable slice length, validating it is non-negative
 // and cannot exceed the remaining payload at minWidth bytes per element.
@@ -258,62 +322,57 @@ func (r *Reader) SliceLen(minWidth int) int {
 	return n
 }
 
+// table reads a bulk table's length prefix, requires it to match want
+// (the restored object owns the geometry) and returns the table's
+// want*width bytes, or nil after recording an error.
+func (r *Reader) table(kind string, want, width int) []byte {
+	n := int(r.U32())
+	if r.err != nil {
+		return nil
+	}
+	if n != want {
+		r.Failf("%s slice length %d, want %d", kind, n, want)
+		return nil
+	}
+	return r.Next(n * width)
+}
+
 // U8s fills dst from a length-prefixed []uint8, requiring the stored
 // length to match len(dst) (the restored object owns the geometry).
 func (r *Reader) U8s(dst []uint8) {
-	b := r.Bytes8()
-	if r.err != nil {
-		return
-	}
-	if len(b) != len(dst) {
-		r.Failf("u8 slice length %d, want %d", len(b), len(dst))
-		return
-	}
-	copy(dst, b)
+	copy(dst, r.table("u8", len(dst), 1))
 }
 
 // U32s fills dst from a length-prefixed []uint32 of matching length.
 func (r *Reader) U32s(dst []uint32) {
-	n := int(r.U32())
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.Failf("u32 slice length %d, want %d", n, len(dst))
+	b := r.table("u32", len(dst), 4)
+	if b == nil {
 		return
 	}
 	for i := range dst {
-		dst[i] = r.U32()
+		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 }
 
 // U64s fills dst from a length-prefixed []uint64 of matching length.
 func (r *Reader) U64s(dst []uint64) {
-	n := int(r.U32())
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.Failf("u64 slice length %d, want %d", n, len(dst))
+	b := r.table("u64", len(dst), 8)
+	if b == nil {
 		return
 	}
 	for i := range dst {
-		dst[i] = r.U64()
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 }
 
 // I64s fills dst from a length-prefixed []int64 of matching length.
 func (r *Reader) I64s(dst []int64) {
-	n := int(r.U32())
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.Failf("i64 slice length %d, want %d", n, len(dst))
+	b := r.table("i64", len(dst), 8)
+	if b == nil {
 		return
 	}
 	for i := range dst {
-		dst[i] = r.I64()
+		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 
@@ -323,31 +382,57 @@ func (r *Reader) Tag(name string) {
 		r.Failf("expected section tag %q, found byte 0x%02x", name, m)
 		return
 	}
-	if got := r.String(); r.err == nil && got != name {
+	if got := r.bytes8(); r.err == nil && string(got) != name {
 		r.Failf("section tag mismatch: restoring %q, blob has %q", name, got)
 	}
 }
 
-// Seal wraps a payload in the versioned envelope:
+// NewSealer starts a sealed blob bound to prefixHash, in the versioned
+// envelope
 //
 //	"BMSN" | u32 version | u32 len(hash) | hash | u32 len(payload) | payload | sha256
 //
 // where the trailing checksum covers every preceding byte. prefixHash is
-// the prefix spec hash the blob was produced under (see spec.PrefixHash);
+// the prefix spec hash the blob is produced under (see spec.PrefixHash);
 // Open returns it so consumers can verify the binding before restoring.
-func Seal(prefixHash string, payload []byte) []byte {
-	w := &Writer{buf: make([]byte, 0, len(magic)+12+len(prefixHash)+len(payload)+sha256.Size)}
+// The returned Writer holds the envelope header, writes the payload in
+// place behind it (Bytes and Len still cover the payload only), and
+// Seal finishes the blob without copying it. payloadHint is the expected
+// payload length, a capacity hint (0 if unknown).
+func NewSealer(prefixHash string, payloadHint int) *Writer {
+	w := &Writer{buf: make([]byte, 0, len(magic)+12+len(prefixHash)+max(payloadHint, 0)+sha256.Size)}
 	w.buf = append(w.buf, magic...)
 	w.U32(Version)
 	w.String(prefixHash)
-	w.Bytes8(payload)
+	w.U32(0) // payload length, backfilled by Seal
+	w.payload = len(w.buf)
+	return w
+}
+
+// Seal finishes a blob started by NewSealer: it backfills the payload
+// length, appends the checksum and returns the sealed blob. The Writer
+// must not be used afterwards.
+func (w *Writer) Seal() []byte {
+	if w.payload == 0 {
+		panic("snapshot: Seal on a Writer not started by NewSealer")
+	}
+	binary.LittleEndian.PutUint32(w.buf[w.payload-4:], uint32(w.Len()))
 	sum := sha256.Sum256(w.buf)
-	w.buf = append(w.buf, sum[:]...)
-	return w.buf
+	return append(w.buf, sum[:]...)
+}
+
+// Seal wraps a finished payload in the versioned envelope (see NewSealer).
+func Seal(prefixHash string, payload []byte) []byte {
+	w := NewSealer(prefixHash, len(payload))
+	w.buf = append(w.buf, payload...)
+	return w.Seal()
 }
 
 // Open unwraps a sealed blob, verifying magic, version and checksum, and
-// returns the bound prefix hash and the payload.
+// returns the bound prefix hash and the payload. The payload is a
+// sub-slice of blob, not a copy: blobs are shared read-only (store.Mem
+// returns its stored bytes), so restore code must not write it or keep
+// slices of it.
 func Open(blob []byte) (prefixHash string, payload []byte, err error) {
 	if len(blob) < len(magic)+4+4+4+sha256.Size {
 		return "", nil, fmt.Errorf("snapshot: blob too short (%d bytes)", len(blob))
@@ -357,14 +442,14 @@ func Open(blob []byte) (prefixHash string, payload []byte, err error) {
 		return "", nil, fmt.Errorf("snapshot: checksum mismatch (corrupt blob)")
 	}
 	r := NewReader(body)
-	if got := string(r.take(len(magic))); r.err == nil && got != magic {
+	if got := string(r.Next(len(magic))); r.err == nil && got != magic {
 		return "", nil, fmt.Errorf("snapshot: bad magic %q", got)
 	}
 	if v := r.U32(); r.err == nil && v != Version {
 		return "", nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
 	prefixHash = r.String()
-	payload = r.Bytes8()
+	payload = r.bytes8()
 	if r.err != nil {
 		return "", nil, r.err
 	}

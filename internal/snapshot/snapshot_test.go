@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -135,6 +136,227 @@ func TestSliceLenBoundsCheck(t *testing.T) {
 	}
 }
 
+// bulkLengths are the table lengths the reference tests cover: empty, a
+// single element, and an odd count.
+var bulkLengths = []int{0, 1, 7}
+
+// TestBulkWritersMatchPrimitives pins every bulk writer to the bytes a
+// loop over the per-element primitives writes.
+func TestBulkWritersMatchPrimitives(t *testing.T) {
+	for _, n := range bulkLengths {
+		u8 := make([]uint8, n)
+		u32 := make([]uint32, n)
+		u64 := make([]uint64, n)
+		i64 := make([]int64, n)
+		for i := 0; i < n; i++ {
+			u8[i] = uint8(0xF0 + i)
+			u32[i] = 0xDEADBEEF - uint32(i)
+			u64[i] = 1<<63 | uint64(i)<<32 | 0xAB
+			i64[i] = -1 - int64(i)<<40
+		}
+
+		bulk, ref := NewWriter(), NewWriter()
+		bulk.U8s(u8)
+		bulk.U32s(u32)
+		bulk.U64s(u64)
+		bulk.I64s(i64)
+		ref.U32(uint32(n))
+		for _, v := range u8 {
+			ref.U8(v)
+		}
+		ref.U32(uint32(n))
+		for _, v := range u32 {
+			ref.U32(v)
+		}
+		ref.U32(uint32(n))
+		for _, v := range u64 {
+			ref.U64(v)
+		}
+		ref.U32(uint32(n))
+		for _, v := range i64 {
+			ref.I64(v)
+		}
+		if !bytes.Equal(bulk.Bytes(), ref.Bytes()) {
+			t.Errorf("n=%d: bulk slices\n got %x\nwant %x", n, bulk.Bytes(), ref.Bytes())
+		}
+
+		// An Extend table of (bool, u64, u32) records.
+		tab, ref := NewWriter(), NewWriter()
+		tab.U8(0x11) // Extend appends behind earlier writes
+		ref.U8(0x11)
+		b := tab.Extend(n * 13)
+		for i := 0; i < n; i++ {
+			PutBool(b, i%2 == 1)
+			binary.LittleEndian.PutUint64(b[1:], u64[i])
+			binary.LittleEndian.PutUint32(b[9:], u32[i])
+			b = b[13:]
+			ref.Bool(i%2 == 1)
+			ref.U64(u64[i])
+			ref.U32(u32[i])
+		}
+		if !bytes.Equal(tab.Bytes(), ref.Bytes()) {
+			t.Errorf("n=%d: Extend table\n got %x\nwant %x", n, tab.Bytes(), ref.Bytes())
+		}
+	}
+}
+
+// TestBulkReadersMatchPrimitives reads a payload written element by element
+// back through the bulk readers.
+func TestBulkReadersMatchPrimitives(t *testing.T) {
+	for _, n := range bulkLengths {
+		w := NewWriter()
+		for _, width := range []int{1, 4, 8, 8} {
+			w.U32(uint32(n))
+			for i := 0; i < n; i++ {
+				v := uint64(0xA0+i) * 0x0101010101010101
+				switch width {
+				case 1:
+					w.U8(uint8(v))
+				case 4:
+					w.U32(uint32(v))
+				case 8:
+					w.U64(v)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			w.Bool(i%2 == 0)
+			w.U64(uint64(i) * 3)
+		}
+
+		r := NewReader(w.Bytes())
+		u8 := make([]uint8, n)
+		u32 := make([]uint32, n)
+		u64 := make([]uint64, n)
+		i64 := make([]int64, n)
+		r.U8s(u8)
+		r.U32s(u32)
+		r.U64s(u64)
+		r.I64s(i64)
+		b := r.Next(n * 9)
+		for i := 0; i < n; i++ {
+			v := uint64(0xA0+i) * 0x0101010101010101
+			if u8[i] != uint8(v) || u32[i] != uint32(v) || u64[i] != v || i64[i] != int64(v) {
+				t.Errorf("n=%d element %d: got %#x %#x %#x %#x, want %#x", n, i, u8[i], u32[i], u64[i], i64[i], v)
+			}
+			if got := r.DecodeBool(b[0]); got != (i%2 == 0) {
+				t.Errorf("n=%d element %d: DecodeBool = %v", n, i, got)
+			}
+			if got := binary.LittleEndian.Uint64(b[1:]); got != uint64(i)*3 {
+				t.Errorf("n=%d element %d: table u64 = %d", n, i, got)
+			}
+			b = b[9:]
+		}
+		if err := r.Err(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if r.Remaining() != 0 {
+			t.Errorf("n=%d: %d trailing bytes", n, r.Remaining())
+		}
+	}
+}
+
+func TestBulkReadersRejectLengthMismatch(t *testing.T) {
+	w := NewWriter()
+	w.U32s([]uint32{1, 2, 3})
+	for _, read := range []func(r *Reader){
+		func(r *Reader) { r.U8s(make([]uint8, 2)) },
+		func(r *Reader) { r.U32s(make([]uint32, 4)) },
+		func(r *Reader) { r.U64s(make([]uint64, 3)) }, // 3 elements need 24 bytes
+		func(r *Reader) { r.I64s(nil) },
+	} {
+		r := NewReader(w.Bytes())
+		read(r)
+		if r.Err() == nil {
+			t.Error("mismatched bulk read accepted")
+		}
+	}
+}
+
+func TestDecodeBoolRejectsJunk(t *testing.T) {
+	r := NewReader([]byte{0, 1, 2})
+	b := r.Next(3)
+	if r.DecodeBool(b[0]) || !r.DecodeBool(b[1]) || r.Err() != nil {
+		t.Fatalf("valid bool bytes misread (err %v)", r.Err())
+	}
+	_ = r.DecodeBool(b[2])
+	if r.Err() == nil {
+		t.Error("bool byte 2 accepted")
+	}
+}
+
+func TestNextBoundsCheck(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	if b := r.Next(4); b != nil || r.Err() == nil {
+		t.Errorf("over-long Next returned %v, err %v", b, r.Err())
+	}
+	r = NewReader([]byte{1, 2, 3})
+	if b := r.Next(-1); b != nil || r.Err() == nil {
+		t.Errorf("negative Next returned %v, err %v", b, r.Err())
+	}
+}
+
+// TestSealInPlaceMatchesSeal proves the in-place sealer writes the same
+// envelope as sealing a finished payload and as a reference envelope built
+// from primitives, and that Bytes/Len keep their payload-only meaning.
+func TestSealInPlaceMatchesSeal(t *testing.T) {
+	const hash = "sha256:0123"
+	for _, hint := range []int{0, 3, 1 << 10} {
+		w := NewSealer(hash, hint)
+		w.Tag("state")
+		w.U64s([]uint64{1, 2, 3})
+		payload := append([]byte(nil), w.Bytes()...)
+		if w.Len() != len(payload) {
+			t.Fatalf("Len %d, payload %d bytes", w.Len(), len(payload))
+		}
+		plain := NewWriter()
+		plain.Tag("state")
+		plain.U64s([]uint64{1, 2, 3})
+		if !bytes.Equal(payload, plain.Bytes()) {
+			t.Fatalf("sealing writer payload %x, plain writer %x", payload, plain.Bytes())
+		}
+
+		ref := NewWriter()
+		ref.buf = append(ref.buf, magic...)
+		ref.U32(Version)
+		ref.String(hash)
+		ref.Bytes8(payload)
+		want := sealRaw(ref)
+		if got := w.Seal(); !bytes.Equal(got, want) {
+			t.Errorf("hint %d: in-place blob\n got %x\nwant %x", hint, got, want)
+		}
+		if got := Seal(hash, payload); !bytes.Equal(got, want) {
+			t.Errorf("Seal blob\n got %x\nwant %x", got, want)
+		}
+	}
+}
+
+func TestSealRequiresSealer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Seal on a plain Writer did not panic")
+		}
+	}()
+	NewWriter().Seal()
+}
+
+// TestOpenAliasesBlob pins the zero-copy contract: the payload Open returns
+// is the blob's own bytes, capped so an append cannot reach the checksum.
+func TestOpenAliasesBlob(t *testing.T) {
+	blob := Seal("sha256:abc", []byte("payload"))
+	_, payload, err := Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(blob) - sha256.Size - len(payload)
+	if &payload[0] != &blob[off] {
+		t.Error("Open copied the payload")
+	}
+	if cap(payload) != len(payload) {
+		t.Errorf("payload cap %d exceeds its length %d", cap(payload), len(payload))
+	}
+}
+
 func TestSealOpen(t *testing.T) {
 	payload := []byte("simulator state bytes")
 	const hash = "sha256:0000000000000000000000000000000000000000000000000000000000000000"
@@ -216,41 +438,66 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return v
 		}
 
+		// The script is written twice, into a plain Writer and in place
+		// behind a sealer's envelope header; both must agree.
 		w := NewWriter()
+		sw := NewSealer("sha256:fuzz", int(next()%64))
 		type op struct {
 			kind byte
 			val  uint64
 		}
 		var script []op
 		for _, k := range ops {
-			k %= 9
+			k %= 13
 			v := next()
 			script = append(script, op{k, v})
-			switch k {
-			case 0:
-				w.U8(uint8(v))
-			case 1:
-				w.U32(uint32(v))
-			case 2:
-				w.U64(v)
-			case 3:
-				w.I64(int64(v))
-			case 4:
-				w.Bool(v%2 == 1)
-			case 5:
-				w.F64(math.Float64frombits(v))
-			case 6:
-				w.Tag("t")
-			case 7:
-				w.Bytes8(data[:min(len(data), int(v%32))])
-			case 8:
-				s := []uint64{v, ^v, v >> 3}
-				w.U64s(s)
+			for _, wr := range []*Writer{w, sw} {
+				switch k {
+				case 0:
+					wr.U8(uint8(v))
+				case 1:
+					wr.U32(uint32(v))
+				case 2:
+					wr.U64(v)
+				case 3:
+					wr.I64(int64(v))
+				case 4:
+					wr.Bool(v%2 == 1)
+				case 5:
+					wr.F64(math.Float64frombits(v))
+				case 6:
+					wr.Tag("t")
+				case 7:
+					wr.Bytes8(data[:min(len(data), int(v%32))])
+				case 8:
+					wr.U64s(fuzzU64s(v))
+				case 9:
+					wr.U32s(fuzzU32s(v))
+				case 10:
+					wr.I64s(fuzzI64s(v))
+				case 11:
+					wr.U8s(data[:min(len(data), int(v%32))])
+				case 12:
+					// An Extend table of (bool, u64) records.
+					n := int(v % 5)
+					b := wr.Extend(n * 9)
+					for i := 0; i < n; i++ {
+						PutBool(b, (v>>i)&1 == 1)
+						binary.LittleEndian.PutUint64(b[1:], v+uint64(i))
+						b = b[9:]
+					}
+				}
 			}
 		}
 
 		payload := w.Bytes()
+		if !bytes.Equal(sw.Bytes(), payload) {
+			t.Fatal("sealing writer's payload differs from a plain writer's")
+		}
 		blob := Seal("sha256:fuzz", payload)
+		if inPlace := sw.Seal(); !bytes.Equal(inPlace, blob) {
+			t.Fatal("in-place seal differs from Seal")
+		}
 		hash, opened, err := Open(blob)
 		if err != nil {
 			t.Fatalf("Seal/Open: %v", err)
@@ -295,13 +542,49 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 					t.Fatalf("Bytes8 = %v, want %v", got, want)
 				}
 			case 8:
-				want := []uint64{o.val, ^o.val, o.val >> 3}
-				got := make([]uint64, 3)
+				want := fuzzU64s(o.val)
+				got := make([]uint64, len(want))
 				r.U64s(got)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("U64s[%d] = %d, want %d", i, got[i], want[i])
 					}
+				}
+			case 9:
+				want := fuzzU32s(o.val)
+				got := make([]uint32, len(want))
+				r.U32s(got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("U32s[%d] = %d, want %d", i, got[i], want[i])
+					}
+				}
+			case 10:
+				want := fuzzI64s(o.val)
+				got := make([]int64, len(want))
+				r.I64s(got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("I64s[%d] = %d, want %d", i, got[i], want[i])
+					}
+				}
+			case 11:
+				want := data[:min(len(data), int(o.val%32))]
+				got := make([]uint8, len(want))
+				if r.U8s(got); !bytes.Equal(got, want) {
+					t.Fatalf("U8s = %v, want %v", got, want)
+				}
+			case 12:
+				n := int(o.val % 5)
+				b := r.Next(n * 9)
+				for i := 0; i < n && b != nil; i++ {
+					if got := r.DecodeBool(b[0]); got != ((o.val>>i)&1 == 1) {
+						t.Fatalf("table bool %d = %v", i, got)
+					}
+					if got := binary.LittleEndian.Uint64(b[1:]); got != o.val+uint64(i) {
+						t.Fatalf("table u64 %d = %d", i, got)
+					}
+					b = b[9:]
 				}
 			}
 		}
@@ -323,6 +606,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// fuzzU64s, fuzzU32s and fuzzI64s derive short bulk slices (0-3
+// elements) from a fuzz value.
+func fuzzU64s(v uint64) []uint64 { return []uint64{v, ^v, v >> 3}[:v%4] }
+func fuzzU32s(v uint64) []uint32 { return []uint32{uint32(v), uint32(v >> 32), 7}[:v%4] }
+func fuzzI64s(v uint64) []int64  { return []int64{int64(v), -int64(v), -1}[:v%4] }
 
 // sealRaw checksums a hand-built envelope body (test helper for skew
 // cases Seal itself cannot produce).

@@ -1,19 +1,30 @@
 package sram
 
-import "bimodal/internal/snapshot"
+import (
+	"encoding/binary"
 
-// SnapshotState implements snapshot.Snapshotter: every way (the backing
-// array is walked set-major, way-minor), the recency clock, the
-// replacement rng and the hit/miss counters. Geometry is configuration.
+	"bimodal/internal/snapshot"
+)
+
+// wayBytes is the encoded width of one way: Valid, Dirty, Tag, Aux,
+// lastUse.
+const wayBytes = 1 + 1 + 8 + 8 + 8
+
+// SnapshotState implements snapshot.Snapshotter: every way as one Extend
+// table (walked set-major, way-minor), the recency clock, the replacement
+// rng and the hit/miss counters. Geometry is configuration.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("sram")
+	b := w.Extend(len(c.sets) * c.cfg.Assoc * wayBytes)
 	for _, set := range c.sets {
-		for _, way := range set {
-			w.Bool(way.Valid)
-			w.Bool(way.Dirty)
-			w.U64(way.Tag)
-			w.U64(way.Aux)
-			w.U64(way.lastUse)
+		for i := range set {
+			way := &set[i]
+			snapshot.PutBool(b, way.Valid)
+			snapshot.PutBool(b[1:], way.Dirty)
+			binary.LittleEndian.PutUint64(b[2:], way.Tag)
+			binary.LittleEndian.PutUint64(b[10:], way.Aux)
+			binary.LittleEndian.PutUint64(b[18:], way.lastUse)
+			b = b[wayBytes:]
 		}
 	}
 	w.U64(c.clock)
@@ -26,13 +37,19 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 // with the same Config as the producer.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("sram")
+	b := r.Next(len(c.sets) * c.cfg.Assoc * wayBytes)
+	if r.Err() != nil {
+		return
+	}
 	for _, set := range c.sets {
 		for i := range set {
-			set[i].Valid = r.Bool()
-			set[i].Dirty = r.Bool()
-			set[i].Tag = r.U64()
-			set[i].Aux = r.U64()
-			set[i].lastUse = r.U64()
+			way := &set[i]
+			way.Valid = r.DecodeBool(b[0])
+			way.Dirty = r.DecodeBool(b[1])
+			way.Tag = binary.LittleEndian.Uint64(b[2:])
+			way.Aux = binary.LittleEndian.Uint64(b[10:])
+			way.lastUse = binary.LittleEndian.Uint64(b[18:])
+			b = b[wayBytes:]
 		}
 	}
 	c.clock = r.U64()
