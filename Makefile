@@ -21,8 +21,11 @@ lint: vet
 vet:
 	$(GO) vet ./...
 
+# test also covers e2ebench, a separate module (replace bimodal => ../) the
+# root ./... never reaches, exactly as CI's test job does.
 test:
 	$(GO) test ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race -short ./...

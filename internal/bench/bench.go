@@ -412,8 +412,10 @@ func sweepPooled(b *testing.B) {
 // --- warm-state checkpointing: the snapshot codec itself ---
 //
 // WarmSnapshot and WarmRestore isolate the two halves of a warm fork on
-// the largest blob a service sweep seals: a Bi-Modal Q7 cell at cache/64,
-// whose way locator and set table make up nearly all of its ~1.1 MB.
+// the largest blob the codec seals: a Bi-Modal Q7 cell at cache/64, whose
+// way locator and set table make up nearly all of its ~1.1 MB. Service
+// sweeps never seal Bi-Modal blobs (the scheme is MeasuredCoupled, so no
+// other cell could restore one); bmsim -checkpoint still does.
 
 // warmBiModalQ7 returns a warmed Bi-Modal Q7 cache/64 simulator, its
 // congruent unwarmed twin, and the prefix hash they share.

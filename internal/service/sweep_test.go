@@ -95,10 +95,9 @@ func TestSweepEndToEnd(t *testing.T) {
 		"bimodal_sweep_store_hits_total 4",
 		"bimodal_sweep_store_misses_total 4",
 		"bimodal_sweeps_completed_total 2",
-		// 4 cell results + 4 warm snapshots (one per distinct warmup
-		// prefix: each cell here has a different mix × scheme).
-		"bimodal_store_entries 8",
-		"bimodal_snapshot_misses_total 4",
+		// 4 cell results + 2 Alloy warm snapshots
+		"bimodal_store_entries 6",
+		"bimodal_snapshot_misses_total 2",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)

@@ -19,6 +19,10 @@ import (
 // the prefix hash — domain-separated from result hashes — so a shared
 // store lets cluster workers skip warmup phases their peers already ran.
 //
+// Cells that no other cell could restore from — ANTT, warmup disabled, or
+// a MeasuredCoupled scheme such as bimodal — run straight through the
+// cold path and seal nothing.
+//
 // Restore-then-measure is byte-identical to a straight-through run (the
 // golden tests in internal/sim prove it per scheme), so a WarmRunner can
 // never change result bytes — only how often warmup executes. Any warmup,
@@ -72,13 +76,17 @@ func NewWarmCellRunner(st store.Store, reg *telemetry.Registry) func(ctx context
 // CellResult JSON — byte-identical to RunCellSpec. warm reports whether a
 // restored snapshot replaced the warmup phase (the sweep event origin
 // distinguishes "warm" from "run").
+//
+// Every cell with a shared prefix that completes counts exactly one
+// snapshot hit (a restore replaced its warmup) or one miss (it warmed up
+// itself: as the producer, or cold after a failed restore or producer).
+// Cells without a shared prefix count neither.
 func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, warm bool, err error) {
-	prefix, ok, err := rs.PrefixHash()
+	prefix, ok, err := sharedPrefix(rs)
 	if err != nil {
 		return nil, false, err
 	}
 	if !ok {
-		// No reusable warmup prefix (ANTT, warmup disabled).
 		raw, err = RunCellSpec(ctx, rs)
 		return raw, false, err
 	}
@@ -94,16 +102,7 @@ func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, 
 	so.Workers = 1
 
 	if blob, found, gerr := w.store.Get(prefix); gerr == nil && found {
-		w.hits.Inc()
-		if raw, err = w.measureRestored(ctx, rs, mix, factory, so, blob, prefix); err == nil {
-			return raw, true, nil
-		}
-		if ctx.Err() != nil {
-			return nil, false, err
-		}
-		// A corrupt or incongruent blob must not fail the cell.
-		raw, err = RunCellSpec(ctx, rs)
-		return raw, false, err
+		return w.restoreOrRun(ctx, rs, mix, factory, so, blob, prefix)
 	}
 
 	w.mu.Lock()
@@ -114,17 +113,13 @@ func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, 
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		if c.err == nil {
-			w.hits.Inc()
-			if raw, err = w.measureRestored(ctx, rs, mix, factory, so, c.blob, prefix); err == nil {
-				return raw, true, nil
-			}
-			if ctx.Err() != nil {
-				return nil, false, err
-			}
+		if c.err != nil {
+			// The producer's warmup failed: this cell warms up itself.
+			w.misses.Inc()
+			raw, err = RunCellSpec(ctx, rs)
+			return raw, false, err
 		}
-		raw, err = RunCellSpec(ctx, rs)
-		return raw, false, err
+		return w.restoreOrRun(ctx, rs, mix, factory, so, c.blob, prefix)
 	}
 	c := &warmCall{done: make(chan struct{})}
 	w.calls[prefix] = c
@@ -159,6 +154,40 @@ func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, 
 		// Reset may scribble over the scheme the result aliased.
 		runPool.Put(s)
 	}
+	return raw, false, err
+}
+
+// sharedPrefix returns the warmup prefix hash under which rs may share a
+// warm snapshot with other cells. ok is false when no other cell could
+// restore it: the spec has no prefix at all (ANTT, warmup disabled), or
+// its scheme is MeasuredCoupled, whose prefix covers the whole canonical
+// spec, so the only cell that could restore the blob is an identical one
+// the result store already answers.
+func sharedPrefix(rs spec.RunSpec) (prefix string, ok bool, err error) {
+	d, err := spec.Lookup(rs.Scheme)
+	if err != nil {
+		return "", false, err
+	}
+	if d.MeasuredCoupled {
+		return "", false, nil
+	}
+	return rs.PrefixHash()
+}
+
+// restoreOrRun measures rs on a simulation restored from blob, counting a
+// snapshot hit. A corrupt or incongruent blob must not fail the cell: it
+// counts a miss and the cell runs cold instead.
+func (w *WarmRunner) restoreOrRun(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, factory sim.Factory, so sim.Options, blob []byte, prefix string) ([]byte, bool, error) {
+	raw, err := w.measureRestored(ctx, rs, mix, factory, so, blob, prefix)
+	if err == nil {
+		w.hits.Inc()
+		return raw, true, nil
+	}
+	if ctx.Err() != nil {
+		return nil, false, err
+	}
+	w.misses.Inc()
+	raw, err = RunCellSpec(ctx, rs)
 	return raw, false, err
 }
 

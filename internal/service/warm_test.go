@@ -112,7 +112,8 @@ func TestSweepWarmupRunsOnce(t *testing.T) {
 }
 
 // TestWarmRunnerFallsBackOnCorruptSnapshot proves a poisoned snapshot
-// store degrades to cold runs instead of failing cells.
+// store degrades to cold runs instead of failing cells, and that the
+// fallback counts as a snapshot miss, not a hit.
 func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
@@ -158,6 +159,16 @@ func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
 	if string(stored) != string(cold) {
 		t.Error("fallback result differs from cold run")
 	}
+	metrics, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, metrics, "bimodal_snapshot_hits_total"); got != 0 {
+		t.Errorf("snapshot hits = %d, want 0 (no restore replaced warmup)", got)
+	}
+	if got := metricValue(t, metrics, "bimodal_snapshot_misses_total"); got != 1 {
+		t.Errorf("snapshot misses = %d, want 1 (the cold fallback)", got)
+	}
 }
 
 // TestWarmRunnerSkipsANTT pins the no-prefix path: ANTT cells run cold
@@ -186,5 +197,64 @@ func TestWarmRunnerSkipsANTT(t *testing.T) {
 	}
 	if n := s.warm.misses.Value(); n != 0 {
 		t.Errorf("snapshot misses = %d after an ANTT cell, want 0", n)
+	}
+}
+
+// TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a bimodal
+// cell (MeasuredCoupled, so its prefix covers the whole spec) runs
+// straight through, seals no blob and moves no snapshot counter, while an
+// Alloy cell on the same runner still warms up as its prefix's producer
+// and stores its blob.
+func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	cell := func(scheme string) (rs spec.RunSpec, prefix string) {
+		t.Helper()
+		rs, err := (spec.RunSpec{Scheme: scheme, Mix: "Q1",
+			Options: spec.Options{AccessesPerCore: 400, WarmupPerCore: 300, CacheDivisor: 64}, Seed: 4}).Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, ok, err := rs.PrefixHash()
+		if err != nil || !ok {
+			t.Fatalf("%s: PrefixHash: ok=%v err=%v", scheme, ok, err)
+		}
+		return rs, prefix
+	}
+	counters := func() [3]int64 {
+		return [3]int64{s.warm.hits.Value(), s.warm.misses.Value(), s.warm.bytes.Value()}
+	}
+
+	bm, bmPrefix := cell("bimodal")
+	raw, warm, err := s.warm.RunCell(ctx, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		t.Error("bimodal cell reported a warm restore")
+	}
+	cold, err := RunCellSpec(ctx, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(cold) {
+		t.Errorf("bimodal cell bytes differ from RunCellSpec:\nwarm runner: %s\ncold:        %s", raw, cold)
+	}
+	if _, found, err := s.Store().Get(bmPrefix); err != nil || found {
+		t.Errorf("bimodal prefix %s has a stored blob (found=%v, err=%v)", bmPrefix, found, err)
+	}
+	if got := counters(); got != [3]int64{} {
+		t.Errorf("snapshot hits/misses/bytes = %v after a bimodal cell, want all 0", got)
+	}
+
+	al, alPrefix := cell("alloy")
+	if _, warm, err := s.warm.RunCell(ctx, al); err != nil || warm {
+		t.Fatalf("alloy producer: warm=%v err=%v", warm, err)
+	}
+	if n := s.warm.misses.Value(); n != 1 {
+		t.Errorf("snapshot misses = %d after an alloy cell, want 1", n)
+	}
+	if _, found, err := s.Store().Get(alPrefix); err != nil || !found {
+		t.Errorf("alloy prefix %s has no stored blob (found=%v, err=%v)", alPrefix, found, err)
 	}
 }

@@ -326,3 +326,51 @@ func TestPrefixHashGrouping(t *testing.T) {
 		t.Errorf("prefix hash must be domain-separated from the result hash (%v)", err)
 	}
 }
+
+// TestPrefixHashSoundness checks the prefix hash against the state it
+// names, for every registered scheme: two cells differing only in measured
+// length either share a prefix hash and seal byte-identical warm blobs, or
+// the scheme is MeasuredCoupled — the one flag that makes both the factory
+// and the hash depend on measured length.
+func TestPrefixHashSoundness(t *testing.T) {
+	mix := workloads.MustByName("Q1")
+	seal := func(t *testing.T, scheme string, accesses int64) (prefix string, blob []byte) {
+		t.Helper()
+		rs, err := spec.RunSpec{Scheme: scheme, Mix: "Q1",
+			Options: spec.Options{AccessesPerCore: accesses, WarmupPerCore: 400, CacheDivisor: 64}, Seed: 3}.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, ok, err := rs.PrefixHash()
+		if err != nil || !ok {
+			t.Fatalf("PrefixHash: ok=%v err=%v", ok, err)
+		}
+		factory, err := FactoryForSpec(rs, mix.Cores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := OptionsForSpec(rs)
+		o.Workers = 1
+		s := NewSim(mix, factory, o)
+		if err := s.Warmup(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return prefix, s.Snapshot(prefix)
+	}
+	for _, name := range spec.Names() {
+		t.Run(name, func(t *testing.T) {
+			d, err := spec.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shortPrefix, shortBlob := seal(t, name, 200)
+			longPrefix, longBlob := seal(t, name, 300)
+			switch {
+			case shortPrefix == longPrefix && !bytes.Equal(shortBlob, longBlob):
+				t.Errorf("equal prefix hashes but the warm blobs differ (%d vs %d bytes)", len(shortBlob), len(longBlob))
+			case shortPrefix != longPrefix && !d.MeasuredCoupled:
+				t.Error("measured length changed the prefix hash of a scheme that is not MeasuredCoupled")
+			}
+		})
+	}
+}

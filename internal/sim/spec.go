@@ -23,11 +23,11 @@ func OptionsForSpec(rs spec.RunSpec) Options {
 }
 
 // FactoryForSpec returns the factory a CLI or service run uses for the
-// spec. The plain "bimodal" scheme gets the run-length-scaled core
-// parameters (ScaledCoreParams), exactly as cmd/bmsim and the service
-// have always configured it; variants and baselines build with their
-// paper defaults. Spec params overlay either way, so geometry overrides
-// compose with the scaling.
+// spec. A scheme whose descriptor is MeasuredCoupled (the plain "bimodal"
+// scheme) gets the run-length-scaled core parameters (ScaledCoreParams),
+// exactly as cmd/bmsim and the service have always configured it;
+// variants and baselines build with their paper defaults. Spec params
+// overlay either way, so geometry overrides compose with the scaling.
 func FactoryForSpec(rs spec.RunSpec, cores int) (Factory, error) {
 	c, err := rs.Canonical()
 	if err != nil {
@@ -38,10 +38,9 @@ func FactoryForSpec(rs spec.RunSpec, cores int) (Factory, error) {
 		return nil, err
 	}
 	o := OptionsForSpec(c).normalize()
-	scaled := c.Scheme == SchemeBiModal.String()
 	return func(cfg dramcache.Config) dramcache.Scheme {
 		bc := spec.BuildConfig{Cache: cfg}
-		if scaled {
+		if d.MeasuredCoupled {
 			p := ScaledCoreParams(cfg.CacheBytes, cores, o.AccessesPerCore)
 			bc.CoreParams = &p
 		}

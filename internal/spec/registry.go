@@ -74,9 +74,14 @@ type Descriptor struct {
 	CrossCheck func(Params) error
 	// MeasuredCoupled marks schemes whose construction depends on the
 	// measured-run length (the plain bimodal scheme scales its core
-	// parameters from AccessesPerCore). The warmup prefix hash must keep
-	// AccessesPerCore for such schemes, so their warm snapshots are only
-	// shared between cells with equal run lengths.
+	// parameters from AccessesPerCore). It is the one place that coupling
+	// is declared, and three consumers read it: sim.FactoryForSpec scales
+	// the core parameters (sim.ScaledCoreParams); PrefixHash keeps
+	// AccessesPerCore, so the prefix covers the whole canonical spec; and
+	// service.WarmRunner therefore runs such cells straight through and
+	// seals no warm snapshot, since only an identical spec, already a
+	// result-store hit, could restore it. Family presets do not inherit
+	// the flag: they build with paper defaults.
 	MeasuredCoupled bool
 	// Build constructs the scheme.
 	Build Builder
@@ -105,6 +110,8 @@ func Register(d Descriptor) error {
 		if fam.Family != "" {
 			return fmt.Errorf("spec: scheme %q: family %q is itself a preset", d.Name, d.Family)
 		}
+		// MeasuredCoupled stays the preset's own (false unless it says
+		// so): presets build with paper defaults, never scaled.
 		d.Build = fam.Build
 		d.Params = fam.Params
 		d.CrossCheck = fam.CrossCheck

@@ -21,8 +21,9 @@ func init() {
 		Params:      biModalParams,
 		CrossCheck:  biModalCrossCheck,
 		Build:       buildBiModal,
-		// sim.FactoryForSpec scales the plain scheme's core parameters
-		// from the measured run length (ScaledCoreParams).
+		// The plain scheme's core parameters scale with the measured run
+		// length (sim.ScaledCoreParams); the presets below keep paper
+		// defaults and are not coupled.
 		MeasuredCoupled: true,
 	})
 	mustRegister(Descriptor{

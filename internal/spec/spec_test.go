@@ -211,7 +211,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 
 // TestRegistryShape pins the registry's structural invariants the rest of
 // the system relies on: nine schemes in comparison order, four baselines,
-// and the bimodal family presets.
+// the bimodal family presets, and plain bimodal as the only
+// MeasuredCoupled scheme (presets build with paper defaults).
 func TestRegistryShape(t *testing.T) {
 	wantNames := []string{
 		"bimodal", "bimodal-only", "wl-only", "bimodal-cometa",
@@ -233,6 +234,9 @@ func TestRegistryShape(t *testing.T) {
 		}
 		if d.Build == nil {
 			t.Errorf("scheme %q has no builder", d.Name)
+		}
+		if d.MeasuredCoupled != (d.Name == "bimodal") {
+			t.Errorf("scheme %q: MeasuredCoupled = %v", d.Name, d.MeasuredCoupled)
 		}
 	}
 }
