@@ -1,12 +1,12 @@
-// Command bmserved serves simulations over HTTP: a bounded job queue and
-// worker pool over the experiment engine, per-cell SSE progress and
-// Prometheus metrics. SIGINT/SIGTERM triggers a graceful drain — queued
-// and running jobs finish (up to -drain-timeout), new submissions get 503.
+// Command bmserved serves simulations over HTTP: a bounded sweep queue
+// and worker pool, a content-addressed result store every cell resolves
+// against, per-cell SSE progress and Prometheus metrics. SIGINT/SIGTERM
+// triggers a graceful drain — queued and running sweeps finish (up to
+// -drain-timeout), new submissions get 503.
 //
 // The server runs in one of three modes:
 //
-//   - default: a self-contained node; jobs and sweep cells simulate
-//     in-process.
+//   - default: a self-contained node; sweep cells simulate in-process.
 //   - -coordinator: additionally serves the cluster control plane under
 //     /cluster/v1 and dispatches sweep cells to joined workers, sharded
 //     by consistent hashing on the canonical spec hash. With no workers
@@ -20,14 +20,10 @@
 //
 // API (see internal/service):
 //
-//	POST /v1/jobs                  submit {"mixes":["Q1"],"schemes":["bimodal"],...}
-//	GET  /v1/jobs                  list jobs (cursor pagination: ?limit=&cursor=&state=)
-//	GET  /v1/jobs/{id}             status + result JSON when completed
-//	GET  /v1/jobs/{id}/events      SSE progress stream
-//	POST /v1/sweeps                submit a sweep (same request shape as jobs)
-//	GET  /v1/sweeps                list sweeps (same pagination)
-//	GET  /v1/sweeps/{id}           status + merged result when completed
-//	GET  /v1/sweeps/{id}/events    SSE merged progress (cell origins: run|store)
+//	POST /v1/sweeps                submit {"mixes":["Q1"],"schemes":["bimodal"],...} or {"specs":[...]}
+//	GET  /v1/sweeps                list sweeps (cursor pagination: ?limit=&cursor=&state=)
+//	GET  /v1/sweeps/{id}           status + merged result when completed (sweep hash as ETag)
+//	GET  /v1/sweeps/{id}/events    SSE merged progress (cell origins: run|warm|store)
 //	GET  /v1/specs/{hash}          canonical spec JSON for a registered hash
 //	GET  /v1/specs/{hash}/result   one cell's result bytes (strong ETag)
 //	GET  /metrics                  Prometheus text format
@@ -62,16 +58,13 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		queueDepth   = flag.Int("queue", 64, "max queued (not yet running) jobs; overflow is rejected with 429 + Retry-After")
-		jobs         = flag.Int("jobs", 2, "jobs executed concurrently")
-		cellWorkers  = flag.Int("cell-workers", 0, "engine workers per job (0 = NumCPU/jobs)")
-		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = none)")
-		maxCells     = flag.Int("max-cells", 256, "max mixes x schemes per job (-1 = unlimited)")
+		queueDepth   = flag.Int("queue", 64, "max queued (not yet running) sweeps; overflow is rejected with 429 + Retry-After")
+		jobs         = flag.Int("jobs", 2, "sweeps executed concurrently")
+		jobTimeout   = flag.Duration("job-timeout", 0, "per-sweep wall-clock cap (0 = none)")
 		maxSweep     = flag.Int("max-sweep-cells", 10000, "max cells per sweep (-1 = unlimited)")
-		cacheEntries = flag.Int("result-cache", 256, "result memoization cache entries, keyed by spec hash (-1 = disabled)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "back-off hint attached to 429 rejections")
-		storeDir     = flag.String("store-dir", "", "directory for the content-addressed result store (empty = in-memory)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain may take before in-flight jobs are cancelled")
+		storeDir     = flag.String("store-dir", "", "directory for the content-addressed result store (empty = unbounded in-memory)")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain may take before in-flight sweeps are cancelled")
 
 		coordinator = flag.Bool("coordinator", false, "serve the cluster control plane and dispatch sweep cells to joined workers")
 		workerTTL   = flag.Duration("worker-ttl", 15*time.Second, "coordinator: silence window after which a worker is declared dead and its cells requeued")
@@ -119,17 +112,14 @@ func main() {
 		defer coord.Close()
 	}
 	srv := service.New(service.Config{
-		QueueDepth:         *queueDepth,
-		Workers:            *jobs,
-		CellWorkers:        *cellWorkers,
-		JobTimeout:         *jobTimeout,
-		MaxCells:           *maxCells,
-		MaxSweepCells:      *maxSweep,
-		SweepFanout:        *fanout,
-		ResultCacheEntries: *cacheEntries,
-		RetryAfter:         *retryAfter,
-		Store:              st,
-		Dispatcher:         dispatcher(coord),
+		QueueDepth:    *queueDepth,
+		Workers:       *jobs,
+		JobTimeout:    *jobTimeout,
+		MaxSweepCells: *maxSweep,
+		SweepFanout:   *fanout,
+		RetryAfter:    *retryAfter,
+		Store:         st,
+		Dispatcher:    dispatcher(coord),
 	})
 	// The profiling endpoints ride on the API mux so a running server can
 	// always be profiled (go tool pprof .../debug/pprof/profile). Explicit
@@ -172,7 +162,7 @@ func main() {
 		os.Exit(1)
 	}
 	if errors.Is(drainErr, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "bmserved: drain timed out; in-flight jobs were cancelled")
+		fmt.Fprintln(os.Stderr, "bmserved: drain timed out; in-flight sweeps were cancelled")
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "bmserved: drained cleanly")

@@ -24,11 +24,11 @@
 // -dump-spec prints the canonical spec JSON for the given flags (with its
 // content hash on stderr) without running, and -spec replays a spec file
 // ("-" reads stdin), guaranteeing the same result bytes as any other
-// runner of the same spec — including the bmserved job service.
+// runner of the same spec — including the bmserved sweep service.
 //
-// -json emits the same machine-readable schema the bmserved job server
-// returns (a service.JobResult with one cell), so scripts consume CLI
-// and server output identically.
+// -json emits the same machine-readable schema a bmserved sweep returns
+// (a service.SweepResult with one cell), so scripts consume CLI and
+// server output identically.
 package main
 
 import (
@@ -292,7 +292,7 @@ func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, fa
 	return s.Measure(ctx)
 }
 
-// printJSON emits a service.JobResult with one cell — the same schema
+// printJSON emits a service.SweepResult with one cell — the same schema
 // bmserved returns — built from the run that already happened (plus the
 // standalone ANTT runs when requested). The echoed request is the
 // canonical form, exactly as the server would echo it.
@@ -305,7 +305,7 @@ func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.
 		}
 		cell.ANTT = antt
 	}
-	req := service.JobRequest{
+	req := service.SweepRequest{
 		Mixes:   []string{rs.Mix},
 		Schemes: []string{rs.Scheme},
 		Seed:    rs.Seed,
@@ -313,9 +313,9 @@ func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.
 	}
 	if len(rs.Params) > 0 {
 		// Scheme params are only expressible in the spec request form.
-		req = service.JobRequest{Specs: []spec.RunSpec{rs}}
+		req = service.SweepRequest{Specs: []spec.RunSpec{rs}}
 	}
-	out := service.JobResult{
+	out := service.SweepResult{
 		Request: req,
 		Cells:   []service.CellResult{cell},
 	}

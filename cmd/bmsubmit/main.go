@@ -1,6 +1,6 @@
-// Command bmsubmit submits a job or sweep to a running bmserved instance,
+// Command bmsubmit submits a sweep to a running bmserved instance,
 // follows its progress and prints the result JSON — the exact bytes the
-// server marshaled, so piping to a file preserves the determinism
+// server assembled, so piping to a file preserves the determinism
 // contract (same request + seed => byte-identical output).
 //
 // Examples:
@@ -9,18 +9,17 @@
 //	bmsubmit -server http://sim.host:8080 -mixes E3 -schemes bimodal -antt -follow
 //	bmsubmit -mixes Q1 -schemes alloy -no-wait          # fire and forget
 //	bmsim -dump-spec > run.json && bmsubmit -spec run.json
-//	bmsubmit -sweep -mixes Q1,Q7 -schemes bimodal,alloy -follow
 //
 // -spec submits canonical run specs (a single spec object or an array of
 // them, e.g. from bmsim -dump-spec) instead of the mixes × schemes cross
-// product. Identical submissions share a spec hash (printed with the job
-// id), which the server uses to serve repeats from its result cache.
+// product. Identical submissions share a sweep hash (printed with the
+// sweep id).
 //
-// -sweep submits through the sweep API instead: each cell resolves
-// against the server's content-addressed result store before simulating
-// (progress events carry origin run|store), and on a coordinator the
-// remaining cells shard across the worker fleet. A resweep of an
-// identical request is served entirely from the store.
+// Every cell resolves against the server's content-addressed result store
+// before simulating (progress events carry origin run|warm|store), and on
+// a coordinator the remaining cells shard across the worker fleet. A
+// resubmission of an identical request is served entirely from the store;
+// stderr ends with "N/N cells from store".
 //
 // When the server queue is full (HTTP 429), bmsubmit backs off and
 // retries with capped exponential delays plus jitter, honoring the
@@ -55,9 +54,8 @@ func main() {
 		prefetchN = flag.Int("prefetch", 0, "next-N-lines prefetch depth")
 		antt      = flag.Bool("antt", false, "also compute per-cell ANTT (cores+1 sims per cell)")
 		specFile  = flag.String("spec", "", "submit run specs from a JSON file (one spec object or an array; \"-\" reads stdin)")
-		sweep     = flag.Bool("sweep", false, "submit through the sweep API (store-resolved, cluster-dispatched cells)")
 		follow    = flag.Bool("follow", false, "stream per-cell progress events to stderr (SSE)")
-		noWait    = flag.Bool("no-wait", false, "submit and print the job id without waiting")
+		noWait    = flag.Bool("no-wait", false, "submit and print the sweep id without waiting")
 		poll      = flag.Duration("poll", 200*time.Millisecond, "status poll interval when not following")
 		timeout   = flag.Duration("timeout", 0, "client-side deadline (0 = none)")
 		retries   = flag.Int("retries", 6, "total submission attempts while the server reports queue_full")
@@ -72,19 +70,19 @@ func main() {
 		defer cancel()
 	}
 
-	var req service.JobRequest
+	var req service.SweepRequest
 	if *specFile != "" {
 		specs, err := readSpecs(*specFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bmsubmit:", err)
 			os.Exit(1)
 		}
-		// Specs carry their own options; the job seed fills specs without
+		// Specs carry their own options; the sweep seed fills specs without
 		// one. Mix/scheme/option flags are left at their (ignored) defaults
 		// — the server rejects mixed-form requests.
-		req = service.JobRequest{Specs: specs, Seed: *seed}
+		req = service.SweepRequest{Specs: specs, Seed: *seed}
 	} else {
-		req = service.JobRequest{
+		req = service.SweepRequest{
 			Mixes:   splitList(*mixes),
 			Schemes: splitList(*schemes),
 			Seed:    *seed,
@@ -100,13 +98,7 @@ func main() {
 	}
 	c := service.NewClient(*server)
 	backoff := service.Backoff{Attempts: *retries}
-	var err error
-	if *sweep {
-		err = runSweep(ctx, c, service.SweepRequest(req), backoff, *follow, *noWait, *poll)
-	} else {
-		err = run(ctx, c, req, backoff, *follow, *noWait, *poll)
-	}
-	if err != nil {
+	if err := run(ctx, c, req, backoff, *follow, *noWait, *poll); err != nil {
 		fmt.Fprintln(os.Stderr, "bmsubmit:", err)
 		os.Exit(1)
 	}
@@ -149,9 +141,9 @@ func splitList(s string) []string {
 	return out
 }
 
-// progress renders one SSE event to stderr. Sweep cell events carry an
-// origin (run|store) showing whether the cell simulated or was answered
-// by the content-addressed store.
+// progress renders one SSE event to stderr. Cell events carry an origin
+// (run|warm|store) showing whether the cell simulated, simulated from a
+// restored warm snapshot, or was answered by the content-addressed store.
 func progress(e service.Event) {
 	switch e.Type {
 	case "cell":
@@ -165,33 +157,7 @@ func progress(e service.Event) {
 	}
 }
 
-func run(ctx context.Context, c *service.Client, req service.JobRequest, b service.Backoff, follow, noWait bool, poll time.Duration) error {
-	st, err := c.SubmitRetry(ctx, req, b)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bmsubmit: %s %s (%d cells, %s)\n", st.ID, st.State, st.Cells, st.SpecHash)
-	if noWait {
-		fmt.Println(st.ID)
-		return nil
-	}
-	if follow {
-		st, err = c.Follow(ctx, st.ID, progress)
-	} else {
-		st, err = c.Wait(ctx, st.ID, poll)
-	}
-	if err != nil {
-		return err
-	}
-	if st.State != service.StateCompleted {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	os.Stdout.Write(st.Result)
-	fmt.Println()
-	return nil
-}
-
-func runSweep(ctx context.Context, c *service.Client, req service.SweepRequest, b service.Backoff, follow, noWait bool, poll time.Duration) error {
+func run(ctx context.Context, c *service.Client, req service.SweepRequest, b service.Backoff, follow, noWait bool, poll time.Duration) error {
 	st, err := c.SubmitSweepRetry(ctx, req, b)
 	if err != nil {
 		return err

@@ -3,7 +3,7 @@
 // fmt.Errorf that formats an error-typed argument must use %w so callers
 // can errors.Is/errors.As through the wrap. Formatting an error with %v
 // or %s flattens it to text — the service layer's context.Canceled
-// classification (jobs ending "canceled" vs "failed") silently breaks
+// classification (sweeps ending "canceled" vs "failed") silently breaks
 // when a wrap in the chain loses the sentinel.
 package errwrap
 

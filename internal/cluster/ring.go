@@ -1,6 +1,6 @@
 // Package cluster distributes sweep cells across worker processes.
 //
-// A Coordinator embeds in the job server (it implements
+// A Coordinator embeds in the sweep server (it implements
 // service.Dispatcher, so the sweep executor hands it every cell the
 // content-addressed store cannot answer) and shards cells over the
 // registered workers by consistent hashing on the cell's canonical spec

@@ -38,12 +38,6 @@ type Options struct {
 	// Progress, when non-nil, receives one timing line per completed
 	// simulation cell (cmd/paper points it at stderr).
 	Progress io.Writer
-	// OnCell, when non-nil, is invoked once per completed cell with the
-	// cell's submission index, label and wall-clock duration. Cells finish
-	// on arbitrary workers but callbacks are serialized, so implementations
-	// need no locking of their own (internal/service drives SSE progress
-	// and telemetry from here).
-	OnCell func(index int, label string, d time.Duration)
 }
 
 // DefaultOptions returns full-scale settings for cmd/paper.
@@ -104,79 +98,54 @@ type Experiment struct {
 	Run func(context.Context, Options) (*stats.Table, error)
 }
 
-// Cell is one independent simulation unit: one (mix, scheme, options)
+// cell is one independent simulation unit: one (mix, scheme, options)
 // combination. Each cell builds its own scheme instance, generators and
-// statistics inside Run, so cells share no mutable state and may execute
-// on any worker in any order. The type is exported so other layers (the
-// job server in internal/service) fan work out with exactly the same
-// machinery and guarantees as the paper experiments.
-type Cell[T any] struct {
-	// Label identifies the cell in progress output ("Q7 bimodal").
-	Label string
-	// Run executes the cell. It must derive all randomness from its
+// statistics inside run, so cells share no mutable state and may execute
+// on any worker in any order.
+type cell[T any] struct {
+	// label identifies the cell in progress output ("Q7 bimodal").
+	label string
+	// run executes the cell. It must derive all randomness from its
 	// inputs, never from execution order, so results are deterministic at
 	// any worker count.
-	Run func(context.Context) (T, error)
+	run func(context.Context) (T, error)
 }
 
-// cell is the package-internal shorthand used by the experiment drivers.
-type cell[T any] struct {
-	label string
-	run   func(context.Context) (T, error)
-}
-
-// runCells adapts the internal cell shorthand onto RunCells.
-func runCells[T any](ctx context.Context, o Options, id string, cells []cell[T]) ([]T, error) {
-	pub := make([]Cell[T], len(cells))
-	for i, c := range cells {
-		pub[i] = Cell[T]{Label: c.label, Run: c.run}
-	}
-	return RunCells(ctx, o, id, pub)
-}
-
-// RunCells fans the cells out over the experiment engine's bounded worker
+// runCells fans the cells out over the experiment engine's bounded worker
 // pool (Options.Workers, default NumCPU) and collects their values in
 // submission order — the assembly that follows is then identical to what
 // a serial loop would have produced. One progress/timing line is emitted
-// per completed cell when Options.Progress is set, and Options.OnCell is
-// invoked (serialized) per completed cell.
-func RunCells[T any](ctx context.Context, o Options, id string, cells []Cell[T]) ([]T, error) {
-	n := &notifier{w: o.Progress, fn: o.OnCell, id: id, total: len(cells)}
+// per completed cell when Options.Progress is set.
+func runCells[T any](ctx context.Context, o Options, id string, cells []cell[T]) ([]T, error) {
+	n := &notifier{w: o.Progress, id: id, total: len(cells)}
 	return engine.Map(ctx, engine.Workers(o.Workers), len(cells), func(ctx context.Context, i int) (T, error) {
 		start := telemetry.Now() //bmlint:wallclock — per-cell progress timing only
-		v, err := cells[i].Run(ctx)
+		v, err := cells[i].run(ctx)
 		if err == nil {
-			n.cellDone(i, cells[i].Label, telemetry.Since(start)) //bmlint:wallclock
+			n.cellDone(cells[i].label, telemetry.Since(start)) //bmlint:wallclock
 		}
 		return v, err
 	})
 }
 
-// notifier serializes per-cell completion callbacks and status lines;
-// cells complete concurrently, so the counter, the writer and the OnCell
-// hook all sit behind one mutex.
+// notifier serializes per-cell status lines; cells complete concurrently,
+// so the counter and the writer sit behind one mutex.
 type notifier struct {
 	mu    sync.Mutex
 	w     io.Writer
-	fn    func(int, string, time.Duration)
 	id    string
 	total int
 	done  int
 }
 
-func (n *notifier) cellDone(index int, label string, d time.Duration) {
-	if n.w == nil && n.fn == nil {
+func (n *notifier) cellDone(label string, d time.Duration) {
+	if n.w == nil {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.done++
-	if n.w != nil {
-		fmt.Fprintf(n.w, "%s [%d/%d] %-28s %8s\n", n.id, n.done, n.total, label, d.Round(time.Millisecond))
-	}
-	if n.fn != nil {
-		n.fn(index, label, d)
-	}
+	fmt.Fprintf(n.w, "%s [%d/%d] %-28s %8s\n", n.id, n.done, n.total, label, d.Round(time.Millisecond))
 }
 
 var registry = map[string]Experiment{}

@@ -1,18 +1,19 @@
 // Package service turns the simulator into a multi-tenant evaluation
-// service: an HTTP JSON API over a bounded job queue and worker pool
-// layered on internal/engine, with per-cell SSE progress, Prometheus
-// metrics (internal/telemetry) and a typed Go client. The request and
-// result structs in this file are the single source of truth for the wire
-// schema — the server, the client, cmd/bmsubmit and cmd/bmsim -json all
-// share them.
+// service: an HTTP JSON API over a bounded sweep queue and worker pool,
+// per-cell SSE progress, Prometheus metrics (internal/telemetry) and a
+// typed Go client. The request and result structs in this file are the
+// single source of truth for the wire schema — the server, the client,
+// cmd/bmsubmit and cmd/bmsim -json all share them.
 //
-// Determinism contract: a job's result JSON is a pure function of
-// (JobRequest, seed). The server expands a request into independent
-// simulation cells (mix × scheme), runs them on the experiment engine —
-// which returns results in submission order regardless of worker count —
-// and marshals the JobResult exactly once. Submitting the same request
-// twice therefore yields byte-identical `result` payloads, whichever
-// workers ran them and in whatever order they finished.
+// Determinism contract: a sweep's result JSON is a pure function of its
+// canonical SweepRequest. The server expands a request into independent
+// simulation cells (mix × scheme, or explicit run specs), resolves each
+// cell against the content-addressed result store, simulates the misses,
+// and assembles the merged result from the per-cell bytes in request
+// order. Submitting the same request twice therefore yields byte-identical
+// `result` payloads, whichever workers ran the cells, in whatever order
+// they finished, and whether a cell was simulated or read back from the
+// store.
 package service
 
 import (
@@ -27,11 +28,17 @@ import (
 	"bimodal/internal/workloads"
 )
 
-// JobRequest describes one evaluation job. The classic form crosses Mixes
-// with Schemes (one cell per pair, shared Options/Seed); the spec form
-// lists explicit run specs, each carrying its own options and seed.
-// The two forms are mutually exclusive.
-type JobRequest struct {
+// SweepRequest describes one sweep: a batch of simulation cells executed
+// as a unit under POST /v1/sweeps. The cross-product form crosses Mixes
+// with Schemes (one cell per pair, mixes outermost, shared Options/Seed);
+// the spec form lists explicit run specs, each carrying its own options
+// and seed. The two forms are mutually exclusive. Each cell is hashed and
+// resolved against the content-addressed result store individually,
+// cells the store cannot answer are dispatched (locally or across cluster
+// workers), and the merged result is assembled from the per-cell bytes in
+// request order, which keeps it byte-identical whatever node ran which
+// cell.
+type SweepRequest struct {
 	// Mixes lists workload mix names (Q1..Q24, E1..E16, S1..S8).
 	Mixes []string `json:"mixes,omitempty"`
 	// Schemes lists scheme names or registry aliases.
@@ -40,7 +47,7 @@ type JobRequest struct {
 	// Schemes and Options must be empty; Seed fills any spec whose own
 	// seed is zero.
 	Specs []spec.RunSpec `json:"specs,omitempty"`
-	// Options scale the simulations (classic form only).
+	// Options scale the simulations (cross-product form only).
 	Options RunOptions `json:"options,omitempty"`
 	// Seed decorrelates reruns; 0 means 1 (the sim default).
 	Seed uint64 `json:"seed,omitempty"`
@@ -54,9 +61,9 @@ type RunOptions = spec.Options
 // canonicalize validates the request and resolves it to its canonical
 // form: aliases to canonical scheme names, defaulted options and seeds to
 // explicit values. The returned hash is the SHA-256 of the canonical
-// request's JSON — the job's identity for memoization and ETags, sound
-// because result bytes are a pure function of the canonical request.
-func (r JobRequest) canonicalize() (JobRequest, string, error) {
+// request's JSON — the sweep's identity and strong ETag, sound because
+// result bytes are a pure function of the canonical request.
+func (r SweepRequest) canonicalize() (SweepRequest, string, error) {
 	if len(r.Specs) > 0 {
 		if len(r.Mixes) > 0 || len(r.Schemes) > 0 {
 			return r, "", fmt.Errorf("service: specs and mixes/schemes are mutually exclusive")
@@ -108,44 +115,9 @@ func (r JobRequest) canonicalize() (JobRequest, string, error) {
 	return r, hash, nil
 }
 
-// SweepRequest describes one sweep: a batch of simulation cells executed
-// as a unit under POST /v1/sweeps. The shape mirrors JobRequest — an
-// explicit spec list or a mixes × schemes cross product — but sweeps are
-// built for cluster scale: each cell is hashed and resolved against the
-// content-addressed result store individually, cells the store cannot
-// answer are dispatched (locally or across cluster workers), and the
-// merged result is assembled from the per-cell bytes in request order,
-// which keeps it byte-identical whatever node ran which cell.
-type SweepRequest struct {
-	// Mixes × Schemes is the cross-product form (mixes outermost).
-	Mixes   []string `json:"mixes,omitempty"`
-	Schemes []string `json:"schemes,omitempty"`
-	// Specs lists explicit run specs (one cell each); mutually exclusive
-	// with Mixes/Schemes/Options. The field set and order mirror
-	// JobRequest exactly so the two forms share one canonicalization.
-	Specs []spec.RunSpec `json:"specs,omitempty"`
-	// Options scale the simulations (cross-product form only).
-	Options RunOptions `json:"options,omitempty"`
-	// Seed decorrelates reruns; fills specs whose own seed is zero.
-	Seed uint64 `json:"seed,omitempty"`
-}
-
-// canonicalize resolves the sweep to canonical form and its content hash,
-// sharing JobRequest's rules so the two request forms can never drift.
-func (r SweepRequest) canonicalize() (SweepRequest, string, error) {
-	jr, hash, err := JobRequest(r).canonicalize()
-	return SweepRequest(jr), hash, err
-}
-
-// cells expands the canonical sweep into per-cell specs, each carrying
-// its canonical RunSpec; maxCells <= 0 disables the bound.
-func (r SweepRequest) cells(maxCells int) ([]cellSpec, error) {
-	return JobRequest(r).cells(maxCells)
-}
-
 // SweepStatus is the envelope returned by POST /v1/sweeps and GET
-// /v1/sweeps/{id}. As with jobs, only the Result bytes are covered by the
-// determinism contract.
+// /v1/sweeps/{id}. Result is present only once the sweep completed; only
+// its bytes are covered by the determinism contract, not the envelope.
 type SweepStatus struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
@@ -192,19 +164,16 @@ func RunCellSpec(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
 	return marshalResultJSON(res)
 }
 
-// JobList is the paginated reply of GET /v1/jobs and GET /v1/sweeps.
-type JobList struct {
-	// Jobs holds the page in submission order (sweeps reuse the field
-	// name; the envelope is shared).
-	Jobs []JobStatus `json:"jobs,omitempty"`
-	// Sweeps holds the page for the sweep listing.
+// SweepList is the paginated reply of GET /v1/sweeps.
+type SweepList struct {
+	// Sweeps holds the page in submission order.
 	Sweeps []SweepStatus `json:"sweeps,omitempty"`
 	// NextCursor, when non-empty, fetches the next page via ?cursor=.
 	// The cursor is the last returned ID; treat it as opaque.
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// State is a job lifecycle state.
+// State is a sweep lifecycle state.
 type State string
 
 const (
@@ -220,31 +189,16 @@ func (s State) Terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCanceled
 }
 
-// JobStatus is the envelope returned by POST /v1/jobs and GET
-// /v1/jobs/{id}. Result is present only once the job completed; its bytes
-// are exactly the JSON the server marshaled at completion (the
-// determinism contract applies to this field, not the envelope).
-type JobStatus struct {
-	ID    string `json:"id"`
-	State State  `json:"state"`
-	Error string `json:"error,omitempty"`
-	// SpecHash is the job's identity: the SHA-256 of the canonical request
-	// JSON. Identical simulations always share a hash, which is what keys
-	// the server's result memoization cache and the result ETag.
-	SpecHash  string          `json:"spec_hash,omitempty"`
-	Cells     int             `json:"cells"`
-	CellsDone int             `json:"cells_done"`
-	Result    json.RawMessage `json:"result,omitempty"`
-}
-
-// JobResult is the deterministic payload of a completed job.
-type JobResult struct {
+// SweepResult is the deterministic payload of a completed sweep. The
+// server assembles it from raw per-cell bytes rather than marshaling this
+// struct, but the JSON is the same; cmd/bmsim -json marshals it directly.
+type SweepResult struct {
 	// Request echoes the canonical form of the submitted request (aliases
-	// resolved, defaults explicit) — the exact value the spec hash covers,
-	// so equal hashes guarantee equal result bytes.
-	Request JobRequest `json:"request"`
-	// Cells holds one result per (mix, scheme) pair, mixes outermost, in
-	// request order.
+	// resolved, defaults explicit) — the exact value the sweep hash
+	// covers, so equal hashes guarantee equal result bytes.
+	Request SweepRequest `json:"request"`
+	// Cells holds one result per cell in request order (mixes outermost
+	// in the cross-product form).
 	Cells []CellResult `json:"cells"`
 }
 
@@ -348,7 +302,7 @@ func NewCellResult(scheme string, res sim.RunResult) CellResult {
 	return c
 }
 
-// Event is one SSE payload on GET /v1/jobs/{id}/events: a state
+// Event is one SSE payload on GET /v1/sweeps/{id}/events: a state
 // transition or a completed cell.
 type Event struct {
 	// Type is "state" or "cell".
@@ -418,10 +372,10 @@ func (c cellSpec) run(ctx context.Context) (CellResult, error) {
 // cells expands a canonical request into its simulation cells — explicit
 // specs in order, or mixes × schemes with mixes outermost. maxCells <= 0
 // disables the size bound.
-func (r JobRequest) cells(maxCells int) ([]cellSpec, error) {
+func (r SweepRequest) cells(maxCells int) ([]cellSpec, error) {
 	if len(r.Specs) > 0 {
 		if maxCells > 0 && len(r.Specs) > maxCells {
-			return nil, fmt.Errorf("service: %d cells exceed the per-job limit of %d", len(r.Specs), maxCells)
+			return nil, fmt.Errorf("service: %d cells exceed the per-sweep limit of %d", len(r.Specs), maxCells)
 		}
 		out := make([]cellSpec, 0, len(r.Specs))
 		for _, rs := range r.Specs {
@@ -434,7 +388,7 @@ func (r JobRequest) cells(maxCells int) ([]cellSpec, error) {
 		return out, nil
 	}
 	if maxCells > 0 && len(r.Mixes)*len(r.Schemes) > maxCells {
-		return nil, fmt.Errorf("service: %d cells exceed the per-job limit of %d", len(r.Mixes)*len(r.Schemes), maxCells)
+		return nil, fmt.Errorf("service: %d cells exceed the per-sweep limit of %d", len(r.Mixes)*len(r.Schemes), maxCells)
 	}
 	out := make([]cellSpec, 0, len(r.Mixes)*len(r.Schemes))
 	for _, mixName := range r.Mixes {

@@ -15,12 +15,13 @@ import (
 	"time"
 )
 
-// Client is the thin typed client for the job server, shared by
+// Client is the thin typed client for the sweep server, shared by
 // cmd/bmsubmit and the end-to-end tests so every consumer speaks the same
 // structs the server does. Failed calls return *APIError, which matches
 // the code sentinels (ErrQueueFull, ErrNotFound, ...) under errors.Is;
-// pre-v1 text/plain error bodies are still understood for one release
-// (the code is then inferred from the HTTP status).
+// replies that are not a v1 envelope — the HTTP mux's own text/plain 404
+// and 405 bodies among them — decode too, with the code inferred from the
+// HTTP status.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -69,13 +70,6 @@ func readAPIError(resp *http.Response) *APIError {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	return DecodeAPIError(resp.StatusCode, resp.Header.Get("Retry-After"),
 		bytes.TrimSpace(msg))
-}
-
-// Submit enqueues a job and returns its initial status.
-func (c *Client) Submit(ctx context.Context, req JobRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st)
-	return st, err
 }
 
 // SubmitSweep enqueues a sweep and returns its initial status.
@@ -129,15 +123,16 @@ func (b Backoff) delay(n int, hint time.Duration) time.Duration {
 	return d
 }
 
-// retryQueueFull runs fn, retrying only queue_full rejections under the
-// backoff policy. Any other error — and exhaustion — returns the last
-// error unchanged.
-func retryQueueFull(ctx context.Context, b Backoff, fn func() error) error {
+// SubmitSweepRetry submits a sweep, backing off and retrying while the
+// server reports queue_full (HTTP 429 with Retry-After). Any other error —
+// and exhaustion — returns the last error unchanged.
+func (c *Client) SubmitSweepRetry(ctx context.Context, req SweepRequest, b Backoff) (SweepStatus, error) {
 	b = b.normalize()
+	var st SweepStatus
 	var err error
 	for n := 0; n < b.Attempts; n++ {
-		if err = fn(); !errors.Is(err, ErrQueueFull) {
-			return err
+		if st, err = c.SubmitSweep(ctx, req); !errors.Is(err, ErrQueueFull) {
+			return st, err
 		}
 		if n == b.Attempts-1 {
 			break
@@ -151,41 +146,10 @@ func retryQueueFull(ctx context.Context, b Backoff, fn func() error) error {
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return ctx.Err()
+			return st, ctx.Err()
 		case <-t.C:
 		}
 	}
-	return err
-}
-
-// SubmitRetry submits a job, backing off and retrying while the server
-// reports queue_full (HTTP 429 with Retry-After).
-func (c *Client) SubmitRetry(ctx context.Context, req JobRequest, b Backoff) (JobStatus, error) {
-	var st JobStatus
-	err := retryQueueFull(ctx, b, func() error {
-		var ierr error
-		st, ierr = c.Submit(ctx, req)
-		return ierr
-	})
-	return st, err
-}
-
-// SubmitSweepRetry submits a sweep with the same back-pressure handling
-// as SubmitRetry.
-func (c *Client) SubmitSweepRetry(ctx context.Context, req SweepRequest, b Backoff) (SweepStatus, error) {
-	var st SweepStatus
-	err := retryQueueFull(ctx, b, func() error {
-		var ierr error
-		st, ierr = c.SubmitSweep(ctx, req)
-		return ierr
-	})
-	return st, err
-}
-
-// Job fetches one job's status (result included once completed).
-func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -198,7 +162,7 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
 
 // ListQuery selects a listing page: Limit entries (server default 100,
 // cap 1000) starting after Cursor (the last ID of the previous page, as
-// returned in JobList.NextCursor), optionally filtered by State.
+// returned in SweepList.NextCursor), optionally filtered by State.
 type ListQuery struct {
 	Limit  int
 	Cursor string
@@ -223,16 +187,9 @@ func (q ListQuery) query() string {
 	return "?" + v.Encode()
 }
 
-// Jobs lists one page of job statuses (without results).
-func (c *Client) Jobs(ctx context.Context, q ListQuery) (JobList, error) {
-	var out JobList
-	err := c.do(ctx, http.MethodGet, "/v1/jobs"+q.query(), nil, &out)
-	return out, err
-}
-
 // Sweeps lists one page of sweep statuses (without results).
-func (c *Client) Sweeps(ctx context.Context, q ListQuery) (JobList, error) {
-	var out JobList
+func (c *Client) Sweeps(ctx context.Context, q ListQuery) (SweepList, error) {
+	var out SweepList
 	err := c.do(ctx, http.MethodGet, "/v1/sweeps"+q.query(), nil, &out)
 	return out, err
 }
@@ -253,31 +210,8 @@ func (c *Client) SpecResult(ctx context.Context, hash string) (json.RawMessage, 
 	return raw, err
 }
 
-// Wait polls until the job reaches a terminal state or ctx ends.
-// poll <= 0 selects 100ms.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
 // WaitSweep polls until the sweep reaches a terminal state or ctx ends.
+// poll <= 0 selects 100ms.
 func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (SweepStatus, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -300,18 +234,10 @@ func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (
 	}
 }
 
-// Follow consumes the job's SSE stream, invoking fn per event, then
-// returns the final status. The stream ends when the job reaches a
-// terminal state; fn may be nil to just block until then.
-func (c *Client) Follow(ctx context.Context, id string, fn func(Event)) (JobStatus, error) {
-	if err := c.follow(ctx, "/v1/jobs/"+id+"/events", fn); err != nil {
-		return JobStatus{}, err
-	}
-	return c.Job(ctx, id)
-}
-
 // FollowSweep consumes the sweep's SSE stream (merged progress across
-// store hits and dispatched cells), then returns the final status.
+// store hits and dispatched cells), invoking fn per event, then returns
+// the final status. The stream ends when the sweep reaches a terminal
+// state; fn may be nil to just block until then.
 func (c *Client) FollowSweep(ctx context.Context, id string, fn func(Event)) (SweepStatus, error) {
 	if err := c.follow(ctx, "/v1/sweeps/"+id+"/events", fn); err != nil {
 		return SweepStatus{}, err

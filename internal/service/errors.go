@@ -22,10 +22,11 @@ import (
 //
 //	if errors.Is(err, service.ErrQueueFull) { backoff() }
 //
-// instead of matching status integers or message substrings. Servers
-// before the v1 redesign replied with text/plain bodies; the client keeps
-// one release of backward compatibility by inferring the code from the
-// HTTP status when the body is not an envelope.
+// instead of matching status integers or message substrings. Not every
+// reply is an envelope: the HTTP mux answers unknown routes and methods
+// itself with text/plain bodies ("404 page not found", "Method Not
+// Allowed") — an old client's POST /v1/jobs among them — so the client
+// infers the code from the HTTP status whenever the body is not one.
 
 // ErrorCode is a typed, wire-stable API error code.
 type ErrorCode string
@@ -33,9 +34,10 @@ type ErrorCode string
 const (
 	// CodeInvalidRequest rejects a malformed or unsatisfiable request
 	// (HTTP 400): bad JSON, unknown scheme or mix, mixed request forms,
-	// cell counts over the per-job bound.
+	// cell counts over the per-sweep bound. A method the route does not
+	// serve (the mux's HTTP 405) decodes as this code too.
 	CodeInvalidRequest ErrorCode = "invalid_request"
-	// CodeNotFound marks an unknown job, sweep or spec hash (HTTP 404).
+	// CodeNotFound marks an unknown sweep, spec hash or route (HTTP 404).
 	CodeNotFound ErrorCode = "not_found"
 	// CodeQueueFull signals back-pressure (HTTP 429): the bounded queue
 	// has no free slot. The response carries Retry-After and
@@ -80,11 +82,11 @@ func sentinelFor(code ErrorCode) error {
 	}
 }
 
-// codeForStatus infers an error code from a bare HTTP status — the
-// old-envelope (text/plain) compatibility path.
+// codeForStatus infers an error code from a bare HTTP status, for replies
+// that carry no envelope (the mux's own text/plain 404 and 405 bodies).
 func codeForStatus(status int) ErrorCode {
 	switch status {
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusMethodNotAllowed:
 		return CodeInvalidRequest
 	case http.StatusNotFound:
 		return CodeNotFound
@@ -155,14 +157,14 @@ func writeQueueFull(w http.ResponseWriter, queueDepth int, retryAfter time.Durat
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	WriteError(w, http.StatusTooManyRequests, CodeQueueFull,
-		fmt.Sprintf("queue full (%d jobs waiting)", queueDepth),
+		fmt.Sprintf("queue full (%d sweeps waiting)", queueDepth),
 		map[string]any{"queue_depth": queueDepth, "retry_after_seconds": secs})
 }
 
 // DecodeAPIError turns a non-2xx reply into *APIError: the v1 envelope
-// when the body parses as one, otherwise the legacy text/plain body with
-// the code inferred from the status (one release of backward
-// compatibility with pre-v1 servers).
+// when the body parses as one, otherwise the text/plain body with the
+// code inferred from the status. The fallback is what decodes the mux's
+// own replies to unknown routes and methods, so it stays.
 func DecodeAPIError(status int, retryAfter string, body []byte) *APIError {
 	var env errorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil && env.Error.Code != "" {

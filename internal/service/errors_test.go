@@ -10,18 +10,18 @@ import (
 	"time"
 )
 
-// TestLegacyEnvelopeCompat keeps one release of backward compatibility:
-// a pre-v1 server that replies with text/plain error bodies must still
-// surface as typed *APIError values, with the code inferred from the
-// HTTP status.
+// TestLegacyEnvelopeCompat checks the text/plain fallback: replies that
+// are not a v1 envelope (the HTTP mux's own 404/405 bodies, proxies,
+// pre-v1 servers) must still surface as typed *APIError values, with the
+// code inferred from the HTTP status.
 func TestLegacyEnvelopeCompat(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/jobs":
+		case "/v1/sweeps":
 			w.Header().Set("Retry-After", "7")
-			http.Error(w, "service: queue full (8 jobs pending)", http.StatusTooManyRequests)
-		case "/v1/jobs/job-000001":
-			http.Error(w, "service: unknown job job-000001", http.StatusNotFound)
+			http.Error(w, "service: queue full (8 sweeps pending)", http.StatusTooManyRequests)
+		case "/v1/sweeps/sweep-000001":
+			http.Error(w, "service: unknown sweep sweep-000001", http.StatusNotFound)
 		default:
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}
@@ -30,26 +30,49 @@ func TestLegacyEnvelopeCompat(t *testing.T) {
 	c := NewClient(hs.URL)
 	ctx := context.Background()
 
-	_, err := c.Submit(ctx, JobRequest{})
+	_, err := c.SubmitSweep(ctx, SweepRequest{})
 	var se *APIError
 	if !errors.As(err, &se) {
-		t.Fatalf("legacy 429: err = %T %v, want *APIError", err, err)
+		t.Fatalf("text/plain 429: err = %T %v, want *APIError", err, err)
 	}
 	if !errors.Is(err, ErrQueueFull) || se.Code != CodeQueueFull {
-		t.Errorf("legacy 429 code = %s, want queue_full", se.Code)
+		t.Errorf("text/plain 429 code = %s, want queue_full", se.Code)
 	}
-	if se.Message != "service: queue full (8 jobs pending)" {
-		t.Errorf("legacy 429 message = %q, want the raw body", se.Message)
+	if se.Message != "service: queue full (8 sweeps pending)" {
+		t.Errorf("text/plain 429 message = %q, want the raw body", se.Message)
 	}
 	if se.RetryAfter != 7*time.Second {
-		t.Errorf("legacy 429 Retry-After = %v, want 7s", se.RetryAfter)
+		t.Errorf("text/plain 429 Retry-After = %v, want 7s", se.RetryAfter)
 	}
 
-	if _, err := c.Job(ctx, "job-000001"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("legacy 404: err = %v, want ErrNotFound", err)
+	if _, err := c.Sweep(ctx, "sweep-000001"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("text/plain 404: err = %v, want ErrNotFound", err)
 	}
-	if _, err := c.Job(ctx, "job-000002"); !errors.Is(err, ErrInternal) {
-		t.Errorf("legacy 500: err = %v, want ErrInternal", err)
+	if _, err := c.Sweep(ctx, "sweep-000002"); !errors.Is(err, ErrInternal) {
+		t.Errorf("text/plain 500: err = %v, want ErrInternal", err)
+	}
+}
+
+// TestJobRoutesGone drives a live server with requests the mux answers
+// itself: the removed job routes are not found, and a method a sweep
+// route does not serve is the caller's mistake, not a server failure.
+func TestJobRoutesGone(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	req := SweepRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"}}
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("POST /v1/jobs: err = %v, want ErrNotFound", err)
+	}
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/job-000001", nil, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GET /v1/jobs/job-000001: err = %v, want ErrNotFound", err)
+	}
+	err := c.do(ctx, http.MethodDelete, "/v1/sweeps/sweep-000001", nil, nil)
+	var se *APIError
+	if !errors.Is(err, ErrInvalidRequest) || !errors.As(err, &se) || se.Status != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE /v1/sweeps/sweep-000001: err = %v, want ErrInvalidRequest with HTTP 405", err)
+	}
+	if err := c.do(ctx, http.MethodPut, "/v1/sweeps", req, nil); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("PUT /v1/sweeps: err = %v, want ErrInvalidRequest", err)
 	}
 }
 
@@ -66,6 +89,10 @@ func TestDecodeAPIError(t *testing.T) {
 	se = DecodeAPIError(503, "", []byte("service: draining"))
 	if se.Code != CodeDraining || !errors.Is(se, ErrDraining) {
 		t.Errorf("plain 503 = %+v, want draining", se)
+	}
+	se = DecodeAPIError(405, "", []byte("Method Not Allowed"))
+	if se.Code != CodeInvalidRequest || !errors.Is(se, ErrInvalidRequest) {
+		t.Errorf("plain 405 = %+v, want invalid_request", se)
 	}
 	se = DecodeAPIError(418, "", nil)
 	if se.Code != CodeInternal || se.Message == "" {
@@ -94,7 +121,8 @@ func TestBackoffDelay(t *testing.T) {
 }
 
 // TestSubmitRetry backs off through 429s until the queue drains, honoring
-// the server's Retry-After hint, and gives up on non-retryable errors.
+// the server's Retry-After hint, and gives up once attempts run out or
+// the context ends.
 func TestSubmitRetry(t *testing.T) {
 	var calls atomic.Int32
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -103,15 +131,15 @@ func TestSubmitRetry(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"id":"job-000001","state":"queued"}`))
+		_, _ = w.Write([]byte(`{"id":"sweep-000001","state":"queued"}`))
 	}))
 	defer hs.Close()
 	c := NewClient(hs.URL)
 	b := Backoff{Attempts: 4, Base: time.Millisecond, Cap: 2 * time.Millisecond}
 
-	st, err := c.SubmitRetry(context.Background(), JobRequest{}, b)
-	if err != nil || st.ID != "job-000001" {
-		t.Fatalf("SubmitRetry = %+v, %v; want job-000001 after backoff", st, err)
+	st, err := c.SubmitSweepRetry(context.Background(), SweepRequest{}, b)
+	if err != nil || st.ID != "sweep-000001" {
+		t.Fatalf("SubmitSweepRetry = %+v, %v; want sweep-000001 after backoff", st, err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d submissions, want 3 (two rejected)", got)
@@ -119,7 +147,7 @@ func TestSubmitRetry(t *testing.T) {
 
 	// Exhaustion surfaces the final queue_full error.
 	calls.Store(-100)
-	if _, err := c.SubmitRetry(context.Background(), JobRequest{}, b); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.SubmitSweepRetry(context.Background(), SweepRequest{}, b); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("exhausted retry err = %v, want ErrQueueFull", err)
 	}
 	if got := calls.Load(); got != -96 {
@@ -130,7 +158,7 @@ func TestSubmitRetry(t *testing.T) {
 	calls.Store(-100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SubmitRetry(ctx, JobRequest{}, Backoff{Attempts: 3, Base: time.Minute}); !errors.Is(err, context.Canceled) {
+	if _, err := c.SubmitSweepRetry(ctx, SweepRequest{}, Backoff{Attempts: 3, Base: time.Minute}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled retry err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -8,8 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bimodal/internal/sim"
-	"bimodal/internal/workloads"
+	"bimodal/internal/spec"
 )
 
 // -update regenerates the golden result files. Any intentional change to
@@ -18,10 +18,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden result files")
 
 // TestResultGolden pins the exact result JSON for a few (mix, scheme, seed)
-// triples. The simulator's contract is bit-reproducible output per
-// (request, seed): performance refactors of the hot path must not move a
-// single counter. A failure here means simulated behaviour changed, not
-// just speed.
+// triples, built through RunCellSpec on the canonical spec — the path
+// every bmserved sweep cell takes. The simulator's contract is
+// bit-reproducible output per (request, seed): performance refactors of
+// the hot path must not move a single counter. A failure here means
+// simulated behaviour changed, not just speed.
 func TestResultGolden(t *testing.T) {
 	cases := []struct {
 		mix    string
@@ -35,35 +36,24 @@ func TestResultGolden(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.mix+"_"+tc.scheme, func(t *testing.T) {
-			mix, err := workloads.ByName(tc.mix)
+			rs, err := spec.RunSpec{
+				Scheme:  tc.scheme,
+				Mix:     tc.mix,
+				Options: spec.Options{AccessesPerCore: 20_000, CacheDivisor: 64},
+				Seed:    7,
+			}.Canonical()
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := sim.Options{
-				AccessesPerCore: 20_000,
-				Seed:            7,
-				CacheDivisor:    64,
-			}
-			id, err := sim.ParseScheme(tc.scheme)
+			raw, err := RunCellSpec(context.Background(), rs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var factory sim.Factory
-			if id == sim.SchemeBiModal {
-				factory = sim.BiModalFactory(mix.Cores(), opts)
-			} else {
-				factory = id.Factory()
-			}
-			res, err := sim.RunContext(context.Background(), mix, factory, opts)
-			if err != nil {
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, raw, "", "  "); err != nil {
 				t.Fatal(err)
 			}
-			cell := NewCellResult(id.String(), res)
-			got, err := json.MarshalIndent(cell, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			got := append(buf.Bytes(), '\n')
 
 			path := filepath.Join("testdata", "golden_"+tc.mix+"_"+tc.scheme+".json")
 			if *updateGolden {

@@ -12,7 +12,7 @@ import (
 )
 
 // runPool recycles fully-constructed simulators across the cells this
-// process runs — service job/sweep workers and cluster workers all route
+// process runs — service sweep workers and cluster workers all route
 // through it. Pool reuse is bounded and keyed per geometry (scheme +
 // params + mix + run shape, seed excluded), and a pooled run is
 // byte-identical to a fresh one (internal/sim's golden tests), so the pool
@@ -45,9 +45,9 @@ func poolSchemeKey(rs spec.RunSpec) string {
 }
 
 // encBufs backs marshalResultJSON with reusable encoder buffers: result
-// payloads are marshaled on every cell and job completion, and growing a
-// fresh buffer through json.Marshal for each one dominated the encoding
-// cost of large sweeps.
+// payloads are marshaled on every cell completion, and growing a fresh
+// buffer through json.Marshal for each one dominated the encoding cost of
+// large sweeps.
 var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // marshalResultJSON encodes v through a pooled encoder buffer and returns

@@ -3,40 +3,27 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"bimodal/internal/experiments"
 	"bimodal/internal/spec"
 	"bimodal/internal/store"
 	"bimodal/internal/telemetry"
 )
 
-// Config sizes the job server.
+// Config sizes the sweep server.
 type Config struct {
-	// QueueDepth bounds the number of accepted-but-not-started jobs and
-	// sweeps; submissions beyond it are rejected with 429. Default 64.
+	// QueueDepth bounds the number of accepted-but-not-started sweeps;
+	// submissions beyond it are rejected with 429. Default 64.
 	QueueDepth int
-	// Workers is the number of jobs/sweeps executed concurrently. Default 2.
+	// Workers is the number of sweeps executed concurrently. Default 2.
 	Workers int
-	// CellWorkers bounds each job's engine pool (cells run in parallel
-	// within a job). 0 selects runtime.NumCPU()/Workers, min 1, so total
-	// cell concurrency roughly tracks the machine at either layer.
-	CellWorkers int
-	// JobTimeout caps one job's or sweep's wall-clock run time. 0 = none.
+	// JobTimeout caps one sweep's wall-clock run time. 0 = none.
 	JobTimeout time.Duration
-	// MaxCells bounds mixes×schemes per job. Default 256; < 0 disables.
-	MaxCells int
-	// ResultCacheEntries bounds the result memoization cache (completed
-	// job payloads keyed by request hash, LRU-evicted). Default 256;
-	// < 0 disables memoization.
-	ResultCacheEntries int
 	// MaxSweepCells bounds cells per sweep. Default 10000; < 0 disables.
 	MaxSweepCells int
 	// SweepFanout bounds the number of sweep cells resolved concurrently
@@ -44,9 +31,10 @@ type Config struct {
 	// NumCPU — raise it well beyond local core count in coordinator mode
 	// so remote workers stay saturated.
 	SweepFanout int
-	// Store is the content-addressed result store sweeps resolve against
-	// and GET /v1/specs/{hash}/result serves from. Nil selects a fresh
-	// in-memory store.
+	// Store is the content-addressed result store every sweep cell
+	// resolves against — the server's only result cache — and
+	// GET /v1/specs/{hash}/result serves from. Nil selects a fresh,
+	// unbounded in-memory store.
 	Store store.Store
 	// Dispatcher executes sweep cells the store cannot answer. Nil runs
 	// them in-process; the cluster coordinator injects itself here.
@@ -64,18 +52,6 @@ func (c Config) normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.CellWorkers <= 0 {
-		c.CellWorkers = runtime.NumCPU() / c.Workers
-		if c.CellWorkers < 1 {
-			c.CellWorkers = 1
-		}
-	}
-	if c.MaxCells == 0 {
-		c.MaxCells = 256
-	}
-	if c.ResultCacheEntries == 0 {
-		c.ResultCacheEntries = 256
-	}
 	if c.MaxSweepCells == 0 {
 		c.MaxSweepCells = 10_000
 	}
@@ -88,42 +64,29 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// task is one queued unit of work: a job or a sweep.
-type task interface {
-	execute(ctx context.Context, s *Server)
-}
-
-// Server owns the bounded work queue, the worker pool and the job and
-// sweep tables. Create with New, serve Handler() over HTTP, stop with
-// Shutdown.
+// Server owns the bounded sweep queue, the worker pool and the sweep
+// table. Create with New, serve Handler() over HTTP, stop with Shutdown.
 type Server struct {
 	cfg    Config
 	reg    *telemetry.Registry
 	cancel context.CancelFunc // cancels in-flight work on forced shutdown
-	queue  chan task
-	cache  *resultCache
+	queue  chan *sweep
 	store  store.Store
 	warm   *WarmRunner
 	wg     sync.WaitGroup
 
 	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []string
-	seq        int
 	sweeps     map[string]*sweep
 	sweepOrder []string
 	sweepSeq   int
 	specs      map[string][]byte // canonical spec JSON by spec hash
 	draining   bool
 
-	mSubmitted, mCompleted, mFailed, mCanceled, mRejected *telemetry.Counter
-	mCacheHits, mCacheMisses                              *telemetry.Counter
-	mSweepSubmitted, mSweepCompleted                      *telemetry.Counter
-	mSweepFailed, mSweepCanceled                          *telemetry.Counter
-	mStoreHits, mStoreMisses                              *telemetry.Counter
-	gQueueDepth, gInFlight                                *telemetry.Gauge
-	gCacheEntries, gCacheBytes, gStoreEntries             *telemetry.Gauge
-	hCellSeconds                                          *telemetry.Histogram
+	mSweepSubmitted, mSweepCompleted      *telemetry.Counter
+	mSweepFailed, mSweepCanceled          *telemetry.Counter
+	mRejected, mStoreHits, mStoreMisses   *telemetry.Counter
+	gQueueDepth, gInFlight, gStoreEntries *telemetry.Gauge
+	hCellSeconds                          *telemetry.Histogram
 }
 
 // New builds a Server and starts its workers.
@@ -131,21 +94,15 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalize()
 	reg := telemetry.NewRegistry()
 	s := &Server{
-		cfg:             cfg,
-		reg:             reg,
-		queue:           make(chan task, cfg.QueueDepth),
-		cache:           newResultCache(cfg.ResultCacheEntries),
-		store:           cfg.Store,
-		jobs:            map[string]*job{},
-		sweeps:          map[string]*sweep{},
-		specs:           map[string][]byte{},
-		mSubmitted:      reg.Counter("bimodal_jobs_submitted_total"),
-		mCompleted:      reg.Counter("bimodal_jobs_completed_total"),
-		mFailed:         reg.Counter("bimodal_jobs_failed_total"),
-		mCanceled:       reg.Counter("bimodal_jobs_canceled_total"),
+		cfg:    cfg,
+		reg:    reg,
+		queue:  make(chan *sweep, cfg.QueueDepth),
+		store:  cfg.Store,
+		sweeps: map[string]*sweep{},
+		specs:  map[string][]byte{},
+		// The jobs_rejected and jobs_inflight series keep their
+		// established names; both count sweeps.
 		mRejected:       reg.Counter("bimodal_jobs_rejected_total"),
-		mCacheHits:      reg.Counter("bimodal_result_cache_hits_total"),
-		mCacheMisses:    reg.Counter("bimodal_result_cache_misses_total"),
 		mSweepSubmitted: reg.Counter("bimodal_sweeps_submitted_total"),
 		mSweepCompleted: reg.Counter("bimodal_sweeps_completed_total"),
 		mSweepFailed:    reg.Counter("bimodal_sweeps_failed_total"),
@@ -154,8 +111,6 @@ func New(cfg Config) *Server {
 		mStoreMisses:    reg.Counter("bimodal_sweep_store_misses_total"),
 		gQueueDepth:     reg.Gauge("bimodal_queue_depth"),
 		gInFlight:       reg.Gauge("bimodal_jobs_inflight"),
-		gCacheEntries:   reg.Gauge("bimodal_result_cache_entries"),
-		gCacheBytes:     reg.Gauge("bimodal_result_cache_bytes"),
 		gStoreEntries:   reg.Gauge("bimodal_store_entries"),
 		hCellSeconds:    reg.Histogram("bimodal_cell_seconds", telemetry.LatencyBuckets()...),
 	}
@@ -209,78 +164,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // context; its cancellation (forced shutdown) cancels in-flight work.
 func (s *Server) worker(ctx context.Context) {
 	defer s.wg.Done()
-	for t := range s.queue {
+	for sw := range s.queue {
 		s.gQueueDepth.Add(-1)
-		t.execute(ctx, s)
+		s.runSweep(ctx, sw)
 	}
-}
-
-// runJob executes one job end to end and records its terminal state.
-func (s *Server) runJob(ctx context.Context, jb *job) {
-	s.gInFlight.Add(1)
-	defer s.gInFlight.Add(-1)
-	jb.setState(StateRunning, "")
-	if s.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer cancel()
-	}
-	res, err := s.execute(ctx, jb)
-	switch {
-	case errors.Is(err, context.Canceled):
-		s.mCanceled.Inc()
-		jb.setState(StateCanceled, err.Error())
-	case err != nil:
-		s.mFailed.Inc()
-		jb.setState(StateFailed, err.Error())
-	default:
-		raw, merr := marshalResultJSON(res)
-		if merr != nil {
-			s.mFailed.Inc()
-			jb.setState(StateFailed, merr.Error())
-			return
-		}
-		s.mCompleted.Inc()
-		for _, c := range res.Cells {
-			s.reg.Histogram(fmt.Sprintf("bimodal_scheme_hit_rate{scheme=%q}", c.Scheme),
-				telemetry.HitRateBuckets()...).Observe(c.HitRate)
-		}
-		s.cache.put(jb.specHash, raw)
-		entries, bytes := s.cache.stats()
-		s.gCacheEntries.Set(int64(entries))
-		s.gCacheBytes.Set(bytes)
-		jb.complete(raw)
-	}
-}
-
-// execute fans the job's cells out over the experiment engine. Results
-// come back in submission order whatever the worker count, which is what
-// makes the marshaled JobResult byte-stable across reruns.
-func (s *Server) execute(ctx context.Context, jb *job) (JobResult, error) {
-	o := experiments.Options{
-		Workers: s.cfg.CellWorkers,
-		OnCell: func(i int, label string, d time.Duration) {
-			s.hCellSeconds.Observe(d.Seconds())
-			jb.cellDone(label)
-		},
-	}
-	cells := make([]experiments.Cell[CellResult], len(jb.specs))
-	for i, sp := range jb.specs {
-		cells[i] = experiments.Cell[CellResult]{Label: sp.label(), Run: sp.run}
-	}
-	res, err := experiments.RunCells(ctx, o, jb.id, cells)
-	if err != nil {
-		return JobResult{}, err
-	}
-	return JobResult{Request: jb.req, Cells: res}, nil
 }
 
 // Handler returns the v1 HTTP API:
 //
-//	POST /v1/jobs                 submit a JobRequest -> JobStatus
-//	GET  /v1/jobs                 list jobs (?limit=&cursor=&state=)
-//	GET  /v1/jobs/{id}            one status, result included when completed
-//	GET  /v1/jobs/{id}/events     SSE progress stream
 //	POST /v1/sweeps               submit a SweepRequest -> SweepStatus
 //	GET  /v1/sweeps               list sweeps (?limit=&cursor=&state=)
 //	GET  /v1/sweeps/{id}          one status, merged result when completed
@@ -294,10 +185,6 @@ func (s *Server) execute(ctx context.Context, jb *job) (JobResult, error) {
 // {"error":{"code","message","details"}}; see errors.go for the codes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
 	mux.HandleFunc("GET /v1/sweeps", s.handleListSweeps)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
@@ -317,68 +204,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error(), nil)
-		return
-	}
-	req, hash, err := req.canonicalize()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), nil)
-		return
-	}
-	specs, err := req.cells(s.cfg.MaxCells)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error(), nil)
-		return
-	}
-	s.registerSpecs(specs)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining, not accepting jobs", nil)
-		return
-	}
-	s.seq++
-	jb := newJob(fmt.Sprintf("job-%06d", s.seq), req, hash, specs)
-	if raw, ok := s.cache.get(hash); ok {
-		// Memoization hit: an identical canonical request already ran, and
-		// determinism guarantees a rerun would produce these exact bytes.
-		// The job completes immediately without touching the queue.
-		s.jobs[jb.id] = jb
-		s.order = append(s.order, jb.id)
-		s.mu.Unlock()
-		s.mSubmitted.Inc()
-		s.mCacheHits.Inc()
-		s.mCompleted.Inc()
-		jb.completeCached(raw)
-		writeJSON(w, http.StatusOK, jb.status(false))
-		return
-	}
-	select {
-	case s.queue <- jb:
-		s.jobs[jb.id] = jb
-		s.order = append(s.order, jb.id)
-		s.mu.Unlock()
-		s.mSubmitted.Inc()
-		s.mCacheMisses.Inc()
-		s.gQueueDepth.Add(1)
-		writeJSON(w, http.StatusOK, jb.status(false))
-	default:
-		s.seq-- // job was never admitted; reuse the ID
-		s.mu.Unlock()
-		s.mRejected.Inc()
-		writeQueueFull(w, s.cfg.QueueDepth, s.cfg.RetryAfter)
-	}
-}
-
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	// Sweeps legitimately carry thousands of specs; the body bound is
-	// correspondingly wider than the per-job bound.
+	// Sweeps legitimately carry thousands of specs; 16 MB bounds the body
+	// and MaxSweepCells the expansion.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -449,18 +278,6 @@ func (s *Server) registerSpecs(cells []cellSpec) []string {
 	return hashes
 }
 
-// lookup resolves {id} or replies 404 with the error envelope.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
-	s.mu.Lock()
-	jb := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if jb == nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("unknown job %q", r.PathValue("id")), nil)
-	}
-	return jb
-}
-
 // lookupSweep resolves {id} or replies 404 with the error envelope.
 func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) *sweep {
 	s.mu.Lock()
@@ -473,29 +290,15 @@ func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) *sweep {
 	return sw
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	jb := s.lookup(w, r)
-	if jb == nil {
-		return
-	}
-	st := jb.status(true)
-	// A completed job's result bytes are immutable and fully identified by
-	// the spec hash, so the hash doubles as a strong ETag: clients that
-	// cached the result revalidate for free.
-	if st.State == StateCompleted && st.SpecHash != "" {
-		if revalidated(w, r, st.SpecHash) {
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	sw := s.lookupSweep(w, r)
 	if sw == nil {
 		return
 	}
 	st := sw.status(true)
+	// A completed sweep's result bytes are immutable and fully identified
+	// by the sweep hash, so the hash doubles as a strong ETag: clients that
+	// cached the result revalidate for free.
 	if st.State == StateCompleted && st.SweepHash != "" {
 		if revalidated(w, r, st.SweepHash) {
 			return
@@ -505,7 +308,7 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSpec echoes the canonical spec JSON registered under {hash} —
-// the content-addressed name every job and sweep cell is indexed by.
+// the content-addressed name every sweep cell is indexed by.
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	s.mu.Lock()
@@ -578,7 +381,7 @@ type pageQuery struct {
 }
 
 // parsePageQuery validates the listing parameters. Limit defaults to 100
-// and caps at 1000 so a cluster-scale job table cannot be dumped in one
+// and caps at 1000 so a cluster-scale sweep table cannot be dumped in one
 // reply; state must name a known lifecycle state when present.
 func parsePageQuery(r *http.Request) (pageQuery, *APIError) {
 	q := pageQuery{limit: 100, cursor: r.URL.Query().Get("cursor")}
@@ -639,33 +442,6 @@ func page(ids []string, q pageQuery, keep func(id string) bool) (out []string, n
 	return out, "", nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	q, aerr := parsePageQuery(r)
-	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, aerr.Message, aerr.Details)
-		return
-	}
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make(map[string]*job, len(s.jobs))
-	for id, jb := range s.jobs {
-		jobs[id] = jb
-	}
-	s.mu.Unlock()
-	pageIDs, next, aerr := page(ids, q, func(id string) bool {
-		return q.state == "" || jobs[id].status(false).State == q.state
-	})
-	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, aerr.Message, aerr.Details)
-		return
-	}
-	out := JobList{Jobs: make([]JobStatus, len(pageIDs)), NextCursor: next}
-	for i, id := range pageIDs {
-		out.Jobs[i] = jobs[id].status(false)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 	q, aerr := parsePageQuery(r)
 	if aerr != nil {
@@ -686,24 +462,11 @@ func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, aerr.Status, aerr.Code, aerr.Message, aerr.Details)
 		return
 	}
-	out := JobList{Sweeps: make([]SweepStatus, len(pageIDs)), NextCursor: next}
+	out := SweepList{Sweeps: make([]SweepStatus, len(pageIDs)), NextCursor: next}
 	for i, id := range pageIDs {
 		out.Sweeps[i] = sweeps[id].status(false)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// eventSource is the SSE backing shared by jobs and sweeps.
-type eventSource interface {
-	eventsSince(i int) (evs []Event, update <-chan struct{}, over bool)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	jb := s.lookup(w, r)
-	if jb == nil {
-		return
-	}
-	streamEvents(w, r, jb)
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
@@ -714,9 +477,9 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	streamEvents(w, r, sw)
 }
 
-// streamEvents replays src's full event history, then tails live events
-// until the stream is over or the client goes away.
-func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
+// streamEvents replays the sweep's full event history, then tails live
+// events until the stream is over or the client goes away.
+func streamEvents(w http.ResponseWriter, r *http.Request, sw *sweep) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		WriteError(w, http.StatusInternalServerError, CodeInternal, "streaming unsupported", nil)
@@ -727,7 +490,7 @@ func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for i := 0; ; {
-		evs, update, over := src.eventsSince(i)
+		evs, update, over := sw.eventsSince(i)
 		for _, e := range evs {
 			b, err := json.Marshal(e)
 			if err != nil {

@@ -7,18 +7,17 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// tinyRequest is a fast deterministic job: two mixes x two schemes at
+// tinyRequest is a fast deterministic sweep: two mixes x two schemes at
 // reduced scale.
-func tinyRequest() JobRequest {
-	return JobRequest{
+func tinyRequest() SweepRequest {
+	return SweepRequest{
 		Mixes:   []string{"Q1", "Q7"},
 		Schemes: []string{"alloy", "bimodal"},
 		Options: RunOptions{AccessesPerCore: 1500, CacheDivisor: 64},
@@ -40,22 +39,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, NewClient(hs.URL)
 }
 
-// completedTotal parses bimodal_jobs_completed_total out of /metrics.
-func completedTotal(t *testing.T, metrics string) int {
-	t.Helper()
-	m := regexp.MustCompile(`(?m)^bimodal_jobs_completed_total (\d+)$`).FindStringSubmatch(metrics)
-	if m == nil {
-		t.Fatalf("metrics missing bimodal_jobs_completed_total:\n%s", metrics)
-	}
-	n, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestEndToEnd is the acceptance scenario: two identical jobs submitted
-// concurrently plus one invalid scheme; the valid jobs must return
+// TestEndToEnd is the acceptance scenario: two identical sweeps submitted
+// concurrently plus one invalid scheme; the valid sweeps must return
 // byte-identical result JSON and /metrics must report >= 2 completions.
 func TestEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
@@ -68,13 +53,13 @@ func TestEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := c.Submit(ctx, tinyRequest())
+			st, err := c.SubmitSweep(ctx, tinyRequest())
 			ids[i], errs[i] = st.ID, err
 		}(i)
 	}
 	// Invalid scheme alongside: must be rejected with HTTP 400 carrying
-	// the sim.ParseScheme error.
-	_, err := c.Submit(ctx, JobRequest{Mixes: []string{"Q1"}, Schemes: []string{"no-such-scheme"}})
+	// the registry lookup error.
+	_, err := c.SubmitSweep(ctx, SweepRequest{Mixes: []string{"Q1"}, Schemes: []string{"no-such-scheme"}})
 	var se *APIError
 	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
 		t.Fatalf("invalid scheme: err = %v, want APIError 400", err)
@@ -83,7 +68,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("invalid scheme should carry code invalid_request, got %q", se.Code)
 	}
 	if !strings.Contains(se.Message, "unknown scheme") {
-		t.Errorf("400 body should carry the ParseScheme error, got %q", se.Message)
+		t.Errorf("400 body should carry the lookup error, got %q", se.Message)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -91,28 +76,29 @@ func TestEndToEnd(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+	if ids[0] == ids[1] {
+		t.Fatalf("concurrent submissions share the sweep ID %s", ids[0])
+	}
 
 	results := make([][]byte, 2)
+	hashes := make([]string, 2)
 	for i, id := range ids {
-		st, err := c.Wait(ctx, id, 20*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateCompleted {
-			t.Fatalf("job %s state = %s (%s), want completed", id, st.State, st.Error)
-		}
+		st := waitCompleted(ctx, t, c, id)
 		if st.CellsDone != 4 || st.Cells != 4 {
-			t.Errorf("job %s cells %d/%d, want 4/4", id, st.CellsDone, st.Cells)
+			t.Errorf("sweep %s cells %d/%d, want 4/4", id, st.CellsDone, st.Cells)
 		}
-		results[i] = st.Result
+		results[i], hashes[i] = st.Result, st.SweepHash
 	}
 	if len(results[0]) == 0 {
-		t.Fatal("completed job carries no result")
+		t.Fatal("completed sweep carries no result")
+	}
+	if hashes[0] == "" || hashes[0] != hashes[1] {
+		t.Errorf("identical requests hash differently: %q vs %q", hashes[0], hashes[1])
 	}
 	if !bytes.Equal(results[0], results[1]) {
 		t.Errorf("identical requests returned different result JSON:\n%s\n---\n%s", results[0], results[1])
 	}
-	var res JobResult
+	var res SweepResult
 	if err := json.Unmarshal(results[0], &res); err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +115,11 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := completedTotal(t, metrics); n < 2 {
-		t.Errorf("bimodal_jobs_completed_total = %d, want >= 2", n)
+	if n := metricValue(t, metrics, "bimodal_sweeps_completed_total"); n < 2 {
+		t.Errorf("bimodal_sweeps_completed_total = %d, want >= 2", n)
 	}
 	for _, want := range []string{
 		"bimodal_cell_seconds_count",
-		`bimodal_scheme_hit_rate_bucket{scheme="alloy",le=`,
 		"bimodal_queue_depth",
 		"bimodal_jobs_inflight",
 	} {
@@ -149,12 +134,12 @@ func TestEndToEnd(t *testing.T) {
 func TestSSEEvents(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
-	st, err := c.Submit(ctx, tinyRequest())
+	st, err := c.SubmitSweep(ctx, tinyRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var events []Event
-	final, err := c.Follow(ctx, st.ID, func(e Event) { events = append(events, e) })
+	final, err := c.FollowSweep(ctx, st.ID, func(e Event) { events = append(events, e) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,30 +165,30 @@ func TestSSEEvents(t *testing.T) {
 
 	// A subscriber attaching after completion replays the same history.
 	var replay []Event
-	if _, err := c.Follow(ctx, st.ID, func(e Event) { replay = append(replay, e) }); err != nil {
+	if _, err := c.FollowSweep(ctx, st.ID, func(e Event) { replay = append(replay, e) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(replay) != len(events) {
-		t.Errorf("late subscriber saw %d events, want %d", len(replay), len(events))
+	if !reflect.DeepEqual(replay, events) {
+		t.Errorf("late subscriber saw\n%+v\nwant\n%+v", replay, events)
 	}
 }
 
 // TestValidationErrors exercises the 400 paths.
 func TestValidationErrors(t *testing.T) {
-	_, c := newTestServer(t, Config{MaxCells: 2})
+	_, c := newTestServer(t, Config{MaxSweepCells: 2})
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		req  JobRequest
+		req  SweepRequest
 		want string
 	}{
-		{"no mixes", JobRequest{Schemes: []string{"alloy"}}, "at least one mix"},
-		{"no schemes", JobRequest{Mixes: []string{"Q1"}}, "at least one scheme"},
-		{"bad mix", JobRequest{Mixes: []string{"Z9"}, Schemes: []string{"alloy"}}, "unknown"},
-		{"too many cells", JobRequest{Mixes: []string{"Q1", "Q2", "Q3"}, Schemes: []string{"alloy"}}, "per-job limit"},
+		{"no mixes", SweepRequest{Schemes: []string{"alloy"}}, "at least one mix"},
+		{"no schemes", SweepRequest{Mixes: []string{"Q1"}}, "at least one scheme"},
+		{"bad mix", SweepRequest{Mixes: []string{"Z9"}, Schemes: []string{"alloy"}}, "unknown"},
+		{"too many cells", SweepRequest{Mixes: []string{"Q1", "Q2", "Q3"}, Schemes: []string{"alloy"}}, "per-sweep limit"},
 	}
 	for _, tc := range cases {
-		_, err := c.Submit(ctx, tc.req)
+		_, err := c.SubmitSweep(ctx, tc.req)
 		var se *APIError
 		if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
 			t.Errorf("%s: err = %v, want 400", tc.name, err)
@@ -212,30 +197,36 @@ func TestValidationErrors(t *testing.T) {
 		if !strings.Contains(se.Message, tc.want) {
 			t.Errorf("%s: message %q missing %q", tc.name, se.Message, tc.want)
 		}
+		if tc.name == "too many cells" {
+			if n, ok := se.Details["max_sweep_cells"].(float64); !ok || n != 2 {
+				t.Errorf("%s: details = %v, want max_sweep_cells 2", tc.name, se.Details)
+			}
+		}
 	}
-	if _, err := c.Job(ctx, "job-999999"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown job id: err = %v, want ErrNotFound", err)
+	if _, err := c.Sweep(ctx, "sweep-999999"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown sweep id: err = %v, want ErrNotFound", err)
 	}
 }
 
 // TestQueueBoundRejects fills the worker and the one queue slot, then
 // expects 429 for the overflow submission.
 func TestQueueBoundRejects(t *testing.T) {
-	slow := JobRequest{
+	slow := SweepRequest{
 		Mixes:   []string{"Q1"},
 		Schemes: []string{"alloy"},
 		Options: RunOptions{AccessesPerCore: 200_000_000},
 	}
-	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CellWorkers: 1})
+	s, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, SweepFanout: 1})
 	ctx := context.Background()
-	st1, err := c.Submit(ctx, slow)
+	st1, err := c.SubmitSweep(ctx, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker picked job 1 up so the queue slot is truly free.
+	// Wait until the worker picked sweep 1 up so the queue slot is truly
+	// free.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := c.Job(ctx, st1.ID)
+		st, err := c.Sweep(ctx, st1.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,14 +234,15 @@ func TestQueueBoundRejects(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("job 1 never started")
+			t.Fatal("sweep 1 never started")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := c.Submit(ctx, slow); err != nil {
+	st2, err := c.SubmitSweep(ctx, slow)
+	if err != nil {
 		t.Fatalf("second submit should occupy the queue slot: %v", err)
 	}
-	_, err = c.Submit(ctx, slow)
+	_, err = c.SubmitSweep(ctx, slow)
 	var se *APIError
 	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: err = %v, want 429", err)
@@ -270,49 +262,59 @@ func TestQueueBoundRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metrics, "bimodal_jobs_rejected_total 1") {
-		t.Error("rejected counter not incremented")
+	if n := metricValue(t, metrics, "bimodal_jobs_rejected_total"); n != 1 {
+		t.Errorf("bimodal_jobs_rejected_total = %d, want 1", n)
 	}
 
-	// Forced shutdown cancels the in-flight and queued jobs promptly.
+	// Forced shutdown cancels the in-flight and queued sweeps promptly.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.Shutdown(expired); !errors.Is(err, context.Canceled) {
 		t.Fatalf("forced shutdown err = %v", err)
 	}
-	st, err := c.Job(ctx, st1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateCanceled {
-		t.Errorf("in-flight job after forced shutdown: state = %s, want canceled", st.State)
+	for _, id := range []string{st1.ID, st2.ID} {
+		st, err := c.Sweep(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateCanceled {
+			t.Errorf("sweep %s after forced shutdown: state = %s, want canceled", id, st.State)
+		}
 	}
 }
 
-// TestGracefulDrain lets queued work finish, then rejects new jobs 503.
+// TestGracefulDrain lets running and queued work finish, then rejects new
+// sweeps with 503.
 func TestGracefulDrain(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 	req := tinyRequest()
 	req.Mixes = []string{"Q1"}
 	req.Schemes = []string{"alloy"}
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for seed := uint64(7); seed <= 8; seed++ {
+		req.Seed = seed
+		st, err := c.SubmitSweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
 	}
 	sctx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
 	if err := s.Shutdown(sctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	got, err := c.Job(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		got, err := c.Sweep(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateCompleted {
+			t.Errorf("drained sweep %s state = %s (%s), want completed", id, got.State, got.Error)
+		}
 	}
-	if got.State != StateCompleted {
-		t.Errorf("drained job state = %s (%s), want completed", got.State, got.Error)
-	}
-	_, err = c.Submit(ctx, req)
+	_, err := c.SubmitSweep(ctx, req)
 	if !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: err = %v, want ErrDraining", err)
 	}
@@ -322,35 +324,36 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestListJobs checks the listing endpoint returns submission order.
+// TestListJobs checks the sweep listing returns submission order without
+// results or per-cell hashes.
 func TestListJobs(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
-	req := JobRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"}, Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64}}
+	req := SweepRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"}, Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64}}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := c.Submit(ctx, req)
+		st, err := c.SubmitSweep(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
 	}
-	list, err := c.Jobs(ctx, ListQuery{})
+	list, err := c.Sweeps(ctx, ListQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Jobs) != 3 {
-		t.Fatalf("listed %d jobs, want 3", len(list.Jobs))
+	if len(list.Sweeps) != 3 {
+		t.Fatalf("listed %d sweeps, want 3", len(list.Sweeps))
 	}
 	if list.NextCursor != "" {
 		t.Errorf("next_cursor = %q for an exhausted listing", list.NextCursor)
 	}
-	for i, st := range list.Jobs {
+	for i, st := range list.Sweeps {
 		if st.ID != ids[i] {
 			t.Errorf("list[%d] = %s, want %s", i, st.ID, ids[i])
 		}
-		if st.Result != nil {
-			t.Error("list should omit results")
+		if st.Result != nil || st.SpecHashes != nil {
+			t.Error("list should omit results and spec hashes")
 		}
 	}
 }
@@ -362,7 +365,7 @@ func TestANTTCell(t *testing.T) {
 	}
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
-	st, err := c.Submit(ctx, JobRequest{
+	st, err := c.SubmitSweep(ctx, SweepRequest{
 		Mixes:   []string{"Q1"},
 		Schemes: []string{"alloy"},
 		Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64, ANTT: true},
@@ -370,14 +373,8 @@ func TestANTTCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.Wait(ctx, st.ID, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.State != StateCompleted {
-		t.Fatalf("state = %s (%s)", fin.State, fin.Error)
-	}
-	var res JobResult
+	fin := waitCompleted(ctx, t, c, st.ID)
+	var res SweepResult
 	if err := json.Unmarshal(fin.Result, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,10 @@ import (
 // cells resolved against the content-addressed result store and — for
 // the cells the store cannot answer — executed through the configured
 // Dispatcher (in-process by default, cluster workers in coordinator
-// mode). Progress uses the same monotonic event log as jobs, so a late
-// SSE subscriber replays the full history.
+// mode). The event log grows monotonically and is never truncated, so an
+// SSE subscriber that attaches late replays the full history before
+// tailing live events — progress is a property of the sweep, not of who
+// happened to be watching.
 type sweep struct {
 	id        string
 	req       SweepRequest // canonical form
@@ -50,15 +52,14 @@ func newSweep(id string, req SweepRequest, reqJSON []byte, sweepHash string, cel
 	return sw
 }
 
-// execute implements the queue task interface.
-func (sw *sweep) execute(ctx context.Context, s *Server) { s.runSweep(ctx, sw) }
-
+// publishLocked appends an event and wakes subscribers. Callers hold sw.mu.
 func (sw *sweep) publishLocked(e Event) {
 	sw.events = append(sw.events, e)
 	close(sw.update)
 	sw.update = make(chan struct{})
 }
 
+// setState transitions the sweep and publishes a state event.
 func (sw *sweep) setState(s State, errMsg string) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -67,7 +68,7 @@ func (sw *sweep) setState(s State, errMsg string) {
 	sw.publishLocked(Event{Type: "state", State: s, Done: sw.done, Total: len(sw.cells), Error: errMsg})
 }
 
-// cellDone records one resolved cell; origin is "store" or "run".
+// cellDone records one resolved cell; origin is "store", "run" or "warm".
 func (sw *sweep) cellDone(label, origin string) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -87,7 +88,8 @@ func (sw *sweep) complete(result []byte) {
 	sw.publishLocked(Event{Type: "state", State: StateCompleted, Done: sw.done, Total: len(sw.cells)})
 }
 
-// status snapshots the sweep for the API envelope.
+// status snapshots the sweep for the API envelope. The result bytes are
+// copied so callers can never alias the sweep's internal buffer.
 func (sw *sweep) status(detail bool) SweepStatus {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -109,6 +111,9 @@ func (sw *sweep) status(detail bool) SweepStatus {
 	return st
 }
 
+// eventsSince returns a copy of the events from index i on, a channel
+// that is closed when more events arrive, and whether the stream is over
+// (terminal state reached and every event handed out).
 func (sw *sweep) eventsSince(i int) (evs []Event, update <-chan struct{}, over bool) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()

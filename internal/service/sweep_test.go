@@ -191,7 +191,7 @@ func TestSweepValidation(t *testing.T) {
 			Mixes: []string{"Q1"}}, "mutually exclusive"},
 		{"no schemes", SweepRequest{Mixes: []string{"Q1"}}, "at least one scheme"},
 		{"too many cells", SweepRequest{Mixes: []string{"Q1", "Q2", "Q3"},
-			Schemes: []string{"alloy"}}, "per-job limit"},
+			Schemes: []string{"alloy"}}, "per-sweep limit"},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitSweep(ctx, tc.req)
@@ -239,21 +239,21 @@ func TestSweepSSE(t *testing.T) {
 	}
 }
 
-// TestListPagination pages through the job listing with limits, cursors
-// and a state filter.
+// TestListPagination pages through the sweep listing with limits,
+// cursors and a state filter.
 func TestListPagination(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
-	req := JobRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"},
+	req := SweepRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"},
 		Options: RunOptions{AccessesPerCore: 800, CacheDivisor: 64}}
 	var ids []string
 	for i := 0; i < 5; i++ {
-		st, err := c.Submit(ctx, req)
+		st, err := c.SubmitSweep(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
-		if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
+		if _, err := c.WaitSweep(ctx, st.ID, 10*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,26 +264,26 @@ func TestListPagination(t *testing.T) {
 		if pages > 3 {
 			t.Fatal("pagination did not terminate")
 		}
-		list, err := c.Jobs(ctx, q)
+		list, err := c.Sweeps(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range list.Jobs {
+		for _, st := range list.Sweeps {
 			paged = append(paged, st.ID)
 		}
 		if list.NextCursor == "" {
 			break
 		}
-		if len(list.Jobs) != 2 {
-			t.Fatalf("non-terminal page holds %d jobs, want 2", len(list.Jobs))
+		if len(list.Sweeps) != 2 {
+			t.Fatalf("non-terminal page holds %d sweeps, want 2", len(list.Sweeps))
 		}
-		if list.NextCursor != list.Jobs[len(list.Jobs)-1].ID {
-			t.Fatalf("next_cursor = %q, want last page ID %q", list.NextCursor, list.Jobs[1].ID)
+		if list.NextCursor != list.Sweeps[len(list.Sweeps)-1].ID {
+			t.Fatalf("next_cursor = %q, want last page ID %q", list.NextCursor, list.Sweeps[1].ID)
 		}
 		q.Cursor = list.NextCursor
 	}
 	if len(paged) != 5 {
-		t.Fatalf("paged %d jobs, want 5: %v", len(paged), paged)
+		t.Fatalf("paged %d sweeps, want 5: %v", len(paged), paged)
 	}
 	for i, id := range paged {
 		if id != ids[i] {
@@ -291,21 +291,21 @@ func TestListPagination(t *testing.T) {
 		}
 	}
 
-	// State filter: all jobs completed, so filtering on queued is empty.
-	list, err := c.Jobs(ctx, ListQuery{State: StateCompleted})
-	if err != nil || len(list.Jobs) != 5 {
-		t.Errorf("state=completed listed %d jobs (%v), want 5", len(list.Jobs), err)
+	// State filter: all sweeps completed, so filtering on queued is empty.
+	list, err := c.Sweeps(ctx, ListQuery{State: StateCompleted})
+	if err != nil || len(list.Sweeps) != 5 {
+		t.Errorf("state=completed listed %d sweeps (%v), want 5", len(list.Sweeps), err)
 	}
-	list, err = c.Jobs(ctx, ListQuery{State: StateQueued})
-	if err != nil || len(list.Jobs) != 0 {
-		t.Errorf("state=queued listed %d jobs (%v), want 0", len(list.Jobs), err)
+	list, err = c.Sweeps(ctx, ListQuery{State: StateQueued})
+	if err != nil || len(list.Sweeps) != 0 {
+		t.Errorf("state=queued listed %d sweeps (%v), want 0", len(list.Sweeps), err)
 	}
 
 	// Malformed parameters produce the typed envelope.
-	if _, err := c.Jobs(ctx, ListQuery{Cursor: "job-424242"}); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := c.Sweeps(ctx, ListQuery{Cursor: "sweep-424242"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("unknown cursor: err = %v, want ErrInvalidRequest", err)
 	}
-	resp, err := http.Get(c.base + "/v1/jobs?state=bogus")
+	resp, err := http.Get(c.base + "/v1/sweeps?state=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}

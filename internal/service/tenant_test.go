@@ -10,10 +10,10 @@ import (
 	"bimodal/internal/spec"
 )
 
-// tenantSpecRequest is a one-cell declarative workload job: four kvstore
-// tenants with a shared hot region, the CI smoke shape.
-func tenantSpecRequest() JobRequest {
-	return JobRequest{
+// tenantSpecRequest is a one-cell declarative workload sweep: four
+// kvstore tenants with a shared hot region, the CI smoke shape.
+func tenantSpecRequest() SweepRequest {
+	return SweepRequest{
 		Specs: []spec.RunSpec{{
 			Scheme: "bimodal",
 			Workload: &spec.WorkloadSpec{
@@ -31,31 +31,26 @@ func tenantSpecRequest() JobRequest {
 
 // TestWorkloadSpecJob is the end-to-end acceptance test for declarative
 // workloads: a 4-tenant spec must run, attribute the cell to each tenant
-// in the result JSON, and hit the memoization cache on resubmission with
-// byte-identical bytes.
+// in the result JSON, and be answered from the result store on
+// resubmission with byte-identical bytes.
 func TestWorkloadSpecJob(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	st, err := c.Submit(ctx, tenantSpecRequest())
+	st, err := c.SubmitSweep(ctx, tenantSpecRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpecHash == "" {
-		t.Fatal("workload job carries no spec hash")
+	if st.SweepHash == "" {
+		t.Fatal("workload sweep carries no sweep hash")
 	}
-	if st, err = c.Wait(ctx, st.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateCompleted {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
-	}
+	st = waitCompleted(ctx, t, c, st.ID)
 	if !bytes.Contains(st.Result, []byte(`"per_tenant"`)) || !bytes.Contains(st.Result, []byte(`"tenant_antt"`)) {
 		t.Fatalf("result JSON lacks per-tenant attribution:\n%s", st.Result)
 	}
 
-	var res JobResult
+	var res SweepResult
 	if err := json.Unmarshal(st.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +85,7 @@ func TestWorkloadSpecJob(t *testing.T) {
 		t.Error("no tenant is the best-served (slowdown exactly 1)")
 	}
 	// The echoed request must carry the canonicalized workload (defaults
-	// resolved), so re-running the echo reproduces the job.
+	// resolved), so re-running the echo reproduces the sweep.
 	if len(res.Request.Specs) != 1 || res.Request.Specs[0].Workload == nil {
 		t.Fatalf("echoed request lost the workload: %+v", res.Request)
 	}
@@ -99,51 +94,48 @@ func TestWorkloadSpecJob(t *testing.T) {
 	}
 
 	// Memoization round-trip: the same workload geometry must be served
-	// from the cache, byte-identical, without re-simulating.
+	// from the store, byte-identical, without re-simulating.
 	metrics, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cellsBefore := metricValue(t, metrics, "bimodal_cell_seconds_count")
 
-	st2, err := c.Submit(ctx, tenantSpecRequest())
+	st2, err := c.SubmitSweep(ctx, tenantSpecRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.State != StateCompleted {
-		t.Fatalf("resubmission not served from cache: state %s", st2.State)
+	if st2.SweepHash != st.SweepHash {
+		t.Fatalf("workload sweep hash unstable: %s vs %s", st2.SweepHash, st.SweepHash)
 	}
-	if st2.SpecHash != st.SpecHash {
-		t.Fatalf("workload spec hash unstable: %s vs %s", st2.SpecHash, st.SpecHash)
+	st2 = waitCompleted(ctx, t, c, st2.ID)
+	if st2.StoreHits != 1 || st2.Cells != 1 {
+		t.Fatalf("resubmission answered %d/%d cells from store, want 1/1", st2.StoreHits, st2.Cells)
 	}
-	full, err := c.Job(ctx, st2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full.Result, st.Result) {
-		t.Error("cached workload result differs from the original run")
+	if !bytes.Equal(st2.Result, st.Result) {
+		t.Error("store-served workload result differs from the original run")
 	}
 	metrics, err = c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cellsAfter := metricValue(t, metrics, "bimodal_cell_seconds_count"); cellsAfter != cellsBefore {
-		t.Errorf("cell count moved %d -> %d: the cached workload job re-simulated", cellsBefore, cellsAfter)
+		t.Errorf("cell count moved %d -> %d: the store-served workload sweep re-simulated", cellsBefore, cellsAfter)
 	}
 
 	// A geometry change is a different simulation: it must miss and must
-	// produce a different spec hash.
+	// produce a different sweep hash.
 	req := tenantSpecRequest()
 	req.Specs[0].Workload.SharedPct = 20
-	st3, err := c.Submit(ctx, req)
+	st3, err := c.SubmitSweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.SpecHash == st.SpecHash {
-		t.Error("changed geometry shares a spec hash")
+	if st3.SweepHash == st.SweepHash {
+		t.Error("changed geometry shares a sweep hash")
 	}
-	if _, err := c.Wait(ctx, st3.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
+	if st3 = waitCompleted(ctx, t, c, st3.ID); st3.StoreHits != 0 {
+		t.Errorf("changed geometry answered %d cells from store, want 0", st3.StoreHits)
 	}
 }
 
@@ -155,7 +147,7 @@ func TestSingleTenantCellOmitsTenantFields(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	st, err := c.Submit(ctx, JobRequest{
+	st, err := c.SubmitSweep(ctx, SweepRequest{
 		Mixes:   []string{"Q1"},
 		Schemes: []string{"alloy"},
 		Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64},
@@ -164,12 +156,7 @@ func TestSingleTenantCellOmitsTenantFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = c.Wait(ctx, st.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateCompleted {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
-	}
+	st = waitCompleted(ctx, t, c, st.ID)
 	if bytes.Contains(st.Result, []byte("per_tenant")) || bytes.Contains(st.Result, []byte("tenant_antt")) {
 		t.Errorf("single-tenant result grew tenant fields:\n%s", st.Result)
 	}

@@ -8,8 +8,8 @@
 // the determinism contract proven by the golden-JSON tests — two specs
 // with the same canonical encoding always produce byte-identical result
 // JSON. The SHA-256 hash of that canonical encoding is therefore a sound
-// memoization key: the service result cache, ETags and the CLI all key on
-// Hash. Canonicalization is a fixed point (Canonical of a canonical spec
+// memoization key: the service's result store, ETags and the CLI all key
+// on Hash. Canonicalization is a fixed point (Canonical of a canonical spec
 // is itself), which FuzzSpec enforces.
 package spec
 
@@ -245,7 +245,7 @@ func HashBytes(b []byte) string {
 
 // HashJSON marshals v (which must already be in canonical form) and
 // returns its content hash. The service uses this to hash whole canonical
-// job requests with the same format as RunSpec.Hash.
+// sweep requests with the same format as RunSpec.Hash.
 func HashJSON(v any) (string, error) {
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -3,12 +3,12 @@
 // text exposition. It exists beside internal/stats because stats is
 // deliberately single-threaded (each simulation cell owns its counters);
 // the serving layer needs cross-goroutine instrumentation (queue depth,
-// jobs in flight, cell latency) that many workers update concurrently.
+// sweeps in flight, cell latency) that many workers update concurrently.
 //
 // Metric names may carry a fixed label set inline, Prometheus-style:
 //
-//	reg.Counter(`bimodal_jobs_total`)
-//	reg.Histogram(`bimodal_scheme_hit_rate{scheme="alloy"}`, HitRateBuckets()...)
+//	reg.Counter(`bimodal_sweeps_total`)
+//	reg.Histogram(`bimodal_cell_seconds{scheme="alloy"}`, LatencyBuckets()...)
 //
 // The registry treats the full string as the metric identity and splits
 // the base name back out only when rendering TYPE lines.
@@ -235,11 +235,6 @@ func RateBuckets() []float64 {
 // cell durations: sub-millisecond unit tests through minute-scale runs.
 func LatencyBuckets() []float64 {
 	return []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}
-}
-
-// HitRateBuckets returns bucket bounds for ratios in [0, 1].
-func HitRateBuckets() []float64 {
-	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
 }
 
 // splitName separates an inline label set from the base metric name:

@@ -165,7 +165,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestDefaultBucketsSorted(t *testing.T) {
-	for _, bs := range [][]float64{LatencyBuckets(), HitRateBuckets()} {
+	for _, bs := range [][]float64{LatencyBuckets(), RateBuckets()} {
 		for i := 1; i < len(bs); i++ {
 			if bs[i] <= bs[i-1] {
 				t.Errorf("buckets not strictly increasing: %v", bs)
