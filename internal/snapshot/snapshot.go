@@ -52,7 +52,9 @@ type Snapshotter interface {
 // sealed bytes changes incompatibly; Open rejects mismatches.
 // v2: Access records carry a tenant byte and Synthetic serializes its
 // decomposed address/arrival processes.
-const Version = 2
+// v3: Bi-Modal family presets build with run-length-scaled core
+// parameters, so their warm state means something else than under v2.
+const Version = 3
 
 // magic identifies a sealed snapshot blob.
 const magic = "BMSN"

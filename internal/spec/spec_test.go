@@ -211,8 +211,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 
 // TestRegistryShape pins the registry's structural invariants the rest of
 // the system relies on: nine schemes in comparison order, four baselines,
-// the bimodal family presets, and plain bimodal as the only
-// MeasuredCoupled scheme (presets build with paper defaults).
+// the bimodal family presets, and MeasuredCoupled on exactly the Bi-Modal
+// family (the plain scheme and every preset), never on a baseline.
 func TestRegistryShape(t *testing.T) {
 	wantNames := []string{
 		"bimodal", "bimodal-only", "wl-only", "bimodal-cometa",
@@ -235,7 +235,8 @@ func TestRegistryShape(t *testing.T) {
 		if d.Build == nil {
 			t.Errorf("scheme %q has no builder", d.Name)
 		}
-		if d.MeasuredCoupled != (d.Name == "bimodal") {
+		inFamily := d.Name == "bimodal" || d.Family == "bimodal"
+		if d.MeasuredCoupled != inFamily {
 			t.Errorf("scheme %q: MeasuredCoupled = %v", d.Name, d.MeasuredCoupled)
 		}
 	}
