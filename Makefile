@@ -33,7 +33,7 @@ race:
 # fuzz-smoke runs each fuzz target briefly — a regression check over the
 # accumulated corpus plus a short exploration burst, mirroring CI.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParseScheme -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzLookup -fuzztime=10s ./internal/spec
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=10s ./internal/spec
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadSpec -fuzztime=10s ./internal/spec

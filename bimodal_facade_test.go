@@ -74,22 +74,37 @@ func TestWorkloadByName(t *testing.T) {
 	}
 }
 
-func TestParseSchemeFacade(t *testing.T) {
-	id, err := bimodal.ParseScheme("atcache")
-	if err != nil || id != bimodal.SchemeATCache {
-		t.Errorf("ParseScheme(atcache) = %v, %v", id, err)
-	}
-	if _, err := bimodal.ParseScheme("bogus"); err == nil {
-		t.Error("ParseScheme accepted an unknown name")
-	}
+func TestSchemeNamesFacade(t *testing.T) {
 	names := bimodal.SchemeNames()
 	if len(names) != 9 {
 		t.Errorf("SchemeNames() has %d entries, want 9", len(names))
 	}
+	// Registry aliases resolve like canonical names.
+	res, err := bimodal.RunScheme("at-cache", bimodal.Workload("Q13"), facadeOptions())
+	if err != nil || res.Report.Scheme != "ATCache" {
+		t.Errorf("RunScheme(at-cache) = %v, %v", res.Report.Scheme, err)
+	}
+}
+
+// TestRunSchemeMatchesRunBiModal pins one meaning per scheme name: the
+// named "bimodal" scheme is the run-length-scaled Bi-Modal cache that
+// RunBiModal runs, not the paper-default one.
+func TestRunSchemeMatchesRunBiModal(t *testing.T) {
+	mix := bimodal.Workload("Q7")
+	o := bimodal.Options{AccessesPerCore: 3000, CacheDivisor: 4, Seed: 1}
+	named, err := bimodal.RunScheme("bimodal", mix, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := bimodal.RunBiModal(mix, o)
+	named.Scheme, direct.Scheme = nil, nil
+	if !reflect.DeepEqual(named, direct) {
+		t.Errorf("RunScheme(bimodal) differs from RunBiModal\nnamed  %+v\ndirect %+v", named.Report, direct.Report)
+	}
 }
 
 func TestRunSchemeContextFacade(t *testing.T) {
-	res, err := bimodal.RunSchemeContext(context.Background(), bimodal.SchemeAlloy,
+	res, err := bimodal.RunSchemeContext(context.Background(), "alloy",
 		bimodal.Workload("Q13"), facadeOptions())
 	if err != nil || res.Report.Scheme != "AlloyCache" {
 		t.Errorf("RunSchemeContext: %v %v", res.Report.Scheme, err)
@@ -124,7 +139,7 @@ func TestANTTContextFacade(t *testing.T) {
 	mix := bimodal.Workload("Q13")
 	o := facadeOptions()
 	o.Workers = runtime.NumCPU()
-	antt, multi, err := bimodal.ANTTContext(context.Background(), bimodal.SchemeBiModal, mix, o)
+	antt, multi, err := bimodal.ANTTContext(context.Background(), "bimodal", mix, o)
 	if err != nil || antt <= 0 || multi.Report.Scheme != "BiModal" {
 		t.Errorf("ANTTContext: antt %v, scheme %v, err %v", antt, multi.Report.Scheme, err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 	"bimodal/internal/workloads"
 )
@@ -17,15 +18,28 @@ func main() {
 	// Q7 is one of the paper's irregular mixes: mcf, art, twolf, omnetpp.
 	mix := workloads.MustByName("Q7")
 
-	opts := sim.Options{
-		AccessesPerCore: 100_000,
-		CacheDivisor:    4, // scale capacity to the replay length
-		Seed:            1,
+	// A run spec names everything a result depends on; the scheme registry
+	// builds the scheme it names, exactly as cmd/bmsim and the service do.
+	run := func(scheme string) sim.RunResult {
+		rs := spec.RunSpec{
+			Scheme: scheme,
+			Mix:    mix.Name,
+			Seed:   1,
+			Options: spec.Options{
+				AccessesPerCore: 100_000,
+				CacheDivisor:    4, // scale capacity to the replay length
+			},
+		}
+		f, err := sim.FactoryForSpec(rs, mix.Cores())
+		if err != nil {
+			panic(err)
+		}
+		return sim.Run(mix, f, sim.OptionsForSpec(rs))
 	}
 
 	// Run the paper's proposal and its baseline side by side.
-	bimodal := sim.Run(mix, sim.BiModalFactory(mix.Cores(), opts), opts)
-	alloy := sim.Run(mix, mustFactory("alloy"), opts)
+	bimodal := run("bimodal")
+	alloy := run("alloy")
 
 	fmt.Printf("workload %s (%d cores)\n\n", mix.Name, mix.Cores())
 	for _, res := range []sim.RunResult{bimodal, alloy} {
@@ -44,12 +58,4 @@ func main() {
 	fmt.Printf("\nway locator hit rate: %s\n", stats.FmtPct(r.LocatorHitRate()))
 	fmt.Printf("small-block access fraction: %s\n", stats.FmtPct(r.SmallFraction))
 	fmt.Printf("cache-wide state (X_glob, Y_glob): %v\n", bm.Core().GlobalState())
-}
-
-func mustFactory(name string) sim.Factory {
-	f, err := sim.SchemeFactory(name)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }

@@ -243,7 +243,11 @@ func endToEndMix(b *testing.B) {
 func endToEndMixPooled(b *testing.B) {
 	mix := bimodal.Workload("Q7")
 	o := bimodal.Options{AccessesPerCore: 2000, CacheDivisor: 16, Seed: 1}
-	factory := sim.BiModalFactory(mix.Cores(), o)
+	factory, err := sim.FactoryForSpec(spec.RunSpec{Scheme: "bimodal", Mix: mix.Name,
+		Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}, mix.Cores())
+	if err != nil {
+		b.Fatal(err)
+	}
 	pool := sim.NewRunPool(1)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -378,10 +382,9 @@ func sweepWarmRestore(b *testing.B) {
 // runSweepPooled executes a 10-seed sweep of one alloy/Q1 cell through a
 // shared RunPool — the pool's designed case: cells differing only in seed
 // share one geometry key, so one simulator serves the whole sweep.
-func runSweepPooled(pool *sim.RunPool) error {
+func runSweepPooled(pool *sim.RunPool, factory sim.Factory) error {
 	ctx := context.Background()
 	mix := workloads.MustByName("Q1")
-	factory := sim.SchemeAlloy.Factory()
 	for seed := uint64(1); seed <= 10; seed++ {
 		o := sim.Options{AccessesPerCore: 1000, CacheDivisor: 64, Seed: seed}
 		s := pool.Get("alloy", mix, factory, o)
@@ -399,11 +402,15 @@ func runSweepPooled(pool *sim.RunPool) error {
 // sweepPooled measures the pooled seed-sweep path; the pool outlives the
 // benchmark loop, so iterations after the first run at steady state.
 func sweepPooled(b *testing.B) {
+	factory, err := sim.FactoryForSpec(spec.RunSpec{Scheme: "alloy", Mix: "Q1"}, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
 	pool := sim.NewRunPool(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runSweepPooled(pool); err != nil {
+		if err := runSweepPooled(pool, factory); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -414,8 +421,9 @@ func sweepPooled(b *testing.B) {
 // WarmSnapshot and WarmRestore isolate the two halves of a warm fork on
 // the largest blob the codec seals: a Bi-Modal Q7 cell at cache/64, whose
 // way locator and set table make up nearly all of its ~1.1 MB. Service
-// sweeps never seal Bi-Modal blobs (the scheme is MeasuredCoupled, so no
-// other cell could restore one); bmsim -checkpoint still does.
+// sweeps never seal a blob for any Bi-Modal family scheme (the family is
+// MeasuredCoupled, so no other cell could restore one); bmsim -checkpoint
+// still does.
 
 // warmBiModalQ7 returns a warmed Bi-Modal Q7 cache/64 simulator, its
 // congruent unwarmed twin, and the prefix hash they share.

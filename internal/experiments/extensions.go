@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"bimodal/internal/dramcache"
-	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 )
 
@@ -29,7 +29,6 @@ func extMissPred(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Extension: BiModal + miss predictor (quad-core)",
 		"mix", "base latency", "with predictor", "reduction", "wasted probes")
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	type predResult struct {
 		base, pred  float64
@@ -37,12 +36,15 @@ func extMissPred(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	var cells []cell[predResult]
 	for _, mix := range mixes {
+		rs := o.cellSpec("bimodal", mix.Name)
+		withPred := rs
+		withPred.Params = spec.Params{"miss_predictor": 1}
 		cells = append(cells, cell[predResult]{label: mix.Name, run: func(ctx context.Context) (predResult, error) {
-			base, err := sim.RunContext(ctx, mix, sim.BiModalFactory(4, so), so)
+			base, _, err := runSpec(ctx, o, rs)
 			if err != nil {
 				return predResult{}, err
 			}
-			pred, err := sim.RunContext(ctx, mix, sim.BiModalFactory(4, so, dramcache.WithMissPredictor(), dramcache.WithName("BiModal+MP")), so)
+			pred, _, err := runSpec(ctx, o, withPred)
 			if err != nil {
 				return predResult{}, err
 			}
@@ -76,7 +78,6 @@ func extVictim(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Extension: BiModal + victim buffer (quad-core)",
 		"mix", "base hit rate", "with 256-entry buffer", "victim hits/miss", "latency delta")
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	type victimResult struct {
 		baseHit, vicHit    float64
@@ -85,12 +86,15 @@ func extVictim(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	var cells []cell[victimResult]
 	for _, mix := range mixes {
+		rs := o.cellSpec("bimodal", mix.Name)
+		withVictims := rs
+		withVictims.Params = spec.Params{"victim_entries": 256}
 		cells = append(cells, cell[victimResult]{label: mix.Name, run: func(ctx context.Context) (victimResult, error) {
-			base, err := sim.RunContext(ctx, mix, sim.BiModalFactory(4, so), so)
+			base, _, err := runSpec(ctx, o, rs)
 			if err != nil {
 				return victimResult{}, err
 			}
-			vic, err := sim.RunContext(ctx, mix, sim.BiModalFactory(4, so, dramcache.WithVictimCache(256), dramcache.WithName("BiModal+VC")), so)
+			vic, _, err := runSpec(ctx, o, withVictims)
 			if err != nil {
 				return victimResult{}, err
 			}

@@ -30,18 +30,17 @@ func detOptions(workers int) Options {
 // asserts the RunResults are identical — the engine's core guarantee.
 func TestParallelRunResultsIdenticalToSerial(t *testing.T) {
 	mixes := Options{MaxMixes: 3}.mixes(4)
-	so := sim.Options{AccessesPerCore: 1200, Seed: 1, CacheDivisor: 8}
+	o := Options{AccessesPerCore: 1200, Seed: 1}
+	keep := func(res sim.RunResult, _ float64) sim.RunResult { return res }
 	runAll := func(workers int) []sim.RunResult {
 		t.Helper()
 		cells := make([]cell[sim.RunResult], 0, 2*len(mixes))
 		for _, mix := range mixes {
-			cells = append(cells,
-				cell[sim.RunResult]{label: mix.Name + " bimodal", run: func(ctx context.Context) (sim.RunResult, error) {
-					return sim.RunContext(ctx, mix, sim.BiModalFactory(4, so), so)
-				}},
-				cell[sim.RunResult]{label: mix.Name + " alloy", run: func(ctx context.Context) (sim.RunResult, error) {
-					return sim.RunContext(ctx, mix, sim.SchemeAlloy.Factory(), so)
-				}})
+			for _, scheme := range []string{"bimodal", "alloy"} {
+				rs := o.cellSpec(scheme, mix.Name)
+				rs.Options.CacheDivisor = 8
+				cells = append(cells, specCell(mix.Name+" "+scheme, o, rs, keep))
+			}
 		}
 		res, err := runCells(context.Background(), Options{Workers: workers}, "det", cells)
 		if err != nil {

@@ -1,10 +1,14 @@
 package experiments
 
 import (
-	"bimodal/internal/dramcache"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bimodal/internal/dramcache"
+	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 )
 
 // microOptions are the smallest options that still exercise every code
@@ -120,25 +124,28 @@ func TestFig12MicroRun(t *testing.T) {
 
 // TestBaselineSchemesFromRegistry pins the derivation every figure relies
 // on: the baseline list comes from the scheme registry, in registration
-// order, with AlloyCache first (the normalization reference).
+// order, with AlloyCache first (the reference the figures normalize
+// against).
 func TestBaselineSchemesFromRegistry(t *testing.T) {
-	bs := baselineSchemes()
 	var labels []string
-	for _, s := range bs {
-		labels = append(labels, s.label)
+	for _, d := range spec.Baselines() {
+		labels = append(labels, d.Name)
 	}
 	want := []string{"alloy", "lohhill", "atcache", "footprint"}
-	if len(labels) != len(want) {
+	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("baselines = %v, want %v", labels, want)
 	}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("baselines = %v, want %v", labels, want)
-		}
+	if reference != labels[0] {
+		t.Errorf("reference = %q, want the first baseline %q", reference, labels[0])
+	}
+	rs := QuickOptions().cellSpec(reference, "Q1")
+	f, err := sim.FactoryForSpec(rs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = 1 << 20
-	if name := referenceBaseline()(cfg).Name(); name != "AlloyCache" {
+	if name := f(cfg).Name(); name != "AlloyCache" {
 		t.Errorf("reference baseline = %q, want AlloyCache", name)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"bimodal/internal/core"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 	"bimodal/internal/workloads"
 )
@@ -47,21 +48,32 @@ func sweepMixes(o Options) []string {
 	return names
 }
 
-// sweepCell builds a cell running BiModal on one mix with one
-// core-parameter mutation applied.
-func sweepCell(o Options, label, mixName string, mutate func(*simCoreParams)) cell[dramcache.Report] {
-	so := simOpts(o)
-	factory := func(cfg dramcache.Config) dramcache.Scheme {
-		p := sim.ScaledCoreParams(cfg.CacheBytes, 4, so.AccessesPerCore)
-		mutate(&p)
-		return dramcache.NewBiModal(cfg, dramcache.WithCoreParams(p))
-	}
+// coreParamCell builds a cell running plain BiModal on one mix with one
+// mutation of its run-length-scaled core parameters. W and P are not spec
+// params, so these cells build through the bimodal descriptor with
+// spec.BuildConfig.CoreParams instead of through sim.FactoryForSpec.
+func coreParamCell(o Options, label, mixName string, mutate func(*core.Params)) cell[dramcache.Report] {
+	rs := o.cellSpec("bimodal", mixName)
 	return cell[dramcache.Report]{label: label, run: func(ctx context.Context) (dramcache.Report, error) {
-		res, err := sim.RunContext(ctx, workloads.MustByName(mixName), factory, so)
+		d, err := spec.Lookup(rs.Scheme)
 		if err != nil {
 			return dramcache.Report{}, err
 		}
-		return res.Report, nil
+		mix, err := workloads.MixForSpec(rs)
+		if err != nil {
+			return dramcache.Report{}, err
+		}
+		factory := func(cfg dramcache.Config) dramcache.Scheme {
+			p := sim.ScaledCoreParams(cfg.CacheBytes, mix.Cores(), rs.Options.AccessesPerCore)
+			mutate(&p)
+			s, err := d.New(spec.BuildConfig{Cache: cfg, CoreParams: &p}, nil)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: building %s: %v", label, err))
+			}
+			return s
+		}
+		res, _, err := runWith(ctx, o, rs, mix, factory)
+		return res.Report, err
 	}}
 }
 
@@ -77,8 +89,9 @@ func sweepThreshold(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[dramcache.Report]
 	for _, T := range ts {
 		for _, mixName := range mixNames {
-			cells = append(cells, sweepCell(o, fmt.Sprintf("%s T=%d", mixName, T), mixName,
-				func(p *simCoreParams) { p.Threshold = T }))
+			rs := o.cellSpec("bimodal", mixName)
+			rs.Params = spec.Params{"threshold": int64(T)}
+			cells = append(cells, reportCell(fmt.Sprintf("%s T=%d", mixName, T), o, rs))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-threshold", cells)
@@ -113,8 +126,8 @@ func sweepWeight(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[dramcache.Report]
 	for _, W := range ws {
 		for _, mixName := range mixNames {
-			cells = append(cells, sweepCell(o, fmt.Sprintf("%s W=%.2f", mixName, W), mixName,
-				func(p *simCoreParams) { p.Weight = W }))
+			cells = append(cells, coreParamCell(o, fmt.Sprintf("%s W=%.2f", mixName, W), mixName,
+				func(p *core.Params) { p.Weight = W }))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-weight", cells)
@@ -147,8 +160,8 @@ func sweepPredictor(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[dramcache.Report]
 	for _, P := range ps {
 		for _, mixName := range mixNames {
-			cells = append(cells, sweepCell(o, fmt.Sprintf("%s P=%d", mixName, P), mixName,
-				func(p *simCoreParams) { p.PredictorBits = P }))
+			cells = append(cells, coreParamCell(o, fmt.Sprintf("%s P=%d", mixName, P), mixName,
+				func(p *core.Params) { p.PredictorBits = P }))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-predictor", cells)
@@ -169,6 +182,3 @@ func sweepPredictor(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	return tbl, nil
 }
-
-// simCoreParams aliases the core cache parameters for the sweep mutators.
-type simCoreParams = core.Params

@@ -45,7 +45,6 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	if o.MaxMixes > 0 && len(mixes) > o.MaxMixes {
 		mixes = mixes[:o.MaxMixes]
 	}
-	so := simOpts(o)
 	tbl := stats.NewTable("Extension: tenant QoS on datacenter mixes (quad-core)",
 		"mix", "tenants", "BiModal ANTT", "Alloy ANTT", "BiModal worst", "Alloy worst", "ANTT gain")
 	type tenantResult struct {
@@ -54,13 +53,13 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	var cells []cell[tenantResult]
 	for _, mix := range mixes {
-		mix := mix
+		bmSpec, alSpec := o.cellSpec("bimodal", mix.Name), o.cellSpec(reference, mix.Name)
 		cells = append(cells, cell[tenantResult]{label: mix.Name, run: func(ctx context.Context) (tenantResult, error) {
-			bm, err := sim.RunContext(ctx, mix, sim.BiModalFactory(mix.Cores(), so), so)
+			bm, _, err := runSpec(ctx, o, bmSpec)
 			if err != nil {
 				return tenantResult{}, err
 			}
-			al, err := sim.RunContext(ctx, mix, sim.SchemeAlloy.Factory(), so)
+			al, _, err := runSpec(ctx, o, alSpec)
 			if err != nil {
 				return tenantResult{}, err
 			}

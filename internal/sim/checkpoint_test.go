@@ -279,7 +279,7 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 
 // TestPrefixHashGrouping pins the prefix-hash semantics the warm runner
 // relies on: cells differing only in measured length share a prefix
-// (except the run-length-coupled plain bimodal scheme), cells differing
+// (except the run-length-coupled Bi-Modal family), cells differing
 // in seed or warmup do not, and ANTT or warmup-disabled cells have none.
 func TestPrefixHashGrouping(t *testing.T) {
 	base := spec.RunSpec{Scheme: "alloy", Mix: "Q1",

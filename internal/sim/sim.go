@@ -251,14 +251,3 @@ func ScaledCoreParams(cacheBytes uint64, cores int, accessesPerCore int64) core.
 	p.PredictorBits = 12
 	return p
 }
-
-// BiModalFactory returns a factory building BiModal with the adaptation
-// interval scaled for the run length and any extra options applied.
-func BiModalFactory(cores int, o Options, opts ...dramcache.BiModalOption) Factory {
-	o = o.normalize()
-	return func(cfg dramcache.Config) dramcache.Scheme {
-		p := ScaledCoreParams(cfg.CacheBytes, cores, o.AccessesPerCore)
-		all := append([]dramcache.BiModalOption{dramcache.WithCoreParams(p)}, opts...)
-		return dramcache.NewBiModal(cfg, all...)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bimodal/internal/dramcache"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -12,25 +13,38 @@ func quick() Options {
 	return Options{AccessesPerCore: 4000, Seed: 3, CacheBytes: 4 << 20}
 }
 
-func TestSchemeFactoryKnownNames(t *testing.T) {
-	for _, n := range SchemeNames() {
-		f, err := SchemeFactory(n)
-		if err != nil || f == nil {
-			t.Errorf("%s: %v", n, err)
-			continue
+// paperFactory builds the named scheme through its registry descriptor
+// with no CoreParams, so the Bi-Modal family keeps the paper's unscaled
+// core parameters.
+func paperFactory(t testing.TB, name string) Factory {
+	t.Helper()
+	d, err := spec.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(cfg dramcache.Config) dramcache.Scheme {
+		s, err := d.New(spec.BuildConfig{Cache: cfg}, nil)
+		if err != nil {
+			panic(err)
 		}
+		return s
+	}
+}
+
+func TestSchemeFactoryKnownNames(t *testing.T) {
+	for _, n := range spec.Names() {
 		cfg := dramcache.DefaultConfig(4)
 		cfg.CacheBytes = 1 << 20
-		s := f(cfg)
+		s := paperFactory(t, n)(cfg)
 		if s == nil || s.Name() == "" {
 			t.Errorf("%s: bad scheme", n)
 		}
 	}
-	if _, err := SchemeFactory("bogus"); err == nil {
+	if _, err := spec.Lookup("bogus"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 	for _, extra := range []string{"bimodal-cometa", "bimodal-bypass"} {
-		if _, err := SchemeFactory(extra); err != nil {
+		if _, err := spec.Lookup(extra); err != nil {
 			t.Errorf("%s: %v", extra, err)
 		}
 	}
@@ -38,8 +52,7 @@ func TestSchemeFactoryKnownNames(t *testing.T) {
 
 func TestRunProducesConsistentResult(t *testing.T) {
 	mix := workloads.MustByName("Q7")
-	f, _ := SchemeFactory("bimodal")
-	res := Run(mix, f, quick())
+	res := Run(mix, paperFactory(t, "bimodal"), quick())
 	if res.Mix != "Q7" || len(res.PerCore) != 4 {
 		t.Fatalf("result: %+v", res.Mix)
 	}
@@ -61,7 +74,7 @@ func TestRunProducesConsistentResult(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	f, _ := SchemeFactory("alloy")
+	f := paperFactory(t, "alloy")
 	a := Run(mix, f, quick())
 	b := Run(mix, f, quick())
 	if a.TotalCycles() != b.TotalCycles() || a.Report.Hits != b.Report.Hits {
@@ -71,7 +84,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestStandaloneFasterThanShared(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	f, _ := SchemeFactory("bimodal")
+	f := paperFactory(t, "bimodal")
 	o := quick()
 	multi := Run(mix, f, o)
 	single := RunStandalone(mix, f, o)
@@ -91,8 +104,7 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 
 func TestANTTAboveOne(t *testing.T) {
 	mix := workloads.MustByName("Q3")
-	f, _ := SchemeFactory("bimodal")
-	antt, res := ANTT(mix, f, quick())
+	antt, res := ANTT(mix, paperFactory(t, "bimodal"), quick())
 	if antt <= 1.0 {
 		t.Errorf("ANTT = %.3f; sharing should slow programs", antt)
 	}
@@ -116,20 +128,46 @@ func TestScaledCoreParams(t *testing.T) {
 	}
 }
 
+// TestBiModalFactoryAppliesScaledInterval checks that FactoryForSpec
+// scales the core parameters of every Bi-Modal family member, the plain
+// scheme and each preset alike, and of no baseline.
 func TestBiModalFactoryAppliesScaledInterval(t *testing.T) {
 	o := quick()
-	f := BiModalFactory(4, o)
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = o.CacheBytes
-	s := f(cfg).(*dramcache.BiModal)
-	if s.Core().Params().AdaptInterval != 10_000 {
-		t.Errorf("interval = %d", s.Core().Params().AdaptInterval)
+	want := ScaledCoreParams(cfg.CacheBytes, 4, o.AccessesPerCore)
+	family := 0
+	for _, d := range spec.Descriptors() {
+		f, err := FactoryForSpec(spec.RunSpec{Scheme: d.Name, Mix: "Q1",
+			Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, ok := f(cfg).(*dramcache.BiModal)
+		if d.Baseline {
+			if ok {
+				t.Errorf("%s: baseline built a BiModal", d.Name)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("%s: built %T, want *dramcache.BiModal", d.Name, f(cfg))
+		}
+		family++
+		p := bm.Core().Params()
+		if p.AdaptInterval != 10_000 || p.SampleShift != want.SampleShift || p.PredictorBits != want.PredictorBits {
+			t.Errorf("%s: interval %d, sample shift %d, predictor bits %d; want %d, %d, %d", d.Name,
+				p.AdaptInterval, p.SampleShift, p.PredictorBits, 10_000, want.SampleShift, want.PredictorBits)
+		}
+	}
+	if family != 5 {
+		t.Errorf("%d Bi-Modal family schemes, want 5", family)
 	}
 }
 
 func TestPrefetcherIntegration(t *testing.T) {
 	mix := workloads.MustByName("Q2")
-	f, _ := SchemeFactory("bimodal")
+	f := paperFactory(t, "bimodal")
 	o := quick()
 	o.PrefetchN = 1
 	res := Run(mix, f, o)

@@ -22,12 +22,13 @@ func OptionsForSpec(rs spec.RunSpec) Options {
 	}
 }
 
-// FactoryForSpec returns the factory a CLI or service run uses for the
-// spec. A scheme whose descriptor is MeasuredCoupled (the plain "bimodal"
-// scheme) gets the run-length-scaled core parameters (ScaledCoreParams),
-// exactly as cmd/bmsim and the service have always configured it;
-// variants and baselines build with their paper defaults. Spec params
-// overlay either way, so geometry overrides compose with the scaling.
+// FactoryForSpec returns the factory every run of the spec uses: the
+// figures, cmd/bmsim, the service, the cluster and the facade. A scheme
+// whose descriptor is MeasuredCoupled (the Bi-Modal family: plain bimodal
+// and its presets) gets the run-length-scaled core parameters
+// (ScaledCoreParams); baselines build with their paper defaults. Spec
+// params overlay either way, so geometry overrides compose with the
+// scaling.
 func FactoryForSpec(rs spec.RunSpec, cores int) (Factory, error) {
 	c, err := rs.Canonical()
 	if err != nil {

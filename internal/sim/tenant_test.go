@@ -20,7 +20,7 @@ func dcOptions() Options {
 // with the per-core totals.
 func TestDCMixPerTenantResults(t *testing.T) {
 	mix := workloads.MustByName("DC4")
-	res := Run(mix, SchemeBiModal.Factory(), dcOptions())
+	res := Run(mix, paperFactory(t, "bimodal"), dcOptions())
 	if len(res.PerTenant) != 4 {
 		t.Fatalf("PerTenant has %d entries, want 4", len(res.PerTenant))
 	}
@@ -48,7 +48,7 @@ func TestDCMixPerTenantResults(t *testing.T) {
 // TestSingleTenantMixHasNoPerTenant checks classic mixes stay exactly as
 // before: no per-tenant attribution is reported (or paid for).
 func TestSingleTenantMixHasNoPerTenant(t *testing.T) {
-	res := Run(workloads.MustByName("Q1"), SchemeAlloy.Factory(), dcOptions())
+	res := Run(workloads.MustByName("Q1"), paperFactory(t, "alloy"), dcOptions())
 	if res.PerTenant != nil {
 		t.Fatalf("single-tenant mix reported PerTenant %+v", res.PerTenant)
 	}
@@ -62,7 +62,7 @@ func TestDCMixPooledMatchesFresh(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			mix := workloads.MustByName(name)
-			factory := SchemeBiModal.Factory()
+			factory := paperFactory(t, "bimodal")
 			o1 := dcOptions()
 			o2 := o1
 			o2.Seed = 11
@@ -96,7 +96,7 @@ func TestDCMixPooledMatchesFresh(t *testing.T) {
 // per-tenant baseline subtraction included.
 func TestDCMixRestoreMatchesStraight(t *testing.T) {
 	mix := workloads.MustByName("DC4")
-	checkRestoreGolden(t, mix, SchemeBiModal.Factory(), dcOptions(), "sha256:dc4-test-prefix")
+	checkRestoreGolden(t, mix, paperFactory(t, "bimodal"), dcOptions(), "sha256:dc4-test-prefix")
 }
 
 // TestDCMixParallelMatchesSerial runs the multi-tenant standalone fan-out
@@ -104,7 +104,7 @@ func TestDCMixRestoreMatchesStraight(t *testing.T) {
 // per-tenant streams must make worker scheduling unobservable.
 func TestDCMixParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("DC4")
-	factory := SchemeBiModal.Factory()
+	factory := paperFactory(t, "bimodal")
 	base := dcOptions()
 	base.Workers = 1
 	serialStandalone, err := RunStandaloneContext(context.Background(), mix, factory, base)

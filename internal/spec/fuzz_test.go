@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"testing"
+
+	"bimodal/internal/dramcache"
 )
 
 // FuzzSpec feeds arbitrary bytes through Parse and checks the invariants
@@ -50,6 +52,49 @@ func FuzzSpec(f *testing.F) {
 		h2, _ := c2.Hash()
 		if h1 != h2 {
 			t.Fatalf("hash drifted across round trip: %s vs %s", h1, h2)
+		}
+	})
+}
+
+// FuzzLookup checks that Lookup never panics and accepts exactly the
+// registered names and aliases: an accepted name resolves to a descriptor
+// whose canonical Name is listed by Names (aliases like "cometa" resolve
+// but canonicalize) and which builds with nil params.
+func FuzzLookup(f *testing.F) {
+	for _, name := range Names() {
+		f.Add(name)
+	}
+	f.Add("")
+	f.Add("bimodal ")
+	f.Add("BIMODAL")
+	f.Add("alloy\x00")
+	f.Add("cometa")
+	f.Add("without-locator")
+	f.Add("scheme-that-does-not-exist")
+
+	registered := map[string]bool{}
+	listed := map[string]bool{}
+	for _, d := range Descriptors() {
+		registered[d.Name], listed[d.Name] = true, true
+		for _, a := range d.Aliases {
+			registered[a] = true
+		}
+	}
+	cfg := dramcache.DefaultConfig(4)
+	cfg.CacheBytes = 1 << 20
+	f.Fuzz(func(t *testing.T, name string) {
+		d, err := Lookup(name)
+		if (err == nil) != registered[name] {
+			t.Fatalf("Lookup(%q) error %v, registered %v", name, err, registered[name])
+		}
+		if err != nil {
+			return
+		}
+		if !listed[d.Name] {
+			t.Fatalf("Lookup(%q) resolved to %q, which Names does not list", name, d.Name)
+		}
+		if _, err := d.New(BuildConfig{Cache: cfg}, nil); err != nil {
+			t.Fatalf("Lookup(%q): New with nil params: %v", name, err)
 		}
 	})
 }
