@@ -79,6 +79,24 @@ func (g *Synthetic) Next() Access {
 	return a
 }
 
+// Fill implements Filler by copying whole runs of the pending episode,
+// refilling it exactly where Next would.
+//
+//bmlint:hotpath
+func (g *Synthetic) Fill(buf []Access) {
+	for len(buf) > 0 {
+		if g.head >= len(g.pending) {
+			g.pending = g.pending[:0]
+			g.head = 0
+			g.refill()
+			continue
+		}
+		n := copy(buf, g.pending[g.head:])
+		g.head += n
+		buf = buf[n:]
+	}
+}
+
 // emit appends one access, drawing its write flag and then its arrival
 // gap — in that order, which the byte-identity of every existing golden
 // depends on.

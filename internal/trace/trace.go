@@ -48,15 +48,17 @@ const PageBytes = 4096
 // LinesPerPage is the number of 64B lines per footprint page.
 const LinesPerPage = PageBytes / LineBytes
 
-// Access is one memory access presented to the DRAM cache.
+// Access is one memory access presented to the DRAM cache. The fields are
+// ordered widest first so the struct packs into 16 bytes (TestAccessSize);
+// codecs encode them by name, so the order is not part of any format.
 type Access struct {
 	// Addr is the physical address of the 64B line.
 	Addr addr.Phys
-	// Write marks a write (an LLSC writeback or store miss).
-	Write bool
 	// Gap is the number of instructions executed since the previous
 	// access of the same core.
 	Gap uint32
+	// Write marks a write (an LLSC writeback or store miss).
+	Write bool
 	// Dep marks the access as data-dependent on the previous one
 	// (pointer-chase): the core cannot overlap it with the previous miss.
 	Dep bool
@@ -81,6 +83,18 @@ type Generator interface {
 	// rewind to the beginning and must still satisfy the contract —
 	// their freshly-constructed state is the same for every seed.
 	Reset(seed uint64)
+}
+
+// Filler is implemented by generators that can hand out a run of accesses
+// in one call. Fill(buf) is exactly len(buf) Next calls: buf[i] receives
+// the access the i-th call would return, and the generator ends where those
+// calls would leave it. Fill may run on a goroutine other than the one that
+// calls Next, but never at the same time as another call on the same
+// generator; the caller orders them (the cpu engine with a sync.WaitGroup).
+// A generator whose state is shared with another generator must not
+// implement Filler.
+type Filler interface {
+	Fill(buf []Access)
 }
 
 // SliceGen replays a fixed slice, cycling; useful in tests.

@@ -142,30 +142,65 @@ func (iv *Interleaver) Reset(seed uint64) {
 }
 
 // Next implements Generator: pick the scheduled tenant (weighted draw at
-// each burst boundary), take its next access, tag it, and optionally fold
-// it onto the shared hot region.
+// each burst boundary), take its next access, tag it, and with
+// SharedFrac > 0 draw whether to fold it onto the shared hot region.
 //
 //bmlint:hotpath
 func (iv *Interleaver) Next() Access {
 	if iv.burst <= 0 {
-		u := iv.rng.Float64()
-		i := 0
-		for i+1 < len(iv.cum) && u >= iv.cum[i] {
-			i++
-		}
-		iv.cur = i
-		iv.burst = 1 + iv.rng.Intn(4)
+		iv.schedule()
 	}
 	iv.burst--
 	a := iv.subs[iv.cur].Next()
 	a.Tenant = uint8(iv.cur)
 	if iv.sharedFrac > 0 && iv.rng.Bool(iv.sharedFrac) {
-		// Deterministically fold this page onto the shared hot region,
-		// keeping the line offset: the small region concentrates every
-		// tenant's remapped traffic onto the same hot pages.
-		line := a.Addr & (PageBytes - 1)
-		page := (uint64(a.Addr) >> 12) * sharedHashMul >> iv.sharedShift
-		a.Addr = iv.sharedBase + addr.Phys(page*PageBytes) + line
+		a.Addr = iv.fold(a.Addr)
 	}
 	return a
+}
+
+// Fill implements Filler a burst at a time: the scheduled tenant fills its
+// whole remaining burst in one call, then each access is tagged in order.
+// The weave rng and each tenant's rng are separate streams, so drawing the
+// tenant's accesses before the weave's shared-fold draws leaves both
+// sequences exactly as Next interleaves them.
+//
+//bmlint:hotpath
+func (iv *Interleaver) Fill(buf []Access) {
+	for len(buf) > 0 {
+		if iv.burst <= 0 {
+			iv.schedule()
+		}
+		n := min(iv.burst, len(buf))
+		iv.burst -= n
+		run := buf[:n]
+		iv.subs[iv.cur].Fill(run)
+		for i := range run {
+			run[i].Tenant = uint8(iv.cur)
+			if iv.sharedFrac > 0 && iv.rng.Bool(iv.sharedFrac) {
+				run[i].Addr = iv.fold(run[i].Addr)
+			}
+		}
+		buf = buf[n:]
+	}
+}
+
+// schedule draws the next tenant by weight and its burst length.
+func (iv *Interleaver) schedule() {
+	u := iv.rng.Float64()
+	i := 0
+	for i+1 < len(iv.cum) && u >= iv.cum[i] {
+		i++
+	}
+	iv.cur = i
+	iv.burst = 1 + iv.rng.Intn(4)
+}
+
+// fold deterministically maps an address onto the shared hot region,
+// keeping the line offset: the small region concentrates every tenant's
+// remapped traffic onto the same hot pages.
+func (iv *Interleaver) fold(a addr.Phys) addr.Phys {
+	line := a & (PageBytes - 1)
+	page := (uint64(a) >> 12) * sharedHashMul >> iv.sharedShift
+	return iv.sharedBase + addr.Phys(page*PageBytes) + line
 }
