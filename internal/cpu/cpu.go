@@ -141,6 +141,10 @@ type core struct {
 	// (the heap priority, so requests reach memory in global time order).
 	next trace.Access //bmlint:nosnapshot
 	key  int64        //bmlint:nosnapshot
+	// ra generates the phase's guaranteed accesses ahead on a helper
+	// (readahead.go). It is idle at every phase boundary, so it is not
+	// state either.
+	ra readAhead //bmlint:nosnapshot
 }
 
 // inflight is one outstanding miss.
@@ -158,7 +162,14 @@ type inflight struct {
 //
 //bmlint:hotpath
 func (c *core) prime() {
-	c.next = c.gen.Next()
+	if ra := &c.ra; uint(ra.pos) < uint(len(ra.cur)) {
+		c.next = ra.cur[ra.pos]
+		ra.pos++
+	} else if ra.busy {
+		c.next = ra.advance()
+	} else {
+		c.next = c.gen.Next()
+	}
 	t := c.time + int64(float64(c.next.Gap)*c.cfg.CPIBase)
 	instNow := c.insts + int64(c.next.Gap)
 	if c.next.Dep && c.lastDone > t {
@@ -274,6 +285,7 @@ func (c *core) finish() {
 //
 //bmlint:hotpath
 func (c *core) reset() {
+	c.ra.mustBeIdle()
 	c.time = 0
 	c.outstanding = c.outstanding[:0]
 	c.outHead = 0
@@ -312,22 +324,31 @@ type Engine struct {
 	sched []*core //bmlint:nosnapshot
 }
 
-// NewEngine builds an engine. gens supplies one generator per core.
+// NewEngine builds an engine. gens supplies one generator per core; a
+// generator that implements trace.Filler is read ahead (readahead.go), so
+// it must not share state with another core's generator.
 func NewEngine(scheme dramcache.Scheme, gens []trace.Generator, cfg CoreConfig, pf *Prefetcher) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	e := &Engine{scheme: scheme, pf: pf, sched: make([]*core, 0, len(gens))}
+	// Every core's in-flight window holds at most MSHRs live misses plus
+	// the drained head insertOutstanding compacts away, so one backing
+	// array sized up front serves all cores without ever growing.
+	win := cfg.MSHRs + 1
+	windows := make([]inflight, len(gens)*win)
 	for i, g := range gens {
 		c := &core{
-			id:  i,
-			gen: g,
-			cfg: cfg,
+			id:          i,
+			gen:         g,
+			cfg:         cfg,
+			outstanding: windows[i*win : i*win : (i+1)*win],
 			result: CoreResult{
 				Core:      i,
 				Benchmark: g.Name(),
 			},
 		}
+		c.ra.fill, _ = g.(trace.Filler)
 		if tc, ok := g.(tenantCounted); ok && tc.Tenants() > 1 {
 			c.tens = make([]TenantResult, tc.Tenants())
 			for t := range c.tens {
@@ -401,8 +422,8 @@ func (e *Engine) Reset(seeds []uint64) bool {
 		return false
 	}
 	for i, c := range e.cores {
-		c.gen.Reset(seeds[i])
 		c.reset()
+		c.gen.Reset(seeds[i])
 	}
 	// The dispatch heap is drained by runPhase, but truncate it here too so
 	// a reset engine is observably identical to a freshly constructed one
@@ -418,9 +439,9 @@ func (e *Engine) Reset(seeds []uint64) bool {
 func (e *Engine) Scheme() dramcache.Scheme { return e.scheme }
 
 // ctxCheckInterval is how many replayed accesses pass between context
-// checks in the tick loop. Coarse on purpose: one access is ~100ns of
-// host work, so cancellation latency stays under a millisecond while the
-// hot loop pays one cheap Err() call per interval.
+// checks in the tick loop. Coarse on purpose: one access is ~400-700 ns
+// of host work, so cancellation takes 3-6 ms while the hot loop pays one
+// cheap Err() call per interval.
 const ctxCheckInterval = 8192
 
 // Run replays accessesPerCore measured accesses on every core. A core that
@@ -490,6 +511,7 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		c.remaining = accessesPerCore
 		if c.remaining > 0 {
 			active++
+			c.ra.start(accessesPerCore + 1) // the guaranteed region
 			c.prime()
 			e.push(c)
 		} else {
@@ -502,6 +524,7 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		for batch := 0; ; batch++ {
 			if steps%ctxCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
+					e.stopReadAhead(true)
 					return nil, err
 				}
 			}
@@ -523,12 +546,23 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		}
 		e.push(c)
 	}
+	e.stopReadAhead(false)
 	observeRate(phaseHist, steps, telemetry.Since(start)) //bmlint:wallclock
 	out := make([]CoreResult, len(e.cores))               //bmlint:allow alloc — one phase-exit result copy, not per-access
 	for i, c := range e.cores {
 		out[i] = c.result
 	}
 	return out, nil
+}
+
+// stopReadAhead ends every core's read-ahead at phase exit; a cancelled
+// phase waits for the fills still in flight.
+//
+//bmlint:hotpath
+func (e *Engine) stopReadAhead(cancelled bool) {
+	for _, c := range e.cores {
+		c.ra.stop(cancelled)
+	}
 }
 
 // RunMeasured runs a warmup window of warmup accesses per core, resets the

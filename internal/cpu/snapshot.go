@@ -55,6 +55,7 @@ func (e *Engine) RestoreState(r *snapshot.Reader) {
 }
 
 func (c *core) snapshotState(w *snapshot.Writer) {
+	c.ra.mustBeIdle()
 	w.Tag("core")
 	g, ok := c.gen.(snapshot.Snapshotter)
 	if !ok {
@@ -86,6 +87,7 @@ func (c *core) snapshotState(w *snapshot.Writer) {
 }
 
 func (c *core) restoreState(r *snapshot.Reader) {
+	c.ra.mustBeIdle()
 	r.Tag("core")
 	g, ok := c.gen.(snapshot.Snapshotter)
 	if !ok {
