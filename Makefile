@@ -38,6 +38,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSpec -fuzztime=10s ./internal/spec
 	$(GO) test -run='^$$' -fuzz=FuzzWorkloadSpec -fuzztime=10s ./internal/spec
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzFastDiv -fuzztime=10s ./internal/dramcache
+	$(GO) test -run='^$$' -fuzz=FuzzZipfIndex -fuzztime=10s ./internal/xrand
+	$(GO) test -run='^$$' -fuzz=FuzzFill -fuzztime=10s ./internal/trace
 
 # snapshot-golden runs the warm-state checkpointing gates on their own:
 # restore-then-run byte identity for every registered scheme, the sealed

@@ -30,6 +30,13 @@ type Alloy struct {
 	offchip *memctrl.Controller
 
 	numBlocks uint64 //bmlint:resetconst //bmlint:nosnapshot
+	// blkDiv, chDiv and bankDiv divide by numBlocks, the stacked channels
+	// and the banks per channel. They are fixed at construction so an
+	// access neither copies the controller's Config nor divides at run
+	// time (DESIGN.md section 10).
+	blkDiv  fastDiv //bmlint:resetconst //bmlint:nosnapshot
+	chDiv   fastDiv //bmlint:resetconst //bmlint:nosnapshot
+	bankDiv fastDiv //bmlint:resetconst //bmlint:nosnapshot
 	// tags packs each TAD's state into 32 bits: bit0 valid, bit1 dirty,
 	// bits 2.. tag. With a 40-bit address space and any cache >= 64KB the
 	// tag fits comfortably; packing keeps a 512MB cache's tag array at
@@ -55,11 +62,15 @@ func NewAlloy(cfg Config) *Alloy {
 	}
 	stacked, offchip := cfg.controllers()
 	n := cfg.CacheBytes / 64
+	g := stacked.Config().Geometry
 	a := &Alloy{
 		cfg:       cfg,
 		stacked:   stacked,
 		offchip:   offchip,
 		numBlocks: n,
+		blkDiv:    newFastDiv(n),
+		chDiv:     newFastDiv(uint64(g.Channels)),
+		bankDiv:   newFastDiv(uint64(g.Banks())),
 		tags:      make([]uint32, n),
 	}
 	// Initialize the predictor toward "hit" (counters mid-high) so the
@@ -75,27 +86,21 @@ func (a *Alloy) Name() string { return "AlloyCache" }
 
 // tadLoc maps a direct-mapped TAD index to its stacked DRAM location.
 func (a *Alloy) tadLoc(idx uint64) addr.Location {
-	g := a.stacked.Config().Geometry
-	ch := int(idx % uint64(g.Channels))
-	i := idx / uint64(g.Channels)
-	bank := int(i % uint64(g.Banks()))
-	i /= uint64(g.Banks())
-	slot := i % tadsPerRow
+	i, ch := a.chDiv.divmod(idx)
+	i, bank := a.bankDiv.divmod(i)
 	return addr.Location{
-		Channel: ch,
+		Channel: int(ch),
 		Rank:    0,
-		Bank:    bank,
+		Bank:    int(bank),
 		Row:     i / tadsPerRow,
-		Column:  slot * tadBytes,
+		Column:  i % tadsPerRow * tadBytes,
 	}
 }
 
 // Access implements Scheme.
 func (a *Alloy) Access(req Request, now int64) Result {
 	line := req.Addr.Line64()
-	lineID := uint64(line) >> 6
-	idx := lineID % a.numBlocks
-	tag := lineID / a.numBlocks
+	tag, idx := a.blkDiv.divmod(uint64(line) >> 6)
 	entry := a.tags[idx]
 	hit := entry&tadValid != 0 && uint64(entry>>2) == tag
 	loc := a.tadLoc(idx)
@@ -107,7 +112,7 @@ func (a *Alloy) Access(req Request, now int64) Result {
 	if req.Write {
 		// Posted write of the TAD; write-allocate on miss.
 		if !hit {
-			a.fillAfterMiss(req, idx, tag, t0)
+			a.fillAfterMiss(idx, tag, loc, t0)
 		}
 		a.stacked.WriteAt(loc, t0, tadBytes)
 		a.tags[idx] |= tadDirty
@@ -126,11 +131,11 @@ func (a *Alloy) Access(req Request, now int64) Result {
 		case !predHit:
 			offDone, _ := a.offchip.Read(line, t0, 64)
 			done = max64(tadDone, offDone)
-			a.fillAfterMiss(req, idx, tag, now)
+			a.fillAfterMiss(idx, tag, loc, now)
 		default:
 			offDone, _ := a.offchip.Read(line, tadDone, 64)
 			done = offDone
-			a.fillAfterMiss(req, idx, tag, now)
+			a.fillAfterMiss(idx, tag, loc, now)
 		}
 	}
 	a.pred.update(req.Core, line, hit)
@@ -142,14 +147,15 @@ func (a *Alloy) Access(req Request, now int64) Result {
 // The TAD read that discovered the miss already streamed the victim's
 // data, so no extra stacked read is needed for the writeback. Posted
 // operations are issued at the demand arrival time (never future-dated).
-func (a *Alloy) fillAfterMiss(req Request, idx, tag uint64, at int64) {
+// loc is the TAD's location, which Access has already mapped.
+func (a *Alloy) fillAfterMiss(idx, tag uint64, loc addr.Location, at int64) {
 	entry := a.tags[idx]
 	if entry&tadValid != 0 && entry&tadDirty != 0 {
 		victim := addr.Phys((uint64(entry>>2)*a.numBlocks + idx) << 6)
 		a.offchip.Write(victim, at, 64)
 	}
 	a.tags[idx] = uint32(tag<<2) | tadValid
-	a.stacked.WriteAt(a.tadLoc(idx), at, tadBytes)
+	a.stacked.WriteAt(loc, at, tadBytes)
 }
 
 // Reset implements Resetter: the scheme returns to its just-constructed

@@ -102,6 +102,15 @@ func New(cfg Config) *Controller {
 		il:     addr.NewInterleave(cfg.Geometry),
 		writeQ: make([][]pendingWrite, cfg.Geometry.Channels),
 	}
+	// A queue drains as soon as it reaches WriteQueueDepth entries, so
+	// one backing array of that many per channel serves every queue
+	// without ever growing.
+	if d := cfg.WriteQueueDepth; d > 0 {
+		back := make([]pendingWrite, cfg.Geometry.Channels*d)
+		for i := range c.writeQ {
+			c.writeQ[i] = back[i*d : i*d : (i+1)*d]
+		}
+	}
 	for i := 0; i < cfg.Geometry.Channels; i++ {
 		c.channels = append(c.channels, dram.NewChannel(cfg.Timing, cfg.Geometry.Ranks, cfg.Geometry.BanksPerRnk))
 	}

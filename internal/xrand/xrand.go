@@ -183,6 +183,12 @@ func zipfCDF(n int, s float64) *zipfTable {
 	if t, ok := zipfCDFs.Load(key); ok {
 		return t.(*zipfTable)
 	}
+	t, _ := zipfCDFs.LoadOrStore(key, newZipfTable(n, s))
+	return t.(*zipfTable)
+}
+
+// newZipfTable builds the table for (n, s) without memoizing it.
+func newZipfTable(n int, s float64) *zipfTable {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -197,8 +203,7 @@ func zipfCDF(n int, s float64) *zipfTable {
 		u := float64(b) / zipfBuckets
 		idx[b] = int32(lowerBound(cdf, u, 0, n-1))
 	}
-	t, _ := zipfCDFs.LoadOrStore(key, &zipfTable{cdf: cdf, idx: idx})
-	return t.(*zipfTable)
+	return &zipfTable{cdf: cdf, idx: idx}
 }
 
 // NewZipf builds a Zipf sampler with exponent s over n items, drawing
@@ -233,12 +238,15 @@ func (z *Zipf) RestoreState(rd *snapshot.Reader) {
 func (z *Zipf) Seed(seed uint64) { z.r.Seed(seed) }
 
 // Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Bucket bracketing: u >= b/zipfBuckets bounds the answer below by
-	// idx[b], u < (b+1)/zipfBuckets bounds it above by idx[b+1] (the
-	// answer is monotone in u), so the subrange search returns exactly
-	// what the full binary search over [0, n-1] would.
+func (z *Zipf) Next() int { return zipfIndex(z.cdf, z.idx, z.r.Float64()) }
+
+// zipfIndex returns the least i with cdf[i] >= u (len(cdf)-1 if none) for
+// u in [0, 1). Bucket bracketing: u >= b/zipfBuckets bounds the answer
+// below by idx[b], u < (b+1)/zipfBuckets bounds it above by idx[b+1] (the
+// answer is monotone in u), so the subrange search returns exactly what
+// the full binary search over [0, n-1] would. FuzzZipfIndex checks it
+// against a plain search.
+func zipfIndex(cdf []float64, idx []int32, u float64) int {
 	b := int(u * zipfBuckets)
-	return lowerBound(z.cdf, u, int(z.idx[b]), int(z.idx[b+1]))
+	return lowerBound(cdf, u, int(idx[b]), int(idx[b+1]))
 }
