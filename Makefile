@@ -41,6 +41,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFastDiv -fuzztime=10s ./internal/dramcache
 	$(GO) test -run='^$$' -fuzz=FuzzZipfIndex -fuzztime=10s ./internal/xrand
 	$(GO) test -run='^$$' -fuzz=FuzzFill -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzRewind -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzIntn -fuzztime=10s ./internal/xrand
+	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/dram
 
 # snapshot-golden runs the warm-state checkpointing gates on their own:
 # restore-then-run byte identity for every registered scheme, the sealed

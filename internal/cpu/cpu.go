@@ -141,9 +141,9 @@ type core struct {
 	// (the heap priority, so requests reach memory in global time order).
 	next trace.Access //bmlint:nosnapshot
 	key  int64        //bmlint:nosnapshot
-	// ra generates the phase's guaranteed accesses ahead on a helper
-	// (readahead.go). It is idle at every phase boundary, so it is not
-	// state either.
+	// ra generates the core's accesses ahead on a helper (readahead.go).
+	// The snapshot seam rewinds the generator to the engine's position and
+	// drops it, so it is not state either.
 	ra readAhead //bmlint:nosnapshot
 }
 
@@ -285,7 +285,7 @@ func (c *core) finish() {
 //
 //bmlint:hotpath
 func (c *core) reset() {
-	c.ra.mustBeIdle()
+	c.ra.drop()
 	c.time = 0
 	c.outstanding = c.outstanding[:0]
 	c.outHead = 0
@@ -326,7 +326,8 @@ type Engine struct {
 
 // NewEngine builds an engine. gens supplies one generator per core; a
 // generator that implements trace.Filler is read ahead (readahead.go), so
-// it must not share state with another core's generator.
+// it must not share state with another core's generator. A caller that
+// runs no further phase should call ReleaseReadAhead.
 func NewEngine(scheme dramcache.Scheme, gens []trace.Generator, cfg CoreConfig, pf *Prefetcher) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -408,7 +409,8 @@ func (e *Engine) pop() *core {
 }
 
 // Reset returns the engine to its just-constructed state for a new run:
-// every core's replay state is zeroed in place, its generator reseeded
+// every core's read-ahead is dropped (after waiting for a fill in flight)
+// and its replay state zeroed in place, its generator reseeded
 // with the matching entry of seeds (one per core — workloads.CoreSeed
 // derivation is the caller's job), and the prefetcher filters cleared.
 // It reports false, leaving the engine untouched, when the seed count
@@ -508,6 +510,7 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 	e.sched = e.sched[:0]
 	active := 0
 	for _, c := range e.cores {
+		c.ra.mustBeCurrent()
 		c.remaining = accessesPerCore
 		if c.remaining > 0 {
 			active++
@@ -524,7 +527,9 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		for batch := 0; ; batch++ {
 			if steps%ctxCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
-					e.stopReadAhead(true)
+					for _, c := range e.cores {
+						c.ra.sync()
+					}
 					return nil, err
 				}
 			}
@@ -546,7 +551,9 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		}
 		e.push(c)
 	}
-	e.stopReadAhead(false)
+	for _, c := range e.cores {
+		c.ra.end()
+	}
 	observeRate(phaseHist, steps, telemetry.Since(start)) //bmlint:wallclock
 	out := make([]CoreResult, len(e.cores))               //bmlint:allow alloc — one phase-exit result copy, not per-access
 	for i, c := range e.cores {
@@ -555,13 +562,17 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 	return out, nil
 }
 
-// stopReadAhead ends every core's read-ahead at phase exit; a cancelled
-// phase waits for the fills still in flight.
+// ReleaseReadAhead hands every core's read-ahead buffers back to the
+// process-wide free list, after waiting for the fills in flight. Call it
+// once the engine will run no further phase before Reset or RestoreState,
+// so that a finished or idle pooled engine holds no buffers. It does not
+// rewind: a generator read ahead of its core stays ahead, and the engine
+// then panics on any phase or SnapshotState until Reset or RestoreState.
 //
 //bmlint:hotpath
-func (e *Engine) stopReadAhead(cancelled bool) {
+func (e *Engine) ReleaseReadAhead() {
 	for _, c := range e.cores {
-		c.ra.stop(cancelled)
+		c.ra.stale = c.ra.drop()
 	}
 }
 

@@ -10,7 +10,8 @@ import "bimodal/internal/snapshot"
 // RunMeasured call. next/key/remaining are therefore not state: the measure
 // phase overwrites them before use. What must survive is each core's clock,
 // in-flight miss window, cumulative counters and, critically, its trace
-// generator cursor.
+// generator cursor. Read-ahead may have carried the generator past the
+// engine; snapshotState rewinds it to the engine's position first.
 
 // SnapshotState implements snapshot.Snapshotter: every core, the optional
 // prefetcher, and the scheme (which must itself be a Snapshotter).
@@ -55,7 +56,8 @@ func (e *Engine) RestoreState(r *snapshot.Reader) {
 }
 
 func (c *core) snapshotState(w *snapshot.Writer) {
-	c.ra.mustBeIdle()
+	c.ra.mustBeCurrent()
+	c.ra.sync()
 	w.Tag("core")
 	g, ok := c.gen.(snapshot.Snapshotter)
 	if !ok {
@@ -87,7 +89,7 @@ func (c *core) snapshotState(w *snapshot.Writer) {
 }
 
 func (c *core) restoreState(r *snapshot.Reader) {
-	c.ra.mustBeIdle()
+	c.ra.drop()
 	r.Tag("core")
 	g, ok := c.gen.(snapshot.Snapshotter)
 	if !ok {

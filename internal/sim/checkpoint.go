@@ -170,7 +170,9 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 // Measure runs the measured window and assembles the run result. With no
 // prior warmup it replays the plain single-phase path; after Warmup or
 // Restore it reports the measured window relative to the warmup baseline,
-// exactly as Engine.RunMeasuredContext does.
+// exactly as Engine.RunMeasuredContext does. It ends the run: the engine
+// hands its trace read-ahead back, so an idle pooled Sim holds none, and
+// the Sim runs nothing more until Reset or Restore.
 func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
 	var per []cpu.CoreResult
 	var err error
@@ -179,6 +181,7 @@ func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
 	} else {
 		per, err = s.eng.RunContext(ctx, s.o.AccessesPerCore)
 	}
+	s.eng.ReleaseReadAhead()
 	if err != nil {
 		return RunResult{}, err
 	}

@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"bimodal/internal/cpu"
 	"bimodal/internal/snapshot"
 	"bimodal/internal/spec"
+	"bimodal/internal/telemetry"
 	"bimodal/internal/trace"
 	"bimodal/internal/workloads"
 )
@@ -76,9 +78,13 @@ func warmSnapMeasure(t *testing.T, s *Sim) (blob, res []byte) {
 // every registered scheme on Q1, Q7, a DC mix and the dc8 tenant spec, an
 // engine reading ahead seals the same warmup blob and reports the same
 // result as one whose generators hide Fill. The read-ahead engine first
-// has its warmup cancelled while a fill is in flight and is then Reset;
-// the two engines run at once, so -race sees helpers serving both. The
-// blob restored into a fresh engine measures the same again.
+// has its warmup cancelled while a fill is in flight and is then Reset; it
+// runs warmup and measure straight through, carrying read-ahead across the
+// seam, and then, after another Reset, seals the blob between them, which
+// rewinds its generators. The two engines run at once, so -race sees
+// helpers serving both. The blob restored into a fresh engine measures the
+// same again. With helpers (GOMAXPROCS > 1) the test fails unless some
+// engine carried read-ahead across the seam and some snapshot rewound.
 func TestReadAheadMatchesInline(t *testing.T) {
 	dc8, err := workloads.FromSpec(spec.WorkloadSpec{
 		Cores:       8,
@@ -95,11 +101,14 @@ func TestReadAheadMatchesInline(t *testing.T) {
 	if testing.Short() {
 		o.AccessesPerCore = 2048 + 512
 	}
+	carried := telemetry.Default.Counter("bimodal_readahead_carried_total")
+	rewound := telemetry.Default.Counter("bimodal_readahead_rewinds_total")
+	carried0, rewound0 := carried.Value(), rewound.Value()
 	for _, name := range spec.Names() {
 		factory := paperFactory(t, name)
 		for _, mix := range mixes {
 			t.Run(name+"/"+mix.Name, func(t *testing.T) {
-				var raBlob, raRes []byte
+				var raStraight, raBlob, raRes []byte
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
@@ -112,12 +121,29 @@ func TestReadAheadMatchesInline(t *testing.T) {
 						t.Error("Reset after a cancelled phase declined")
 						return
 					}
+					if err := s.Warmup(context.Background()); err != nil {
+						t.Errorf("warmup: %v", err)
+						return
+					}
+					r, err := s.Measure(context.Background())
+					if err != nil {
+						t.Errorf("measure: %v", err)
+						return
+					}
+					raStraight = encodeResult(t, r)
+					if !s.Reset(mix, factory, o) {
+						t.Error("Reset after a measured run declined")
+						return
+					}
 					raBlob, raRes = warmSnapMeasure(t, s)
 				}()
 				inBlob, inRes := warmSnapMeasure(t, newInlineSim(mix, factory, o))
 				<-done
 				if t.Failed() {
 					return
+				}
+				if !bytes.Equal(raStraight, inRes) {
+					t.Errorf("straight-through result differs between read-ahead and inline generation:\n%s\n%s", raStraight, inRes)
 				}
 				if !bytes.Equal(raBlob, inBlob) {
 					t.Errorf("warmup blob differs between read-ahead and inline generation")
@@ -138,5 +164,10 @@ func TestReadAheadMatchesInline(t *testing.T) {
 				}
 			})
 		}
+	}
+	c, r := carried.Value()-carried0, rewound.Value()-rewound0
+	t.Logf("read-ahead carried across %d core seams, rewound %d times", c, r)
+	if runtime.GOMAXPROCS(0) > 1 && (c == 0 || r == 0) {
+		t.Errorf("with helpers, read-ahead carried across %d core seams and rewound %d times; want both > 0", c, r)
 	}
 }

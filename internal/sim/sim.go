@@ -151,9 +151,6 @@ func RunStandaloneContext(ctx context.Context, mix workloads.Mix, factory Factor
 	})
 }
 
-// soloGenerator re-labels a generator for standalone runs (core 0).
-type soloGenerator struct{ trace.Generator }
-
 // ANTT runs the mix multiprogrammed and standalone under both, returning
 // the ANTT value and the multiprogrammed result.
 func ANTT(mix workloads.Mix, factory Factory, o Options) (float64, RunResult) {
@@ -217,8 +214,9 @@ func standaloneOne(ctx context.Context, mix workloads.Mix, factory Factory, o Op
 	if o.PrefetchN > 0 {
 		pf = cpu.NewPrefetcher(o.PrefetchN, 1)
 	}
-	eng := cpu.NewEngine(scheme, []trace.Generator{soloGenerator{Generator: g}}, o.CoreCfg, pf)
+	eng := cpu.NewEngine(scheme, []trace.Generator{g}, o.CoreCfg, pf)
 	res, err := eng.RunMeasuredContext(ctx, o.WarmupPerCore, o.AccessesPerCore)
+	eng.ReleaseReadAhead()
 	if err != nil {
 		return cpu.CoreResult{}, err
 	}

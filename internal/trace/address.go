@@ -33,9 +33,20 @@ type addressProcess struct {
 	// revisitFrac is the probability an episode revisits a recent page.
 	revisitFrac float64 //bmlint:resetconst //bmlint:nosnapshot
 	zipf        *xrand.Zipf
+	// zrng is the rng zipf draws from, so marks can save and restore its
+	// words; they round-trip snapshots through zipf.
+	zrng *xrand.Rand //bmlint:resetconst //bmlint:nosnapshot
 	// recent is the revisit history ring of episode page bases.
 	recent []addr.Phys
 	rpos   int
+	// undo logs the ring entries the current episode overwrote, oldest
+	// first, and origLen and origPos are the ring's length and cursor
+	// before it: marks recover the ring from them (mark.go). undo holds at
+	// most a window of entries and shares recent's allocation. begin
+	// re-derives all three after a restore, so they are not state.
+	undo    []addr.Phys //bmlint:nosnapshot
+	origLen int         //bmlint:nosnapshot
+	origPos int         //bmlint:nosnapshot
 }
 
 // init configures the process for prof placed at base, with zipfRng
@@ -52,7 +63,10 @@ func (a *addressProcess) init(prof Profile, base addr.Phys, zipfRng *xrand.Rand)
 	a.permMul = 0x9E3779B97F4A7C15 | 1
 	a.revisitFrac = prof.RevisitFrac
 	a.zipf = xrand.NewZipf(zipfRng, int(prof.FootprintPages), prof.ZipfS)
-	a.recent = make([]addr.Phys, 0, window)
+	a.zrng = zipfRng
+	ring := make([]addr.Phys, 2*window)
+	a.recent = ring[:0:window]
+	a.undo = ring[window:window]
 }
 
 // reset returns the process to its just-initialized state, re-seeding the
@@ -64,6 +78,7 @@ func (a *addressProcess) reset(zipfSeed uint64) {
 	a.zipf.Seed(zipfSeed)
 	a.recent = a.recent[:0]
 	a.rpos = 0
+	a.begin()
 }
 
 // pageAddr maps a popularity rank to the base address of its page.
@@ -101,6 +116,9 @@ func (a *addressProcess) episodePage(rng *xrand.Rand) addr.Phys {
 		if len(a.recent) < cap(a.recent) {
 			a.recent = append(a.recent, page)
 		} else {
+			if len(a.undo) < cap(a.undo) {
+				a.undo = append(a.undo, a.recent[a.rpos])
+			}
 			a.recent[a.rpos] = page
 			a.rpos = (a.rpos + 1) % cap(a.recent)
 		}
@@ -125,8 +143,11 @@ func (g *Synthetic) episodeLen(mean int) int {
 	return v
 }
 
-// refill synthesizes the next episode into pending.
+// refill synthesizes the next episode into pending, recording the state it
+// starts from.
 func (g *Synthetic) refill() {
+	g.begin()
+	g.loaded = false
 	p := &g.prof
 	page := g.ap.episodePage(g.rng)
 	u := g.rng.Float64()

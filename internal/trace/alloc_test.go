@@ -20,7 +20,8 @@ func TestSyntheticNextZeroAlloc(t *testing.T) {
 }
 
 // TestFillZeroAlloc asserts Fill is as allocation-free as Next once the
-// episode buffers have grown, for a plain stream and a tenant weave.
+// episode buffers have grown, for a plain stream and a tenant weave, and
+// so are Mark and Rewind once the Mark has seen the generator.
 func TestFillZeroAlloc(t *testing.T) {
 	buf := make([]Access, 2048)
 	gens := map[string]Filler{
@@ -37,6 +38,16 @@ func TestFillZeroAlloc(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(200, func() { g.Fill(buf) }); got != 0 {
 			t.Errorf("%s: Fill allocates %.2f allocs/op, want 0", name, got)
+		}
+		var m Mark
+		g.Mark(&m)
+		if got := testing.AllocsPerRun(200, func() {
+			g.Mark(&m)
+			g.Fill(buf)
+			g.Rewind(&m)
+			g.Fill(buf)
+		}); got != 0 {
+			t.Errorf("%s: Mark and Rewind allocate %.2f allocs/op, want 0", name, got)
 		}
 	}
 }

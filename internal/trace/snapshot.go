@@ -57,6 +57,9 @@ func (g *Synthetic) RestoreState(r *snapshot.Reader) {
 	for i := 0; i < n; i++ {
 		g.pending = append(g.pending, restoreAccess(r))
 	}
+	g.loaded = true
+	g.tail = nil
+	g.begin()
 }
 
 // snapshotState serializes the address process (Zipf cursor and the

@@ -25,6 +25,15 @@ type Synthetic struct {
 	// allocation-free once the longest episode has been seen.
 	pending []Access
 	head    int
+	// origin is the state pending was synthesized from, and loaded marks a
+	// pending refill did not produce: the empty one of a fresh or reset
+	// generator, or a tail RestoreState loaded (origin is then the state
+	// at that point). tail is a copy of a loaded tail, taken by the first
+	// Mark inside it. Marks and rewinds need them (mark.go); RestoreState
+	// re-derives them, so they are not state.
+	origin origin   //bmlint:nosnapshot
+	loaded bool     //bmlint:nosnapshot
+	tail   []Access //bmlint:nosnapshot
 }
 
 // NewSynthetic builds a generator for prof, placing its footprint at base
@@ -40,6 +49,8 @@ func NewSynthetic(prof Profile, base addr.Phys, seed uint64) *Synthetic {
 	// exactly one Uint64 from the freshly seeded rng.
 	g.ap.init(prof, base, rng.Fork())
 	g.arr.init(prof)
+	g.loaded = true
+	g.begin()
 	return g
 }
 
@@ -51,7 +62,7 @@ func (g *Synthetic) Name() string { return g.prof.Name }
 // revisit buffers. The rng re-seeding mirrors the constructor draw for
 // draw: New(seed) followed by a single Uint64 to seed the Zipf sampler's
 // fork, so a reset generator replays the identical stream a fresh one
-// would.
+// would. A tail copy a Mark took is dropped, not kept for reuse.
 //
 //bmlint:hotpath
 func (g *Synthetic) Reset(seed uint64) {
@@ -60,6 +71,9 @@ func (g *Synthetic) Reset(seed uint64) {
 	g.arr.reset()
 	g.pending = g.pending[:0]
 	g.head = 0
+	g.loaded = true
+	g.tail = nil
+	g.begin()
 }
 
 // Profile returns the generating profile.

@@ -86,15 +86,21 @@ type Generator interface {
 }
 
 // Filler is implemented by generators that can hand out a run of accesses
-// in one call. Fill(buf) is exactly len(buf) Next calls: buf[i] receives
-// the access the i-th call would return, and the generator ends where those
-// calls would leave it. Fill may run on a goroutine other than the one that
-// calls Next, but never at the same time as another call on the same
-// generator; the caller orders them (the cpu engine with a sync.WaitGroup).
-// A generator whose state is shared with another generator must not
-// implement Filler.
+// in one call and return to an earlier position. Fill(buf) is exactly
+// len(buf) Next calls: buf[i] receives the access the i-th call would
+// return, and the generator ends where those calls would leave it.
+// Mark(m) records the generator's position in m, and Rewind(m) returns the
+// generator to it: the accesses drawn afterwards, and SnapshotState, are
+// exactly those after the Mark call, as long as no Reset or RestoreState
+// came between (mark.go). Any of the three may run on a goroutine other
+// than the one that calls Next, but never at the same time as another call
+// on the same generator; the caller orders them (the cpu engine with a
+// sync.WaitGroup). A generator whose state is shared with another
+// generator must not implement Filler.
 type Filler interface {
 	Fill(buf []Access)
+	Mark(m *Mark)
+	Rewind(m *Mark)
 }
 
 // SliceGen replays a fixed slice, cycling; useful in tests.
