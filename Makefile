@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRewind -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzIntn -fuzztime=10s ./internal/xrand
 	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/dram
+	$(GO) test -run='^$$' -fuzz=FuzzWriteQueue -fuzztime=10s ./internal/memctrl
 
 # snapshot-golden runs the warm-state checkpointing gates on their own:
 # restore-then-run byte identity for every registered scheme, the sealed

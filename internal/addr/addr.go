@@ -4,8 +4,9 @@
 // The simulated machine uses a 40-bit physical address space (Table IV of
 // the paper sizes main memory at 4–16 GB). Addresses are carried as uint64.
 // Helpers extract cache fields (offset / set index / tag) for an arbitrary
-// block size, and map addresses onto DRAM geometry (channel, rank, bank,
-// row, column) using the paper's row-rank-bank-mc-column interleaving.
+// block size, and map addresses onto DRAM geometry (channel, rank-major
+// bank, row, column) using the paper's row-rank-bank-mc-column
+// interleaving.
 package addr
 
 import "fmt"
@@ -117,15 +118,24 @@ func (g Geometry) Banks() int { return g.Ranks * g.BanksPerRnk }
 // TotalBanks returns the number of banks across all channels.
 func (g Geometry) TotalBanks() int { return g.Channels * g.Banks() }
 
-// Location identifies a DRAM cell group: a row within a bank within a rank
-// within a channel, plus the column (byte offset within the row).
+// Location identifies a DRAM cell group: a row within a bank within a
+// channel, plus the column (byte offset within the row). Bank is
+// rank-major across the channel's ranks, rank*BanksPerRnk plus the bank
+// within the rank, so it indexes a flat per-channel bank array directly.
+//
+// A Location is passed by value on every DRAM access. It keeps to four
+// fields and 32 bytes, the most the Go compiler's SSA backend keeps in
+// registers; a larger struct is spilled to the stack and block-copied at
+// each call (TestLocationShape).
 type Location struct {
 	Channel int
-	Rank    int
 	Bank    int
 	Row     uint64
 	Column  uint64
 }
+
+// Rank returns the rank of a rank-major bank index.
+func (g Geometry) Rank(bank int) int { return bank / g.BanksPerRnk }
 
 // Interleave maps physical addresses to DRAM locations using the paper's
 // row-rank-bank-mc-column order (Table IV): the column bits are least
@@ -167,13 +177,12 @@ func (il Interleave) Map(p Phys) Location {
 	v >>= il.colBits
 	ch := v & (uint64(il.g.Channels) - 1)
 	v >>= il.chanBits
-	bank := v & (uint64(il.g.BanksPerRnk) - 1)
-	v >>= il.bankBits
-	rank := v & (uint64(il.g.Ranks) - 1)
-	v >>= il.rankBits
+	// The rank bits sit directly above the bank bits, so together they
+	// are the rank-major bank index.
+	bank := v & (uint64(il.g.Banks()) - 1)
+	v >>= il.bankBits + il.rankBits
 	return Location{
 		Channel: int(ch),
-		Rank:    int(rank),
 		Bank:    int(bank),
 		Row:     v,
 		Column:  col,
@@ -184,8 +193,7 @@ func (il Interleave) Map(p Phys) Location {
 // location. Useful in tests and for synthesizing conflict streams.
 func (il Interleave) Unmap(l Location) Phys {
 	v := l.Row
-	v = v<<il.rankBits | uint64(l.Rank)
-	v = v<<il.bankBits | uint64(l.Bank)
+	v = v<<(il.rankBits+il.bankBits) | uint64(l.Bank)
 	v = v<<il.chanBits | uint64(l.Channel)
 	v = v<<il.colBits | l.Column
 	return Phys(v)

@@ -1,8 +1,10 @@
 package addr
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFieldsRoundTrip(t *testing.T) {
@@ -99,14 +101,45 @@ func TestInterleaveSpreadsPagesAcrossChannels(t *testing.T) {
 func TestInterleaveBankCycle(t *testing.T) {
 	g := Geometry{Channels: 2, Ranks: 2, BanksPerRnk: 8, PageBytes: 2048}
 	il := NewInterleave(g)
-	seen := map[[3]int]bool{}
+	seen := map[[2]int]bool{}
 	// Walking pages should visit every (channel,rank,bank) combination before
 	// reusing one row distance away.
 	for i := uint64(0); i < uint64(g.TotalBanks()); i++ {
-		l := il.Map(Phys(i * g.PageBytes))
-		seen[[3]int{l.Channel, l.Rank, l.Bank}] = true
+		p := Phys(i * g.PageBytes)
+		l := il.Map(p)
+		seen[[2]int{l.Channel, l.Bank}] = true
+		// Row-rank-bank-mc-column: above the channel bit come three bank
+		// bits, then the rank bit. Bank is rank-major over both.
+		rank, bank := int(i>>4&1), int(i>>1&7)
+		if l.Bank != rank*g.BanksPerRnk+bank || g.Rank(l.Bank) != rank {
+			t.Errorf("page %d: bank %d, want rank %d bank %d rank-major", i, l.Bank, rank, bank)
+		}
+		if got := il.Unmap(l); got != p {
+			t.Errorf("page %d: Unmap(%+v) = %#x, want %#x", i, l, got, p)
+		}
 	}
 	if len(seen) != g.TotalBanks() {
 		t.Errorf("visited %d distinct banks, want %d", len(seen), g.TotalBanks())
+	}
+	f := func(raw uint64) bool {
+		p := Phys(raw) & Mask
+		return il.Unmap(il.Map(p)) == p
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLocationShape pins Location at four fields and 32 bytes. The Go
+// compiler's SSA backend keeps a struct in registers only up to four
+// fields and 32 bytes (ssa.CanSSA's limits); a fifth field would silently
+// spill every Location to the stack and block-copy it at each call of
+// the DRAM access path.
+func TestLocationShape(t *testing.T) {
+	if got := unsafe.Sizeof(Location{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(Location{}) = %d, want <= 32", got)
+	}
+	if got := reflect.TypeOf(Location{}).NumField(); got > 4 {
+		t.Errorf("Location has %d fields, want <= 4", got)
 	}
 }

@@ -104,12 +104,13 @@ type rankState struct {
 type Channel struct {
 	// timing is construction-time configuration.
 	timing Timing //bmlint:resetconst //bmlint:nosnapshot
-	banks  []bank // ranks*banksPerRank, flattened
+	banks  []bank // ranks*banksPerRank, flattened rank-major
 	ranks  []rankState
-	// perRnk is fixed geometry (banks per rank).
-	perRnk int   //bmlint:resetconst //bmlint:nosnapshot
-	busAt  int64 // data bus free time (CPU cycles)
-	stats  Stats
+	// rankShift is fixed geometry: log2(banks per rank), so a rank-major
+	// bank index shifted right by it is the bank's rank.
+	rankShift uint  //bmlint:resetconst //bmlint:nosnapshot
+	busAt     int64 // data bus free time (CPU cycles)
+	stats     Stats
 	// Refresh period/duration in CPU cycles (0 disables) — derived from
 	// timing at construction.
 	refPeriod int64 //bmlint:resetconst //bmlint:nosnapshot
@@ -131,29 +132,29 @@ type Channel struct {
 }
 
 // NewChannel builds a channel with the given timing and geometry (ranks x
-// banks per rank).
+// banks per rank; banks per rank must be a power of two).
 func NewChannel(t Timing, ranks, banksPerRank int) *Channel {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
-	if ranks <= 0 || banksPerRank <= 0 {
+	if ranks <= 0 || !addr.IsPow2(uint64(banksPerRank)) {
 		panic(fmt.Sprintf("dram: invalid geometry ranks=%d banks=%d", ranks, banksPerRank))
 	}
 	c := &Channel{
-		timing:   t,
-		banks:    make([]bank, ranks*banksPerRank),
-		ranks:    make([]rankState, ranks),
-		perRnk:   banksPerRank,
-		clCPU:    t.cpu(t.CL),
-		cwlCPU:   t.cpu(t.CWL),
-		rcdCPU:   t.cpu(t.RCD),
-		rpCPU:    t.cpu(t.RP),
-		rasCPU:   t.cpu(t.RAS),
-		wrCPU:    t.cpu(t.WR),
-		rrdCPU:   t.cpu(t.RRD),
-		fawCPU:   t.cpu(t.FAW),
-		ratio:    t.ClockRatio,
-		perClock: t.BytesPerClock,
+		timing:    t,
+		banks:     make([]bank, ranks*banksPerRank),
+		ranks:     make([]rankState, ranks),
+		rankShift: addr.Log2(uint64(banksPerRank)),
+		clCPU:     t.cpu(t.CL),
+		cwlCPU:    t.cpu(t.CWL),
+		rcdCPU:    t.cpu(t.RCD),
+		rpCPU:     t.cpu(t.RP),
+		rasCPU:    t.cpu(t.RAS),
+		wrCPU:     t.cpu(t.WR),
+		rrdCPU:    t.cpu(t.RRD),
+		fawCPU:    t.cpu(t.FAW),
+		ratio:     t.ClockRatio,
+		perClock:  t.BytesPerClock,
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -205,13 +206,6 @@ func (c *Channel) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics (timing state is preserved).
 func (c *Channel) ResetStats() { c.stats = Stats{} }
 
-// bankOf returns the bank for a location. Rank/bank must be within the
-// channel's geometry.
-func (c *Channel) bankOf(l addr.Location) *bank {
-	idx := l.Rank*c.perRnk + l.Bank
-	return &c.banks[idx]
-}
-
 // refreshAdjust moves t out of any refresh blackout window and closes the
 // bank's row if a refresh happened since its last use.
 func (c *Channel) refreshAdjust(b *bank, t int64) int64 {
@@ -239,10 +233,11 @@ func (c *Channel) refreshAdjust(b *bank, t int64) int64 {
 // given number of bytes (ignored for OpOpen). It returns the CPU cycle at
 // which the operation's data transfer completes (for OpOpen: when the row
 // is open and a column command may issue) and the row-buffer outcome.
+// The location's rank-major bank must be within the channel's geometry.
 //
 //bmlint:hotpath
 func (c *Channel) Access(op Op, l addr.Location, now int64, bytes int64) (done int64, rr RowResult) {
-	b := c.bankOf(l)
+	b := &c.banks[l.Bank]
 	t := c.refreshAdjust(b, now)
 
 	var casReady int64
@@ -252,13 +247,13 @@ func (c *Channel) Access(op Op, l addr.Location, now int64, bytes int64) (done i
 		casReady = max64(t, b.nextCAS)
 	case b.openRow == -1:
 		rr = RowEmpty
-		actAt := c.activate(l.Rank, b, max64(t, b.nextACT))
+		actAt := c.activate(l.Bank>>c.rankShift, b, max64(t, b.nextACT))
 		casReady = actAt + c.rcdCPU
 	default:
 		rr = RowConflict
 		preAt := max64(max64(t, b.actAt+c.rasCPU), b.wrRecover)
 		c.stats.Precharge++
-		actAt := c.activate(l.Rank, b, max64(preAt+c.rpCPU, b.nextACT))
+		actAt := c.activate(l.Bank>>c.rankShift, b, max64(preAt+c.rpCPU, b.nextACT))
 		casReady = actAt + c.rcdCPU
 	}
 	b.openRow = int64(l.Row)
@@ -307,26 +302,6 @@ func (c *Channel) Access(op Op, l addr.Location, now int64, bytes int64) (done i
 		c.stats.RowMisses++
 	}
 	return busEnd, rr
-}
-
-// PeekRowHit reports the row-buffer outcome an access to l at time now
-// would see, without modifying any state. Refresh-epoch row closure is
-// taken into account but not committed. Kept lean enough to inline: it
-// runs on every deferred write enqueue.
-func (c *Channel) PeekRowHit(l addr.Location, now int64) RowResult {
-	b := c.bankOf(l)
-	open := b.openRow
-	if c.refPeriod > 0 && now/c.refPeriod != b.lastEpoch {
-		open = -1
-	}
-	switch open {
-	case int64(l.Row):
-		return RowHit
-	case -1:
-		return RowEmpty
-	default:
-		return RowConflict
-	}
 }
 
 // activate issues an ACT to bank b of the given rank at the earliest time

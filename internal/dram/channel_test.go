@@ -16,7 +16,7 @@ func noRefresh() Timing {
 }
 
 func loc(bank int, row, col uint64) addr.Location {
-	return addr.Location{Channel: 0, Rank: 0, Bank: bank, Row: row, Column: col}
+	return addr.Location{Channel: 0, Bank: bank, Row: row, Column: col}
 }
 
 func TestValidate(t *testing.T) {
@@ -277,26 +277,6 @@ func TestStatsAdd(t *testing.T) {
 	a.Add(b)
 	if a.Reads != 3 || a.RowHits != 2 || a.RowMisses != 1 || a.BytesRead != 64 || a.BytesWrit != 128 {
 		t.Errorf("Add result: %+v", a)
-	}
-}
-
-func TestPeekRowHit(t *testing.T) {
-	tm := noRefresh()
-	ch := NewChannel(tm, 1, 8)
-	if ch.PeekRowHit(loc(0, 4, 0), 0) != RowEmpty {
-		t.Error("fresh bank should peek empty")
-	}
-	ch.Access(OpRead, loc(0, 4, 0), 0, 64)
-	if ch.PeekRowHit(loc(0, 4, 64), 100) != RowHit {
-		t.Error("same row should peek hit")
-	}
-	if ch.PeekRowHit(loc(0, 9, 0), 100) != RowConflict {
-		t.Error("other row should peek conflict")
-	}
-	before := ch.Stats()
-	ch.PeekRowHit(loc(0, 9, 0), 100)
-	if ch.Stats() != before {
-		t.Error("PeekRowHit must not modify stats")
 	}
 }
 

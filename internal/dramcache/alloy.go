@@ -90,7 +90,6 @@ func (a *Alloy) tadLoc(idx uint64) addr.Location {
 	i, bank := a.bankDiv.divmod(i)
 	return addr.Location{
 		Channel: int(ch),
-		Rank:    0,
 		Bank:    int(bank),
 		Row:     i / tadsPerRow,
 		Column:  i % tadsPerRow * tadBytes,

@@ -84,7 +84,6 @@ func (a *ATCache) setLoc(set int, column uint64) addr.Location {
 	// same bank while their tags pack into the first row of the group.
 	return addr.Location{
 		Channel: ch,
-		Rank:    0,
 		Bank:    bank,
 		Row:     uint64(i/g.Banks())*atPG + uint64(within),
 		Column:  column,

@@ -278,7 +278,7 @@ func (b *BiModal) locatorHitPath(req Request, out core.Outcome, now int64) int64
 	t := now + b.wlLatency
 	loc := b.layout.dataLoc(out.SetIndex, b.dataColumn(req.Addr, out.Big, out.Way))
 	if req.Write {
-		done, _ := b.stacked.WriteAt(loc, t, core.SmallBlock)
+		done := b.stacked.WriteAt(loc, t, core.SmallBlock)
 		b.writeMeta(out.SetIndex, t)
 		return done
 	}
@@ -297,7 +297,7 @@ func (b *BiModal) tagPathHit(req Request, out core.Outcome, now int64) int64 {
 	rowReady, _ := b.stacked.OpenAt(loc, t)
 	start := max64(tagsDone+tagCompareCycles, rowReady)
 	if req.Write {
-		done, _ := b.stacked.WriteAt(loc, start, core.SmallBlock)
+		done := b.stacked.WriteAt(loc, start, core.SmallBlock)
 		b.writeMeta(out.SetIndex, start)
 		return done
 	}

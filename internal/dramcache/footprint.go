@@ -101,7 +101,6 @@ func (f *Footprint) pageLoc(set, way int, column uint64) addr.Location {
 	i := slot / g.Channels
 	return addr.Location{
 		Channel: ch,
-		Rank:    0,
 		Bank:    i % g.Banks(),
 		Row:     uint64(i / g.Banks()),
 		Column:  column,
@@ -150,8 +149,7 @@ func (f *Footprint) Access(req Request, now int64) Result {
 		st.used |= 1 << offset
 		if req.Write {
 			st.dirty |= 1 << offset
-			wdone, _ := f.stacked.WriteAt(f.pageLoc(set, way, uint64(offset)*64), t0, 64)
-			done = wdone
+			done = f.stacked.WriteAt(f.pageLoc(set, way, uint64(offset)*64), t0, 64)
 		} else {
 			done, _ = f.stacked.ReadAt(f.pageLoc(set, way, uint64(offset)*64), t0, 64)
 		}

@@ -108,7 +108,6 @@ func (l *setLayout) dataLoc(set uint64, column uint64) addr.Location {
 	rowOff, col := l.pgDiv.divmod(column)
 	return addr.Location{
 		Channel: int(ch),
-		Rank:    0,
 		Bank:    bank,
 		Row:     rowGroup*l.rowsPerSet + rowOff,
 		Column:  col,
@@ -130,7 +129,6 @@ func (l *setLayout) metaLoc(set uint64) addr.Location {
 	row, rec := l.prDiv.divmod(idx)
 	return addr.Location{
 		Channel: mch,
-		Rank:    0,
 		Bank:    0,
 		Row:     row,
 		Column:  rec * uint64(l.metaBytes),

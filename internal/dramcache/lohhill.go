@@ -87,7 +87,6 @@ func (l *LohHill) setLoc(set int, column uint64) addr.Location {
 	bank := i % g.Banks()
 	return addr.Location{
 		Channel: ch,
-		Rank:    0,
 		Bank:    bank,
 		Row:     uint64(i / g.Banks()),
 		Column:  column,

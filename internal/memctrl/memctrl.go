@@ -70,11 +70,23 @@ func OffChipConfig(channels int) Config {
 	}
 }
 
-// pendingWrite is a deferred write awaiting drain.
+// pendingWrite is a deferred write awaiting drain. Its channel is the
+// queue's; key packs the rank-major bank above the row (see WriteAt), so
+// one unsigned compare orders writes by (rank, bank, row).
 type pendingWrite struct {
-	loc   addr.Location
+	key   uint64
+	col   uint64
 	bytes int64
 	at    int64
+}
+
+// writeQueue is one channel's deferred writes: a ring of slots on the
+// controller's shared backing array, oldest entry at head. Enqueue,
+// half-drain and age-out move head and n, never entries.
+type writeQueue struct {
+	buf  []pendingWrite
+	head int // slot of the oldest entry
+	n    int // queued entries
 }
 
 // Controller schedules accesses over a set of channels.
@@ -85,8 +97,16 @@ type Controller struct {
 	channels []*dram.Channel
 	// writeQ holds deferred writes per channel; lastNow tracks the most
 	// recent arrival for final drains.
-	writeQ  [][]pendingWrite
+	writeQ  []writeQueue
 	lastNow int64
+	// A drain key holds the rank-major bank in its top bankBits bits and
+	// the row in the rowBits below them; rowMask keeps the row.
+	bankBits uint   //bmlint:resetconst //bmlint:nosnapshot
+	rowBits  uint   //bmlint:resetconst //bmlint:nosnapshot
+	rowMask  uint64 //bmlint:resetconst //bmlint:nosnapshot
+	// perm is drain scratch: the ring slots of a batch in issue order.
+	// Its contents never outlive one drain.
+	perm []int //bmlint:resetconst //bmlint:nosnapshot
 }
 
 // New builds a controller from cfg.
@@ -94,103 +114,107 @@ func New(cfg Config) *Controller {
 	if err := cfg.Timing.Validate(); err != nil {
 		panic(err)
 	}
+	if cfg.WriteQueueDepth < 0 {
+		panic(fmt.Sprintf("memctrl: negative WriteQueueDepth %d", cfg.WriteQueueDepth))
+	}
 	if cfg.WriteQueueDepth > 0 && cfg.WriteMaxAge == 0 {
 		cfg.WriteMaxAge = 4096
 	}
 	c := &Controller{
-		cfg:    cfg,
-		il:     addr.NewInterleave(cfg.Geometry),
-		writeQ: make([][]pendingWrite, cfg.Geometry.Channels),
+		cfg:      cfg,
+		il:       addr.NewInterleave(cfg.Geometry),
+		channels: make([]*dram.Channel, cfg.Geometry.Channels),
+		writeQ:   make([]writeQueue, cfg.Geometry.Channels),
+		bankBits: addr.Log2(uint64(cfg.Geometry.Banks())),
 	}
-	// A queue drains as soon as it reaches WriteQueueDepth entries, so
-	// one backing array of that many per channel serves every queue
-	// without ever growing.
+	c.rowBits = 64 - c.bankBits
+	c.rowMask = ^uint64(0) >> c.bankBits
+	// A queue drains as soon as it reaches WriteQueueDepth entries, so it
+	// never holds more than that between calls and one more while a write
+	// is enqueued: one backing array of depth+1 slots per channel serves
+	// every queue without ever growing.
 	if d := cfg.WriteQueueDepth; d > 0 {
-		back := make([]pendingWrite, cfg.Geometry.Channels*d)
+		back := make([]pendingWrite, cfg.Geometry.Channels*(d+1))
 		for i := range c.writeQ {
-			c.writeQ[i] = back[i*d : i*d : (i+1)*d]
+			c.writeQ[i].buf = back[i*(d+1) : (i+1)*(d+1)]
 		}
+		c.perm = make([]int, d+1)
 	}
-	for i := 0; i < cfg.Geometry.Channels; i++ {
-		c.channels = append(c.channels, dram.NewChannel(cfg.Timing, cfg.Geometry.Ranks, cfg.Geometry.BanksPerRnk))
+	for i := range c.channels {
+		c.channels[i] = dram.NewChannel(cfg.Timing, cfg.Geometry.Ranks, cfg.Geometry.BanksPerRnk)
 	}
 	return c
 }
 
-// observe advances the controller's notion of time and ages out deferred
-// writes on the channel. The common case — nothing aged — must stay
-// loop-free so observe inlines into every Read/Write/Open call; the scan
-// below only examines the queue's prefix, so checking the front entry
-// alone decides whether any drain would happen.
-func (c *Controller) observe(ch int, now int64) {
-	if now > c.lastNow {
-		c.lastNow = now
-	}
-	if c.cfg.WriteQueueDepth == 0 {
-		return
-	}
-	q := c.writeQ[ch]
-	if len(q) == 0 || q[0].at > now-c.cfg.WriteMaxAge {
-		return
-	}
-	c.ageOut(ch, now)
+// observe advances the controller's notion of time and reports whether
+// the channel's oldest deferred write has aged out, in which case the
+// caller drains the aged prefix with ageOut. ageOut only drains a prefix
+// of the queue, so checking the front entry alone decides whether any
+// drain would happen; that keeps observe loop-free and call-free, small
+// enough to inline into every Read/Write/Open.
+func (c *Controller) observe(ch int, now int64) (aged bool) {
+	c.lastNow = max(c.lastNow, now)
+	q := &c.writeQ[ch]
+	return q.n != 0 && q.buf[q.head].at <= now-c.cfg.WriteMaxAge
 }
 
 // ageOut drains the aged prefix of the channel's write queue.
 func (c *Controller) ageOut(ch int, now int64) {
-	q := c.writeQ[ch]
+	q := &c.writeQ[ch]
 	aged := 0
-	for aged < len(q) && q[aged].at <= now-c.cfg.WriteMaxAge {
-		aged++
-	}
-	if aged > 0 {
-		c.drain(ch, q[:aged])
-		c.writeQ[ch] = append(c.writeQ[ch][:0], q[aged:]...)
-	}
-}
-
-// drain issues a batch of deferred writes, row-hit-first: the batch is
-// ordered by (rank, bank, row) so writes to the same row coalesce into
-// row-buffer hits before the bank moves on (FR_FCFS for the write burst).
-//
-// The batch is sorted in place — callers always discard drained entries —
-// with a stable insertion sort: batches are bounded by WriteQueueDepth
-// (tens of entries), and the hot path must not allocate the way a copy
-// plus sort.Slice closure does. Stability keeps equal-key writes in
-// arrival order, so drains are deterministic for a given enqueue sequence.
-func (c *Controller) drain(ch int, batch []pendingWrite) {
-	for i := 1; i < len(batch); i++ {
-		for j := i; j > 0 && writeBefore(&batch[j], &batch[j-1]); j-- {
-			batch[j], batch[j-1] = batch[j-1], batch[j]
+	for s := q.head; aged < q.n && q.buf[s].at <= now-c.cfg.WriteMaxAge; aged++ {
+		if s++; s == len(q.buf) {
+			s = 0
 		}
 	}
-	for i := range batch {
-		w := &batch[i]
-		c.channels[ch].Access(dram.OpWrite, w.loc, w.at, w.bytes)
-	}
+	c.drain(ch, aged)
 }
 
-// writeBefore orders deferred writes by (rank, bank, row, arrival).
-func writeBefore(a, b *pendingWrite) bool {
-	if a.loc.Rank != b.loc.Rank {
-		return a.loc.Rank < b.loc.Rank
+// drain issues the channel's k oldest deferred writes, row-hit-first: the
+// batch is ordered by (rank, bank, row) so writes to the same row
+// coalesce into row-buffer hits before the bank moves on (FR_FCFS for the
+// write burst), and by arrival time within a row.
+//
+// The sort is a stable insertion sort of ring slots into perm, keyed by
+// each entry's precomputed key and then its arrival time: batches are
+// bounded by WriteQueueDepth (tens of entries), and the hot path must not
+// allocate the way a copy plus sort.Slice closure does. Stability keeps
+// equal-key writes in enqueue order, so drains are deterministic for a
+// given enqueue sequence.
+func (c *Controller) drain(ch int, k int) {
+	q := &c.writeQ[ch]
+	perm := c.perm[:k]
+	s := q.head
+	for i := range perm {
+		w := &q.buf[s]
+		j := i
+		for ; j > 0; j-- {
+			p := &q.buf[perm[j-1]]
+			if p.key < w.key || p.key == w.key && p.at <= w.at {
+				break
+			}
+			perm[j] = perm[j-1]
+		}
+		perm[j] = s
+		if s++; s == len(q.buf) {
+			s = 0
+		}
 	}
-	if a.loc.Bank != b.loc.Bank {
-		return a.loc.Bank < b.loc.Bank
+	q.head, q.n = s, q.n-k
+	dc := c.channels[ch]
+	for _, slot := range perm {
+		w := &q.buf[slot]
+		l := addr.Location{Channel: ch, Bank: int(w.key >> c.rowBits), Row: w.key & c.rowMask, Column: w.col}
+		dc.Access(dram.OpWrite, l, w.at, w.bytes)
 	}
-	if a.loc.Row != b.loc.Row {
-		return a.loc.Row < b.loc.Row
-	}
-	return a.at < b.at
 }
 
 // FlushWrites drains every deferred write (used before reading final
 // statistics so bandwidth and energy accounting are complete).
 func (c *Controller) FlushWrites() {
 	for ch := range c.writeQ {
-		if len(c.writeQ[ch]) > 0 {
-			c.drain(ch, c.writeQ[ch])
-			c.writeQ[ch] = c.writeQ[ch][:0]
+		if c.writeQ[ch].n > 0 {
+			c.drain(ch, c.writeQ[ch].n)
 		}
 	}
 }
@@ -202,7 +226,7 @@ func (c *Controller) FlushWrites() {
 //bmlint:hotpath
 func (c *Controller) Reset() {
 	for i := range c.writeQ {
-		c.writeQ[i] = c.writeQ[i][:0]
+		c.writeQ[i].head, c.writeQ[i].n = 0, 0
 	}
 	c.lastNow = 0
 	for _, ch := range c.channels {
@@ -227,7 +251,9 @@ func (c *Controller) Map(p addr.Phys) addr.Location { return c.il.Map(p) }
 //bmlint:hotpath
 func (c *Controller) Read(p addr.Phys, now int64, bytes int64) (done int64, rr dram.RowResult) {
 	l := c.il.Map(p)
-	c.observe(l.Channel, now)
+	if c.observe(l.Channel, now) {
+		c.ageOut(l.Channel, now)
+	}
 	done, rr = c.channels[l.Channel].Access(dram.OpRead, l, now+c.cfg.FixedLatency, bytes)
 	return done, rr
 }
@@ -237,36 +263,50 @@ func (c *Controller) Read(p addr.Phys, now int64, bytes int64) (done int64, rr d
 //
 //bmlint:hotpath
 func (c *Controller) ReadAt(l addr.Location, now int64, bytes int64) (done int64, rr dram.RowResult) {
-	c.observe(l.Channel, now)
+	if c.observe(l.Channel, now) {
+		c.ageOut(l.Channel, now)
+	}
 	return c.channels[l.Channel].Access(dram.OpRead, l, now+c.cfg.FixedLatency, bytes)
 }
 
 // Write schedules a write of bytes at p at CPU cycle now. The returned
-// completion time may be ignored by callers that treat writes as posted.
+// time may be ignored by callers that treat writes as posted.
 //
 //bmlint:hotpath
-func (c *Controller) Write(p addr.Phys, now int64, bytes int64) (done int64, rr dram.RowResult) {
+func (c *Controller) Write(p addr.Phys, now int64, bytes int64) (done int64) {
 	return c.WriteAt(c.il.Map(p), now, bytes)
 }
 
 // WriteAt is Write for an explicit location. With a write queue configured
-// the write is deferred (completion time is its enqueue acknowledgment);
-// otherwise it is issued immediately.
+// the write is deferred and the returned time is its enqueue
+// acknowledgment; otherwise it is issued immediately and the returned
+// time is its completion.
 //
 //bmlint:hotpath
-func (c *Controller) WriteAt(l addr.Location, now int64, bytes int64) (done int64, rr dram.RowResult) {
-	c.observe(l.Channel, now)
+func (c *Controller) WriteAt(l addr.Location, now int64, bytes int64) (done int64) {
+	if c.observe(l.Channel, now) {
+		c.ageOut(l.Channel, now)
+	}
 	if c.cfg.WriteQueueDepth == 0 {
-		return c.channels[l.Channel].Access(dram.OpWrite, l, now, bytes)
+		done, _ = c.channels[l.Channel].Access(dram.OpWrite, l, now, bytes)
+		return done
 	}
-	q := append(c.writeQ[l.Channel], pendingWrite{loc: l, bytes: bytes, at: now})
-	if len(q) >= c.cfg.WriteQueueDepth {
-		half := len(q) / 2
-		c.drain(l.Channel, q[:half])
-		q = append(q[:0], q[half:]...)
+	q := &c.writeQ[l.Channel]
+	s := q.head + q.n
+	if s >= len(q.buf) {
+		s -= len(q.buf)
 	}
-	c.writeQ[l.Channel] = q
-	return now + 1, c.channels[l.Channel].PeekRowHit(l, now)
+	// The key packs the rank-major bank above the row; rank-major banks
+	// order like (rank, bank), so keys order like (rank, bank, row), the
+	// drain order. No address map produces a location it cannot hold.
+	if uint64(l.Bank)>>c.bankBits != 0 || l.Row&^c.rowMask != 0 {
+		panic(fmt.Sprintf("memctrl: write location %+v outside the geometry or too wide for the drain key", l))
+	}
+	q.buf[s] = pendingWrite{key: uint64(l.Bank)<<c.rowBits | l.Row, col: l.Column, bytes: bytes, at: now}
+	if q.n++; q.n >= c.cfg.WriteQueueDepth {
+		c.drain(l.Channel, q.n/2)
+	}
+	return now + 1
 }
 
 // Open speculatively activates the row containing p. It returns the time at
@@ -282,15 +322,10 @@ func (c *Controller) Open(p addr.Phys, now int64) (ready int64, rr dram.RowResul
 //
 //bmlint:hotpath
 func (c *Controller) OpenAt(l addr.Location, now int64) (ready int64, rr dram.RowResult) {
-	c.observe(l.Channel, now)
+	if c.observe(l.Channel, now) {
+		c.ageOut(l.Channel, now)
+	}
 	return c.channels[l.Channel].Access(dram.OpOpen, l, now+c.cfg.FixedLatency, 0)
-}
-
-// PeekRowHit previews the row-buffer outcome for p at time now without
-// modifying state.
-func (c *Controller) PeekRowHit(p addr.Phys, now int64) dram.RowResult {
-	l := c.il.Map(p)
-	return c.channels[l.Channel].PeekRowHit(l, now)
 }
 
 // Stats returns the aggregate statistics over all channels, draining any

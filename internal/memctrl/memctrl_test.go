@@ -71,7 +71,7 @@ func TestOpenThenReadRowHit(t *testing.T) {
 
 func TestWritePosted(t *testing.T) {
 	c := New(testConfig())
-	done, _ := c.Write(0, 0, 64)
+	done := c.Write(0, 0, 64)
 	if done <= 0 {
 		t.Error("write should return a completion time")
 	}
@@ -99,7 +99,7 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestReadAtExplicitLocation(t *testing.T) {
 	c := New(testConfig())
-	l := addr.Location{Channel: 1, Rank: 0, Bank: 3, Row: 42, Column: 0}
+	l := addr.Location{Channel: 1, Bank: 3, Row: 42, Column: 0}
 	done, rr := c.ReadAt(l, 0, 128)
 	if rr != dram.RowEmpty || done <= 0 {
 		t.Errorf("ReadAt: done=%d rr=%v", done, rr)
@@ -108,23 +108,6 @@ func TestReadAtExplicitLocation(t *testing.T) {
 	_, rr = c.ReadAt(l, done, 128)
 	if rr != dram.RowHit {
 		t.Errorf("second ReadAt rr = %v", rr)
-	}
-}
-
-func TestPeekDoesNotPerturb(t *testing.T) {
-	c := New(testConfig())
-	p := addr.Phys(0x4000)
-	if c.PeekRowHit(p, 0) != dram.RowEmpty {
-		t.Error("expected empty peek")
-	}
-	c.Read(p, 0, 64)
-	if c.PeekRowHit(p, 1000) != dram.RowHit {
-		t.Error("expected hit peek")
-	}
-	reads := c.Stats().Reads
-	c.PeekRowHit(p, 1000)
-	if c.Stats().Reads != reads {
-		t.Error("peek modified stats")
 	}
 }
 

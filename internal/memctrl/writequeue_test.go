@@ -104,3 +104,18 @@ func TestFlushWritesIdempotent(t *testing.T) {
 		t.Errorf("writes = %d after double flush", got)
 	}
 }
+
+func TestWriteQueueRejectsUnkeyableLocation(t *testing.T) {
+	// One rank of eight banks: drain keys hold banks 0-7 and 61-bit rows.
+	for _, l := range []addr.Location{{Bank: 8}, {Bank: -1}, {Row: 1 << 61}} {
+		c := New(wqConfig(8))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WriteAt(%+v) queued a write its drain key cannot hold", l)
+				}
+			}()
+			c.WriteAt(l, 0, 64)
+		}()
+	}
+}
