@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
@@ -99,6 +102,71 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 	}
 	if slower < 3 {
 		t.Errorf("only %d/4 benchmarks slowed by sharing", slower)
+	}
+}
+
+// referenceStandalone builds ANTT's C^SP term for slot i the way the
+// standalone runs were first written: a bare engine over the N-core
+// config, slot i's generator and a one-core prefetcher, warmed up and
+// measured, then relabelled with the slot.
+func referenceStandalone(t *testing.T, mix workloads.Mix, factory Factory, o Options, i int) cpu.CoreResult {
+	t.Helper()
+	o = o.normalize()
+	var pf *cpu.Prefetcher
+	if o.PrefetchN > 0 {
+		pf = cpu.NewPrefetcher(o.PrefetchN, 1)
+	}
+	eng := cpu.NewEngine(factory(ConfigFor(mix, o)), mix.Generators(o.Seed)[i:i+1], o.CoreCfg, pf)
+	defer eng.ReleaseReadAhead()
+	ctx := context.Background()
+	var res []cpu.CoreResult
+	var err error
+	if o.WarmupPerCore > 0 {
+		var pre []cpu.CoreResult
+		if pre, err = eng.WarmupContext(ctx, o.WarmupPerCore); err == nil {
+			res, err = eng.MeasureAfterWarmupContext(ctx, o.AccessesPerCore, pre)
+		}
+	} else {
+		res, err = eng.RunContext(ctx, o.AccessesPerCore)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res[0]
+	r.Core = i
+	return r
+}
+
+// TestStandaloneMatchesReference pins the standalone terms of every
+// registered scheme against referenceStandalone, with and without the
+// prefetcher and warmup, on a benchmark mix and a multi-tenant one.
+func TestStandaloneMatchesReference(t *testing.T) {
+	for _, name := range spec.Names() {
+		for _, mixName := range []string{"Q1", "DC4"} {
+			for _, prefetch := range []int{0, 2} {
+				for _, warmup := range []int64{0, -1} {
+					rs := spec.RunSpec{Scheme: name, Mix: mixName, Seed: 3,
+						Options: spec.Options{AccessesPerCore: 1500, WarmupPerCore: warmup, CacheDivisor: 64, Prefetch: prefetch}}
+					t.Run(fmt.Sprintf("%s/%s/prefetch%d/warmup%d", name, mixName, prefetch, warmup), func(t *testing.T) {
+						mix := workloads.MustByName(mixName)
+						factory, err := FactoryForSpec(rs, mix.Cores())
+						if err != nil {
+							t.Fatal(err)
+						}
+						o := OptionsForSpec(rs)
+						got, err := RunStandaloneContext(context.Background(), mix, factory, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range got {
+							if want := referenceStandalone(t, mix, factory, o, i); got[i] != want {
+								t.Errorf("slot %d: %+v, want %+v", i, got[i], want)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
