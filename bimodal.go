@@ -25,8 +25,9 @@
 //
 // Schemes are named as everywhere else in the repository ("bimodal",
 // "alloy", "bimodal-only", ...; see SchemeNames), and every run entry point
-// builds them through the scheme registry exactly as cmd/bmsim, the
-// service and the figures do, so a name means one scheme on every path.
+// builds them through the scheme registry and runs one sim.Sim through its
+// warmup and measured windows exactly as cmd/bmsim, the service and the
+// figures do, so a name means one scheme on every path.
 // Long runs take the context-aware entry points, which stop within a few
 // thousand simulated accesses of cancellation:
 //
@@ -43,6 +44,7 @@ package bimodal
 import (
 	"context"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
@@ -97,11 +99,8 @@ func RunScheme(name string, mix Mix, o Options) (RunResult, error) {
 
 // RunSchemeContext runs the mix on a named scheme with cancellation.
 func RunSchemeContext(ctx context.Context, name string, mix Mix, o Options) (RunResult, error) {
-	f, err := factory(name, mix, o)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return sim.RunContext(ctx, mix, f, o)
+	_, res, err := run(ctx, name, mix, o, false)
+	return res, err
 }
 
 // ANTT runs the mix multiprogrammed and standalone on a named scheme and
@@ -111,24 +110,39 @@ func ANTT(name string, mix Mix, o Options) (float64, error) {
 	return antt, err
 }
 
-// ANTTContext computes ANTT on a named scheme with cancellation; the
-// standalone baseline runs fan out over o.Workers goroutines. It also
-// returns the multiprogrammed result.
+// ANTTContext computes ANTT on a named scheme with cancellation: it runs
+// the mix once, then each benchmark standalone, the standalone runs fanned
+// out over o.Workers goroutines. It also returns the multiprogrammed
+// result.
 func ANTTContext(ctx context.Context, name string, mix Mix, o Options) (float64, RunResult, error) {
-	f, err := factory(name, mix, o)
+	return run(ctx, name, mix, o, true)
+}
+
+// run simulates the mix on the named scheme, built through
+// sim.FactoryForSpec, and with antt also each benchmark standalone. A
+// scheme depends on the run only through its measured length (the
+// Bi-Modal family scales its adaptation to it), so the spec carries just
+// that; o sets the rest, including what a spec cannot, such as the core
+// model.
+func run(ctx context.Context, name string, mix Mix, o Options, antt bool) (float64, RunResult, error) {
+	rs := spec.RunSpec{Scheme: name, Mix: mix.Name, Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}
+	f, err := sim.FactoryForSpec(rs, mix.Cores())
 	if err != nil {
 		return 0, RunResult{}, err
 	}
-	return sim.ANTTContext(ctx, mix, f, o)
-}
-
-// factory builds the named scheme for a run of the mix through
-// sim.FactoryForSpec. A scheme depends on the run only through its
-// measured length (the Bi-Modal family scales its adaptation to it), so
-// the spec carries just that.
-func factory(name string, mix Mix, o Options) (sim.Factory, error) {
-	rs := spec.RunSpec{Scheme: name, Mix: mix.Name, Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}
-	return sim.FactoryForSpec(rs, mix.Cores())
+	s := sim.NewSim(mix, f, o)
+	if err := s.Warmup(ctx); err != nil {
+		return 0, RunResult{}, err
+	}
+	res, err := s.Measure(ctx)
+	if err != nil || !antt {
+		return 0, res, err
+	}
+	terms, err := s.Standalone(ctx)
+	if err != nil {
+		return 0, RunResult{}, err
+	}
+	return cpu.ANTT(res.PerCore, terms), res, nil
 }
 
 // NewBiModalScheme builds a standalone Bi-Modal scheme instance for direct

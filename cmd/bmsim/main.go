@@ -42,6 +42,7 @@ import (
 	"os/signal"
 	"time"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/energy"
 	"bimodal/internal/engine"
 	"bimodal/internal/profiling"
@@ -184,39 +185,57 @@ func printSpec(rs spec.RunSpec) error {
 	return nil
 }
 
+// run resolves the spec into a simulation, warms it up (or restores the
+// warm state from -restore, sealing it to -checkpoint when asked), runs
+// the measured window and, for -antt, the standalone runs. A checkpoint
+// binds to the spec's warmup prefix hash, so a checkpoint from a different
+// configuration is rejected, and a restored run is byte-identical to a
+// straight-through one.
 func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkpoint, restore string) error {
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
 		return err
 	}
-	factory, err := sim.FactoryForSpec(rs, mix.Cores())
+	s, err := sim.ForSpec(nil, rs, mix, engine.Workers(workers))
 	if err != nil {
 		return err
 	}
-	opts := sim.OptionsForSpec(rs)
-	opts.Workers = engine.Workers(workers)
-
-	var res sim.RunResult
-	if checkpoint != "" || restore != "" {
-		res, err = runCheckpointed(ctx, rs, mix, factory, opts, checkpoint, restore)
+	if checkpoint == "" && restore == "" {
+		err = s.Warmup(ctx)
 	} else {
-		res, err = sim.RunContext(ctx, mix, factory, opts)
+		err = warmCheckpointed(ctx, rs, s, checkpoint, restore)
 	}
 	if err != nil {
 		return err
 	}
-	r := res.Report
-
-	if jsonOut {
-		return printJSON(ctx, rs, mix, res, opts, factory)
+	res, err := s.Measure(ctx)
+	if err != nil {
+		return err
 	}
+	var antt float64
+	var anttTime time.Duration
+	if rs.Options.ANTT {
+		start := time.Now()
+		terms, err := s.Standalone(ctx)
+		if err != nil {
+			return err
+		}
+		antt, anttTime = cpu.ANTT(res.PerCore, terms), time.Since(start)
+	}
+	if jsonOut {
+		cell := service.NewCellResult(rs.Scheme, res)
+		cell.ANTT = antt
+		return printJSON(rs, cell)
+	}
+
+	r := res.Report
 
 	hash, err := rs.Hash()
 	if err != nil {
 		return err
 	}
 	tbl := stats.NewTable(fmt.Sprintf("%s on %s (%d cores, %d accesses/core)",
-		r.Scheme, mix.Name, mix.Cores(), opts.AccessesPerCore), "metric", "value")
+		r.Scheme, mix.Name, mix.Cores(), rs.Options.AccessesPerCore), "metric", "value")
 	tbl.AddRow("hit rate", stats.FmtPct(r.HitRate()))
 	tbl.AddRow("avg access latency", fmt.Sprintf("%.1f cycles", r.AvgLatency()))
 	if r.LocatorLookups > 0 {
@@ -244,67 +263,49 @@ func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkp
 	fmt.Print(per)
 
 	if rs.Options.ANTT {
-		start := time.Now()
-		antt, _, err := sim.ANTTContext(ctx, mix, factory, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ANTT = %.3f (lower is better, computed in %s)\n", antt, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("ANTT = %.3f (lower is better, computed in %s)\n", antt, anttTime.Round(time.Millisecond))
 	}
 	return nil
 }
 
-// runCheckpointed drives the run through the warm-state checkpoint seam:
-// -restore overwrites warmup with the file's sealed snapshot (validated
-// against this spec's warmup prefix hash, so a checkpoint from a
-// different configuration is rejected); -checkpoint seals the warm state
-// to a file at the warmup/measure boundary. Either way the measured
-// window runs afterwards and the results are byte-identical to a
-// straight-through run of the same spec.
-func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, factory sim.Factory, opts sim.Options, checkpoint, restore string) (sim.RunResult, error) {
+// warmCheckpointed brings s to the warmup/measure boundary through the
+// checkpoint seam: -restore overwrites warmup with the file's sealed
+// snapshot (validated against this spec's warmup prefix hash); otherwise
+// s warms up, and -checkpoint seals the warm state to a file.
+func warmCheckpointed(ctx context.Context, rs spec.RunSpec, s *sim.Sim, checkpoint, restore string) error {
 	prefix, ok, err := rs.PrefixHash()
 	if err != nil {
-		return sim.RunResult{}, err
+		return err
 	}
 	if !ok {
-		return sim.RunResult{}, fmt.Errorf("this spec has no reusable warmup prefix (-antt, or warmup disabled); -checkpoint/-restore do not apply")
+		return fmt.Errorf("this spec has no reusable warmup prefix (-antt, or warmup disabled); -checkpoint/-restore do not apply")
 	}
-	s := sim.NewSim(mix, factory, opts)
 	if restore != "" {
 		blob, err := os.ReadFile(restore)
 		if err != nil {
-			return sim.RunResult{}, err
+			return err
 		}
 		if err := s.Restore(blob, prefix); err != nil {
-			return sim.RunResult{}, fmt.Errorf("restoring %s: %w", restore, err)
+			return fmt.Errorf("restoring %s: %w", restore, err)
 		}
 		fmt.Fprintf(os.Stderr, "bmsim: restored warm state from %s (prefix %s)\n", restore, prefix)
 	} else if err := s.Warmup(ctx); err != nil {
-		return sim.RunResult{}, err
+		return err
 	}
 	if checkpoint != "" {
 		blob := s.Snapshot(prefix)
 		if err := os.WriteFile(checkpoint, blob, 0o644); err != nil {
-			return sim.RunResult{}, err
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "bmsim: wrote warm checkpoint %s (%d bytes, prefix %s)\n", checkpoint, len(blob), prefix)
 	}
-	return s.Measure(ctx)
+	return nil
 }
 
 // printJSON emits a service.SweepResult with one cell — the same schema
-// bmserved returns — built from the run that already happened (plus the
-// standalone ANTT runs when requested). The echoed request is the
-// canonical form, exactly as the server would echo it.
-func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.RunResult, opts sim.Options, factory sim.Factory) error {
-	cell := service.NewCellResult(rs.Scheme, res)
-	if rs.Options.ANTT {
-		antt, _, err := sim.ANTTContext(ctx, mix, factory, opts)
-		if err != nil {
-			return err
-		}
-		cell.ANTT = antt
-	}
+// bmserved returns. The echoed request is the canonical form, exactly as
+// the server would echo it.
+func printJSON(rs spec.RunSpec, cell service.CellResult) error {
 	req := service.SweepRequest{
 		Mixes:   []string{rs.Mix},
 		Schemes: []string{rs.Scheme},

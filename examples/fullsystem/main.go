@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"bimodal/internal/cpu"
@@ -37,7 +38,16 @@ func main() {
 	cfg.CacheBytes = 32 << 20
 	scheme := dramcache.NewBiModal(cfg)
 	engine := cpu.NewEngine(scheme, gens, cpu.DefaultCoreConfig(), nil)
-	per := engine.RunMeasured(50_000, 50_000)
+	// Warm up for 50k accesses per core, then measure the next 50k.
+	ctx := context.Background()
+	pre, err := engine.WarmupContext(ctx, 50_000)
+	if err != nil {
+		panic(err)
+	}
+	per, err := engine.MeasureAfterWarmupContext(ctx, 50_000, pre)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("per-core hierarchy behaviour:")
 	tbl := stats.NewTable("", "core", "benchmark", "LLSC miss rate", "DRAM$ hit rate", "IPC")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"bimodal/internal/dramcache"
@@ -30,11 +31,20 @@ func main() {
 				CacheDivisor:    4, // scale capacity to the replay length
 			},
 		}
-		f, err := sim.FactoryForSpec(rs, mix.Cores())
+		// The spec resolves into a simulation, which warms up and then
+		// runs the measured window.
+		s, err := sim.ForSpec(nil, rs, mix, 1)
+		if err == nil {
+			err = s.Warmup(context.Background())
+		}
 		if err != nil {
 			panic(err)
 		}
-		return sim.Run(mix, f, sim.OptionsForSpec(rs))
+		res, err := s.Measure(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		return res
 	}
 
 	// Run the paper's proposal and its baseline side by side.

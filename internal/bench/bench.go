@@ -306,13 +306,10 @@ func runSweepColdWarmup() error {
 		if err != nil {
 			return err
 		}
-		factory, err := sim.FactoryForSpec(rs, mix.Cores())
+		s, err := sim.ForSpec(nil, rs, mix, 1)
 		if err != nil {
 			return err
 		}
-		so := sim.OptionsForSpec(rs)
-		so.Workers = 1
-		s := sim.NewSim(mix, factory, so)
 		if err := s.Warmup(ctx); err != nil {
 			return err
 		}
@@ -450,16 +447,13 @@ func warmBiModalQ7() (warm, twin *sim.Sim, prefix string, err error) {
 	if err != nil {
 		return nil, nil, "", err
 	}
-	factory, err := sim.FactoryForSpec(rs, mix.Cores())
-	if err != nil {
+	if warm, err = sim.ForSpec(nil, rs, mix, 1); err != nil {
 		return nil, nil, "", err
 	}
-	so := sim.OptionsForSpec(rs)
-	warm = sim.NewSim(mix, factory, so)
-	if err := warm.Warmup(context.Background()); err != nil {
+	if twin, err = sim.ForSpec(nil, rs, mix, 1); err != nil {
 		return nil, nil, "", err
 	}
-	return warm, sim.NewSim(mix, factory, so), prefix, nil
+	return warm, twin, prefix, warm.Warmup(context.Background())
 }
 
 // warmSnapshot measures sealing one warm snapshot.

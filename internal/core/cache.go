@@ -439,8 +439,8 @@ func (c *Cache) fill(s *cacheSet, si uint64, p addr.Phys, write bool, out *Outco
 // otherwise random-not-recent with respect to the way locator's protected
 // ways (Section III-D1).
 func (c *Cache) victimBig(s *cacheSet, si uint64, p addr.Phys, out *Outcome) int {
-	if invalid := ^s.validBig & (1<<uint(s.st.X) - 1); invalid != 0 {
-		return bits.TrailingZeros32(invalid)
+	if w := invalidWay(s.validBig, s.st.X); w >= 0 {
+		return w
 	}
 	var protected uint32
 	if c.locator != nil {
@@ -453,8 +453,8 @@ func (c *Cache) victimBig(s *cacheSet, si uint64, p addr.Phys, out *Outcome) int
 
 // victimSmall is victimBig for small ways.
 func (c *Cache) victimSmall(s *cacheSet, si uint64, p addr.Phys, out *Outcome) int {
-	if invalid := ^s.validSmall & (1<<uint(s.st.Y) - 1); invalid != 0 {
-		return bits.TrailingZeros32(invalid)
+	if w := invalidWay(s.validSmall, s.st.Y); w >= 0 {
+		return w
 	}
 	var protected uint32
 	if c.locator != nil {
@@ -463,6 +463,15 @@ func (c *Cache) victimSmall(s *cacheSet, si uint64, p addr.Phys, out *Outcome) i
 	w := c.randomWay(s.st.Y, protected)
 	c.evictSmall(s, w, out)
 	return w
+}
+
+// invalidWay returns the lowest of ways [0,n) whose valid bit is clear, or
+// -1 when all n are valid.
+func invalidWay(valid uint32, n int) int {
+	if invalid := ^valid & (1<<uint(n) - 1); invalid != 0 {
+		return bits.TrailingZeros32(invalid)
+	}
+	return -1
 }
 
 // randomWay picks a random way in [0,n) avoiding the protected mask when

@@ -83,6 +83,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: BigBlock %d has more than 32 sub-blocks", p.BigBlock)
 	case p.MinBig < 0 || p.MinBig > int(p.SetBytes/p.BigBlock):
 		return fmt.Errorf("core: MinBig %d out of range", p.MinBig)
+	case p.MaxBig() > 32:
+		return fmt.Errorf("core: %d big ways exceed the 32 a set's occupancy mask tracks", p.MaxBig())
+	case p.MaxSmall() > 32:
+		return fmt.Errorf("core: %d small ways exceed the 32 a set's occupancy mask tracks", p.MaxSmall())
 	case p.Threshold <= 0 || p.Threshold > int(p.BigBlock/SmallBlock):
 		return fmt.Errorf("core: Threshold %d out of range", p.Threshold)
 	case p.PredictorBits == 0 || p.PredictorBits > 24:

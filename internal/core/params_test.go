@@ -112,6 +112,9 @@ func TestValidateRejects(t *testing.T) {
 		mk(func(p *Params) { p.PredictorBits = 0 }),
 		mk(func(p *Params) { p.AdaptInterval = 0 }),
 		mk(func(p *Params) { p.Weight = 0 }),
+		// Wider than the uint32 occupancy masks: 128 big ways, 60 small.
+		mk(func(p *Params) { p.SetBytes, p.BigBlock, p.MinBig, p.Threshold = 16384, 128, 1, 2 }),
+		mk(func(p *Params) { p.SetBytes, p.BigBlock, p.MinBig, p.Threshold = 4096, 256, 1, 2 }),
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {

@@ -446,24 +446,14 @@ func (e *Engine) Scheme() dramcache.Scheme { return e.scheme }
 // cheap Err() call per interval.
 const ctxCheckInterval = 8192
 
-// Run replays accessesPerCore measured accesses on every core. A core that
-// reaches its quota freezes its results but continues executing (uncounted)
-// until every core has finished, exactly as the paper's methodology keeps
-// finished cores running to preserve shared-resource contention. Keeping
-// all cores in flight also keeps their clocks synchronized, which the
-// busy-time DRAM model requires.
-func (e *Engine) Run(accessesPerCore int64) []CoreResult {
-	out, err := e.RunContext(context.Background(), accessesPerCore)
-	if err != nil {
-		// Background contexts never cancel; any error here is a bug.
-		panic(err)
-	}
-	return out
-}
-
-// RunContext is Run with cooperative cancellation: the tick loop checks
-// ctx every ctxCheckInterval accesses and returns ctx.Err() when the
-// context ends, discarding partial results.
+// RunContext replays accessesPerCore measured accesses on every core. A
+// core that reaches its quota freezes its results but continues executing
+// (uncounted) until every core has finished, exactly as the paper's
+// methodology keeps finished cores running to preserve shared-resource
+// contention. Keeping all cores in flight also keeps their clocks
+// synchronized, which the busy-time DRAM model requires. The tick loop
+// checks ctx every ctxCheckInterval accesses and returns ctx.Err() when
+// the context ends, discarding partial results.
 func (e *Engine) RunContext(ctx context.Context, accessesPerCore int64) ([]CoreResult, error) {
 	return e.runPhase(ctx, accessesPerCore, measureRate)
 }
@@ -576,36 +566,13 @@ func (e *Engine) ReleaseReadAhead() {
 	}
 }
 
-// RunMeasured runs a warmup window of warmup accesses per core, resets the
-// scheme's statistics (cache state stays warm — the paper's fast-forward
-// methodology), then runs the measured window and returns per-core results
-// covering only the measured window.
-func (e *Engine) RunMeasured(warmup, measure int64) []CoreResult {
-	out, err := e.RunMeasuredContext(context.Background(), warmup, measure)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RunMeasuredContext is RunMeasured with cooperative cancellation across
-// both the warmup and the measured window.
-func (e *Engine) RunMeasuredContext(ctx context.Context, warmup, measure int64) ([]CoreResult, error) {
-	if warmup <= 0 {
-		return e.RunContext(ctx, measure)
-	}
-	pre, err := e.WarmupContext(ctx, warmup)
-	if err != nil {
-		return nil, err
-	}
-	return e.MeasureAfterWarmupContext(ctx, measure, pre)
-}
-
 // WarmupContext runs the warmup window only and returns the cumulative
 // per-core results at its exit — the baseline the measured window is
-// later reported against. An engine may be snapshotted at exactly this
-// point (see SnapshotState): re-running the measured phase afterwards
-// replays the straight-through RunMeasuredContext sequence identically.
+// later reported against. Scheme statistics keep counting until
+// MeasureAfterWarmupContext resets them; cache state stays warm (the
+// paper's fast-forward methodology). An engine may be snapshotted at
+// exactly this point (see SnapshotState): measuring after a restore
+// replays the measured window of the uninterrupted engine identically.
 func (e *Engine) WarmupContext(ctx context.Context, warmup int64) ([]CoreResult, error) {
 	return e.runPhase(ctx, warmup, warmupRate)
 }

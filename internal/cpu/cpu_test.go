@@ -27,6 +27,32 @@ func (f *fakeScheme) Access(req dramcache.Request, now int64) dramcache.Result {
 func (f *fakeScheme) Report() dramcache.Report { return dramcache.Report{} }
 func (f *fakeScheme) ResetStats()              {}
 
+// run replays one phase of accessesPerCore accesses on every core.
+func run(t testing.TB, e *Engine, accessesPerCore int64) []CoreResult {
+	t.Helper()
+	res, err := e.RunContext(context.Background(), accessesPerCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runMeasured runs a warmup window and then the measured window, reported
+// relative to it, as sim.Sim does.
+func runMeasured(t testing.TB, e *Engine, warmup, measure int64) []CoreResult {
+	t.Helper()
+	ctx := context.Background()
+	pre, err := e.WarmupContext(ctx, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.MeasureAfterWarmupContext(ctx, measure, pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func gen(accs ...trace.Access) trace.Generator {
 	return &trace.SliceGen{Accs: accs, Lab: "t"}
 }
@@ -52,7 +78,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 10},
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	res := e.Run(2)
+	res := run(t, e, 2)
 	if f.times[1]-f.times[0] >= 1000 {
 		t.Errorf("second miss issued %d cycles after first; should overlap", f.times[1]-f.times[0])
 	}
@@ -69,7 +95,7 @@ func TestDependentMissesSerialize(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 10, Dep: true},
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	res := e.Run(2)
+	res := run(t, e, 2)
 	if f.times[1]-f.times[0] < 1000 {
 		t.Errorf("dependent miss issued after %d cycles; should wait for completion", f.times[1]-f.times[0])
 	}
@@ -86,7 +112,7 @@ func TestMSHRLimitStalls(t *testing.T) {
 	}
 	g := gen(accs...)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 2}, nil)
-	e.Run(4)
+	run(t, e, 4)
 	// With 2 MSHRs, the third miss cannot issue until the first retires.
 	if f.times[2] < 10000 {
 		t.Errorf("third miss issued at %d; MSHR limit not enforced", f.times[2])
@@ -101,7 +127,7 @@ func TestWritesDoNotOccupyMSHRs(t *testing.T) {
 	}
 	g := gen(accs...)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 2}, nil)
-	res := e.Run(6)
+	res := run(t, e, 6)
 	if res[0].Cycles > 100 {
 		t.Errorf("posted writes stalled the core: %d cycles", res[0].Cycles)
 	}
@@ -111,7 +137,7 @@ func TestGapAdvancesTimeWithCPI(t *testing.T) {
 	f := &fakeScheme{latency: 1}
 	g := gen(trace.Access{Addr: 0, Gap: 100})
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 0.5, MSHRs: 8}, nil)
-	e.Run(1)
+	run(t, e, 1)
 	if f.times[0] != 50 {
 		t.Errorf("issue time = %d, want 50 (gap 100 x CPI 0.5)", f.times[0])
 	}
@@ -123,7 +149,7 @@ func TestMultiCoreOrdering(t *testing.T) {
 	g1 := gen(trace.Access{Addr: 0, Gap: 5}, trace.Access{Addr: 64, Gap: 5})
 	g2 := gen(trace.Access{Addr: 128, Gap: 50}, trace.Access{Addr: 192, Gap: 50})
 	e := NewEngine(f, []trace.Generator{g1, g2}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	for i := 1; i < len(f.times); i++ {
 		if f.times[i] < f.times[i-1] {
 			t.Errorf("request %d at %d before request %d at %d", i, f.times[i], i-1, f.times[i-1])
@@ -139,7 +165,7 @@ func TestResultsAccounting(t *testing.T) {
 		trace.Access{Addr: 128, Gap: 10},
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	res := e.Run(3)
+	res := run(t, e, 3)
 	r := res[0]
 	if r.Accesses != 3 || r.Reads != 2 || r.Insts != 30 {
 		t.Errorf("result: %+v", r)
@@ -156,7 +182,7 @@ func TestFinishDrainsOutstanding(t *testing.T) {
 	f := &fakeScheme{latency: 5000}
 	g := gen(trace.Access{Addr: 0, Gap: 1})
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	res := e.Run(1)
+	res := run(t, e, 1)
 	if res[0].Cycles < 5000 {
 		t.Errorf("cycles = %d; final miss not drained", res[0].Cycles)
 	}
@@ -184,7 +210,7 @@ func TestPrefetcherIssuesNextN(t *testing.T) {
 	pf := NewPrefetcher(3, 1)
 	g := gen(trace.Access{Addr: 0x1000, Gap: 1})
 	e := NewEngine(f, []trace.Generator{g}, DefaultCoreConfig(), pf)
-	e.Run(1)
+	run(t, e, 1)
 	// 1 demand + 3 prefetches.
 	if len(f.requests) != 4 {
 		t.Fatalf("requests = %d, want 4", len(f.requests))
@@ -211,7 +237,7 @@ func TestPrefetcherFilterSuppressesDuplicates(t *testing.T) {
 		trace.Access{Addr: 0x1000, Gap: 1}, // same line again
 	)
 	e := NewEngine(f, []trace.Generator{g}, DefaultCoreConfig(), pf)
-	e.Run(2)
+	run(t, e, 2)
 	if pf.Issued != 1 || pf.Suppressed != 1 {
 		t.Errorf("issued=%d suppressed=%d, want 1/1", pf.Issued, pf.Suppressed)
 	}
@@ -227,7 +253,7 @@ func TestPrefetcherDemandLineNotPrefetched(t *testing.T) {
 		trace.Access{Addr: 0x2040, Gap: 1},
 	)
 	e := NewEngine(f, []trace.Generator{g}, DefaultCoreConfig(), pf)
-	res := e.Run(2)
+	res := run(t, e, 2)
 	if res[0].Accesses != 2 {
 		t.Errorf("demand accesses = %d", res[0].Accesses)
 	}
@@ -259,7 +285,7 @@ func TestEndToEndWithRealScheme(t *testing.T) {
 		trace.NewSynthetic(trace.MustProfile("mcf"), 1<<32, 2),
 	}
 	e := NewEngine(s, gens, DefaultCoreConfig(), nil)
-	res := e.Run(5000)
+	res := run(t, e, 5000)
 	for _, r := range res {
 		if r.Cycles <= 0 || r.Accesses != 5000 {
 			t.Errorf("core %d: %+v", r.Core, r)
@@ -280,16 +306,16 @@ func TestContentionSlowsCores(t *testing.T) {
 		return dramcache.NewBiModal(dramcache.Config{
 			Cores: 4, CacheBytes: 1 << 20, StackedChannels: 2, OffChannels: 1, WayLocatorK: 10, Seed: 1})
 	}
-	solo := NewEngine(mk(), []trace.Generator{
+	solo := run(t, NewEngine(mk(), []trace.Generator{
 		trace.NewSynthetic(trace.MustProfile("omnetpp"), 0, 5),
-	}, DefaultCoreConfig(), nil).Run(8000)
+	}, DefaultCoreConfig(), nil), 8000)
 
-	shared := NewEngine(mk(), []trace.Generator{
+	shared := run(t, NewEngine(mk(), []trace.Generator{
 		trace.NewSynthetic(trace.MustProfile("omnetpp"), 0, 5),
 		trace.NewSynthetic(trace.MustProfile("lbm"), 1<<32, 6),
 		trace.NewSynthetic(trace.MustProfile("milc"), 2<<32, 7),
 		trace.NewSynthetic(trace.MustProfile("mcf"), 3<<32, 8),
-	}, DefaultCoreConfig(), nil).Run(8000)
+	}, DefaultCoreConfig(), nil), 8000)
 
 	if shared[0].Cycles <= solo[0].Cycles {
 		t.Errorf("shared run (%d cycles) not slower than solo (%d)", shared[0].Cycles, solo[0].Cycles)
@@ -323,7 +349,7 @@ func TestRunMeasuredContextCancelled(t *testing.T) {
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.RunMeasuredContext(ctx, 1_000_000, 50_000_000); !errors.Is(err, context.Canceled) {
+	if _, err := e.WarmupContext(ctx, 1_000_000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -50,7 +51,7 @@ func TestReleaseReadAheadLeavesEngineStale(t *testing.T) {
 		t.Skip("no helpers at GOMAXPROCS 1, so read-ahead never passes the guaranteed region")
 	}
 	e := NewEngine(&fakeScheme{latency: 40}, raGens(false), DefaultCoreConfig(), nil)
-	e.Run(3 * chunkLen)
+	run(t, e, 3*chunkLen)
 	for i, c := range e.cores {
 		if !c.ra.ahead() {
 			t.Fatalf("core %d is not ahead after a phase that read into its tail", i)
@@ -58,14 +59,14 @@ func TestReleaseReadAheadLeavesEngineStale(t *testing.T) {
 	}
 	e.ReleaseReadAhead()
 	const stale = "handed back ahead"
-	mustPanic(t, "Run", stale, func() { e.Run(10) })
+	mustPanic(t, "RunContext", stale, func() { e.RunContext(context.Background(), 10) })
 	mustPanic(t, "SnapshotState", stale, func() { e.SnapshotState(snapshot.NewWriter()) })
 	if !e.Reset([]uint64{3, 4}) {
 		t.Fatal("Reset declined")
 	}
-	got := e.Run(3 * chunkLen)
+	got := run(t, e, 3*chunkLen)
 	e.ReleaseReadAhead()
-	want := NewEngine(&fakeScheme{latency: 40}, raGens(true), DefaultCoreConfig(), nil).Run(3 * chunkLen)
+	want := run(t, NewEngine(&fakeScheme{latency: 40}, raGens(true), DefaultCoreConfig(), nil), 3*chunkLen)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("after Reset: %+v, want %+v", got, want)
 	}

@@ -16,7 +16,7 @@ func TestROBSerializesFarApartMisses(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 500}, // 500 insts > 192-entry ROB
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8, ROBInsts: 192}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	if f.times[1]-f.times[0] < 10000 {
 		t.Errorf("second miss issued %d cycles after first; ROB should serialize", f.times[1]-f.times[0])
 	}
@@ -29,7 +29,7 @@ func TestROBAllowsNearbyMissesToOverlap(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 50}, // within the window
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8, ROBInsts: 192}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	if f.times[1]-f.times[0] >= 10000 {
 		t.Errorf("nearby miss serialized (%d cycles apart); should overlap", f.times[1]-f.times[0])
 	}
@@ -42,7 +42,7 @@ func TestROBDisabledMatchesOldBehaviour(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 500},
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8, ROBInsts: 0}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	if f.times[1]-f.times[0] >= 10000 {
 		t.Errorf("with ROB disabled, far-apart misses should overlap")
 	}
@@ -56,7 +56,7 @@ func TestROBWindowBoundary(t *testing.T) {
 		trace.Access{Addr: 64, Gap: 191},
 	)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8, ROBInsts: 192}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	if f.times[1]-f.times[0] >= 10000 {
 		t.Errorf("miss at window edge serialized; want overlap")
 	}
@@ -79,7 +79,7 @@ func TestROBStreamingSerialization(t *testing.T) {
 	}
 	f := &fakeScheme{latency: lat}
 	e := NewEngine(f, []trace.Generator{gen(accs...)}, CoreConfig{CPIBase: 0.5, MSHRs: 8, ROBInsts: 192}, nil)
-	res := e.Run(n)
+	res := run(t, e, n)
 	expected := int64(n * lat)
 	if res[0].Cycles < expected-2*lat || res[0].Cycles > expected+2*lat {
 		t.Errorf("cycles = %d; expected ~%d (one latency per serialized miss)", res[0].Cycles, expected)

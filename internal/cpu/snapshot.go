@@ -6,8 +6,8 @@ import "bimodal/internal/snapshot"
 // core when a phase starts (drawing a fresh access and discarding the one
 // primed at the previous phase's exit), so a snapshot taken after warmup
 // returns — trailing primes included — followed by a measured phase replays
-// the exact instruction-by-instruction sequence of a straight-through
-// RunMeasured call. next/key/remaining are therefore not state: the measure
+// the exact instruction-by-instruction sequence of an uninterrupted
+// WarmupContext + MeasureAfterWarmupContext. next/key/remaining are therefore not state: the measure
 // phase overwrites them before use. What must survive is each core's clock,
 // in-flight miss window, cumulative counters and, critically, its trace
 // generator cursor. Read-ahead may have carried the generator past the

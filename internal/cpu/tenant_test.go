@@ -45,7 +45,7 @@ func TestPerTenantAttribution(t *testing.T) {
 	g := &tenantGen{SliceGen: trace.SliceGen{Accs: accs, Lab: "tagged"}, n: 2}
 	e := NewEngine(&hitScheme{latency: 100, below: 1 << 10}, []trace.Generator{g},
 		CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	e.Run(int64(len(accs)))
+	run(t, e, int64(len(accs)))
 
 	tens := e.TenantTotals()
 	if len(tens) != 2 {
@@ -73,7 +73,7 @@ func TestTenantOutOfRangeDropped(t *testing.T) {
 	g := &tenantGen{SliceGen: trace.SliceGen{Accs: accs, Lab: "rogue"}, n: 2}
 	e := NewEngine(&hitScheme{latency: 10, below: 1}, []trace.Generator{g},
 		CoreConfig{CPIBase: 1, MSHRs: 4}, nil)
-	e.Run(int64(len(accs)))
+	run(t, e, int64(len(accs)))
 
 	tens := e.TenantTotals()
 	var total int64
@@ -91,7 +91,7 @@ func TestSingleTenantNoAttribution(t *testing.T) {
 	g := gen(trace.Access{Addr: 0, Gap: 10}, trace.Access{Addr: 64, Gap: 10})
 	e := NewEngine(&hitScheme{latency: 10, below: 1}, []trace.Generator{g},
 		CoreConfig{CPIBase: 1, MSHRs: 4}, nil)
-	e.Run(2)
+	run(t, e, 2)
 	if tot := e.TenantTotals(); tot != nil {
 		t.Errorf("single-tenant engine reported tenant totals %+v", tot)
 	}

@@ -14,7 +14,7 @@ func TestRunMeasuredSubtractsWarmup(t *testing.T) {
 	}
 	g := gen(accs...)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	res := e.RunMeasured(5, 10)
+	res := runMeasured(t, e, 5, 10)
 	r := res[0]
 	if r.Accesses != 10 {
 		t.Errorf("measured accesses = %d, want 10", r.Accesses)
@@ -37,7 +37,7 @@ func TestRunMeasuredZeroWarmup(t *testing.T) {
 	f := &fakeScheme{latency: 10}
 	g := gen(trace.Access{Addr: 0, Gap: 1})
 	e := NewEngine(f, []trace.Generator{g}, DefaultCoreConfig(), nil)
-	res := e.RunMeasured(0, 3)
+	res := run(t, e, 3)
 	if res[0].Accesses != 3 {
 		t.Errorf("accesses = %d", res[0].Accesses)
 	}
@@ -49,7 +49,7 @@ func TestRunMeasuredTimeContinues(t *testing.T) {
 	f := &fakeScheme{latency: 10}
 	g := gen(trace.Access{Addr: 0, Gap: 100})
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	e.RunMeasured(2, 2)
+	runMeasured(t, e, 2, 2)
 	for i := 1; i < len(f.times); i++ {
 		if f.times[i] <= f.times[i-1] {
 			t.Fatalf("time went backwards at access %d: %v", i, f.times)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
 	"bimodal/internal/sim"
@@ -39,8 +40,8 @@ func (o Options) cellSpec(scheme, mix string) spec.RunSpec {
 		Options: spec.Options{AccessesPerCore: o.AccessesPerCore, CacheDivisor: 4}}
 }
 
-// runSpec runs the cell rs describes with the scheme sim.FactoryForSpec
-// builds for it. The second result is the cell's ANTT when rs asks for it
+// runSpec runs the cell rs describes on the Sim sim.ForSpec resolves for
+// it. The second result is the cell's ANTT when rs asks for it
 // (Options.ANTT), else 0; Workers propagates so the standalone runs
 // inside an ANTT cell fan out too.
 func runSpec(ctx context.Context, o Options, rs spec.RunSpec) (sim.RunResult, float64, error) {
@@ -48,23 +49,27 @@ func runSpec(ctx context.Context, o Options, rs spec.RunSpec) (sim.RunResult, fl
 	if err != nil {
 		return sim.RunResult{}, 0, err
 	}
-	f, err := sim.FactoryForSpec(rs, mix.Cores())
+	s, err := sim.ForSpec(nil, rs, mix, o.Workers)
 	if err != nil {
 		return sim.RunResult{}, 0, err
 	}
-	return runWith(ctx, o, rs, mix, f)
+	res, err := runSim(ctx, s)
+	if err != nil || !rs.Options.ANTT {
+		return res, 0, err
+	}
+	terms, err := s.Standalone(ctx)
+	if err != nil {
+		return sim.RunResult{}, 0, err
+	}
+	return res, cpu.ANTT(res.PerCore, terms), nil
 }
 
-// runWith runs the cell rs describes on mix with the schemes f builds.
-func runWith(ctx context.Context, o Options, rs spec.RunSpec, mix workloads.Mix, f sim.Factory) (sim.RunResult, float64, error) {
-	so := sim.OptionsForSpec(rs)
-	so.Workers = o.Workers
-	if rs.Options.ANTT {
-		antt, res, err := sim.ANTTContext(ctx, mix, f, so)
-		return res, antt, err
+// runSim runs s through its warmup and measured windows.
+func runSim(ctx context.Context, s *sim.Sim) (sim.RunResult, error) {
+	if err := s.Warmup(ctx); err != nil {
+		return sim.RunResult{}, err
 	}
-	res, err := sim.RunContext(ctx, mix, f, so)
-	return res, 0, err
+	return s.Measure(ctx)
 }
 
 // specCell builds an engine cell running the cell rs describes and

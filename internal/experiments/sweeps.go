@@ -72,7 +72,7 @@ func coreParamCell(o Options, label, mixName string, mutate func(*core.Params)) 
 			}
 			return s
 		}
-		res, _, err := runWith(ctx, o, rs, mix, factory)
+		res, err := runSim(ctx, sim.NewSim(mix, factory, sim.OptionsForSpec(rs)))
 		return res.Report, err
 	}}
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/energy"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
@@ -157,11 +158,7 @@ func RunCellSpec(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := cellSpec{mix: mix, rs: rs}.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResultJSON(res)
+	return cellSpec{mix: mix, rs: rs}.runJSON(ctx)
 }
 
 // SweepList is the paginated reply of GET /v1/sweeps.
@@ -332,28 +329,16 @@ type cellSpec struct {
 // label identifies the cell in progress events.
 func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
 
-// run executes the cell through the spec layer: sim.FactoryForSpec
-// applies the same run-length scaling rule as cmd/bmsim, so service
-// results line up with CLI results. Cell-internal fan-out stays serial
-// (Workers 1): the service parallelizes across cells, and the serial path
-// keeps the deterministic code path shortest.
+// run executes the cell on a simulator from the process-wide pool,
+// resolved by sim.ForSpec exactly as cmd/bmsim and the figures resolve
+// theirs, so service results line up with theirs. An ANTT cell adds its
+// standalone terms, run serially (Workers 1): the service parallelizes
+// across cells.
 func (c cellSpec) run(ctx context.Context) (CellResult, error) {
-	factory, err := sim.FactoryForSpec(c.rs, c.mix.Cores())
+	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
 	if err != nil {
 		return CellResult{}, err
 	}
-	so := sim.OptionsForSpec(c.rs)
-	so.Workers = 1
-	if c.rs.Options.ANTT {
-		antt, multi, err := sim.ANTTContext(ctx, c.mix, factory, so)
-		if err != nil {
-			return CellResult{}, err
-		}
-		cr := NewCellResult(c.rs.Scheme, multi)
-		cr.ANTT = antt
-		return cr, nil
-	}
-	s := runPool.Get(poolSchemeKey(c.rs), c.mix, factory, so)
 	if err := s.Warmup(ctx); err != nil {
 		return CellResult{}, err
 	}
@@ -361,12 +346,30 @@ func (c cellSpec) run(ctx context.Context) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	// NewCellResult must read res (which aliases the live scheme) before
-	// Put makes the simulator eligible for a concurrent Reset. Failed runs
-	// never reach Put: their partial state is discarded with the Sim.
+	// NewCellResult must read res (which aliases the live scheme), and
+	// Standalone the Sim's configuration, before Put makes the simulator
+	// eligible for a concurrent Reset. Failed runs never reach Put: their
+	// partial state is discarded with the Sim.
 	cr := NewCellResult(c.rs.Scheme, res)
+	if c.rs.Options.ANTT {
+		terms, err := s.Standalone(ctx)
+		if err != nil {
+			return CellResult{}, err
+		}
+		cr.ANTT = cpu.ANTT(res.PerCore, terms)
+	}
 	runPool.Put(s)
 	return cr, nil
+}
+
+// runJSON runs the cell and marshals its result: the compact CellResult
+// JSON every node produces identically for the cell's spec.
+func (c cellSpec) runJSON(ctx context.Context) ([]byte, error) {
+	res, err := c.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return marshalResultJSON(res)
 }
 
 // cells expands a canonical request into its simulation cells — explicit

@@ -258,6 +258,9 @@ func TestSpecFormValidation(t *testing.T) {
 			"takes no parameters"},
 		{SweepRequest{Specs: []spec.RunSpec{{Scheme: "bogus", Mix: "Q1"}}},
 			"unknown scheme"},
+		{SweepRequest{Specs: []spec.RunSpec{{Scheme: "bimodal", Mix: "Q7",
+			Params: spec.Params{"set_bytes": 16384, "big_block": 128, "min_big": 1, "threshold": 2}}}},
+			"more than 32"},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitSweep(ctx, tc.req)

@@ -215,7 +215,7 @@ func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int) ([]byte, st
 		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
 		return raw, "run", err
 	}
-	raw, warm, err := s.warm.RunCell(ctx, sw.cells[i].rs)
+	raw, warm, err := s.warm.run(ctx, sw.cells[i])
 	origin := "run"
 	if warm {
 		origin = "warm"

@@ -82,78 +82,71 @@ func NewWarmCellRunner(st store.Store, reg *telemetry.Registry) func(ctx context
 // itself: as the producer, or cold after a failed restore or producer).
 // Cells without a shared prefix count neither.
 func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, warm bool, err error) {
-	prefix, ok, err := sharedPrefix(rs)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		raw, err = RunCellSpec(ctx, rs)
-		return raw, false, err
-	}
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
 		return nil, false, err
 	}
-	factory, err := sim.FactoryForSpec(rs, mix.Cores())
+	return w.run(ctx, cellSpec{mix: mix, rs: rs})
+}
+
+// run is RunCell on a cell whose mix is already resolved, as every cell
+// of a validated sweep is.
+func (w *WarmRunner) run(ctx context.Context, c cellSpec) (raw []byte, warm bool, err error) {
+	prefix, ok, err := sharedPrefix(c.rs)
 	if err != nil {
 		return nil, false, err
 	}
-	so := sim.OptionsForSpec(rs)
-	so.Workers = 1
+	if !ok {
+		raw, err = c.runJSON(ctx)
+		return raw, false, err
+	}
 
 	if blob, found, gerr := w.store.Get(prefix); gerr == nil && found {
-		return w.restoreOrRun(ctx, rs, mix, factory, so, blob, prefix)
+		return w.restoreOrRun(ctx, c, blob, prefix)
 	}
 
 	w.mu.Lock()
-	if c, inflight := w.calls[prefix]; inflight {
+	if call, inflight := w.calls[prefix]; inflight {
 		w.mu.Unlock()
 		select {
-		case <-c.done:
+		case <-call.done:
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		if c.err != nil {
+		if call.err != nil {
 			// The producer's warmup failed: this cell warms up itself.
 			w.misses.Inc()
-			raw, err = RunCellSpec(ctx, rs)
+			raw, err = c.runJSON(ctx)
 			return raw, false, err
 		}
-		return w.restoreOrRun(ctx, rs, mix, factory, so, c.blob, prefix)
+		return w.restoreOrRun(ctx, c, call.blob, prefix)
 	}
-	c := &warmCall{done: make(chan struct{})}
-	w.calls[prefix] = c
+	call := &warmCall{done: make(chan struct{})}
+	w.calls[prefix] = call
 	w.mu.Unlock()
 
 	// This cell is the prefix's producer: warm its own simulation, seal
 	// the snapshot for the others, then measure on the already-warm state.
 	w.misses.Inc()
-	s := runPool.Get(poolSchemeKey(rs), mix, factory, so)
-	if werr := s.Warmup(ctx); werr != nil {
-		c.err = werr
-	} else {
-		c.blob = s.Snapshot(prefix)
-		w.bytes.Add(int64(len(c.blob)))
-		// Best-effort publication; waiters use c.blob directly.
-		_ = w.store.Put(prefix, c.blob)
+	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
+	if err == nil {
+		err = s.Warmup(ctx)
 	}
+	if err == nil {
+		call.blob = s.Snapshot(prefix)
+		w.bytes.Add(int64(len(call.blob)))
+		// Best-effort publication; waiters use call.blob directly.
+		_ = w.store.Put(prefix, call.blob)
+	}
+	call.err = err
 	w.mu.Lock()
 	delete(w.calls, prefix)
 	w.mu.Unlock()
-	close(c.done)
-	if c.err != nil {
-		return nil, false, c.err
-	}
-	res, err := s.Measure(ctx)
+	close(call.done)
 	if err != nil {
 		return nil, false, err
 	}
-	raw, err = marshalResultJSON(NewCellResult(rs.Scheme, res))
-	if err == nil {
-		// The result bytes are sealed before Put: after Put a concurrent
-		// Reset may scribble over the scheme the result aliased.
-		runPool.Put(s)
-	}
+	raw, err = measureJSON(ctx, c, s)
 	return raw, false, err
 }
 
@@ -174,11 +167,11 @@ func sharedPrefix(rs spec.RunSpec) (prefix string, ok bool, err error) {
 	return rs.PrefixHash()
 }
 
-// restoreOrRun measures rs on a simulation restored from blob, counting a
-// snapshot hit. A corrupt or incongruent blob must not fail the cell: it
-// counts a miss and the cell runs cold instead.
-func (w *WarmRunner) restoreOrRun(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, factory sim.Factory, so sim.Options, blob []byte, prefix string) ([]byte, bool, error) {
-	raw, err := w.measureRestored(ctx, rs, mix, factory, so, blob, prefix)
+// restoreOrRun measures the cell on a simulation restored from blob,
+// counting a snapshot hit. A corrupt or incongruent blob must not fail the
+// cell: it counts a miss and the cell runs cold instead.
+func (w *WarmRunner) restoreOrRun(ctx context.Context, c cellSpec, blob []byte, prefix string) ([]byte, bool, error) {
+	raw, err := measureRestored(ctx, c, blob, prefix)
 	if err == nil {
 		w.hits.Inc()
 		return raw, true, nil
@@ -187,25 +180,36 @@ func (w *WarmRunner) restoreOrRun(ctx context.Context, rs spec.RunSpec, mix work
 		return nil, false, err
 	}
 	w.misses.Inc()
-	raw, err = RunCellSpec(ctx, rs)
+	raw, err = c.runJSON(ctx)
 	return raw, false, err
 }
 
-// measureRestored builds a congruent simulation, overwrites its state
-// from the snapshot blob and runs the measured window.
-func (w *WarmRunner) measureRestored(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, factory sim.Factory, so sim.Options, blob []byte, prefix string) ([]byte, error) {
-	// A pooled Get is always fully reset (or fresh), so restoring over it
-	// is exactly NewSim+Restore. A failed Restore leaves partial state —
-	// those simulators are discarded, never Put back.
-	s := runPool.Get(poolSchemeKey(rs), mix, factory, so)
+// measureRestored overwrites a congruent simulation's state from the
+// snapshot blob and runs the measured window. A pooled simulator is always
+// fully reset (or fresh), so restoring over it is exactly NewSim+Restore.
+// A failed Restore leaves partial state: that simulator is discarded,
+// never Put back.
+func measureRestored(ctx context.Context, c cellSpec, blob []byte, prefix string) ([]byte, error) {
+	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.Restore(blob, prefix); err != nil {
 		return nil, err
 	}
+	return measureJSON(ctx, c, s)
+}
+
+// measureJSON runs the measured window of the cell's warm simulation and
+// marshals its result, returning the simulator to the pool once the bytes
+// are sealed: after Put a concurrent Reset may scribble over the scheme
+// the result aliases.
+func measureJSON(ctx context.Context, c cellSpec, s *sim.Sim) ([]byte, error) {
 	res, err := s.Measure(ctx)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := marshalResultJSON(NewCellResult(rs.Scheme, res))
+	raw, err := marshalResultJSON(NewCellResult(c.rs.Scheme, res))
 	if err == nil {
 		runPool.Put(s)
 	}

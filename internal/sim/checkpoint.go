@@ -7,25 +7,34 @@ import (
 	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
+	"bimodal/internal/engine"
 	"bimodal/internal/snapshot"
+	"bimodal/internal/trace"
 	"bimodal/internal/workloads"
 )
 
 // Sim is a simulation split at the warmup/measure phase boundary, the
 // seam the warm-state checkpointing subsystem operates on: warm up once,
-// snapshot, and fork restored engines into many measured runs. RunContext
-// is expressed through it, so the straight-through and checkpointed paths
-// execute the exact same engine call sequence and produce byte-identical
-// results (DESIGN.md section 14).
+// snapshot, and fork restored engines into many measured runs. It is the
+// only way a run executes — Warmup then Measure, with a Snapshot or a
+// Restore at the seam in between — so straight-through, checkpointed,
+// pooled and standalone runs all replay the same engine call sequence
+// (DESIGN.md section 14).
 type Sim struct {
 	mix workloads.Mix
 	o   Options
-	eng *cpu.Engine
-	pre []cpu.CoreResult
+	// factory built the scheme; Standalone builds its single-core runs
+	// with it. A pooled Sim keeps it: the pool key binds one factory.
+	factory Factory //bmlint:resetconst
+	eng     *cpu.Engine
+	pre     []cpu.CoreResult
 	// preT is the per-tenant warmup baseline (nil for single-tenant mixes),
 	// captured alongside pre and subtracted the same way.
 	preT   []cpu.TenantResult
 	warmed bool
+	// solo marks one of Standalone's single-core runs: it replays one slot
+	// of mix, so Reset declines it.
+	solo bool //bmlint:resetconst
 
 	// seeds is a reusable per-core seed buffer for Reset.
 	seeds []uint64
@@ -40,28 +49,34 @@ type Sim struct {
 	payloadMax int //bmlint:resetconst
 }
 
-// NewSim assembles a simulation without running it. The construction path
-// is identical to RunContext's: normalized options, derived config, a
-// fresh scheme from factory, generators seeded from o.Seed.
+// NewSim assembles a simulation without running it: normalized options,
+// the derived config, a fresh scheme from factory and one generator per
+// core seeded from o.Seed.
 func NewSim(mix workloads.Mix, factory Factory, o Options) *Sim {
 	o = o.normalize()
-	cfg := ConfigFor(mix, o)
-	scheme := factory(cfg)
+	return newSim(mix, factory, o, mix.Generators(o.Seed))
+}
+
+// newSim builds a Sim over gens, every core of the mix or one slot alone
+// (Standalone). The scheme is configured for the whole mix either way;
+// the prefetcher tracks one stream per generator.
+func newSim(mix workloads.Mix, factory Factory, o Options, gens []trace.Generator) *Sim {
 	var pf *cpu.Prefetcher
 	if o.PrefetchN > 0 {
-		pf = cpu.NewPrefetcher(o.PrefetchN, mix.Cores())
+		pf = cpu.NewPrefetcher(o.PrefetchN, len(gens))
 	}
 	return &Sim{
-		mix: mix,
-		o:   o,
-		eng: cpu.NewEngine(scheme, mix.Generators(o.Seed), o.CoreCfg, pf),
+		mix:     mix,
+		o:       o,
+		factory: factory,
+		eng:     cpu.NewEngine(factory(ConfigFor(mix, o)), gens, o.CoreCfg, pf),
 	}
 }
 
 // sameRunShape reports whether two normalized option sets describe the
 // same simulator structure. Seed is excluded (Reset re-seeds everything in
-// place) and so is Workers (it only fans out independent runs and never
-// shapes a Sim).
+// place) and so is Workers (it only fans out Standalone and never shapes
+// a Sim).
 func sameRunShape(a, b Options) bool {
 	a.Seed, b.Seed = 0, 0
 	a.Workers, b.Workers = 0, 0
@@ -72,21 +87,20 @@ func sameRunShape(a, b Options) bool {
 // run — scheme, cores, generators and statistics — reusing every backing
 // array, and reports whether it could. Reuse requires the same mix and the
 // same run shape (options modulo Seed and Workers), and a scheme that
-// implements dramcache.Resetter and accepts the derived config; otherwise
-// Reset declines, leaving the Sim unusable (possibly half-reset), and the
-// caller must build fresh with NewSim(mix, factory, o). After a successful
-// Reset the Sim behaves byte-identically to NewSim(mix, factory, o): the
-// scheme is back to its constructed state with the new seed, and each
-// core's generator is re-seeded with workloads.CoreSeed(o.Seed, i) —
-// exactly the seeds mix.Generators(o.Seed) would use.
-//
-// The factory parameter mirrors NewSim for call-site symmetry; Reset never
-// invokes it (a declined reuse is signalled, not repaired).
+// implements dramcache.Resetter and accepts the derived config; a
+// standalone run (Standalone) is always declined. When Reset declines it
+// may leave the Sim unusable (possibly half-reset), and the caller must
+// build fresh with NewSim. After a successful Reset the Sim behaves
+// byte-identically to NewSim(mix, factory, o) with the factory it was
+// built with: the scheme is back to its constructed state with the new
+// seed, and each core's generator is re-seeded with
+// workloads.CoreSeed(o.Seed, i) — exactly the seeds mix.Generators(o.Seed)
+// would use.
 //
 //bmlint:hotpath
-func (s *Sim) Reset(mix workloads.Mix, factory Factory, o Options) bool {
+func (s *Sim) Reset(mix workloads.Mix, o Options) bool {
 	o = o.normalize()
-	if mix.Name != s.mix.Name || mix.Cores() != s.mix.Cores() || !sameRunShape(o, s.o) {
+	if s.solo || mix.Name != s.mix.Name || mix.Cores() != s.mix.Cores() || !sameRunShape(o, s.o) {
 		return false
 	}
 	rs, ok := s.eng.Scheme().(dramcache.Resetter)
@@ -169,8 +183,8 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 
 // Measure runs the measured window and assembles the run result. With no
 // prior warmup it replays the plain single-phase path; after Warmup or
-// Restore it reports the measured window relative to the warmup baseline,
-// exactly as Engine.RunMeasuredContext does. It ends the run: the engine
+// Restore it reports the measured window relative to the warmup baseline.
+// It ends the run: the engine
 // hands its trace read-ahead back, so an idle pooled Sim holds none, and
 // the Sim runs nothing more until Reset or Restore.
 func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
@@ -195,4 +209,31 @@ func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
 		Energy:    energy.Compute(rep, energy.Default()),
 		Scheme:    scheme,
 	}, nil
+}
+
+// Standalone runs each benchmark of the mix alone on the same machine and
+// returns the per-core results in mix order, labelled with their slots —
+// the C^SP terms of ANTT (cpu.ANTT pairs them with Measure's PerCore).
+// Slot i's run is a fresh single-core Sim through Warmup and Measure: the
+// mix's config and this Sim's factory, slot i's generator alone
+// (workloads.CoreSeed(seed, i) at workloads.CoreBase(i)) and a one-core
+// prefetcher. The runs are independent, so they fan out over
+// Options.Workers goroutines, with the same result at any worker count.
+// Standalone reads only the Sim's configuration, so it may run before or
+// after the Sim's own phases, but not beside a Reset.
+func (s *Sim) Standalone(ctx context.Context) ([]cpu.CoreResult, error) {
+	return engine.Map(ctx, s.o.Workers, s.mix.Cores(), func(ctx context.Context, i int) (cpu.CoreResult, error) {
+		solo := newSim(s.mix, s.factory, s.o, []trace.Generator{s.mix.Generator(s.o.Seed, i)})
+		solo.solo = true
+		if err := solo.Warmup(ctx); err != nil {
+			return cpu.CoreResult{}, err
+		}
+		res, err := solo.Measure(ctx)
+		if err != nil {
+			return cpu.CoreResult{}, err
+		}
+		r := res.PerCore[0]
+		r.Core = i
+		return r, nil
+	})
 }

@@ -62,11 +62,7 @@ func checkRestoreGolden(t *testing.T, mix workloads.Mix, factory Factory, o Opti
 	t.Helper()
 	ctx := context.Background()
 
-	straight, err := RunContext(ctx, mix, factory, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := viewJSON(t, straight)
+	golden := viewJSON(t, runSim(t, NewSim(mix, factory, o)))
 
 	producer := NewSim(mix, factory, o)
 	if err := producer.Warmup(ctx); err != nil {

@@ -15,8 +15,8 @@ func TestRunContextCancelled(t *testing.T) {
 	o := Options{AccessesPerCore: 50_000_000, Seed: 1, CacheDivisor: 8}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, mix, paperFactory(t, "alloy"), o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if err := NewSim(mix, paperFactory(t, "alloy"), o).Warmup(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Warmup on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -24,13 +24,13 @@ func TestRunStandaloneContextParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("Q3")
 	o := Options{AccessesPerCore: 2_000, Seed: 7, CacheDivisor: 8}
 	o.Workers = 1
-	serial, err := RunStandaloneContext(context.Background(), mix, paperFactory(t, "alloy"), o)
+	serial, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, runtime.NumCPU()} {
 		o.Workers = workers
-		got, err := RunStandaloneContext(context.Background(), mix, paperFactory(t, "alloy"), o)
+		got, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,12 +46,12 @@ func TestANTTContextParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("Q2")
 	o := Options{AccessesPerCore: 2_000, Seed: 3, CacheDivisor: 8}
 	o.Workers = 1
-	serialANTT, serialMulti, err := ANTTContext(context.Background(), mix, paperFactory(t, "alloy"), o)
+	serialANTT, serialMulti, err := anttRun(context.Background(), mix, paperFactory(t, "alloy"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Workers = runtime.NumCPU()
-	parANTT, parMulti, err := ANTTContext(context.Background(), mix, paperFactory(t, "alloy"), o)
+	parANTT, parMulti, err := anttRun(context.Background(), mix, paperFactory(t, "alloy"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestANTTContextCancelled(t *testing.T) {
 	o := Options{AccessesPerCore: 50_000_000, Seed: 1, CacheDivisor: 8, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ANTTContext(ctx, mix, paperFactory(t, "alloy"), o); !errors.Is(err, context.Canceled) {
-		t.Errorf("ANTTContext on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Standalone on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

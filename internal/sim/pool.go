@@ -18,7 +18,7 @@ type poolKey struct {
 	opts   Options
 }
 
-// newPoolKey derives the free-list key for a run.
+// newPoolKey derives the idle-list key for a run.
 func newPoolKey(scheme string, mix workloads.Mix, o Options) poolKey {
 	o = o.normalize()
 	o.Seed = 0
@@ -31,16 +31,17 @@ func newPoolKey(scheme string, mix workloads.Mix, o Options) poolKey {
 // runs (metadata arrays for multi-megabyte caches, per-core generators),
 // so drawing a pooled Sim and re-initializing it in place with Reset turns
 // the per-run cost into a handful of array clears. The pool is safe for
-// concurrent use; retained simulators are bounded by max across all keys.
+// concurrent use and retains at most max idle simulators in total, across
+// all keys: when a Put finds it full, the longest-idle one is dropped.
 //
 // Usage: Get a Sim keyed by a stable scheme identifier (the registry
 // scheme name), run it, then Put it back. A Sim obtained from Get must not
 // be used after Put returns it to the pool.
 type RunPool struct {
-	mu   sync.Mutex
-	max  int
-	size int
-	free map[poolKey][]*Sim
+	mu  sync.Mutex
+	max int
+	// idle holds the simulators Put back, oldest first.
+	idle []*Sim
 
 	hits   int64
 	misses int64
@@ -56,54 +57,72 @@ func NewRunPool(max int) *RunPool {
 	if max <= 0 {
 		max = DefaultPoolSize
 	}
-	return &RunPool{max: max, free: make(map[poolKey][]*Sim)}
+	return &RunPool{max: max, idle: make([]*Sim, 0, max)}
 }
 
 // Get returns a ready-to-run Sim for (mix, factory, o), reusing a pooled
-// simulator with the same geometry when one is free and falling back to
+// simulator with the same geometry when one is idle and falling back to
 // NewSim otherwise. scheme must be a stable identifier for what factory
-// builds (the registry scheme name): it keys the free lists, so two
-// different factories must never share a scheme string with equal mix and
-// options. The returned Sim behaves byte-identically to NewSim(mix,
-// factory, o).
+// builds (the registry scheme name): it keys the pool, so two different
+// factories must never share a scheme string with equal mix and options.
+// The returned Sim behaves byte-identically to NewSim(mix, factory, o).
 func (p *RunPool) Get(scheme string, mix workloads.Mix, factory Factory, o Options) *Sim {
 	k := newPoolKey(scheme, mix, o)
-	p.mu.Lock()
-	var s *Sim
-	if list := p.free[k]; len(list) > 0 {
-		s = list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[k] = list[:len(list)-1]
-		p.size--
-	}
-	p.mu.Unlock()
-	if s != nil && s.Reset(mix, factory, o) {
-		p.mu.Lock()
-		p.hits++
-		p.mu.Unlock()
+	if s := p.take(k, mix, o); s != nil {
 		return s
 	}
+	return p.build(k, mix, factory, o)
+}
+
+// take resets and returns the most recently Put idle simulator under k,
+// counting a hit, or returns nil (counting nothing) when none is idle or
+// it declines the Reset.
+func (p *RunPool) take(k poolKey, mix workloads.Mix, o Options) *Sim {
+	p.mu.Lock()
+	var s *Sim
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == k {
+			s = p.idle[i]
+			copy(p.idle[i:], p.idle[i+1:])
+			p.idle[len(p.idle)-1] = nil
+			p.idle = p.idle[:len(p.idle)-1]
+			break
+		}
+	}
+	p.mu.Unlock()
+	if s == nil || !s.Reset(mix, o) {
+		return nil
+	}
+	p.mu.Lock()
+	p.hits++
+	p.mu.Unlock()
+	return s
+}
+
+// build constructs a fresh pooled simulator under k, counting a miss.
+func (p *RunPool) build(k poolKey, mix workloads.Mix, factory Factory, o Options) *Sim {
 	p.mu.Lock()
 	p.misses++
 	p.mu.Unlock()
-	s = NewSim(mix, factory, o)
+	s := NewSim(mix, factory, o)
 	s.key = k
 	s.pooled = true
 	return s
 }
 
-// Put returns a Sim obtained from Get to the pool for reuse. Simulators
-// built directly with NewSim, and any Sim once the pool is full, are
-// dropped for the garbage collector. Put is nil-safe.
+// Put returns a Sim obtained from Get to the pool for reuse, dropping the
+// longest-idle simulator when the pool is full. Simulators built directly
+// with NewSim are dropped for the garbage collector. Put is nil-safe.
 func (p *RunPool) Put(s *Sim) {
 	if s == nil || !s.pooled {
 		return
 	}
 	p.mu.Lock()
-	if p.size < p.max {
-		p.free[s.key] = append(p.free[s.key], s)
-		p.size++
+	if len(p.idle) == p.max {
+		copy(p.idle, p.idle[1:])
+		p.idle = p.idle[:len(p.idle)-1]
 	}
+	p.idle = append(p.idle, s)
 	p.mu.Unlock()
 }
 

@@ -28,6 +28,30 @@ func runSim(t *testing.T, s *Sim) RunResult {
 	return res
 }
 
+// run runs the mix on a fresh Sim.
+func run(t *testing.T, mix workloads.Mix, factory Factory, o Options) RunResult {
+	t.Helper()
+	return runSim(t, NewSim(mix, factory, o))
+}
+
+// anttRun runs the mix on a fresh Sim, then its standalone terms, and
+// returns the ANTT and the multiprogrammed result.
+func anttRun(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (float64, RunResult, error) {
+	s := NewSim(mix, factory, o)
+	if err := s.Warmup(ctx); err != nil {
+		return 0, RunResult{}, err
+	}
+	res, err := s.Measure(ctx)
+	if err != nil {
+		return 0, RunResult{}, err
+	}
+	terms, err := s.Standalone(ctx)
+	if err != nil {
+		return 0, RunResult{}, err
+	}
+	return cpu.ANTT(res.PerCore, terms), res, nil
+}
+
 // marshalResult serializes the comparable portion of a run result (the
 // Scheme field is a live instance, not a value).
 func marshalResult(r RunResult) ([]byte, error) {
@@ -102,7 +126,7 @@ func TestRunPoolGeometryMismatch(t *testing.T) {
 
 	bigger := o
 	bigger.CacheBytes = 4 << 20
-	if s.Reset(mix, factory, bigger) {
+	if s.Reset(mix, bigger) {
 		t.Error("Reset accepted a geometry change")
 	}
 	s2 := pool.Get("bimodal", mix, factory, bigger)
@@ -110,6 +134,29 @@ func TestRunPoolGeometryMismatch(t *testing.T) {
 		t.Errorf("geometry change was served from the pool (hits=%d)", hits)
 	}
 	runSim(t, s2)
+}
+
+// TestRunPoolEvictsLongestIdle fills a two-slot pool with two one-off
+// geometries, then cycles a third: a full Put drops the longest-idle
+// simulator instead of the one returned, so the third geometry is reused
+// from its second Get on.
+func TestRunPoolEvictsLongestIdle(t *testing.T) {
+	mix := workloads.MustByName("Q1")
+	factory := paperFactory(t, "alloy")
+	pool := NewRunPool(2)
+	cycle := func(cacheBytes uint64) {
+		s := pool.Get("alloy", mix, factory, Options{AccessesPerCore: 100, Seed: 1, CacheBytes: cacheBytes})
+		runSim(t, s)
+		pool.Put(s)
+	}
+	cycle(1 << 20)
+	cycle(2 << 20)
+	for i := 0; i < 3; i++ {
+		cycle(4 << 20)
+	}
+	if hits, misses := pool.Stats(); hits != 2 || misses != 3 {
+		t.Errorf("hits %d, misses %d; want 2 and 3", hits, misses)
+	}
 }
 
 // TestRunPoolConcurrent hammers one shared pool from concurrent workers —

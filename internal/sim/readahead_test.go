@@ -117,7 +117,7 @@ func TestReadAheadMatchesInline(t *testing.T) {
 						t.Error("warmup with a cancelled context succeeded")
 						return
 					}
-					if !s.Reset(mix, factory, o) {
+					if !s.Reset(mix, o) {
 						t.Error("Reset after a cancelled phase declined")
 						return
 					}
@@ -131,7 +131,7 @@ func TestReadAheadMatchesInline(t *testing.T) {
 						return
 					}
 					raStraight = encodeResult(t, r)
-					if !s.Reset(mix, factory, o) {
+					if !s.Reset(mix, o) {
 						t.Error("Reset after a measured run declined")
 						return
 					}

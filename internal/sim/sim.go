@@ -4,18 +4,14 @@
 package sim
 
 import (
-	"context"
-
 	"bimodal/internal/core"
 	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
-	"bimodal/internal/engine"
-	"bimodal/internal/trace"
 	"bimodal/internal/workloads"
 )
 
-// Factory builds a fresh scheme instance from a configuration. Every run
+// Factory builds a fresh scheme instance from a configuration. Every Sim
 // (multiprogrammed or standalone) gets its own instance so cache state
 // never leaks between runs.
 type Factory func(cfg dramcache.Config) dramcache.Scheme
@@ -42,10 +38,10 @@ type Options struct {
 	CoreCfg cpu.CoreConfig
 	// PrefetchN enables the next-N-lines prefetcher when positive.
 	PrefetchN int
-	// Workers bounds the fan-out of the independent simulations inside
-	// one call (the per-benchmark standalone runs of RunStandalone/ANTT).
-	// 0 or 1 runs them serially; results are collected in mix order either
-	// way, so the output is identical at any worker count.
+	// Workers bounds the fan-out of Sim.Standalone, whose per-benchmark
+	// runs are independent simulations. 0 or 1 runs them serially; results
+	// are collected in mix order either way, so the output is identical at
+	// any worker count. It never shapes a Sim.
 	Workers int
 }
 
@@ -105,124 +101,6 @@ func (r RunResult) TotalCycles() int64 {
 		}
 	}
 	return m
-}
-
-// Run executes the mix on a fresh scheme from factory.
-func Run(mix workloads.Mix, factory Factory, o Options) RunResult {
-	res, err := RunContext(context.Background(), mix, factory, o)
-	if err != nil {
-		// Background contexts never cancel; any error here is a bug.
-		panic(err)
-	}
-	return res
-}
-
-// RunContext executes the mix on a fresh scheme from factory, honoring
-// cancellation: when ctx ends mid-run the simulation stops within a few
-// thousand accesses and ctx.Err() is returned. The result is a pure
-// function of (mix, factory, o) — never of ctx or timing.
-func RunContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (RunResult, error) {
-	s := NewSim(mix, factory, o)
-	if err := s.Warmup(ctx); err != nil {
-		return RunResult{}, err
-	}
-	return s.Measure(ctx)
-}
-
-// RunStandalone runs each benchmark of the mix alone on the same machine
-// configuration (fresh scheme per benchmark) and returns the per-core
-// results in mix order — the C^SP terms of ANTT.
-func RunStandalone(mix workloads.Mix, factory Factory, o Options) []cpu.CoreResult {
-	out, err := RunStandaloneContext(context.Background(), mix, factory, o)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RunStandaloneContext is RunStandalone with cancellation. The standalone
-// runs are fully independent (fresh scheme and generator each), so they
-// fan out over o.Workers goroutines; results land in mix order regardless
-// of worker count, keeping parallel output identical to serial.
-func RunStandaloneContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) ([]cpu.CoreResult, error) {
-	o = o.normalize()
-	return engine.Map(ctx, o.Workers, mix.Cores(), func(ctx context.Context, i int) (cpu.CoreResult, error) {
-		return standaloneOne(ctx, mix, factory, o, i)
-	})
-}
-
-// ANTT runs the mix multiprogrammed and standalone under both, returning
-// the ANTT value and the multiprogrammed result.
-func ANTT(mix workloads.Mix, factory Factory, o Options) (float64, RunResult) {
-	antt, multi, err := ANTTContext(context.Background(), mix, factory, o)
-	if err != nil {
-		panic(err)
-	}
-	return antt, multi
-}
-
-// ANTTContext is ANTT with cancellation. The multiprogrammed run and the
-// per-benchmark standalone runs are all independent simulations; with
-// o.Workers > 1 they execute concurrently (the multiprogrammed run as one
-// cell beside the standalone cells).
-func ANTTContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (float64, RunResult, error) {
-	o = o.normalize()
-	if o.Workers <= 1 {
-		multi, err := RunContext(ctx, mix, factory, o)
-		if err != nil {
-			return 0, RunResult{}, err
-		}
-		single, err := RunStandaloneContext(ctx, mix, factory, o)
-		if err != nil {
-			return 0, RunResult{}, err
-		}
-		return cpu.ANTT(multi.PerCore, single), multi, nil
-	}
-	var multi RunResult
-	single := make([]cpu.CoreResult, mix.Cores())
-	// Cell 0 is the multiprogrammed run; cells 1..n are the standalones.
-	_, err := engine.Map(ctx, o.Workers, mix.Cores()+1, func(ctx context.Context, i int) (struct{}, error) {
-		if i == 0 {
-			m, err := RunContext(ctx, mix, factory, o)
-			if err != nil {
-				return struct{}{}, err
-			}
-			multi = m
-			return struct{}{}, nil
-		}
-		so := o
-		so.Workers = 1
-		out, err := standaloneOne(ctx, mix, factory, so, i-1)
-		if err != nil {
-			return struct{}{}, err
-		}
-		single[i-1] = out
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	return cpu.ANTT(multi.PerCore, single), multi, nil
-}
-
-// standaloneOne runs benchmark i of the mix alone (one ANTT C^SP term).
-func standaloneOne(ctx context.Context, mix workloads.Mix, factory Factory, o Options, i int) (cpu.CoreResult, error) {
-	cfg := ConfigFor(mix, o)
-	g := mix.Generators(o.Seed)[i]
-	scheme := factory(cfg)
-	var pf *cpu.Prefetcher
-	if o.PrefetchN > 0 {
-		pf = cpu.NewPrefetcher(o.PrefetchN, 1)
-	}
-	eng := cpu.NewEngine(scheme, []trace.Generator{g}, o.CoreCfg, pf)
-	res, err := eng.RunMeasuredContext(ctx, o.WarmupPerCore, o.AccessesPerCore)
-	eng.ReleaseReadAhead()
-	if err != nil {
-		return cpu.CoreResult{}, err
-	}
-	r := res[0]
-	r.Core = i
-	return r, nil
 }
 
 // ScaledCoreParams returns the paper's core parameters for a cache size

@@ -55,7 +55,7 @@ func TestSchemeFactoryKnownNames(t *testing.T) {
 
 func TestRunProducesConsistentResult(t *testing.T) {
 	mix := workloads.MustByName("Q7")
-	res := Run(mix, paperFactory(t, "bimodal"), quick())
+	res := run(t, mix, paperFactory(t, "bimodal"), quick())
 	if res.Mix != "Q7" || len(res.PerCore) != 4 {
 		t.Fatalf("result: %+v", res.Mix)
 	}
@@ -78,8 +78,8 @@ func TestRunProducesConsistentResult(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	mix := workloads.MustByName("Q1")
 	f := paperFactory(t, "alloy")
-	a := Run(mix, f, quick())
-	b := Run(mix, f, quick())
+	a := run(t, mix, f, quick())
+	b := run(t, mix, f, quick())
 	if a.TotalCycles() != b.TotalCycles() || a.Report.Hits != b.Report.Hits {
 		t.Error("runs with identical options differ")
 	}
@@ -89,8 +89,12 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 	mix := workloads.MustByName("Q1")
 	f := paperFactory(t, "bimodal")
 	o := quick()
-	multi := Run(mix, f, o)
-	single := RunStandalone(mix, f, o)
+	s := NewSim(mix, f, o)
+	multi := runSim(t, s)
+	single, err := s.Standalone(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(single) != 4 {
 		t.Fatalf("standalone results = %d", len(single))
 	}
@@ -154,7 +158,7 @@ func TestStandaloneMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						o := OptionsForSpec(rs)
-						got, err := RunStandaloneContext(context.Background(), mix, factory, o)
+						got, err := NewSim(mix, factory, o).Standalone(context.Background())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,7 +176,10 @@ func TestStandaloneMatchesReference(t *testing.T) {
 
 func TestANTTAboveOne(t *testing.T) {
 	mix := workloads.MustByName("Q3")
-	antt, res := ANTT(mix, paperFactory(t, "bimodal"), quick())
+	antt, res, err := anttRun(context.Background(), mix, paperFactory(t, "bimodal"), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if antt <= 1.0 {
 		t.Errorf("ANTT = %.3f; sharing should slow programs", antt)
 	}
@@ -238,9 +245,9 @@ func TestPrefetcherIntegration(t *testing.T) {
 	f := paperFactory(t, "bimodal")
 	o := quick()
 	o.PrefetchN = 1
-	res := Run(mix, f, o)
+	res := run(t, mix, f, o)
 	// Prefetches add scheme accesses beyond the demand traffic.
-	noPf := Run(mix, f, quick())
+	noPf := run(t, mix, f, quick())
 	if res.Report.Accesses <= noPf.Report.Accesses {
 		t.Errorf("accesses with prefetch = %d, without = %d", res.Report.Accesses, noPf.Report.Accesses)
 	}

@@ -2,10 +2,67 @@ package sim
 
 import (
 	"fmt"
+	"sort"
+	"strconv"
 
 	"bimodal/internal/dramcache"
 	"bimodal/internal/spec"
+	"bimodal/internal/workloads"
 )
+
+// ForSpec resolves a run spec and its already-resolved mix into a
+// ready-to-run Sim: drawn from pool when a simulator of the same geometry
+// is idle there, built fresh otherwise (always when pool is nil). A spec
+// drawn from a pool must be canonical, since its scheme name and params
+// key the pool. workers bounds Standalone's fan-out (Options.Workers);
+// the spec cannot express it, since it never changes a result.
+// FactoryForSpec runs only when a Sim is built: a pooled Sim keeps the
+// factory it was built with, and the pool key binds every spec that
+// reaches it to an identically building one.
+func ForSpec(pool *RunPool, rs spec.RunSpec, mix workloads.Mix, workers int) (*Sim, error) {
+	o := OptionsForSpec(rs)
+	o.Workers = workers
+	var k poolKey
+	if pool != nil {
+		k = newPoolKey(poolSchemeKey(rs), mix, o)
+		if s := pool.take(k, mix, o); s != nil {
+			return s, nil
+		}
+	}
+	factory, err := FactoryForSpec(rs, mix.Cores())
+	if err != nil {
+		return nil, err
+	}
+	if pool == nil {
+		return NewSim(mix, factory, o), nil
+	}
+	return pool.build(k, mix, factory, o), nil
+}
+
+// poolSchemeKey derives the RunPool scheme key for a canonical run spec.
+// The scheme name alone is not enough: spec params shape the built scheme
+// (geometry and option overrides) beyond what Options capture, and two
+// factories must never share a pool key unless they build identically.
+// Params are canonical (sorted, minimal), so the key is deterministic.
+func poolSchemeKey(rs spec.RunSpec) string {
+	if len(rs.Params) == 0 {
+		return rs.Scheme
+	}
+	keys := make([]string, 0, len(rs.Params))
+	for k := range rs.Params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b []byte
+	b = append(b, rs.Scheme...)
+	for _, k := range keys {
+		b = append(b, '?')
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, rs.Params[k], 10)
+	}
+	return string(b)
+}
 
 // OptionsForSpec translates a run spec into sim.Options. Workers is left
 // zero (serial): parallelism is an execution concern the spec — and

@@ -84,8 +84,8 @@ func TestFactoryForSpecMatchesLegacy(t *testing.T) {
 			ref := func(cfg dramcache.Config) dramcache.Scheme {
 				return tc.ref(cfg, ScaledCoreParams(cfg.CacheBytes, mix.Cores(), opts.AccessesPerCore))
 			}
-			want := Run(mix, ref, opts)
-			got := Run(mix, specFactory, opts)
+			want := run(t, mix, ref, opts)
+			got := run(t, mix, specFactory, opts)
 			if !reflect.DeepEqual(want.Report, got.Report) {
 				t.Errorf("report diverged\nreference %+v\nspec      %+v", want.Report, got.Report)
 			}
@@ -138,8 +138,8 @@ func TestFactoryForSpecParamsChangeResult(t *testing.T) {
 	}
 	c, _ := base.Canonical()
 	opts := OptionsForSpec(c)
-	a := Run(mix, fa, opts)
-	b := Run(mix, fb, opts)
+	a := run(t, mix, fa, opts)
+	b := run(t, mix, fb, opts)
 	if reflect.DeepEqual(a.Report, b.Report) {
 		t.Error("fixed_big param had no effect on the simulation")
 	}

@@ -20,7 +20,7 @@ func dcOptions() Options {
 // with the per-core totals.
 func TestDCMixPerTenantResults(t *testing.T) {
 	mix := workloads.MustByName("DC4")
-	res := Run(mix, paperFactory(t, "bimodal"), dcOptions())
+	res := run(t, mix, paperFactory(t, "bimodal"), dcOptions())
 	if len(res.PerTenant) != 4 {
 		t.Fatalf("PerTenant has %d entries, want 4", len(res.PerTenant))
 	}
@@ -48,7 +48,7 @@ func TestDCMixPerTenantResults(t *testing.T) {
 // TestSingleTenantMixHasNoPerTenant checks classic mixes stay exactly as
 // before: no per-tenant attribution is reported (or paid for).
 func TestSingleTenantMixHasNoPerTenant(t *testing.T) {
-	res := Run(workloads.MustByName("Q1"), paperFactory(t, "alloy"), dcOptions())
+	res := run(t, workloads.MustByName("Q1"), paperFactory(t, "alloy"), dcOptions())
 	if res.PerTenant != nil {
 		t.Fatalf("single-tenant mix reported PerTenant %+v", res.PerTenant)
 	}
@@ -107,11 +107,11 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	factory := paperFactory(t, "bimodal")
 	base := dcOptions()
 	base.Workers = 1
-	serialStandalone, err := RunStandaloneContext(context.Background(), mix, factory, base)
+	serialStandalone, err := NewSim(mix, factory, base).Standalone(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialANTT, serialMulti, err := ANTTContext(context.Background(), mix, factory, base)
+	serialANTT, serialMulti, err := anttRun(context.Background(), mix, factory, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, engine.Workers(0)} {
 		o := base
 		o.Workers = workers
-		par, err := RunStandaloneContext(context.Background(), mix, factory, o)
+		par, err := NewSim(mix, factory, o).Standalone(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: standalone core %d = %+v, want %+v", workers, i, par[i], serialStandalone[i])
 			}
 		}
-		antt, multi, err := ANTTContext(context.Background(), mix, factory, o)
+		antt, multi, err := anttRun(context.Background(), mix, factory, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,6 +120,11 @@ func biModalCrossCheck(p Params) error {
 		return fmt.Errorf("spec: big_block %d has more than 32 sub-blocks", bigBlock)
 	case minBig > setBytes/bigBlock:
 		return fmt.Errorf("spec: min_big %d exceeds the %d big ways of a %dB set", minBig, setBytes/bigBlock, setBytes)
+	case setBytes/bigBlock > 32:
+		return fmt.Errorf("spec: a %dB set has %d big ways, more than 32", setBytes, setBytes/bigBlock)
+	case (setBytes/bigBlock-minBig)*(bigBlock/core.SmallBlock) > 32:
+		return fmt.Errorf("spec: min_big %d leaves a %dB set %d small ways, more than 32",
+			minBig, setBytes, (setBytes/bigBlock-minBig)*(bigBlock/core.SmallBlock))
 	case threshold > bigBlock/core.SmallBlock:
 		return fmt.Errorf("spec: threshold %d exceeds the %d sub-blocks of a big block", threshold, bigBlock/core.SmallBlock)
 	}

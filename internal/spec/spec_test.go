@@ -155,6 +155,8 @@ func TestCheckParams(t *testing.T) {
 		{Params{"big_block": 1 << 11, "set_bytes": 1 << 10}, "exceeds set_bytes"},
 		{Params{"min_big": 9}, "big ways"},
 		{Params{"threshold": 12}, "sub-blocks"},
+		{Params{"set_bytes": 1 << 14, "big_block": 128, "min_big": 1, "threshold": 2}, "128 big ways, more than 32"},
+		{Params{"set_bytes": 4096, "big_block": 256, "min_big": 1, "threshold": 2}, "60 small ways, more than 32"},
 	}
 	for _, c := range bad {
 		err := d.CheckParams(c.p)

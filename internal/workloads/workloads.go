@@ -68,19 +68,21 @@ func CoreSeed(seed uint64, i int) uint64 {
 // decorrelates reruns (per-core derivation in CoreSeed).
 func (m Mix) Generators(seed uint64) []trace.Generator {
 	gens := make([]trace.Generator, len(m.Benchmarks))
-	if m.Traffic != nil {
-		streams := m.Traffic.streams()
-		for i := range gens {
-			gens[i] = trace.NewInterleaver(m.Name, streams, CoreBase(i),
-				float64(m.Traffic.SharedPct)/100, m.Traffic.SharedPages, CoreSeed(seed, i))
-		}
-		return gens
-	}
-	for i, b := range m.Benchmarks {
-		p := trace.MustProfile(b)
-		gens[i] = trace.NewSynthetic(p, CoreBase(i), CoreSeed(seed, i))
+	for i := range gens {
+		gens[i] = m.Generator(seed, i)
 	}
 	return gens
+}
+
+// Generator instantiates core i's generator alone, identical to
+// Generators(seed)[i]: its stream starts at CoreBase(i) and is seeded with
+// CoreSeed(seed, i).
+func (m Mix) Generator(seed uint64, i int) trace.Generator {
+	if m.Traffic != nil {
+		return trace.NewInterleaver(m.Name, m.Traffic.streams(), CoreBase(i),
+			float64(m.Traffic.SharedPct)/100, m.Traffic.SharedPages, CoreSeed(seed, i))
+	}
+	return trace.NewSynthetic(trace.MustProfile(m.Benchmarks[i]), CoreBase(i), CoreSeed(seed, i))
 }
 
 // quad builds a Mix with validation deferred to init.
