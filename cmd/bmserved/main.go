@@ -8,8 +8,8 @@
 //
 //   - default: a self-contained node; sweep cells simulate in-process.
 //   - -coordinator: additionally serves the cluster control plane under
-//     /cluster/v1 and dispatches sweep cells to joined workers, sharded
-//     by consistent hashing on the canonical spec hash. With no workers
+//     /cluster/v1 and hands sweep cells to joined workers from one FIFO
+//     queue, oldest cell to the first worker that pulls. With no workers
 //     joined, cells wait for one.
 //   - -worker -join URL: a headless cell runner; joins the coordinator at
 //     URL, long-polls for cells, simulates them and reports the bytes.

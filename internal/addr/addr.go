@@ -94,10 +94,6 @@ func (f Fields) Offset(p Phys) uint64 {
 	return uint64(p) & (f.blockSize - 1)
 }
 
-// BlockID returns a unique identifier for the block containing p (the
-// address with offset bits stripped), convenient as a map key.
-func (f Fields) BlockID(p Phys) uint64 { return uint64(p) >> f.offsetBits }
-
 // Rebuild reconstructs the base address of a block from tag and set index.
 func (f Fields) Rebuild(tag, set uint64) Phys {
 	return Phys(tag<<(f.offsetBits+f.setBits) | set<<f.offsetBits)

@@ -203,13 +203,3 @@ func Allowed(pass *Pass, file *ast.File, pos token.Pos, what string) bool {
 func TestFile(pass *Pass, file *ast.File) bool {
 	return strings.HasSuffix(pass.Fset.File(file.Pos()).Name(), "_test.go")
 }
-
-// FileFor returns the *ast.File containing pos.
-func FileFor(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}

@@ -1,8 +1,28 @@
+// Package cluster distributes sweep cells across worker processes.
+//
+// A Coordinator embeds in the sweep server (it implements
+// service.Dispatcher, so the sweep executor hands it every cell the
+// content-addressed store cannot answer) and keeps those cells in one
+// FIFO queue that every registered worker pulls from. Workers are thin
+// pull loops around service.RunCellSpec: join, long-poll for tasks, run,
+// report bytes. Because result bytes are a pure function of the canonical
+// RunSpec (the determinism contract the simulator packages enforce), which
+// worker runs a cell is a performance decision only — a sweep merged from
+// three workers is byte-identical to the same sweep run on one node, and
+// the goldens prove it.
+//
+// There is no placement: the sweep executor answers every stored hash
+// before it dispatches, so a spec hash reaches the coordinator once, and
+// the state a worker keeps for later cells (pooled simulators, warm
+// snapshots) is keyed by something other than the spec hash. The oldest
+// pending cell goes to whichever worker asks first.
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,16 +42,16 @@ type Config struct {
 	// PollWait bounds how long an idle pull request is held open before
 	// the coordinator answers 204 (long-poll). Default 10s.
 	PollWait time.Duration
-	// MaxAttempts caps how many workers a cell may be handed to before the
+	// MaxAttempts caps how many workers may die running a cell before the
 	// coordinator gives up and fails it (each requeue after a worker death
-	// burns one attempt). Default 3.
+	// burns one attempt; a clean leave burns none). Default 3.
 	MaxAttempts int
 	// Metrics receives the coordinator's instrumentation.
 	// Default telemetry.Default.
 	Metrics *telemetry.Registry
 	// Now is the clock (a test seam for deterministic reaper tests).
 	// Default time.Now. The cluster layer is outside the simulator's
-	// determinism boundary — placement never affects result bytes.
+	// determinism boundary — scheduling never affects result bytes.
 	Now func() time.Time
 }
 
@@ -68,12 +88,9 @@ type task struct {
 	id   string
 	rs   spec.RunSpec
 	hash string
-	// owner is the worker whose queue holds the task (pending) or that is
-	// running it. Empty while orphaned (no workers registered).
+	// owner is the worker running the task; a pending task has none.
 	owner string
-	// running flips when a worker pulls the task.
-	running bool
-	// attempts counts workers the task has been handed to.
+	// attempts counts workers that died running the task.
 	attempts int
 	// result receives exactly one send (buffered so a report never blocks
 	// on a caller that already gave up).
@@ -84,29 +101,29 @@ type task struct {
 type workerState struct {
 	id       string
 	name     string
-	queue    []*task          // pending cells placed on this worker
-	running  map[string]*task // pulled, awaiting report
+	running  []*task // pulled, awaiting report, in hand-out order
 	lastSeen time.Time
-	// waiters are parked pull requests, woken (FIFO) when work arrives.
-	waiters []chan *task
-	qGauge  *telemetry.Gauge
 }
 
-// depth is the worker's total outstanding load (queued + running).
-func (w *workerState) depth() int { return len(w.queue) + len(w.running) }
+// waiter is a parked pull request. It records its worker so that dropping
+// the worker can release it.
+type waiter struct {
+	w  *workerState
+	ch chan *task
+}
 
-// Coordinator shards sweep cells across registered workers. It implements
-// service.Dispatcher, so a service.Server configured with one transparently
-// fans cells out to the fleet; with no workers joined, cells wait (they are
-// "orphans") until one arrives. Create with New, release with Close.
+// Coordinator hands sweep cells to registered workers from one FIFO queue.
+// It implements service.Dispatcher, so a service.Server configured with one
+// transparently fans cells out to the fleet; with no workers joined, cells
+// wait in the queue until one pulls. Create with New, release with Close.
 type Coordinator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	ring    ring
 	workers map[string]*workerState
 	tasks   map[string]*task // pending + running, by task ID
-	orphans []*task          // cells with no worker to sit on
+	pending []*task          // cells no worker holds, oldest first
+	waiters []waiter         // parked pulls, longest-parked first
 	seq     int              // task ID source
 	wseq    int              // worker ID source
 	closed  bool
@@ -115,11 +132,11 @@ type Coordinator struct {
 	wg   sync.WaitGroup
 
 	mWorkers     *telemetry.Gauge
+	mPending     *telemetry.Gauge
 	mJoined      *telemetry.Counter
 	mDead        *telemetry.Counter
 	mDispatched  *telemetry.Counter
 	mCompleted   *telemetry.Counter
-	mStolen      *telemetry.Counter
 	mRequeued    *telemetry.Counter
 	mFailed      *telemetry.Counter
 	mLateReports *telemetry.Counter
@@ -135,11 +152,11 @@ func New(cfg Config) *Coordinator {
 		stop:    make(chan struct{}),
 
 		mWorkers:     cfg.Metrics.Gauge("bimodal_cluster_workers"),
+		mPending:     cfg.Metrics.Gauge("bimodal_cluster_cells_pending"),
 		mJoined:      cfg.Metrics.Counter("bimodal_cluster_workers_joined_total"),
 		mDead:        cfg.Metrics.Counter("bimodal_cluster_workers_dead_total"),
 		mDispatched:  cfg.Metrics.Counter("bimodal_cluster_cells_dispatched_total"),
 		mCompleted:   cfg.Metrics.Counter("bimodal_cluster_cells_completed_total"),
-		mStolen:      cfg.Metrics.Counter("bimodal_cluster_cells_stolen_total"),
 		mRequeued:    cfg.Metrics.Counter("bimodal_cluster_cells_requeued_total"),
 		mFailed:      cfg.Metrics.Counter("bimodal_cluster_cells_failed_total"),
 		mLateReports: cfg.Metrics.Counter("bimodal_cluster_late_reports_total"),
@@ -163,25 +180,25 @@ func (c *Coordinator) Close() {
 		t.result <- taskResult{err: fmt.Errorf("cluster: coordinator closed")}
 	}
 	c.tasks = map[string]*task{}
-	c.orphans = nil
+	c.pending = nil
+	c.mPending.Set(0)
 	for _, w := range c.workers {
-		w.queue = nil
-		w.running = map[string]*task{}
-		for _, ch := range w.waiters {
-			close(ch)
-		}
-		w.waiters = nil
+		w.running = nil
 	}
+	for _, p := range c.waiters {
+		close(p.ch)
+	}
+	c.waiters = nil
 	c.mu.Unlock()
 	c.wg.Wait()
 }
 
-// RunCell implements service.Dispatcher: it enqueues the cell on the ring
-// owner's queue and blocks until a worker reports the result bytes, the
+// RunCell implements service.Dispatcher: it appends the cell to the
+// pending queue and blocks until a worker reports the result bytes, the
 // cell exhausts its attempts, or ctx ends. The returned bytes are exactly
 // what the executing worker marshaled — the coordinator never re-encodes
-// them, which is what keeps merged sweeps byte-identical across
-// placements.
+// them, which is what keeps merged sweeps byte-identical whichever worker
+// ran each cell.
 func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string) ([]byte, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -196,7 +213,8 @@ func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string)
 		result: make(chan taskResult, 1),
 	}
 	c.tasks[t.id] = t
-	c.placeLocked(t)
+	c.pending = append(c.pending, t)
+	c.wakeLocked()
 	c.mu.Unlock()
 
 	select {
@@ -209,7 +227,7 @@ func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string)
 }
 
 // abandon withdraws a task whose caller gave up. A pending task leaves
-// its queue; a running task stays with its worker, whose eventual report
+// the queue; a running task stays with its worker, whose eventual report
 // is dropped as late.
 func (c *Coordinator) abandon(t *task) {
 	c.mu.Lock()
@@ -218,90 +236,42 @@ func (c *Coordinator) abandon(t *task) {
 		return
 	}
 	delete(c.tasks, t.id)
-	if t.running {
-		if w := c.workers[t.owner]; w != nil {
-			delete(w.running, t.id)
-			w.qGauge.Set(int64(w.depth()))
-		}
-		return
-	}
 	if t.owner == "" {
-		c.orphans = removeTask(c.orphans, t)
+		c.pending = removeTask(c.pending, t)
+		c.mPending.Set(int64(len(c.pending)))
 		return
 	}
 	if w := c.workers[t.owner]; w != nil {
-		w.queue = removeTask(w.queue, t)
-		w.qGauge.Set(int64(w.depth()))
+		w.running = removeTask(w.running, t)
 	}
 }
 
-// placeLocked assigns a pending task to the ring owner of its spec hash,
-// waking a parked pull if one is available. With an empty ring the task
-// joins the orphan list until a worker registers.
-func (c *Coordinator) placeLocked(t *task) {
-	t.running = false
-	owner := c.ring.owner(t.hash)
-	if owner == "" {
-		t.owner = ""
-		c.orphans = append(c.orphans, t)
-		return
+// wakeLocked hands pending cells to parked pulls, the oldest cell to the
+// longest-parked pull, until one side runs out.
+func (c *Coordinator) wakeLocked() {
+	for len(c.pending) > 0 && len(c.waiters) > 0 {
+		p := c.waiters[0]
+		c.waiters = c.waiters[1:]
+		p.ch <- c.takeLocked(p.w)
 	}
-	t.owner = owner
-	w := c.workers[owner]
-	w.queue = append(w.queue, t)
-	w.qGauge.Set(int64(w.depth()))
-	c.wakeLocked(w)
+	c.mPending.Set(int64(len(c.pending)))
 }
 
-// wakeLocked hands queued work to parked pulls. The owner's own waiters
-// drain first; remaining work then goes to any other parked worker (an
-// enqueue-time steal), so no worker idles while a peer's queue is
-// non-empty.
-func (c *Coordinator) wakeLocked(w *workerState) {
-	for len(w.queue) > 0 && len(w.waiters) > 0 {
-		ch := w.waiters[0]
-		w.waiters = w.waiters[1:]
-		ch <- c.takeLocked(w, w)
-	}
-	if len(w.queue) == 0 {
-		return
-	}
-	for _, other := range c.workers {
-		if other == w {
-			continue
-		}
-		for len(w.queue) > 0 && len(other.waiters) > 0 {
-			ch := other.waiters[0]
-			other.waiters = other.waiters[1:]
-			ch <- c.takeLocked(other, w)
-		}
-		if len(w.queue) == 0 {
-			return
-		}
-	}
-}
-
-// takeLocked moves the head of victim's queue into taker's running set
-// and returns it. A cross-worker take is counted as a steal.
-func (c *Coordinator) takeLocked(taker, victim *workerState) *task {
-	t := victim.queue[0]
-	victim.queue = victim.queue[1:]
-	t.owner = taker.id
-	t.running = true
-	t.attempts++
-	taker.running[t.id] = t
-	taker.lastSeen = c.cfg.Now()
-	victim.qGauge.Set(int64(victim.depth()))
-	taker.qGauge.Set(int64(taker.depth()))
+// takeLocked moves the oldest pending cell into w's running set and
+// returns it.
+func (c *Coordinator) takeLocked(w *workerState) *task {
+	t := c.pending[0]
+	c.pending = c.pending[1:]
+	t.owner = w.id
+	w.running = append(w.running, t)
+	w.lastSeen = c.cfg.Now()
 	c.mDispatched.Inc()
-	if taker != victim {
-		c.mStolen.Inc()
-	}
+	c.mPending.Set(int64(len(c.pending)))
 	return t
 }
 
 // Join registers a worker and returns its ID plus the liveness window it
-// must heartbeat within. Orphaned cells are re-placed immediately.
+// must heartbeat within.
 func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,22 +280,9 @@ func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error
 	}
 	c.wseq++
 	id = fmt.Sprintf("worker-%04d", c.wseq)
-	w := &workerState{
-		id:       id,
-		name:     name,
-		running:  map[string]*task{},
-		lastSeen: c.cfg.Now(),
-		qGauge:   c.cfg.Metrics.Gauge(fmt.Sprintf("bimodal_cluster_queue_depth{worker=%q}", id)),
-	}
-	c.workers[id] = w
-	c.ring.add(id)
+	c.workers[id] = &workerState{id: id, name: name, lastSeen: c.cfg.Now()}
 	c.mJoined.Inc()
 	c.mWorkers.Set(int64(len(c.workers)))
-	orphans := c.orphans
-	c.orphans = nil
-	for _, t := range orphans {
-		c.placeLocked(t)
-	}
 	return id, c.cfg.TTL, nil
 }
 
@@ -347,10 +304,9 @@ func (c *Coordinator) Heartbeat(id string) error {
 // 410 worker_gone.
 var ErrUnknownWorker = fmt.Errorf("cluster: unknown worker")
 
-// Pull hands the worker its next cell. Order: the worker's own queue,
-// then a steal from the most-loaded peer's queue, then parking for up to
-// the coordinator's PollWait (or until ctx ends) in case work arrives.
-// A nil task with nil error means "nothing available, poll again".
+// Pull hands the worker the oldest pending cell, or parks for up to the
+// coordinator's PollWait (or until ctx ends) in case one arrives. A nil
+// task with nil error means "nothing available, poll again".
 func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	c.mu.Lock()
 	w := c.workers[id]
@@ -359,12 +315,13 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = c.cfg.Now()
-	if t := c.pullLocked(w); t != nil {
+	if len(c.pending) > 0 {
+		t := c.takeLocked(w)
 		c.mu.Unlock()
 		return exportTask(t), nil
 	}
 	ch := make(chan *task, 1)
-	w.waiters = append(w.waiters, ch)
+	c.waiters = append(c.waiters, waiter{w: w, ch: ch})
 	c.mu.Unlock()
 
 	wait := time.NewTimer(c.cfg.PollWait)
@@ -383,9 +340,7 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	// if a task was handed over at the same moment.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur := c.workers[id]; cur == w {
-		w.waiters = removeWaiter(w.waiters, ch)
-	}
+	c.waiters = removeWaiter(c.waiters, ch)
 	select {
 	case t, ok := <-ch:
 		if ok && t != nil {
@@ -394,28 +349,6 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	default:
 	}
 	return nil, ctx.Err()
-}
-
-// pullLocked dequeues work for w: own queue first, else the head of the
-// most-loaded peer queue (work stealing).
-func (c *Coordinator) pullLocked(w *workerState) *task {
-	if len(w.queue) > 0 {
-		return c.takeLocked(w, w)
-	}
-	var victim *workerState
-	for _, other := range c.workers {
-		if other == w || len(other.queue) == 0 {
-			continue
-		}
-		if victim == nil || other.depth() > victim.depth() ||
-			(other.depth() == victim.depth() && other.id < victim.id) {
-			victim = other
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	return c.takeLocked(w, victim)
 }
 
 // Report delivers a worker's result for a task. Late or duplicate reports
@@ -428,14 +361,13 @@ func (c *Coordinator) Report(workerID, taskID string, blob []byte, workErr error
 		w.lastSeen = c.cfg.Now()
 	}
 	t := c.tasks[taskID]
-	if t == nil || !t.running || t.owner != workerID {
+	if t == nil || t.owner == "" || t.owner != workerID {
 		c.mLateReports.Inc()
 		return
 	}
 	delete(c.tasks, taskID)
 	if w := c.workers[workerID]; w != nil {
-		delete(w.running, taskID)
-		w.qGauge.Set(int64(w.depth()))
+		w.running = removeTask(w.running, t)
 	}
 	c.mCompleted.Inc()
 	t.result <- taskResult{blob: blob, err: workErr}
@@ -485,26 +417,30 @@ func (c *Coordinator) reapOnce() {
 	}
 }
 
-// dropWorkerLocked removes a worker and redistributes its cells. Every
-// in-flight cell moved back to pending counts as a requeue; died
-// additionally burns an attempt per in-flight cell (a reap is a failure,
-// a voluntary leave is not) and enforces the attempt budget.
+// dropWorkerLocked removes a worker, releases its parked pulls and puts
+// its in-flight cells back at the head of the queue, ahead of cells that
+// arrived after them. Every in-flight cell moved back counts as a requeue;
+// died additionally burns an attempt per in-flight cell and enforces the
+// attempt budget (a reap is a failure, a voluntary leave is not).
 func (c *Coordinator) dropWorkerLocked(w *workerState, died bool) {
 	delete(c.workers, w.id)
-	c.ring.remove(w.id)
 	c.mWorkers.Set(int64(len(c.workers)))
-	c.cfg.Metrics.Remove(fmt.Sprintf("bimodal_cluster_queue_depth{worker=%q}", w.id))
-	for _, ch := range w.waiters {
-		close(ch)
+	kept := c.waiters[:0]
+	for _, p := range c.waiters {
+		if p.w == w {
+			close(p.ch)
+			continue
+		}
+		kept = append(kept, p)
 	}
-	w.waiters = nil
+	c.waiters = kept
 
-	again := append([]*task(nil), w.queue...)
-	w.queue = nil
-	for id, t := range w.running {
-		delete(w.running, id)
+	var again []*task
+	for _, t := range w.running {
+		t.owner = ""
 		c.mRequeued.Inc()
 		if died {
+			t.attempts++
 			if t.attempts >= c.cfg.MaxAttempts {
 				delete(c.tasks, t.id)
 				c.mFailed.Inc()
@@ -516,9 +452,9 @@ func (c *Coordinator) dropWorkerLocked(w *workerState, died bool) {
 		}
 		again = append(again, t)
 	}
-	for _, t := range again {
-		c.placeLocked(t)
-	}
+	w.running = nil
+	c.pending = append(again, c.pending...)
+	c.wakeLocked()
 }
 
 // Task is the wire view of one dispatched cell.
@@ -536,33 +472,22 @@ func exportTask(t *task) *Task {
 type WorkerInfo struct {
 	ID      string `json:"id"`
 	Name    string `json:"name,omitempty"`
-	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
 }
 
-// Workers lists the registered workers sorted by ID, plus the count of
-// orphaned cells waiting for any worker at all.
-func (c *Coordinator) Workers() (workers []WorkerInfo, orphans int) {
+// Workers lists the registered workers sorted by ID, plus the number of
+// pending cells no worker holds yet.
+func (c *Coordinator) Workers() (workers []WorkerInfo, pending int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
-		workers = append(workers, WorkerInfo{
-			ID: w.id, Name: w.name, Queued: len(w.queue), Running: len(w.running),
-		})
+		workers = append(workers, WorkerInfo{ID: w.id, Name: w.name, Running: len(w.running)})
 	}
-	sortWorkers(workers)
-	return workers, len(c.orphans)
+	slices.SortFunc(workers, func(a, b WorkerInfo) int { return cmp.Compare(a.ID, b.ID) })
+	return workers, len(c.pending)
 }
 
-func sortWorkers(ws []WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-}
-
-// removeTask filters t out of a queue, preserving order.
+// removeTask filters t out of a task list, preserving order.
 func removeTask(q []*task, t *task) []*task {
 	for i, cur := range q {
 		if cur == t {
@@ -572,10 +497,10 @@ func removeTask(q []*task, t *task) []*task {
 	return q
 }
 
-// removeWaiter filters ch out of a waiter list, preserving order.
-func removeWaiter(ws []chan *task, ch chan *task) []chan *task {
+// removeWaiter filters ch's pull out of a waiter list, preserving order.
+func removeWaiter(ws []waiter, ch chan *task) []waiter {
 	for i, cur := range ws {
-		if cur == ch {
+		if cur.ch == ch {
 			return append(ws[:i], ws[i+1:]...)
 		}
 	}

@@ -113,15 +113,12 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoordinatorOrphans parks cells submitted before any worker exists
-// and places them on the first join.
+// TestCoordinatorOrphans keeps cells submitted before any worker exists
+// pending until the first worker joins and pulls.
 func TestCoordinatorOrphans(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
 	res := dispatch(context.Background(), c, 7)
-	waitFor(t, func() bool {
-		_, orphans := c.Workers()
-		return orphans == 1
-	})
+	waitPending(t, c, 1)
 	w1, _, err := c.Join("late")
 	if err != nil {
 		t.Fatal(err)
@@ -133,25 +130,27 @@ func TestCoordinatorOrphans(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSteal: all pending work sits on one worker's queue; a
-// newly joined idle worker must steal from it.
+// TestCoordinatorSteal: cells queued while one worker is registered but
+// not pulling belong to no worker; one that joins later pulls them all,
+// oldest first.
 func TestCoordinatorSteal(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
-	w1, _, _ := c.Join("loaded")
+	if _, _, err := c.Join("busy"); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	var results []chan taskResult
 	for seed := uint64(1); seed <= 4; seed++ {
 		results = append(results, dispatch(ctx, c, seed))
+		waitPending(t, c, int(seed)) // fixes the arrival order
 	}
-	// Wait until every cell is queued on w1.
-	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return len(ws) == 1 && ws[0].Queued == 4
-	})
 
-	w2, _, _ := c.Join("idle")
-	for i := 0; i < 4; i++ {
-		task := pull(t, c, w2) // own queue empty: steals from w1
+	w2, _, _ := c.Join("late")
+	for seed := uint64(1); seed <= 4; seed++ {
+		task := pull(t, c, w2)
+		if task.Spec.Seed != seed {
+			t.Fatalf("pull %d got seed %d, want the oldest pending cell (seed %d)", seed, task.Spec.Seed, seed)
+		}
 		c.Report(w2, task.ID, []byte(`{}`), nil)
 	}
 	for _, res := range results {
@@ -159,10 +158,9 @@ func TestCoordinatorSteal(t *testing.T) {
 			t.Fatal(r.err)
 		}
 	}
-	if got := c.mStolen.Value(); got != 4 {
-		t.Errorf("stolen = %d, want 4", got)
+	if got := c.mDispatched.Value(); got != 4 {
+		t.Errorf("dispatched = %d, want 4", got)
 	}
-	_ = w1
 }
 
 // TestCoordinatorReapRequeue kills a worker holding an in-flight cell by
@@ -218,6 +216,40 @@ func TestCoordinatorReapRequeue(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRequeueFirst puts a reaped worker's in-flight cell back
+// at the head of the queue: the survivor pulls it before a cell that was
+// queued after it was handed out.
+func TestCoordinatorRequeueFirst(t *testing.T) {
+	c, clk := newTestCoordinator(t, Config{TTL: 10 * time.Second})
+	w1, _, _ := c.Join("doomed")
+	ctx := context.Background()
+	first := dispatch(ctx, c, 1)
+	task := pull(t, c, w1)
+	second := dispatch(ctx, c, 2)
+	waitPending(t, c, 1)
+
+	clk.advance(11 * time.Second)
+	w2, _, _ := c.Join("survivor")
+	c.reapOnce()
+	waitPending(t, c, 2)
+	if got := c.mPending.Value(); got != 2 {
+		t.Errorf("pending gauge = %d, want 2", got)
+	}
+
+	for _, want := range []uint64{1, 2} {
+		got := pull(t, c, w2)
+		if got.Spec.Seed != want {
+			t.Fatalf("survivor pulled seed %d, want %d (requeued %s first)", got.Spec.Seed, want, task.Hash)
+		}
+		c.Report(w2, got.ID, []byte(`{}`), nil)
+	}
+	for _, res := range []chan taskResult{first, second} {
+		if r := <-res; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+}
+
 // TestCoordinatorMaxAttempts fails a cell after it has been handed to
 // MaxAttempts workers that all died running it.
 func TestCoordinatorMaxAttempts(t *testing.T) {
@@ -264,6 +296,31 @@ func TestCoordinatorLeaveRequeues(t *testing.T) {
 	}
 }
 
+// TestCoordinatorLeaveKeepsAttempts: a clean leave burns no attempt, so
+// with a budget of two a cell survives one leave and one death.
+func TestCoordinatorLeaveKeepsAttempts(t *testing.T) {
+	c, clk := newTestCoordinator(t, Config{TTL: time.Second, MaxAttempts: 2})
+	res := dispatch(context.Background(), c, 9)
+	w1, _, _ := c.Join("leaver")
+	pull(t, c, w1)
+	if err := c.Leave(w1); err != nil {
+		t.Fatal(err)
+	}
+	w2, _, _ := c.Join("victim")
+	pull(t, c, w2)
+	clk.advance(2 * time.Second)
+	w3, _, _ := c.Join("survivor")
+	c.reapOnce()
+	task := pull(t, c, w3)
+	c.Report(w3, task.ID, []byte(`{}`), nil)
+	if r := <-res; r.err != nil {
+		t.Fatalf("RunCell err = %v after one leave and one death, want success", r.err)
+	}
+	if got := c.mFailed.Value(); got != 0 {
+		t.Errorf("failed = %d, want 0", got)
+	}
+}
+
 // TestCoordinatorCancelWithdraws removes an abandoned pending cell so no
 // worker ever runs it.
 func TestCoordinatorCancelWithdraws(t *testing.T) {
@@ -271,18 +328,12 @@ func TestCoordinatorCancelWithdraws(t *testing.T) {
 	w1, _, _ := c.Join("w")
 	ctx, cancel := context.WithCancel(context.Background())
 	res := dispatch(ctx, c, 11)
-	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return len(ws) == 1 && ws[0].Queued == 1
-	})
+	waitPending(t, c, 1)
 	cancel()
 	if r := <-res; !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("RunCell err = %v, want context.Canceled", r.err)
 	}
-	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return ws[0].Queued == 0
-	})
+	waitPending(t, c, 0)
 	pctx, pcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer pcancel()
 	if task, err := c.Pull(pctx, w1); task != nil ||
@@ -308,7 +359,7 @@ func TestCoordinatorLongPollHandoff(t *testing.T) {
 	waitFor(t, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.workers[w1].waiters) == 1
+		return len(c.waiters) == 1 && c.waiters[0].w.id == w1
 	})
 	res := dispatch(context.Background(), c, 13)
 	p := <-got
@@ -319,6 +370,15 @@ func TestCoordinatorLongPollHandoff(t *testing.T) {
 	if r := <-res; r.err != nil {
 		t.Fatal(r.err)
 	}
+}
+
+// waitPending waits until exactly n cells are pending.
+func waitPending(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	waitFor(t, func() bool {
+		_, pending := c.Workers()
+		return pending == n
+	})
 }
 
 // waitFor polls cond until it holds or the deadline lapses.

@@ -20,7 +20,7 @@ import (
 //	POST   /cluster/v1/workers/{id}/pull      long-poll next cell -> 200 Task | 204
 //	DELETE /cluster/v1/workers/{id}           clean leave -> 204
 //	POST   /cluster/v1/tasks/{tid}/result     report {"worker_id","blob"|"error"} -> 204
-//	GET    /cluster/v1/workers                introspection -> {"workers","orphans"}
+//	GET    /cluster/v1/workers                introspection -> {"workers","pending"}
 
 // joinRequest names a joining worker (informational only).
 type joinRequest struct {
@@ -46,7 +46,7 @@ type resultReport struct {
 // workersReply is the introspection listing.
 type workersReply struct {
 	Workers []WorkerInfo `json:"workers"`
-	Orphans int          `json:"orphans"`
+	Pending int          `json:"pending"`
 }
 
 // Handler serves the cluster control plane.
@@ -128,11 +128,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	workers, orphans := c.Workers()
+	workers, pending := c.Workers()
 	if workers == nil {
 		workers = []WorkerInfo{}
 	}
-	writeJSON(w, workersReply{Workers: workers, Orphans: orphans})
+	writeJSON(w, workersReply{Workers: workers, Pending: pending})
 }
 
 // writeWorkerGone emits the 410 that tells a worker its registration is

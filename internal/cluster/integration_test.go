@@ -18,7 +18,7 @@ import (
 
 // sweep100 is the acceptance sweep: 100 explicit cells (seeds 1..100 of
 // one scheme/mix), small enough to simulate in CI but wide enough to
-// shard across every worker.
+// spread across every worker.
 func sweep100() service.SweepRequest {
 	req := service.SweepRequest{}
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -167,7 +167,7 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	select {
 	case <-wedged:
 	case <-time.After(30 * time.Second):
-		t.Fatal("worker 0 never wedged — placement sent it no sixth cell")
+		t.Fatal("worker 0 never wedged — the queue sent it no sixth cell")
 	}
 	tc.kill(0)
 
@@ -215,13 +215,23 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestClusterStealing saturates one worker's shard and checks that idle
-// peers steal rather than sit out the sweep.
+// TestClusterStealing checks that the shared queue spreads a sweep over
+// the fleet: each of three workers runs at least one of its 100 cells.
 func TestClusterStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster integration test")
 	}
-	tc := startCluster(t, 3, nil)
+	var ran [3]atomic.Int32
+	tc := startCluster(t, 3, func(i int) func(context.Context, spec.RunSpec) ([]byte, error) {
+		return func(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
+			ran[i].Add(1)
+			return service.RunCellSpec(ctx, rs)
+		}
+	})
+	waitFor(t, func() bool {
+		ws, _ := tc.coord.Workers()
+		return len(ws) == 3
+	})
 	ctx := context.Background()
 	st, err := tc.client.SubmitSweep(ctx, sweep100())
 	if err != nil {
@@ -231,10 +241,10 @@ func TestClusterStealing(t *testing.T) {
 	if err != nil || fin.State != service.StateCompleted {
 		t.Fatalf("sweep: %v, state %+v", err, fin.State)
 	}
-	// With 16-way fanout against 3 workers × 2 slots, queues are uneven
-	// enough that at least one pull must have crossed shards.
-	if got := tc.coord.mStolen.Value(); got == 0 {
-		t.Error("no cells were stolen across workers")
+	for i := range ran {
+		if ran[i].Load() == 0 {
+			t.Errorf("worker %d ran no cells", i)
+		}
 	}
 	if got := tc.coord.mCompleted.Value(); got != 100 {
 		t.Errorf("completions = %d, want 100", got)

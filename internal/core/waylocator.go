@@ -63,9 +63,6 @@ func (w *WayLocator) Reset() {
 	w.Lookups, w.HitsBig, w.HitsSml = 0, 0, 0
 }
 
-// K returns the index width.
-func (w *WayLocator) K() uint { return w.k }
-
 // index derives the table index from the low K bits of the big-block
 // identity — exactly the cache's set-index bits (the paper draws the index
 // "from the tag and set index bits"). Blocks of one set therefore share an

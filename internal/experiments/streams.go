@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bimodal/internal/addr"
 	"bimodal/internal/core"
 	"bimodal/internal/sram"
 	"bimodal/internal/stats"
@@ -204,7 +203,3 @@ func fig5(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl.AddRow("average", "", "", "", "", stats.FmtPct(stats.MeanOf(top2s)))
 	return tbl, nil
 }
-
-// foldTo keeps an address inside a bounded region (used by tiny-scale
-// tests; exported stream experiments use full footprints).
-func foldTo(p addr.Phys, bytes uint64) addr.Phys { return p & addr.Phys(bytes-1) &^ 63 }

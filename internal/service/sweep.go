@@ -182,11 +182,13 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 				if err := s.store.Put(sw.hashes[i], raw); err != nil {
 					return struct{}{}, err
 				}
-				s.storeGrew()
 				results[i] = raw
 				sw.cellDone(sw.cells[i].label(), origin)
 				return struct{}{}, nil
 			})
+		// Once per sweep, not per Put: a disk store's Len walks every
+		// shard.
+		s.storeGrew()
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +225,7 @@ func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int) ([]byte, st
 	return raw, origin, err
 }
 
-// storeGrew refreshes the store-entries gauge after a put.
+// storeGrew refreshes the store-entries gauge after a sweep's puts.
 func (s *Server) storeGrew() {
 	if n, err := s.store.Len(); err == nil {
 		s.gStoreEntries.Set(int64(n))

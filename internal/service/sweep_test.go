@@ -7,10 +7,12 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bimodal/internal/spec"
+	"bimodal/internal/store"
 )
 
 // tinySweep is a fast deterministic 2x2 sweep.
@@ -30,11 +32,24 @@ type sweepResultView struct {
 	Cells   []json.RawMessage `json:"cells"`
 }
 
+// lenCounter counts the Len calls on the store it wraps.
+type lenCounter struct {
+	store.Store
+	lens atomic.Int32
+}
+
+func (s *lenCounter) Len() (int, error) {
+	s.lens.Add(1)
+	return s.Store.Len()
+}
+
 // TestSweepEndToEnd runs a sweep locally, then resweeps and asserts the
 // second pass is answered entirely by the content-addressed store with
-// byte-identical merged results.
+// byte-identical merged results. The store-entries gauge costs one Len
+// for the sweep that simulated and none for the store-served resweep.
 func TestSweepEndToEnd(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1})
+	counted := &lenCounter{Store: store.NewMem()}
+	_, c := newTestServer(t, Config{Workers: 1, Store: counted})
 	ctx := context.Background()
 
 	st, err := c.SubmitSweep(ctx, tinySweep())
@@ -67,6 +82,9 @@ func TestSweepEndToEnd(t *testing.T) {
 	if view.Request.Seed != 5 || len(view.Request.Mixes) != 2 {
 		t.Errorf("request echo not canonical: %+v", view.Request)
 	}
+	if got := counted.lens.Load(); got != 1 {
+		t.Errorf("store Len calls after a 4-cell sweep = %d, want 1", got)
+	}
 
 	// Identical resweep: every cell must be store-served, zero
 	// re-simulations, merged bytes identical.
@@ -86,6 +104,9 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(fin.Result, fin2.Result) {
 		t.Errorf("resweep result bytes differ:\n%s\n---\n%s", fin.Result, fin2.Result)
+	}
+	if got := counted.lens.Load(); got != 1 {
+		t.Errorf("store Len calls after a store-served resweep = %d, want still 1", got)
 	}
 	metrics, err := c.Metrics(ctx)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -48,7 +49,7 @@ type Options struct {
 // normalize fills defaults.
 func (o Options) normalize() Options {
 	if o.AccessesPerCore == 0 {
-		o.AccessesPerCore = 200_000
+		o.AccessesPerCore = spec.DefaultAccessesPerCore
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

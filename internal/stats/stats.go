@@ -70,9 +70,6 @@ func (h *Histogram) Count(i int) int64 { return h.buckets[i] }
 // Total returns the total number of observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
 // Fraction returns the fraction of observations in bucket i.
 func (h *Histogram) Fraction(i int) float64 { return Ratio(h.buckets[i], h.total) }
 

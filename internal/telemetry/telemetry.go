@@ -185,21 +185,6 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Remove unregisters the metric named name, whatever its kind, so its
-// series stops being exported. Removing an unknown name is a no-op.
-// Callers that still hold a pointer to the removed metric may keep
-// updating it; the updates are simply no longer rendered. This exists for
-// per-entity series with bounded-but-changing membership — e.g. the
-// cluster's per-worker queue gauges, dropped when a worker leaves or is
-// declared dead — so the exposition does not accumulate dead series.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.counters, name)
-	delete(r.gauges, name)
-	delete(r.hists, name)
-}
-
 // checkFree panics when name is already registered as another kind.
 // Callers hold r.mu. The kinds are checked in a fixed order (not via a
 // map) so the panic message is deterministic.

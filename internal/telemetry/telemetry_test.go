@@ -132,38 +132,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge(`queue_depth{worker="worker-0001"}`)
-	g.Set(4)
-	reg.Counter("kept_total").Inc()
-
-	reg.Remove(`queue_depth{worker="worker-0001"}`)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "queue_depth") {
-		t.Errorf("removed series still exported:\n%s", b.String())
-	}
-	if !strings.Contains(b.String(), "kept_total 1\n") {
-		t.Errorf("unrelated series lost:\n%s", b.String())
-	}
-
-	// A stale pointer may keep updating without resurrecting the series,
-	// and the freed name can be re-registered — even as another kind.
-	g.Set(9)
-	b.Reset()
-	reg.WritePrometheus(&b)
-	if strings.Contains(b.String(), "queue_depth") {
-		t.Error("update through a stale pointer resurrected the series")
-	}
-	reg.Counter(`queue_depth{worker="worker-0001"}`).Inc()
-
-	// Removing an unknown name is a no-op.
-	reg.Remove("never_registered")
-}
-
 func TestDefaultBucketsSorted(t *testing.T) {
 	for _, bs := range [][]float64{LatencyBuckets(), RateBuckets()} {
 		for i := 1; i < len(bs); i++ {
