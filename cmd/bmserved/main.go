@@ -13,7 +13,8 @@
 //     joined, cells wait for one.
 //   - -worker -join URL: a headless cell runner; joins the coordinator at
 //     URL, long-polls for cells, simulates them and reports the bytes.
-//     No public API is served in this mode.
+//     No public API is served and no store is kept in this mode: the
+//     coordinator answers stored cells before it dispatches any.
 //
 // Every failure response uses the uniform v1 error envelope
 // {"error":{"code","message","details"}}; see internal/service.
@@ -63,7 +64,7 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-sweep wall-clock cap (0 = none)")
 		maxSweep     = flag.Int("max-sweep-cells", 10000, "max cells per sweep (-1 = unlimited)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "back-off hint attached to 429 rejections")
-		storeDir     = flag.String("store-dir", "", "directory for the content-addressed result store (empty = unbounded in-memory)")
+		storeDir     = flag.String("store-dir", "", "server: directory for the content-addressed result store (empty = unbounded in-memory)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain may take before in-flight sweeps are cancelled")
 
 		coordinator = flag.Bool("coordinator", false, "serve the cluster control plane and dispatch sweep cells to joined workers")
@@ -77,12 +78,6 @@ func main() {
 	)
 	flag.Parse()
 
-	st, err := openStore(*storeDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bmserved:", err)
-		os.Exit(1)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -95,7 +90,6 @@ func main() {
 			Coordinator: *join,
 			Name:        *name,
 			Slots:       *slots,
-			Store:       st,
 		}
 		fmt.Fprintf(os.Stderr, "bmserved: worker joining %s\n", *join)
 		if err := w.Serve(ctx); err != nil && !errors.Is(err, context.Canceled) {
@@ -106,6 +100,11 @@ func main() {
 		return
 	}
 
+	st, err := openStore(*storeDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bmserved:", err)
+		os.Exit(1)
+	}
 	var coord *cluster.Coordinator
 	if *coordinator {
 		coord = cluster.New(cluster.Config{TTL: *workerTTL})
@@ -168,9 +167,8 @@ func main() {
 	fmt.Fprintln(os.Stderr, "bmserved: drained cleanly")
 }
 
-// openStore selects the content-addressed store: a shared on-disk store
-// (any node pointed at the same directory answers the same spec hashes)
-// or a per-process in-memory one.
+// openStore selects the server's content-addressed result store: an
+// on-disk one, which outlives a restart, or a per-process in-memory one.
 func openStore(dir string) (store.Store, error) {
 	if dir == "" {
 		return store.NewMem(), nil

@@ -13,9 +13,9 @@
 //
 // There is no placement: the sweep executor answers every stored hash
 // before it dispatches, so a spec hash reaches the coordinator once, and
-// the state a worker keeps for later cells (pooled simulators, warm
-// snapshots) is keyed by something other than the spec hash. The oldest
-// pending cell goes to whichever worker asks first.
+// the only state a worker keeps for later cells, its pooled simulators, is
+// keyed by something other than the spec hash. The oldest pending cell
+// goes to whichever worker asks first.
 package cluster
 
 import (

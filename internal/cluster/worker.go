@@ -14,7 +14,6 @@ import (
 
 	"bimodal/internal/service"
 	"bimodal/internal/spec"
-	"bimodal/internal/store"
 	"bimodal/internal/telemetry"
 )
 
@@ -22,8 +21,9 @@ import (
 // coordinator, long-polls for cells, runs each one through
 // service.RunCellSpec (marshaling the result exactly once — those bytes
 // travel unmodified into the merged sweep), and reports back. A worker
-// holds no sweep state; killing one loses nothing but the cells it was
-// running, which the coordinator requeues after the liveness TTL.
+// holds no sweep state and no store; killing one loses nothing but the
+// cells it was running, which the coordinator requeues after the liveness
+// TTL.
 type Worker struct {
 	// Coordinator is the coordinator's base URL ("http://host:port").
 	Coordinator string
@@ -32,15 +32,7 @@ type Worker struct {
 	// Slots is the number of concurrent pull loops (parallel cells).
 	// 0 selects GOMAXPROCS.
 	Slots int
-	// Store optionally short-circuits cells whose result bytes are already
-	// present locally (a shared content-addressed store lets any node
-	// answer any spec hash). Completed cells are written back. Nil
-	// disables the local store pass.
-	Store store.Store
-	// Run executes one cell — a test seam. Nil selects the production
-	// simulator path: with a Store configured, service.NewWarmCellRunner
-	// (cells restore warm-state snapshots produced locally or by peers
-	// sharing the store instead of re-running warmup); otherwise plain
+	// Run executes one cell — a test seam. Nil selects
 	// service.RunCellSpec.
 	Run func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
 	// Metrics receives worker instrumentation. Nil selects
@@ -78,21 +70,15 @@ func (w *Worker) Serve(ctx context.Context) error {
 	}
 	run := w.Run
 	if run == nil {
-		if w.Store != nil {
-			run = service.NewWarmCellRunner(w.Store, metrics)
-		} else {
-			run = service.RunCellSpec
-		}
+		run = service.RunCellSpec
 	}
 	s := &workerSession{
 		base:    w.Coordinator,
 		name:    w.Name,
 		hc:      hc,
 		run:     run,
-		store:   w.Store,
 		noLeave: w.noLeave,
 		mCells:  metrics.Counter("bimodal_worker_cells_total"),
-		mLocal:  metrics.Counter("bimodal_worker_store_hits_total"),
 		mRejoin: metrics.Counter("bimodal_worker_rejoins_total"),
 	}
 	for {
@@ -110,18 +96,16 @@ func (w *Worker) Serve(ctx context.Context) error {
 
 // workerSession is one registration's worth of state.
 type workerSession struct {
-	base  string
-	name  string
-	hc    *http.Client
-	run   func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
-	store store.Store
+	base string
+	name string
+	hc   *http.Client
+	run  func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
 
 	id      string
 	ttl     time.Duration
 	noLeave bool
 
 	mCells  *telemetry.Counter
-	mLocal  *telemetry.Counter
 	mRejoin *telemetry.Counter
 }
 
@@ -209,7 +193,7 @@ func (s *workerSession) pullLoop(ctx context.Context) error {
 			continue // empty long-poll window
 		}
 		s.mCells.Inc()
-		blob, runErr := s.runCell(ctx, t)
+		blob, runErr := s.run(ctx, t.Spec)
 		if ctx.Err() != nil {
 			// Killed mid-cell: do not report; the coordinator requeues.
 			return context.Cause(ctx)
@@ -225,28 +209,6 @@ func (s *workerSession) pullLoop(ctx context.Context) error {
 			return fmt.Errorf("cluster: reporting %s: %w", t.ID, err)
 		}
 	}
-}
-
-// runCell produces the cell's result bytes: from the local
-// content-addressed store when possible, else by simulating. Fresh bytes
-// are written back so the next node asking for this spec hash is served
-// from storage.
-func (s *workerSession) runCell(ctx context.Context, t Task) ([]byte, error) {
-	if s.store != nil {
-		if blob, ok, err := s.store.Get(t.Hash); err == nil && ok {
-			s.mLocal.Inc()
-			return blob, nil
-		}
-	}
-	blob, err := s.run(ctx, t.Spec)
-	if err != nil {
-		return nil, err
-	}
-	if s.store != nil {
-		// Best-effort: a store write failure must not fail the cell.
-		_ = s.store.Put(t.Hash, blob)
-	}
-	return blob, nil
 }
 
 // pull long-polls for one task; found is false on an empty 204 window.

@@ -72,7 +72,6 @@ type Server struct {
 	cancel context.CancelFunc // cancels in-flight work on forced shutdown
 	queue  chan *sweep
 	store  store.Store
-	warm   *WarmRunner
 	wg     sync.WaitGroup
 
 	mu         sync.Mutex
@@ -85,6 +84,7 @@ type Server struct {
 	mSweepSubmitted, mSweepCompleted      *telemetry.Counter
 	mSweepFailed, mSweepCanceled          *telemetry.Counter
 	mRejected, mStoreHits, mStoreMisses   *telemetry.Counter
+	mSnapHits, mSnapMisses, mSnapBytes    *telemetry.Counter
 	gQueueDepth, gInFlight, gStoreEntries *telemetry.Gauge
 	hCellSeconds                          *telemetry.Histogram
 }
@@ -109,15 +109,14 @@ func New(cfg Config) *Server {
 		mSweepCanceled:  reg.Counter("bimodal_sweeps_canceled_total"),
 		mStoreHits:      reg.Counter("bimodal_sweep_store_hits_total"),
 		mStoreMisses:    reg.Counter("bimodal_sweep_store_misses_total"),
+		mSnapHits:       reg.Counter("bimodal_snapshot_hits_total"),
+		mSnapMisses:     reg.Counter("bimodal_snapshot_misses_total"),
+		mSnapBytes:      reg.Counter("bimodal_snapshot_bytes_total"),
 		gQueueDepth:     reg.Gauge("bimodal_queue_depth"),
 		gInFlight:       reg.Gauge("bimodal_jobs_inflight"),
 		gStoreEntries:   reg.Gauge("bimodal_store_entries"),
 		hCellSeconds:    reg.Histogram("bimodal_cell_seconds", telemetry.LatencyBuckets()...),
 	}
-	// In-process sweep cells share warmup work through the warm-state
-	// checkpoint subsystem; snapshot blobs live beside result bytes in
-	// the content-addressed store (prefix hashes are domain-separated).
-	s.warm = NewWarmRunner(s.store, reg)
 	// The run context is handed to each worker rather than stored on the
 	// Server: contexts are call-scoped (bmctxhygiene), and the only
 	// holder that needs it is the worker call tree.
@@ -328,7 +327,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 
 // handleSpecResult serves one cell's result bytes straight from the
 // content-addressed store: 200 with a strong ETag when present, 404
-// envelope when the cell never ran anywhere that shares this store.
+// envelope when no sweep stored a result under the hash.
 func (s *Server) handleSpecResult(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	blob, ok, err := s.store.Get(hash)

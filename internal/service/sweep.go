@@ -170,11 +170,20 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 		misses = append(misses, i)
 	}
 	if len(misses) > 0 {
+		// In-process misses that share a warmup prefix share one warmup;
+		// a Dispatcher gets every miss on its own.
+		var plan map[int]*warmGroup
+		if s.cfg.Dispatcher == nil {
+			var err error
+			if plan, err = planWarm(sw.cells, misses); err != nil {
+				return nil, err
+			}
+		}
 		_, err := engine.Map(ctx, engine.Workers(s.cfg.SweepFanout), len(misses),
 			func(ctx context.Context, k int) (struct{}, error) {
 				i := misses[k]
 				start := telemetry.Now()
-				raw, origin, err := s.dispatchCell(ctx, sw, i)
+				raw, origin, err := s.dispatchCell(ctx, sw, i, plan[i])
 				if err != nil {
 					return struct{}{}, err
 				}
@@ -209,15 +218,15 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 }
 
 // dispatchCell routes one store-miss cell to the configured dispatcher,
-// or runs it in-process through the warm runner when none is configured.
-// The returned origin is "run", or "warm" when a restored warm snapshot
-// replaced the cell's warmup phase.
-func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int) ([]byte, string, error) {
+// or runs it in-process when none is configured; g is the cell's warm
+// group, nil when it has none. The returned origin is "run", or "warm"
+// when a restored warm snapshot replaced the cell's warmup phase.
+func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int, g *warmGroup) ([]byte, string, error) {
 	if s.cfg.Dispatcher != nil {
 		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
 		return raw, "run", err
 	}
-	raw, warm, err := s.warm.run(ctx, sw.cells[i])
+	raw, warm, err := s.runWarm(ctx, sw.cells[i], i, g)
 	origin := "run"
 	if warm {
 		origin = "warm"

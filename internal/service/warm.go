@@ -2,152 +2,55 @@ package service
 
 import (
 	"context"
-	"sync"
 
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
-	"bimodal/internal/store"
-	"bimodal/internal/telemetry"
-	"bimodal/internal/workloads"
 )
 
-// WarmRunner executes run-spec cells through the warm-state checkpoint
-// subsystem (internal/snapshot, DESIGN.md section 14): cells sharing a
-// warmup prefix hash run the warmup window exactly once, seal the
-// simulator state into a snapshot blob, and fork restored engines for
-// their measured windows. Blobs live in the content-addressed store under
-// the prefix hash — domain-separated from result hashes — so a shared
-// store lets cluster workers skip warmup phases their peers already ran.
-//
-// Cells that no other cell could restore from — ANTT, warmup disabled, or
-// a MeasuredCoupled scheme such as bimodal — run straight through the
-// cold path and seal nothing.
-//
-// Restore-then-measure is byte-identical to a straight-through run (the
-// golden tests in internal/sim prove it per scheme), so a WarmRunner can
-// never change result bytes — only how often warmup executes. Any warmup,
-// snapshot or restore failure falls back to the cold path.
-type WarmRunner struct {
-	store  store.Store
-	hits   *telemetry.Counter
-	misses *telemetry.Counter
-	bytes  *telemetry.Counter
-
-	mu    sync.Mutex
-	calls map[string]*warmCall // in-flight warmups by prefix hash
+// warmGroup is a set of one sweep's store misses that share a warmup
+// prefix hash (the warm-state checkpoint subsystem, DESIGN.md section 14).
+// Its producer, the group's first miss in sweep order, warms up, seals the
+// simulator state into blob and closes ready; every other member restores
+// blob instead of running its own warmup. Restore-then-measure is
+// byte-identical to a straight-through run (the golden tests in
+// internal/sim prove it per scheme), so a group changes only how often
+// warmup executes, never result bytes. Blobs live in memory for the sweep
+// that sealed them and never enter the result store.
+type warmGroup struct {
+	prefix   string
+	producer int           // sweep cell index of the group's first miss
+	ready    chan struct{} // closed once blob is final
+	blob     []byte        // sealed warm state; nil if the producer failed
 }
 
-// warmCall is one in-flight warmup: concurrent cells with the same
-// prefix wait on done and restore from blob instead of warming again.
-type warmCall struct {
-	done chan struct{}
-	blob []byte
-	err  error
-}
-
-// NewWarmRunner builds a warm runner over the given snapshot store,
-// registering the snapshot_hits/misses/bytes counters with reg (nil
-// selects telemetry.Default).
-func NewWarmRunner(st store.Store, reg *telemetry.Registry) *WarmRunner {
-	if reg == nil {
-		reg = telemetry.Default
-	}
-	return &WarmRunner{
-		store:  st,
-		hits:   reg.Counter("bimodal_snapshot_hits_total"),
-		misses: reg.Counter("bimodal_snapshot_misses_total"),
-		bytes:  reg.Counter("bimodal_snapshot_bytes_total"),
-		calls:  map[string]*warmCall{},
-	}
-}
-
-// NewWarmCellRunner adapts a WarmRunner to the cluster worker's Run seam:
-// cells restore from warm snapshots in st (shared across the cluster)
-// when a peer already produced one for their prefix.
-func NewWarmCellRunner(st store.Store, reg *telemetry.Registry) func(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
-	w := NewWarmRunner(st, reg)
-	return func(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
-		raw, _, err := w.RunCell(ctx, rs)
-		return raw, err
-	}
-}
-
-// RunCell executes one canonical run spec and returns its compact
-// CellResult JSON — byte-identical to RunCellSpec. warm reports whether a
-// restored snapshot replaced the warmup phase (the sweep event origin
-// distinguishes "warm" from "run").
-//
-// Every cell with a shared prefix that completes counts exactly one
-// snapshot hit (a restore replaced its warmup) or one miss (it warmed up
-// itself: as the producer, or cold after a failed restore or producer).
-// Cells without a shared prefix count neither.
-func (w *WarmRunner) RunCell(ctx context.Context, rs spec.RunSpec) (raw []byte, warm bool, err error) {
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return nil, false, err
-	}
-	return w.run(ctx, cellSpec{mix: mix, rs: rs})
-}
-
-// run is RunCell on a cell whose mix is already resolved, as every cell
-// of a validated sweep is.
-func (w *WarmRunner) run(ctx context.Context, c cellSpec) (raw []byte, warm bool, err error) {
-	prefix, ok, err := sharedPrefix(c.rs)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		raw, err = c.runJSON(ctx)
-		return raw, false, err
-	}
-
-	if blob, found, gerr := w.store.Get(prefix); gerr == nil && found {
-		return w.restoreOrRun(ctx, c, blob, prefix)
-	}
-
-	w.mu.Lock()
-	if call, inflight := w.calls[prefix]; inflight {
-		w.mu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+// planWarm groups a sweep's store misses (cell indices in sweep order) by
+// shared warmup prefix and maps every grouped cell to its group. A miss
+// whose prefix no other miss shares is left out and runs cold: nothing in
+// the sweep could restore its snapshot, so it seals none.
+func planWarm(cells []cellSpec, misses []int) (map[int]*warmGroup, error) {
+	plan := map[int]*warmGroup{}
+	first := map[string]int{} // prefix -> cell index of its first miss
+	for _, i := range misses {
+		prefix, ok, err := sharedPrefix(cells[i].rs)
+		if err != nil {
+			return nil, err
 		}
-		if call.err != nil {
-			// The producer's warmup failed: this cell warms up itself.
-			w.misses.Inc()
-			raw, err = c.runJSON(ctx)
-			return raw, false, err
+		if !ok {
+			continue
 		}
-		return w.restoreOrRun(ctx, c, call.blob, prefix)
+		p, seen := first[prefix]
+		if !seen {
+			first[prefix] = i
+			continue
+		}
+		g := plan[p]
+		if g == nil {
+			g = &warmGroup{prefix: prefix, producer: p, ready: make(chan struct{})}
+			plan[p] = g
+		}
+		plan[i] = g
 	}
-	call := &warmCall{done: make(chan struct{})}
-	w.calls[prefix] = call
-	w.mu.Unlock()
-
-	// This cell is the prefix's producer: warm its own simulation, seal
-	// the snapshot for the others, then measure on the already-warm state.
-	w.misses.Inc()
-	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
-	if err == nil {
-		err = s.Warmup(ctx)
-	}
-	if err == nil {
-		call.blob = s.Snapshot(prefix)
-		w.bytes.Add(int64(len(call.blob)))
-		// Best-effort publication; waiters use call.blob directly.
-		_ = w.store.Put(prefix, call.blob)
-	}
-	call.err = err
-	w.mu.Lock()
-	delete(w.calls, prefix)
-	w.mu.Unlock()
-	close(call.done)
-	if err != nil {
-		return nil, false, err
-	}
-	raw, err = measureJSON(ctx, c, s)
-	return raw, false, err
+	return plan, nil
 }
 
 // sharedPrefix returns the warmup prefix hash under which rs may share a
@@ -167,21 +70,64 @@ func sharedPrefix(rs spec.RunSpec) (prefix string, ok bool, err error) {
 	return rs.PrefixHash()
 }
 
-// restoreOrRun measures the cell on a simulation restored from blob,
-// counting a snapshot hit. A corrupt or incongruent blob must not fail the
-// cell: it counts a miss and the cell runs cold instead.
-func (w *WarmRunner) restoreOrRun(ctx context.Context, c cellSpec, blob []byte, prefix string) ([]byte, bool, error) {
-	raw, err := measureRestored(ctx, c, blob, prefix)
-	if err == nil {
-		w.hits.Inc()
-		return raw, true, nil
+// runWarm runs sweep cell i in-process and reports whether a restored
+// snapshot replaced its warmup. g is the cell's warm group, nil when it
+// shares its prefix with no other miss of the sweep.
+//
+// Every grouped cell that completes counts exactly one snapshot hit (a
+// restore replaced its warmup) or one miss (it warmed up itself: as the
+// producer, or after its producer failed or the blob did not restore).
+// Ungrouped cells count neither.
+func (s *Server) runWarm(ctx context.Context, c cellSpec, i int, g *warmGroup) (raw []byte, warm bool, err error) {
+	switch {
+	case g == nil:
+		raw, err = c.runJSON(ctx)
+		return raw, false, err
+	case i == g.producer:
+		raw, err = s.produceWarm(ctx, c, g)
+		return raw, false, err
 	}
-	if ctx.Err() != nil {
-		return nil, false, err
+	// The producer is an earlier miss, and engine.Map hands indices out in
+	// order, so it is already running or done: this wait cannot deadlock.
+	select {
+	case <-g.ready:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
 	}
-	w.misses.Inc()
+	if g.blob != nil {
+		raw, err = measureRestored(ctx, c, g.blob, g.prefix)
+		if err == nil {
+			s.mSnapHits.Inc()
+			return raw, true, nil
+		}
+		if ctx.Err() != nil {
+			return nil, false, err
+		}
+	}
+	// A failed producer or a blob that does not restore must not fail the
+	// cell: it warms up itself.
+	s.mSnapMisses.Inc()
 	raw, err = c.runJSON(ctx)
 	return raw, false, err
+}
+
+// produceWarm warms the producer's own simulation, seals the snapshot for
+// the rest of the group, then measures on the already-warm state.
+func (s *Server) produceWarm(ctx context.Context, c cellSpec, g *warmGroup) ([]byte, error) {
+	s.mSnapMisses.Inc()
+	sm, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
+	if err == nil {
+		err = sm.Warmup(ctx)
+	}
+	if err == nil {
+		g.blob = sm.Snapshot(g.prefix)
+		s.mSnapBytes.Add(int64(len(g.blob)))
+	}
+	close(g.ready)
+	if err != nil {
+		return nil, err
+	}
+	return measureJSON(ctx, c, sm)
 }
 
 // measureRestored overwrites a congruent simulation's state from the

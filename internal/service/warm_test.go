@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -111,105 +113,160 @@ func TestSweepWarmupRunsOnce(t *testing.T) {
 	}
 }
 
-// TestWarmRunnerFallsBackOnCorruptSnapshot proves a poisoned snapshot
-// store degrades to cold runs instead of failing cells, and that the
-// fallback counts as a snapshot miss, not a hit.
-func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1})
+// sweepOrigins submits req, follows it to completion and counts its cell
+// events by origin.
+func sweepOrigins(t *testing.T, c *Client, req SweepRequest) map[string]int {
+	t.Helper()
 	ctx := context.Background()
-
-	rs := spec.RunSpec{Scheme: "alloy", Mix: "Q1",
-		Options: spec.Options{AccessesPerCore: 400, WarmupPerCore: 300, CacheDivisor: 64}, Seed: 9}
-	prefix, ok, err := rs.PrefixHash()
-	if err != nil || !ok {
-		t.Fatalf("PrefixHash: ok=%v err=%v", ok, err)
-	}
-	// Poison the snapshot slot before any cell runs.
-	if err := s.Store().Put(prefix, []byte("not a snapshot")); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := c.SubmitSweep(ctx, SweepRequest{Specs: []spec.RunSpec{rs}})
+	st, err := c.SubmitSweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.WaitSweep(ctx, st.ID, 10*time.Millisecond)
+	origins := map[string]int{}
+	fin, err := c.FollowSweep(ctx, st.ID, func(e Event) {
+		if e.Type == "cell" {
+			origins[e.Origin]++
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fin.State != StateCompleted {
-		t.Fatalf("sweep with corrupt snapshot: state %s (%s)", fin.State, fin.Error)
+		t.Fatalf("sweep state %s: %s", fin.State, fin.Error)
 	}
-	canonical, err := rs.Canonical()
+	return origins
+}
+
+// checkSealedNothing asserts that the server's sweeps so far moved no
+// snapshot counter, that its store holds nothing but the given number of
+// cell results, and that none of the given prefix hashes has an entry
+// there.
+func checkSealedNothing(t *testing.T, s *Server, c *Client, cells int, prefixes ...string) {
+	t.Helper()
+	metrics, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := canonical.Hash()
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"bimodal_snapshot_hits_total", "bimodal_snapshot_misses_total", "bimodal_snapshot_bytes_total"} {
+		if got := metricValue(t, metrics, name); got != 0 {
+			t.Errorf("%s = %d, want 0 (nothing to share, so nothing sealed)", name, got)
+		}
 	}
-	stored, err := c.SpecResult(ctx, hash)
-	if err != nil {
-		t.Fatal(err)
+	if got := metricValue(t, metrics, "bimodal_store_entries"); got != cells {
+		t.Errorf("bimodal_store_entries = %d, want %d (cell results only)", got, cells)
 	}
-	cold, err := RunCellSpec(ctx, canonical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stored) != string(cold) {
-		t.Error("fallback result differs from cold run")
-	}
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(t, metrics, "bimodal_snapshot_hits_total"); got != 0 {
-		t.Errorf("snapshot hits = %d, want 0 (no restore replaced warmup)", got)
-	}
-	if got := metricValue(t, metrics, "bimodal_snapshot_misses_total"); got != 1 {
-		t.Errorf("snapshot misses = %d, want 1 (the cold fallback)", got)
+	for _, prefix := range prefixes {
+		if _, found, err := s.Store().Get(prefix); err != nil || found {
+			t.Errorf("prefix %s has a store entry (found=%v, err=%v)", prefix, found, err)
+		}
 	}
 }
 
-// TestWarmRunnerSkipsANTT pins the no-prefix path: ANTT cells run cold
-// and never touch the snapshot counters.
-func TestWarmRunnerSkipsANTT(t *testing.T) {
+// TestWarmRunnerFallsBackOnCorruptSnapshot plans a three-cell group, lets
+// its producer seal the warm state, then corrupts the blob: the other two
+// cells must warm up themselves and return the cold bytes, each counting
+// a snapshot miss, never a hit.
+func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	rs, err := (spec.RunSpec{Scheme: "alloy", Mix: "S1",
-		Options: spec.Options{AccessesPerCore: 300, CacheDivisor: 64, ANTT: true}, Seed: 2}).Canonical()
+	ctx := context.Background()
+	req := samePrefixSweep(t)
+	req.Specs = req.Specs[:3]
+	req, _, err := req.canonicalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, warm, err := s.warm.RunCell(context.Background(), rs)
+	cells, err := req.cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm {
-		t.Error("ANTT cell reported a warm restore")
+	plan, err := planWarm(cells, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(raw) == 0 {
-		t.Error("empty cell result")
+	g := plan[0]
+	if g == nil || g.producer != 0 || plan[1] != g || plan[2] != g {
+		t.Fatalf("plan = %v, want one group of cells 0-2 produced by cell 0", plan)
 	}
-	if n := s.warm.misses.Value(); n != 0 {
-		t.Errorf("snapshot misses = %d after an ANTT cell, want 0", n)
+
+	check := func(i int, raw []byte, warm bool, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if warm {
+			t.Errorf("cell %d reported a warm restore", i)
+		}
+		cold, err := RunCellSpec(ctx, cells[i].rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(cold) {
+			t.Errorf("cell %d bytes differ from a cold run:\ngot:  %s\ncold: %s", i, raw, cold)
+		}
+	}
+	raw, warm, err := s.runWarm(ctx, cells[0], 0, g)
+	check(0, raw, warm, err)
+	if len(g.blob) == 0 || s.mSnapBytes.Value() != int64(len(g.blob)) {
+		t.Fatalf("producer sealed %d bytes, counted %d", len(g.blob), s.mSnapBytes.Value())
+	}
+	bad := append([]byte(nil), g.blob...)
+	bad[len(bad)/2] ^= 0xff
+	g.blob = bad
+	for i := 1; i < 3; i++ {
+		raw, warm, err := s.runWarm(ctx, cells[i], i, g)
+		check(i, raw, warm, err)
+	}
+	if got := s.mSnapHits.Value(); got != 0 {
+		t.Errorf("snapshot hits = %d, want 0 (no restore replaced a warmup)", got)
+	}
+	if got := s.mSnapMisses.Value(); got != 3 {
+		t.Errorf("snapshot misses = %d, want 3 (the producer and two fallbacks)", got)
 	}
 }
 
-// TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a bimodal
-// cell (MeasuredCoupled, so its prefix covers the whole spec) runs
-// straight through, seals no blob and moves no snapshot counter, while an
-// Alloy cell on the same runner still warms up as its prefix's producer
-// and stores its blob.
+// TestWarmRunnerSkipsANTT pins the no-prefix path through a sweep: two
+// ANTT cells that differ only in measured length (their non-ANTT twins
+// would share a warm prefix) run cold and seal nothing.
+func TestWarmRunnerSkipsANTT(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
+	var specs []spec.RunSpec
+	var twinPrefix string
+	for _, n := range []int64{300, 400} {
+		rs := spec.RunSpec{Scheme: "alloy", Mix: "Q1",
+			Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 300, CacheDivisor: 64, ANTT: true}, Seed: 2}
+		if _, ok, err := rs.PrefixHash(); err != nil || ok {
+			t.Fatalf("ANTT PrefixHash: ok=%v err=%v, want no prefix", ok, err)
+		}
+		twin := rs
+		twin.Options.ANTT = false
+		prefix, ok, err := twin.PrefixHash()
+		if err != nil || !ok || (twinPrefix != "" && prefix != twinPrefix) {
+			t.Fatalf("fixture broken: twin prefixes differ (%v, ok=%v)", err, ok)
+		}
+		twinPrefix = prefix
+		specs = append(specs, rs)
+	}
+	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 2 {
+		t.Errorf("origins = %v, want 2 run", got)
+	}
+	checkSealedNothing(t, s, c, 2, twinPrefix)
+}
+
+// TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a sweep of
+// one alloy and one bimodal cell shares no prefix between its misses (the
+// schemes differ, and bimodal is MeasuredCoupled besides), so both run
+// cold, nothing is sealed and the store holds the two results only.
 func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 1})
+	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	ctx := context.Background()
-	cell := func(scheme string) (rs spec.RunSpec, prefix string) {
-		t.Helper()
+	var specs []spec.RunSpec
+	var prefixes []string
+	for _, scheme := range []string{"alloy", "bimodal"} {
 		rs, err := (spec.RunSpec{Scheme: scheme, Mix: "Q1",
 			Options: spec.Options{AccessesPerCore: 400, WarmupPerCore: 300, CacheDivisor: 64}, Seed: 4}).Canonical()
 		if err != nil {
@@ -219,42 +276,60 @@ func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: PrefixHash: ok=%v err=%v", scheme, ok, err)
 		}
-		return rs, prefix
+		specs = append(specs, rs)
+		prefixes = append(prefixes, prefix)
 	}
-	counters := func() [3]int64 {
-		return [3]int64{s.warm.hits.Value(), s.warm.misses.Value(), s.warm.bytes.Value()}
+	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 2 {
+		t.Errorf("origins = %v, want 2 run", got)
 	}
+	checkSealedNothing(t, s, c, 2, prefixes...)
+	for _, rs := range specs {
+		hash, err := rs.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := c.SpecResult(ctx, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := RunCellSpec(ctx, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stored) != string(cold) {
+			t.Errorf("%s cell bytes differ from RunCellSpec:\nstored: %s\ncold:   %s", rs.Scheme, stored, cold)
+		}
+	}
+}
 
-	bm, bmPrefix := cell("bimodal")
-	raw, warm, err := s.warm.RunCell(ctx, bm)
+// TestWarmRunnerStoresResultsOnly checks that a planned group's snapshot
+// stays out of the result store: after a sweep whose second cell restored
+// the first one's warm state, the prefix hash answers 404 not_found.
+func TestWarmRunnerStoresResultsOnly(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
+	ctx := context.Background()
+	req := samePrefixSweep(t)
+	req.Specs = req.Specs[:2]
+	if got := sweepOrigins(t, c, req); got["run"] != 1 || got["warm"] != 1 {
+		t.Errorf("origins = %v, want 1 run + 1 warm", got)
+	}
+	prefix, _, err := req.Specs[0].PrefixHash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm {
-		t.Error("bimodal cell reported a warm restore")
+	_, err = c.SpecResult(ctx, prefix)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != CodeNotFound {
+		t.Errorf("GET /v1/specs/{prefix}/result: err = %v, want 404 not_found", err)
 	}
-	cold, err := RunCellSpec(ctx, bm)
+	metrics, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(raw) != string(cold) {
-		t.Errorf("bimodal cell bytes differ from RunCellSpec:\nwarm runner: %s\ncold:        %s", raw, cold)
+	if got := metricValue(t, metrics, "bimodal_store_entries"); got != 2 {
+		t.Errorf("bimodal_store_entries = %d, want 2 (cell results only)", got)
 	}
-	if _, found, err := s.Store().Get(bmPrefix); err != nil || found {
-		t.Errorf("bimodal prefix %s has a stored blob (found=%v, err=%v)", bmPrefix, found, err)
-	}
-	if got := counters(); got != [3]int64{} {
-		t.Errorf("snapshot hits/misses/bytes = %v after a bimodal cell, want all 0", got)
-	}
-
-	al, alPrefix := cell("alloy")
-	if _, warm, err := s.warm.RunCell(ctx, al); err != nil || warm {
-		t.Fatalf("alloy producer: warm=%v err=%v", warm, err)
-	}
-	if n := s.warm.misses.Value(); n != 1 {
-		t.Errorf("snapshot misses = %d after an alloy cell, want 1", n)
-	}
-	if _, found, err := s.Store().Get(alPrefix); err != nil || !found {
-		t.Errorf("alloy prefix %s has no stored blob (found=%v, err=%v)", alPrefix, found, err)
+	if got := metricValue(t, metrics, "bimodal_snapshot_bytes_total"); got == 0 {
+		t.Error("bimodal_snapshot_bytes_total = 0, want the group's sealed blob")
 	}
 }

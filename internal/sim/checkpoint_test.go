@@ -273,7 +273,7 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 	}
 }
 
-// TestPrefixHashGrouping pins the prefix-hash semantics the warm runner
+// TestPrefixHashGrouping pins the prefix-hash semantics the sweep planner
 // relies on: cells differing only in measured length share a prefix
 // (except the run-length-coupled Bi-Modal family), cells differing
 // in seed or warmup do not, and ANTT or warmup-disabled cells have none.

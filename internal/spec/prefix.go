@@ -8,8 +8,8 @@ import (
 )
 
 // prefixDomain separates warm-prefix hashes from result hashes: a prefix
-// hash can never collide with the Hash of any spec, so snapshot blobs and
-// result bytes share one content-addressed store safely. Bump the suffix
+// hash can never collide with the Hash of any spec, so the name a
+// snapshot blob is sealed against never names a result. Bump the suffix
 // together with snapshot.Version when the blob layout changes.
 const prefixDomain = "bimodal-warm-prefix/v3\n"
 
@@ -18,7 +18,8 @@ const prefixDomain = "bimodal-warm-prefix/v3\n"
 // measured window removed. Two cells with equal prefix hashes reach
 // byte-identical simulator states at the end of warmup, so one cell's
 // warm snapshot (sealed against this hash) restores into the other —
-// the key the sweep warm runner and cluster workers group cells by.
+// the key a sweep groups its store misses by for a shared warmup
+// (internal/service).
 //
 // ok is false when the spec has no reusable warmup prefix: warmup is
 // disabled, or ANTT runs standalone phases a single engine snapshot

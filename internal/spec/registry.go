@@ -78,10 +78,11 @@ type Descriptor struct {
 	// declared, and three consumers read it: sim.FactoryForSpec scales
 	// the core parameters (sim.ScaledCoreParams); PrefixHash keeps
 	// AccessesPerCore, so the prefix covers the whole canonical spec; and
-	// service.WarmRunner therefore runs such cells straight through and
-	// seals no warm snapshot, since only an identical spec, already a
-	// result-store hit, could restore it. Family presets inherit the flag
-	// with the builder, so a preset is the figures' variant of its name.
+	// the sweep planner in internal/service therefore never groups such
+	// cells for a shared warmup and seals no snapshot of them, since only
+	// an identical spec, already a result-store hit, could restore it.
+	// Family presets inherit the flag with the builder, so a preset is the
+	// figures' variant of its name.
 	MeasuredCoupled bool
 	// Build constructs the scheme.
 	Build Builder

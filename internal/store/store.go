@@ -1,15 +1,15 @@
-// Package store provides the content-addressed result store shared by
-// the serving and cluster layers: an append-only blob store keyed by the
-// canonical spec hash ("sha256:<hex>", see internal/spec). Because a
-// cell's result bytes are a pure function of its canonical spec — the
-// determinism contract — a hash fully identifies one immutable blob, so
-// the store never needs versioning, invalidation or overwrite semantics:
-// putting the same hash twice necessarily stores the same bytes, and any
-// node holding the blob may answer for any other.
+// Package store provides the sweep server's content-addressed result
+// store: an append-only blob store keyed by the canonical spec hash
+// ("sha256:<hex>", see internal/spec). Because a cell's result bytes are a
+// pure function of its canonical spec — the determinism contract — a hash
+// fully identifies one immutable blob, so the store never needs
+// versioning, invalidation or overwrite semantics: putting the same hash
+// twice necessarily stores the same bytes. It holds cell results only;
+// warm-state snapshots stay in memory with the sweep that seals them.
 //
 // Two implementations cover the deployment spectrum: Mem for tests and
-// single-process servers, Disk for coordinator/worker fleets that want
-// results to survive restarts and be shareable over a mounted volume.
+// servers whose results may die with the process, Disk for servers whose
+// results should survive a restart.
 package store
 
 import (
