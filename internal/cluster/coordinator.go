@@ -22,6 +22,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"time"
@@ -118,6 +119,12 @@ type waiter struct {
 // wait in the queue until one pulls. Create with New, release with Close.
 type Coordinator struct {
 	cfg Config
+	// tag is drawn once per coordinator from the global math/rand/v2
+	// source, which every process seeds randomly, and carried by every
+	// worker ID it issues. An ID from another coordinator process (before
+	// a restart, say) is then unknown here: its calls get 410 and its
+	// reports are dropped as late instead of completing another cell.
+	tag string
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -147,6 +154,7 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
+		tag:     fmt.Sprintf("%08x", rand.Uint32()),
 		workers: map[string]*workerState{},
 		tasks:   map[string]*task{},
 		stop:    make(chan struct{}),
@@ -270,8 +278,8 @@ func (c *Coordinator) takeLocked(w *workerState) *task {
 	return t
 }
 
-// Join registers a worker and returns its ID plus the liveness window it
-// must heartbeat within.
+// Join registers a worker and returns its ID (worker-<tag>-<n>, unique to
+// this coordinator) plus the liveness window it must heartbeat within.
 func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -279,7 +287,7 @@ func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error
 		return "", 0, fmt.Errorf("cluster: coordinator closed")
 	}
 	c.wseq++
-	id = fmt.Sprintf("worker-%04d", c.wseq)
+	id = fmt.Sprintf("worker-%s-%04d", c.tag, c.wseq)
 	c.workers[id] = &workerState{id: id, name: name, lastSeen: c.cfg.Now()}
 	c.mJoined.Inc()
 	c.mWorkers.Set(int64(len(c.workers)))

@@ -372,6 +372,47 @@ func TestCoordinatorLongPollHandoff(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsStaleReport models a restart with two
+// coordinators that each join a worker and hand it their first cell, so
+// both cells carry the same task ID. Worker IDs are unique to their
+// coordinator: a report that names A's worker and B's task completes
+// nothing on B and counts as late.
+func TestCoordinatorRejectsStaleReport(t *testing.T) {
+	a, _ := newTestCoordinator(t, Config{})
+	b, _ := newTestCoordinator(t, Config{})
+	ctx := context.Background()
+	wa, _, _ := a.Join("w")
+	wb, _, _ := b.Join("w")
+	if wa == wb {
+		t.Fatalf("both coordinators issued worker ID %s", wa)
+	}
+	dispatch(ctx, a, 1)
+	res := dispatch(ctx, b, 2)
+	ta, tb := pull(t, a, wa), pull(t, b, wb)
+	if ta.ID != tb.ID {
+		t.Fatalf("task IDs %s and %s differ; the fixture needs a collision", ta.ID, tb.ID)
+	}
+
+	b.Report(wa, tb.ID, []byte(`{"stale":true}`), nil)
+	b.mu.Lock()
+	task := b.tasks[tb.ID]
+	b.mu.Unlock()
+	if task == nil || task.owner != wb {
+		t.Fatalf("after the stale report B's task is %+v, want still running on %s", task, wb)
+	}
+	if got := b.mLateReports.Value(); got != 1 {
+		t.Errorf("late reports = %d, want 1", got)
+	}
+	if got := b.mCompleted.Value(); got != 0 {
+		t.Errorf("completed = %d, want 0", got)
+	}
+
+	b.Report(wb, tb.ID, []byte(`{}`), nil)
+	if r := <-res; r.err != nil || string(r.blob) != `{}` {
+		t.Errorf("B's cell = %s, %v; want its own worker's {}", r.blob, r.err)
+	}
+}
+
 // waitPending waits until exactly n cells are pending.
 func waitPending(t *testing.T, c *Coordinator, n int) {
 	t.Helper()

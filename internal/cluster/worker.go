@@ -50,11 +50,14 @@ type Worker struct {
 
 // Serve joins the coordinator and processes cells until ctx ends. If the
 // coordinator declares the worker dead (HTTP 410 worker_gone — e.g. after
-// a long GC pause or network partition outlived the TTL) the worker
-// rejoins under a fresh ID and keeps serving; cells it reported late in
-// between are dropped idempotently by the coordinator. The error is
-// always non-nil: ctx.Err() on clean shutdown, or the failure that
-// stopped the worker.
+// a long GC pause or network partition outlived the TTL, or because the
+// coordinator restarted and never issued its ID) the worker rejoins under
+// a fresh ID and keeps serving; cells it reported late in between are
+// dropped idempotently by the coordinator. A pull or report that fails
+// any other way is retried with capped backoff, so a coordinator that is
+// down for a while loses no worker. The error is always non-nil:
+// ctx.Err() on clean shutdown, or the join failure that stopped the
+// worker.
 func (w *Worker) Serve(ctx context.Context) error {
 	hc := w.Client
 	if hc == nil {
@@ -175,18 +178,25 @@ func (s *workerSession) serveOnce(ctx context.Context, slots int) error {
 	return ErrUnknownWorker
 }
 
-// pullLoop pulls, runs and reports cells until ctx ends.
+// Retry pacing for a pull or report that fails for any reason but 410
+// worker_gone: the delay doubles from retryMin up to retryMax. A worker
+// thereby rides out a coordinator restart, and rejoins once the new
+// process answers 410 for an ID it never issued.
+const (
+	retryMin = 50 * time.Millisecond
+	retryMax = 2 * time.Second
+)
+
+// pullLoop pulls, runs and reports cells until ctx ends or the
+// coordinator answers 410.
 func (s *workerSession) pullLoop(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
-		}
 		var t Task
-		found, err := s.pull(ctx, &t)
-		if err != nil {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
+		var found bool
+		if err := retry(ctx, func() (err error) {
+			found, err = s.pull(ctx, &t)
+			return err
+		}); err != nil {
 			return err
 		}
 		if !found {
@@ -204,9 +214,30 @@ func (s *workerSession) pullLoop(ctx context.Context) error {
 		} else {
 			rep.Blob = blob
 		}
-		if err := s.call(ctx, http.MethodPost,
-			"/cluster/v1/tasks/"+t.ID+"/result", rep, nil); err != nil && ctx.Err() == nil {
-			return fmt.Errorf("cluster: reporting %s: %w", t.ID, err)
+		if err := retry(ctx, func() error {
+			return s.call(ctx, http.MethodPost, "/cluster/v1/tasks/"+t.ID+"/result", rep, nil)
+		}); err != nil {
+			return err
+		}
+	}
+}
+
+// retry calls op until it succeeds or fails with ErrUnknownWorker,
+// sleeping between attempts, and returns op's last error. It returns the
+// cause instead once ctx ends.
+func retry(ctx context.Context, op func() error) error {
+	for delay := retryMin; ; delay = min(2*delay, retryMax) {
+		err := op()
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		if err == nil || errors.Is(err, ErrUnknownWorker) {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		case <-time.After(delay):
 		}
 	}
 }
