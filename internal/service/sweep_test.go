@@ -236,28 +236,10 @@ func TestSweepValidation(t *testing.T) {
 // origins: all "run" on the first pass, all "store" on the resweep.
 func TestSweepSSE(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
-	ctx := context.Background()
-	origins := func(req SweepRequest) map[string]int {
-		t.Helper()
-		st, err := c.SubmitSweep(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]int{}
-		fin, err := c.FollowSweep(ctx, st.ID, func(e Event) {
-			if e.Type == "cell" {
-				got[e.Origin]++
-			}
-		})
-		if err != nil || fin.State != StateCompleted {
-			t.Fatalf("follow: %v, state %s (%s)", err, fin.State, fin.Error)
-		}
-		return got
-	}
-	if got := origins(tinySweep()); got["run"] != 4 || got["store"] != 0 {
+	if got := sweepOrigins(t, c, tinySweep()); got["run"] != 4 || got["store"] != 0 {
 		t.Errorf("first sweep origins = %v, want 4 run", got)
 	}
-	if got := origins(tinySweep()); got["store"] != 4 || got["run"] != 0 {
+	if got := sweepOrigins(t, c, tinySweep()); got["store"] != 4 || got["run"] != 0 {
 		t.Errorf("resweep origins = %v, want 4 store", got)
 	}
 }
