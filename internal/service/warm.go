@@ -100,9 +100,9 @@ func (s *Server) runWarm(ctx context.Context, c cellSpec, i int, g *warmGroup) (
 			s.mSnapHits.Inc()
 			return raw, true, nil
 		}
-		if ctx.Err() != nil {
-			return nil, false, err
-		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
 	}
 	// A failed producer or a blob that does not restore must not fail the
 	// cell: it warms up itself.
