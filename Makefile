@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBurst -fuzztime=10s ./internal/dram
 	$(GO) test -run='^$$' -fuzz=FuzzWriteQueue -fuzztime=10s ./internal/memctrl
 	$(GO) test -run='^$$' -fuzz=FuzzVictimWay -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzCacheModel -fuzztime=10s ./internal/core
 
 # snapshot-golden runs the warm-state checkpointing gates on their own:
 # restore-then-run byte identity for every registered scheme, the sealed

@@ -91,28 +91,25 @@ func (s *CacheStats) SmallFraction() float64 {
 	return float64(small) / float64(s.Accesses)
 }
 
+// bigWay is one big way's metadata (16 bytes). Whether it holds a block is
+// the set's validBig bit alone; an evicted way is zeroed.
 type bigWay struct {
-	valid bool
 	tag   uint64
 	dirty uint32
 	used  uint32
 }
 
-type smallWay struct {
-	valid  bool
-	lineID uint64 // full 64B line identity (address >> 6)
-	dirty  bool
-}
-
-// cacheSet carries, beside the per-way metadata, occupancy bitmasks (bit w
-// set when way w is valid) so the hot paths scan set bits instead of
-// walking every way.
+// cacheSet is a set's state and its occupancy bitmasks: bit w of validBig
+// (validSmall) is set when big (small) way w holds a block, and bit w of
+// dirtySmall when small way w has been written since its fill. The masks
+// are the only validity and small-way dirty state, so the hot paths scan
+// set bits instead of walking every way. The ways themselves live in the
+// cache's flat big and small arrays.
 type cacheSet struct {
 	st         State
 	validBig   uint32
 	validSmall uint32
-	big        []bigWay
-	small      []smallWay
+	dirtySmall uint32
 }
 
 // Cache is the functional Bi-Modal cache: it tracks residency, set states,
@@ -121,8 +118,13 @@ type cacheSet struct {
 type Cache struct {
 	// params is construction-time geometry; snapshots reconstruct it from
 	// Config rather than serializing it.
-	params  Params //bmlint:nosnapshot
-	sets    []cacheSet
+	params Params //bmlint:nosnapshot
+	sets   []cacheSet
+	// big and small hold every set's ways, set-major: set si's big way w
+	// is big[si*MaxBig+w], and its small way w is small[si*MaxSmall+w],
+	// the full 64B line identity (address >> 6) of the line it holds.
+	big     []bigWay
+	small   []uint64
 	locator *WayLocator // nil disables way location (Bi-Modal-Only ablation)
 	pred    *SizePredictor
 	tracker *Tracker
@@ -140,6 +142,7 @@ type Cache struct {
 	subShift   uint   //bmlint:resetconst //bmlint:nosnapshot — offsetBits - 6: line ID -> big block ID
 	subBlocks  int    //bmlint:resetconst //bmlint:nosnapshot
 	minBig     int    //bmlint:resetconst //bmlint:nosnapshot
+	maxBig     int    //bmlint:resetconst //bmlint:nosnapshot
 	maxSmall   int    //bmlint:resetconst //bmlint:nosnapshot
 	bigBlock   uint64 //bmlint:resetconst //bmlint:nosnapshot
 
@@ -160,9 +163,12 @@ func NewCache(p Params, locator *WayLocator) *Cache {
 		panic(err)
 	}
 	pred := NewSizePredictor(p.PredictorBits)
+	allBig := State{X: p.MaxBig(), Y: 0}
 	c := &Cache{
 		params:     p,
 		sets:       make([]cacheSet, p.NumSets()),
+		big:        make([]bigWay, int(p.NumSets())*p.MaxBig()),
+		small:      make([]uint64, int(p.NumSets())*p.MaxSmall()),
 		locator:    locator,
 		pred:       pred,
 		tracker:    NewTracker(p, pred),
@@ -175,22 +181,13 @@ func NewCache(p Params, locator *WayLocator) *Cache {
 		subShift:   addr.Log2(p.BigBlock) - 6,
 		subBlocks:  p.SubBlocks(),
 		minBig:     p.MinBig,
+		maxBig:     p.MaxBig(),
 		maxSmall:   p.MaxSmall(),
 		bigBlock:   p.BigBlock,
 		scratch:    make([]Eviction, 0, p.MaxAssoc()+1),
 	}
-	// Single backing arrays for all sets' ways: constructing a 512MB
-	// cache allocates 3 slices instead of a million.
-	allBig := State{X: p.MaxBig(), Y: 0}
-	bigBacking := make([]bigWay, int(p.NumSets())*p.MaxBig())
-	smallBacking := make([]smallWay, int(p.NumSets())*p.MaxSmall())
-	nb, ns := p.MaxBig(), p.MaxSmall()
 	for i := range c.sets {
-		c.sets[i] = cacheSet{
-			st:    allBig,
-			big:   bigBacking[i*nb : (i+1)*nb : (i+1)*nb],
-			small: smallBacking[i*ns : (i+1)*ns : (i+1)*ns],
-		}
+		c.sets[i].st = allBig
 	}
 	return c
 }
@@ -213,16 +210,10 @@ func (c *Cache) Reset(p Params) bool {
 	c.params = p
 	allBig := State{X: p.MaxBig(), Y: 0}
 	for i := range c.sets {
-		s := &c.sets[i]
-		s.st = allBig
-		s.validBig, s.validSmall = 0, 0
-		for w := range s.big {
-			s.big[w] = bigWay{}
-		}
-		for w := range s.small {
-			s.small[w] = smallWay{}
-		}
+		c.sets[i] = cacheSet{st: allBig}
 	}
+	clear(c.big)
+	clear(c.small)
 	if c.locator != nil {
 		c.locator.Reset()
 	}
@@ -272,16 +263,17 @@ func (c *Cache) bigAddr(tag, set uint64) addr.Phys {
 
 // Contains reports whether the 64B line at p is resident (no state change).
 func (c *Cache) Contains(p addr.Phys) bool {
-	s := &c.sets[c.setOf(p)]
-	tag := c.tagOf(p)
+	si := c.setOf(p)
+	s := &c.sets[si]
+	tag, bb := c.tagOf(p), int(si)*c.maxBig
 	for m := s.validBig; m != 0; m &= m - 1 {
-		if s.big[bits.TrailingZeros32(m)].tag == tag {
+		if c.big[bb+bits.TrailingZeros32(m)].tag == tag {
 			return true
 		}
 	}
-	ln := lineID(p)
+	ln, sb := lineID(p), int(si)*c.maxSmall
 	for m := s.validSmall; m != 0; m &= m - 1 {
-		if s.small[bits.TrailingZeros32(m)].lineID == ln {
+		if c.small[sb+bits.TrailingZeros32(m)] == ln {
 			return true
 		}
 	}
@@ -303,21 +295,21 @@ func (c *Cache) Access(p addr.Phys, write bool) Outcome {
 	// (Section III-C1); the assertion enforces that invariant.
 	if c.locator != nil {
 		if h, ok := c.locator.Lookup(p); ok {
-			c.assertLocatorHit(s, p, h)
+			c.assertLocatorHit(s, si, p, h)
 			out.LocatorHit, out.Hit, out.Big, out.Way = true, true, h.Big, h.Way
-			c.touchHit(s, p, h.Big, h.Way, write)
+			c.touchHit(s, si, p, h.Big, h.Way, write)
 			c.noteInterval()
 			return out
 		}
 	}
 
 	// 2. Tag search over the occupied ways only.
-	tag := c.tagOf(p)
+	tag, bb := c.tagOf(p), int(si)*c.maxBig
 	for m := s.validBig; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros32(m)
-		if s.big[w].tag == tag {
+		if c.big[bb+w].tag == tag {
 			out.Hit, out.Big, out.Way = true, true, w
-			c.touchHit(s, p, true, w, write)
+			c.touchHit(s, si, p, true, w, write)
 			if c.locator != nil {
 				c.locator.Insert(p, true, w)
 			}
@@ -325,12 +317,12 @@ func (c *Cache) Access(p addr.Phys, write bool) Outcome {
 			return out
 		}
 	}
-	ln := lineID(p)
+	ln, sb := lineID(p), int(si)*c.maxSmall
 	for m := s.validSmall; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros32(m)
-		if s.small[w].lineID == ln {
+		if c.small[sb+w] == ln {
 			out.Hit, out.Big, out.Way = true, false, w
-			c.touchHit(s, p, false, w, write)
+			c.touchHit(s, si, p, false, w, write)
 			if c.locator != nil {
 				c.locator.Insert(p, false, w)
 			}
@@ -350,12 +342,12 @@ func (c *Cache) noteInterval() { c.global.NoteAccess() }
 
 // assertLocatorHit panics if the way locator returned a way that does not
 // actually hold the block — the design guarantees this never happens.
-func (c *Cache) assertLocatorHit(s *cacheSet, p addr.Phys, h Hit) {
+func (c *Cache) assertLocatorHit(s *cacheSet, si uint64, p addr.Phys, h Hit) {
 	ok := false
 	if h.Big {
-		ok = h.Way < s.st.X && s.big[h.Way].valid && s.big[h.Way].tag == c.tagOf(p)
+		ok = h.Way < s.st.X && s.validBig>>uint(h.Way)&1 != 0 && c.big[int(si)*c.maxBig+h.Way].tag == c.tagOf(p)
 	} else {
-		ok = h.Way < s.st.Y && s.small[h.Way].valid && s.small[h.Way].lineID == lineID(p)
+		ok = h.Way < s.st.Y && s.validSmall>>uint(h.Way)&1 != 0 && c.small[int(si)*c.maxSmall+h.Way] == lineID(p)
 	}
 	if !ok {
 		panic(fmt.Sprintf("core: way locator mispredicted %x -> big=%v way=%d (set state %v)",
@@ -364,11 +356,11 @@ func (c *Cache) assertLocatorHit(s *cacheSet, p addr.Phys, h Hit) {
 }
 
 // touchHit updates hit statistics and the dirty/used masks.
-func (c *Cache) touchHit(s *cacheSet, p addr.Phys, big bool, way int, write bool) {
+func (c *Cache) touchHit(s *cacheSet, si uint64, p addr.Phys, big bool, way int, write bool) {
 	c.Stats.Hits++
 	if big {
 		c.Stats.HitsBig++
-		b := &s.big[way]
+		b := &c.big[int(si)*c.maxBig+way]
 		bit := uint32(1) << c.subOf(p)
 		b.used |= bit
 		if write {
@@ -377,7 +369,7 @@ func (c *Cache) touchHit(s *cacheSet, p addr.Phys, big bool, way int, write bool
 	} else {
 		c.Stats.HitsSmall++
 		if write {
-			s.small[way].dirty = true
+			s.dirtySmall |= 1 << uint(way)
 		}
 	}
 }
@@ -461,7 +453,7 @@ func (c *Cache) victimSmall(s *cacheSet, si uint64, p addr.Phys, out *Outcome) i
 		_, protected = c.locator.ProtectedWays(p, c.setBits, si)
 	}
 	w := c.randomWay(s.st.Y, protected)
-	c.evictSmall(s, w, out)
+	c.evictSmall(s, si, w, out)
 	return w
 }
 
@@ -497,10 +489,11 @@ func (c *Cache) randomWay(n int, protected uint32) int {
 // evictBig removes big way w, recording the eviction and training the
 // tracker for sampled sets.
 func (c *Cache) evictBig(s *cacheSet, si uint64, w int, out *Outcome) {
-	b := &s.big[w]
-	if !b.valid {
+	bit := uint32(1) << uint(w)
+	if s.validBig&bit == 0 {
 		return
 	}
+	b := &c.big[int(si)*c.maxBig+w]
 	a := c.bigAddr(b.tag, si)
 	c.scratch = append(c.scratch, Eviction{Big: true, Way: w, Addr: a, DirtyMask: b.dirty, UsedMask: b.used})
 	c.Stats.Evictions++
@@ -513,7 +506,7 @@ func (c *Cache) evictBig(s *cacheSet, si uint64, w int, out *Outcome) {
 		c.locator.Invalidate(a, true)
 	}
 	*b = bigWay{}
-	s.validBig &^= 1 << uint(w)
+	s.validBig &^= bit
 }
 
 // evictSmall removes small way w. In sampled sets the eviction also trains
@@ -522,28 +515,25 @@ func (c *Cache) evictBig(s *cacheSet, si uint64, w int, out *Outcome) {
 // region mistakenly fetched at small granularity (its lines keep arriving
 // one by one) is re-learned as big — the reverse transition of the
 // tracker's big-way training.
-func (c *Cache) evictSmall(s *cacheSet, w int, out *Outcome) {
-	sm := &s.small[w]
-	if !sm.valid {
+func (c *Cache) evictSmall(s *cacheSet, si uint64, w int, out *Outcome) {
+	bit := uint32(1) << uint(w)
+	if s.validSmall&bit == 0 {
 		return
 	}
-	a := addr.Phys(sm.lineID << 6)
-	var dm uint32
-	if sm.dirty {
-		dm = 1
-	}
+	sb := int(si) * c.maxSmall
+	ln := c.small[sb+w]
+	a := addr.Phys(ln << 6)
+	dm := s.dirtySmall >> uint(w) & 1
 	c.scratch = append(c.scratch, Eviction{Big: false, Way: w, Addr: a, DirtyMask: dm, UsedMask: 1})
 	c.Stats.Evictions++
-	if sm.dirty {
-		c.Stats.WritebackBytes += SmallBlock
-	}
-	if si := c.setOf(a); c.tracker.Sampled(si) {
-		blk := sm.lineID >> c.subShift
+	c.Stats.WritebackBytes += int64(dm) * SmallBlock
+	if c.tracker.Sampled(si) {
+		blk := ln >> c.subShift
 		var mask uint32
 		for m := s.validSmall; m != 0; m &= m - 1 {
-			o := &s.small[bits.TrailingZeros32(m)]
-			if o.lineID>>c.subShift == blk {
-				mask |= 1 << (o.lineID & c.subMask)
+			o := c.small[sb+bits.TrailingZeros32(m)]
+			if o>>c.subShift == blk {
+				mask |= 1 << (o & c.subMask)
 			}
 		}
 		c.tracker.OnEvict(c.blockID(a), mask)
@@ -551,8 +541,9 @@ func (c *Cache) evictSmall(s *cacheSet, w int, out *Outcome) {
 	if c.locator != nil {
 		c.locator.Invalidate(a, false)
 	}
-	*sm = smallWay{}
-	s.validSmall &^= 1 << uint(w)
+	c.small[sb+w] = 0
+	s.validSmall &^= bit
+	s.dirtySmall &^= bit
 }
 
 // convertToBig moves the set one state toward big: evicts the small ways
@@ -563,7 +554,7 @@ func (c *Cache) convertToBig(s *cacheSet, si uint64, out *Outcome) {
 		panic(fmt.Sprintf("core: convertToBig in state %v", s.st))
 	}
 	for w := s.st.Y - f; w < s.st.Y; w++ {
-		c.evictSmall(s, w, out)
+		c.evictSmall(s, si, w, out)
 	}
 	s.st.Y -= f
 	s.st.X++
@@ -586,11 +577,11 @@ func (c *Cache) convertToSmall(s *cacheSet, si uint64, out *Outcome) {
 // the incoming block are evicted first (their dirty data is written back
 // rather than merged, keeping the model conservative).
 func (c *Cache) insertBig(s *cacheSet, si uint64, p addr.Phys, write bool, w int, out *Outcome) {
-	blk := uint64(p) >> c.offsetBits
+	blk, sb := uint64(p)>>c.offsetBits, int(si)*c.maxSmall
 	for m := s.validSmall; m != 0; m &= m - 1 {
 		sw := bits.TrailingZeros32(m)
-		if s.small[sw].lineID>>c.subShift == blk {
-			c.evictSmall(s, sw, out)
+		if c.small[sb+sw]>>c.subShift == blk {
+			c.evictSmall(s, si, sw, out)
 		}
 	}
 	bit := uint32(1) << c.subOf(p)
@@ -598,7 +589,7 @@ func (c *Cache) insertBig(s *cacheSet, si uint64, p addr.Phys, write bool, w int
 	if write {
 		dirty = bit
 	}
-	s.big[w] = bigWay{valid: true, tag: c.tagOf(p), used: bit, dirty: dirty}
+	c.big[int(si)*c.maxBig+w] = bigWay{tag: c.tagOf(p), used: bit, dirty: dirty}
 	s.validBig |= 1 << uint(w)
 	out.Hit, out.Big, out.Way = false, true, w
 	out.FillBytes = int64(c.bigBlock)
@@ -610,8 +601,14 @@ func (c *Cache) insertBig(s *cacheSet, si uint64, p addr.Phys, write bool, w int
 
 // insertSmall fills a 64B block into small way w.
 func (c *Cache) insertSmall(s *cacheSet, si uint64, p addr.Phys, write bool, w int, out *Outcome) {
-	s.small[w] = smallWay{valid: true, lineID: lineID(p), dirty: write}
-	s.validSmall |= 1 << uint(w)
+	bit := uint32(1) << uint(w)
+	c.small[int(si)*c.maxSmall+w] = lineID(p)
+	s.validSmall |= bit
+	if write {
+		s.dirtySmall |= bit
+	} else {
+		s.dirtySmall &^= bit
+	}
 	out.Hit, out.Big, out.Way = false, false, w
 	out.FillBytes = SmallBlock
 	c.Stats.FetchedBytes += SmallBlock
@@ -641,8 +638,8 @@ func (c *Cache) SetState(si uint64) State { return c.sets[si].st }
 // property-based suite.
 func (c *Cache) CheckInvariants() error {
 	p := c.params
-	for si := range c.sets {
-		s := &c.sets[si]
+	for i := range c.sets {
+		s, si := &c.sets[i], uint64(i)
 		if !p.stateValid(s.st) {
 			return fmt.Errorf("set %d in illegal state %v", si, s.st)
 		}
@@ -650,45 +647,22 @@ func (c *Cache) CheckInvariants() error {
 		if uint64(s.st.X)*p.BigBlock+uint64(s.st.Y)*SmallBlock != p.SetBytes {
 			return fmt.Errorf("set %d state %v does not fill the set", si, s.st)
 		}
-		// Occupancy bitmasks must mirror the per-way valid bits exactly.
-		var vb, vs uint32
-		for w := range s.big {
-			if s.big[w].valid {
-				vb |= 1 << uint(w)
-			}
-		}
-		for w := range s.small {
-			if s.small[w].valid {
-				vs |= 1 << uint(w)
-			}
-		}
-		if vb != s.validBig || vs != s.validSmall {
-			return fmt.Errorf("set %d occupancy masks diverge: big %032b vs %032b, small %032b vs %032b",
-				si, s.validBig, vb, s.validSmall, vs)
-		}
 		// No valid ways beyond the state's range.
-		for w := s.st.X; w < len(s.big); w++ {
-			if s.big[w].valid {
-				return fmt.Errorf("set %d has valid big way %d beyond X=%d", si, w, s.st.X)
-			}
+		if m := s.validBig >> uint(s.st.X); m != 0 {
+			return fmt.Errorf("set %d has valid big way %d beyond X=%d", si, s.st.X+bits.TrailingZeros32(m), s.st.X)
 		}
-		for w := s.st.Y; w < len(s.small); w++ {
-			if s.small[w].valid {
-				return fmt.Errorf("set %d has valid small way %d beyond Y=%d", si, w, s.st.Y)
-			}
+		if m := s.validSmall >> uint(s.st.Y); m != 0 {
+			return fmt.Errorf("set %d has valid small way %d beyond Y=%d", si, s.st.Y+bits.TrailingZeros32(m), s.st.Y)
 		}
 		// Small lines must belong to this set and not duplicate big ways.
-		for w := 0; w < s.st.Y; w++ {
-			sm := s.small[w]
-			if !sm.valid {
-				continue
-			}
-			a := addr.Phys(sm.lineID << 6)
-			if c.setOf(a) != uint64(si) {
+		for m := s.validSmall; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros32(m)
+			a := addr.Phys(c.small[i*c.maxSmall+w] << 6)
+			if c.setOf(a) != si {
 				return fmt.Errorf("set %d small way %d holds line of set %d", si, w, c.setOf(a))
 			}
-			for bw := 0; bw < s.st.X; bw++ {
-				if s.big[bw].valid && s.big[bw].tag == c.tagOf(a) {
+			for bm := s.validBig; bm != 0; bm &= bm - 1 {
+				if c.big[i*c.maxBig+bits.TrailingZeros32(bm)].tag == c.tagOf(a) {
 					return fmt.Errorf("set %d line %x resident both big and small", si, a)
 				}
 			}

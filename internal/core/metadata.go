@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // This file gives the metadata bank a concrete byte-level layout (Figure 4
@@ -205,21 +206,19 @@ func (c *Cache) Snapshot(si uint64) SetMetadata {
 		Big:   make([]BigWayMeta, c.params.MaxBig()),
 		Small: make([]SmallWayMeta, c.params.MaxSmall()),
 	}
-	for i := 0; i < s.st.X; i++ {
-		b := s.big[i]
-		if b.valid {
-			m.Big[i] = BigWayMeta{Valid: true, Tag: b.tag, Dirty: b.dirty}
-		}
+	for v := s.validBig; v != 0; v &= v - 1 {
+		i := bits.TrailingZeros32(v)
+		b := c.big[int(si)*c.maxBig+i]
+		m.Big[i] = BigWayMeta{Valid: true, Tag: b.tag, Dirty: b.dirty}
 	}
-	for i := 0; i < s.st.Y; i++ {
-		sm := s.small[i]
-		if sm.valid {
-			m.Small[i] = SmallWayMeta{
-				Valid:  true,
-				Dirty:  sm.dirty,
-				Offset: uint8(sm.lineID & uint64(c.params.SubBlocks()-1)),
-				Tag:    sm.lineID >> (c.offsetBits - 6) >> c.setBits,
-			}
+	for v := s.validSmall; v != 0; v &= v - 1 {
+		i := bits.TrailingZeros32(v)
+		ln := c.small[int(si)*c.maxSmall+i]
+		m.Small[i] = SmallWayMeta{
+			Valid:  true,
+			Dirty:  s.dirtySmall>>uint(i)&1 != 0,
+			Offset: uint8(ln & c.subMask),
+			Tag:    ln >> c.subShift >> c.setBits,
 		}
 	}
 	return m

@@ -94,11 +94,11 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	b := sw.Extend(len(w.entries) * wlEntryBytes)
 	for i := range w.entries {
 		e := &w.entries[i]
-		snapshot.PutBool(b, e.valid)
-		snapshot.PutBool(b[1:], e.big)
+		snapshot.PutBool(b, e.valid())
+		snapshot.PutBool(b[1:], e.big())
 		binary.LittleEndian.PutUint64(b[2:], e.blockID)
-		binary.LittleEndian.PutUint64(b[10:], uint64(e.way))
-		binary.LittleEndian.PutUint64(b[18:], e.lastUse)
+		binary.LittleEndian.PutUint64(b[10:], uint64(e.way()))
+		binary.LittleEndian.PutUint64(b[18:], e.lastUse())
 		b = b[wlEntryBytes:]
 	}
 	sw.U64(w.clock)
@@ -107,7 +107,8 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	sw.I64(w.HitsSml)
 }
 
-// RestoreState implements snapshot.Snapshotter.
+// RestoreState implements snapshot.Snapshotter. An entry's way and lastUse
+// must fit its packed word, and the clock the lastUse field.
 func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 	r.Tag("waylocator")
 	b := r.Next(len(w.entries) * wlEntryBytes)
@@ -115,18 +116,22 @@ func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 		return
 	}
 	for i := range w.entries {
-		e := &w.entries[i]
-		e.valid = r.DecodeBool(b[0])
-		e.big = r.DecodeBool(b[1])
-		e.blockID = binary.LittleEndian.Uint64(b[2:])
-		e.way = int(binary.LittleEndian.Uint64(b[10:]))
-		e.lastUse = binary.LittleEndian.Uint64(b[18:])
+		valid, big := r.DecodeBool(b[0]), r.DecodeBool(b[1])
+		way, lastUse := binary.LittleEndian.Uint64(b[10:]), binary.LittleEndian.Uint64(b[18:])
+		if way > wlMaxWay || lastUse >= wlClockLimit {
+			r.Failf("way-locator entry %d: way %d or lastUse %d does not fit the entry word", i, way, lastUse)
+			return
+		}
+		w.entries[i] = wlEntry{blockID: binary.LittleEndian.Uint64(b[2:]), meta: wlMeta(valid, big, int(way), lastUse)}
 		b = b[wlEntryBytes:]
 	}
 	w.clock = r.U64()
 	w.Lookups = r.I64()
 	w.HitsBig = r.I64()
 	w.HitsSml = r.I64()
+	if r.Err() == nil && w.clock >= wlClockLimit {
+		r.Failf("way-locator clock %d does not fit the 56-bit lastUse stamp", w.clock)
+	}
 }
 
 // snapshotStats serializes the functional counter block.
@@ -163,7 +168,9 @@ func restoreStats(r *snapshot.Reader, s *CacheStats) {
 
 // Encoded widths of the set table: each set is a header (X and Y as
 // int64, then the big and small occupancy masks) followed by its big ways
-// (valid, tag, dirty, used) and small ways (valid, lineID, dirty).
+// (valid, tag, dirty, used) and small ways (valid, lineID, dirty). A way's
+// valid byte is its occupancy bit and a small way's dirty byte its
+// dirtySmall bit, so a way's valid byte must agree with the header.
 const (
 	setHeaderBytes = 8 + 8 + 4 + 4
 	bigWayBytes    = 1 + 8 + 4 + 4
@@ -184,6 +191,7 @@ func (c *Cache) setTableBytes() int {
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("corecache")
 	b := w.Extend(c.setTableBytes())
+	big, small := c.big, c.small
 	for i := range c.sets {
 		s := &c.sets[i]
 		binary.LittleEndian.PutUint64(b, uint64(s.st.X))
@@ -191,21 +199,21 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 		binary.LittleEndian.PutUint32(b[16:], s.validBig)
 		binary.LittleEndian.PutUint32(b[20:], s.validSmall)
 		b = b[setHeaderBytes:]
-		for j := range s.big {
-			bw := &s.big[j]
-			snapshot.PutBool(b, bw.valid)
+		for j := range big[:c.maxBig] {
+			bw := &big[j]
+			snapshot.PutBool(b, s.validBig>>uint(j)&1 != 0)
 			binary.LittleEndian.PutUint64(b[1:], bw.tag)
 			binary.LittleEndian.PutUint32(b[9:], bw.dirty)
 			binary.LittleEndian.PutUint32(b[13:], bw.used)
 			b = b[bigWayBytes:]
 		}
-		for j := range s.small {
-			sw := &s.small[j]
-			snapshot.PutBool(b, sw.valid)
-			binary.LittleEndian.PutUint64(b[1:], sw.lineID)
-			snapshot.PutBool(b[9:], sw.dirty)
+		for j, ln := range small[:c.maxSmall] {
+			snapshot.PutBool(b, s.validSmall>>uint(j)&1 != 0)
+			binary.LittleEndian.PutUint64(b[1:], ln)
+			snapshot.PutBool(b[9:], s.dirtySmall>>uint(j)&1 != 0)
 			b = b[smallWayBytes:]
 		}
+		big, small = big[c.maxBig:], small[c.maxSmall:]
 	}
 	w.Bool(c.locator != nil)
 	if c.locator != nil {
@@ -219,36 +227,48 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 }
 
 // RestoreState implements snapshot.Snapshotter. c must have been built
-// with the same Params (and locator presence) as the producer; the
-// restored state is validated with CheckInvariants.
+// with the same Params (and locator presence) as the producer. Each way's
+// valid byte must match its occupancy bit, and the restored state is
+// validated with CheckInvariants.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("corecache")
 	b := r.Next(c.setTableBytes())
 	if r.Err() != nil {
 		return
 	}
+	big, small := c.big, c.small
 	for i := range c.sets {
 		s := &c.sets[i]
 		s.st.X = int(binary.LittleEndian.Uint64(b))
 		s.st.Y = int(binary.LittleEndian.Uint64(b[8:]))
 		s.validBig = binary.LittleEndian.Uint32(b[16:])
 		s.validSmall = binary.LittleEndian.Uint32(b[20:])
+		s.dirtySmall = 0
 		b = b[setHeaderBytes:]
-		for j := range s.big {
-			bw := &s.big[j]
-			bw.valid = r.DecodeBool(b[0])
-			bw.tag = binary.LittleEndian.Uint64(b[1:])
-			bw.dirty = binary.LittleEndian.Uint32(b[9:])
-			bw.used = binary.LittleEndian.Uint32(b[13:])
+		for j := range big[:c.maxBig] {
+			if valid := r.DecodeBool(b[0]); valid != (s.validBig>>uint(j)&1 != 0) {
+				r.Failf("set %d big way %d: valid byte %d disagrees with its occupancy bit", i, j, b[0])
+				return
+			}
+			big[j] = bigWay{
+				tag:   binary.LittleEndian.Uint64(b[1:]),
+				dirty: binary.LittleEndian.Uint32(b[9:]),
+				used:  binary.LittleEndian.Uint32(b[13:]),
+			}
 			b = b[bigWayBytes:]
 		}
-		for j := range s.small {
-			sw := &s.small[j]
-			sw.valid = r.DecodeBool(b[0])
-			sw.lineID = binary.LittleEndian.Uint64(b[1:])
-			sw.dirty = r.DecodeBool(b[9])
+		for j := range small[:c.maxSmall] {
+			if valid := r.DecodeBool(b[0]); valid != (s.validSmall>>uint(j)&1 != 0) {
+				r.Failf("set %d small way %d: valid byte %d disagrees with its occupancy bit", i, j, b[0])
+				return
+			}
+			small[j] = binary.LittleEndian.Uint64(b[1:])
+			if r.DecodeBool(b[9]) {
+				s.dirtySmall |= 1 << uint(j)
+			}
 			b = b[smallWayBytes:]
 		}
+		big, small = big[c.maxBig:], small[c.maxSmall:]
 	}
 	hasLocator := r.Bool()
 	if r.Err() == nil && hasLocator != (c.locator != nil) {

@@ -222,10 +222,15 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadTableBool proves the bulk table decoders keep the
-// per-element bool check: a sealed Bi-Modal blob whose first way-locator
-// entry or first cache-set way carries a valid byte of 2, resealed with a
-// correct checksum, must still fail restore.
+// TestRestoreRejectsBadTableBool proves the bulk table decoders keep their
+// per-element checks. A sealed Bi-Modal blob is patched behind a section
+// tag and resealed with a correct checksum, and restore must still fail
+// for:
+//   - a valid byte of 2 in the first way-locator entry or cache-set way;
+//   - a locator way of 64, or a lastUse or locator clock of 2^56, which do
+//     not fit the packed 16-byte entry;
+//   - a big or a small way whose valid byte is 1 while its occupancy bit
+//     is 0 (the masks are the cache's only validity state).
 func TestRestoreRejectsBadTableBool(t *testing.T) {
 	rs := goldenSpec(t, "bimodal", nil, 0)
 	prefix, _, err := rs.PrefixHash()
@@ -247,27 +252,51 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 		t.Fatalf("unmodified blob: %v", err)
 	}
 	// A section tag is 0xA5, its u32 length and its name; the table
-	// follows. The first cache-set way's valid byte sits behind the set
-	// header (X, Y, and the two occupancy masks: 24 bytes).
-	for _, tc := range []struct {
+	// follows. Behind "corecache" sits the first set: its header (X and
+	// Y, then the big and small occupancy masks at 16 and 20: 24 bytes),
+	// four 17-byte big ways (valid, tag, dirty, used) and its 10-byte
+	// small ways (valid, lineID, dirty). Behind "waylocator" sit the
+	// 26-byte entries (valid, big, blockID, way at 10, lastUse at 18);
+	// the clock and three counters end that section, right before the
+	// "sizepred" tag.
+	tagBytes := func(tag string) int { return 1 + 4 + len(tag) }
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	type patch struct {
 		tag  string
-		skip int
-	}{{"waylocator", 0}, {"corecache", 24}} {
-		t.Run(tc.tag, func(t *testing.T) {
-			marker := append([]byte{0xA5}, binary.LittleEndian.AppendUint32(nil, uint32(len(tc.tag)))...)
-			marker = append(marker, tc.tag...)
-			at := bytes.Index(blob, marker)
-			if at < 0 || bytes.Index(blob[at+1:], marker) >= 0 {
-				t.Fatalf("section %q not found exactly once", tc.tag)
-			}
+		off  int // from the end of the tag
+		data []byte
+	}
+	for _, tc := range []struct {
+		name    string
+		patches []patch
+		want    string
+	}{
+		{"waylocator", []patch{{"waylocator", 0, []byte{2}}}, "invalid bool byte 2"},
+		{"corecache", []patch{{"corecache", 24, []byte{2}}}, "invalid bool byte 2"},
+		{"waylocator_way", []patch{{"waylocator", 10, u64(64)}}, "does not fit"},
+		{"waylocator_lastUse", []patch{{"waylocator", 18, u64(1 << 56)}}, "does not fit"},
+		{"waylocator_clock", []patch{{"sizepred", -tagBytes("sizepred") - 32, u64(1 << 56)}}, "does not fit"},
+		{"corecache_big_valid", []patch{{"corecache", 16, u32(0)}, {"corecache", 24, []byte{1}}}, "occupancy"},
+		{"corecache_small_valid", []patch{{"corecache", 20, u32(0)}, {"corecache", 24 + 4*17, []byte{1}}}, "occupancy"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), blob...)
-			bad[at+len(marker)+tc.skip] = 2
+			for _, p := range tc.patches {
+				marker := append([]byte{0xA5}, binary.LittleEndian.AppendUint32(nil, uint32(len(p.tag)))...)
+				marker = append(marker, p.tag...)
+				at := bytes.Index(blob, marker)
+				if at < 0 || bytes.Index(blob[at+1:], marker) >= 0 {
+					t.Fatalf("section %q not found exactly once", p.tag)
+				}
+				copy(bad[at+len(marker)+p.off:], p.data)
+			}
 			body := bad[:len(bad)-sha256.Size]
 			sum := sha256.Sum256(body)
 			copy(bad[len(body):], sum[:])
 			err := NewSim(mix, factory, o).Restore(bad, prefix)
-			if err == nil || !strings.Contains(err.Error(), "invalid bool byte 2") {
-				t.Fatalf("restore of a blob with bool byte 2: err = %v", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore of the patched blob: err = %v, want it to mention %q", err, tc.want)
 			}
 		})
 	}
