@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"bimodal/internal/dramcache"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 	"bimodal/internal/trace"
 )
@@ -44,7 +45,7 @@ func main() {
 		gz      = flag.Bool("gzip", false, "gzip-compress the output trace (implied by a .gz output name)")
 		inspect = flag.String("inspect", "", "trace file to analyze")
 		replay  = flag.String("replay", "", "trace file to replay")
-		scheme  = flag.String("scheme", "bimodal", "scheme for -replay")
+		scheme  = flag.String("scheme", "bimodal", "registered scheme or alias for -replay, with paper defaults")
 	)
 	flag.Parse()
 
@@ -123,7 +124,7 @@ func generate(bench, tenants string, sharedPct int64, sharedPages uint64, out st
 		gen = trace.NewSynthetic(prof, 0, seed)
 	}
 	if llscBytes > 0 {
-		gen = trace.NewLLSCFilter(gen, llscBytes, 8, seed)
+		gen = trace.NewLLSCFilter(gen, llscBytes, 8)
 	}
 	f, err := os.Create(out)
 	if err != nil {
@@ -227,21 +228,13 @@ func replayTrace(path, schemeName string) error {
 	if err != nil {
 		return err
 	}
-	cfg := dramcache.DefaultConfig(4)
-	var s dramcache.Scheme
-	switch schemeName {
-	case "bimodal":
-		s = dramcache.NewBiModal(cfg)
-	case "alloy":
-		s = dramcache.NewAlloy(cfg)
-	case "lohhill":
-		s = dramcache.NewLohHill(cfg)
-	case "atcache":
-		s = dramcache.NewATCache(cfg)
-	case "footprint":
-		s = dramcache.NewFootprint(cfg)
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	d, err := spec.Lookup(schemeName)
+	if err != nil {
+		return err
+	}
+	s, err := d.New(spec.BuildConfig{Cache: dramcache.DefaultConfig(4)}, nil)
+	if err != nil {
+		return err
 	}
 	now := int64(0)
 	for _, a := range r.Records() {

@@ -29,7 +29,7 @@ func main() {
 		p := trace.MustProfile(bench)
 		p.GapMean = max(p.GapMean/10, 1)
 		raw := trace.NewSynthetic(p, workloads.CoreBase(i), uint64(i)+1)
-		f := trace.NewLLSCFilter(raw, 1<<20, 8, uint64(i)+1) // 1MB LLSC slice per core
+		f := trace.NewLLSCFilter(raw, 1<<20, 8) // 1MB LLSC slice per core
 		filters = append(filters, f)
 		gens = append(gens, f)
 	}

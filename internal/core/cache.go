@@ -295,7 +295,9 @@ func (c *Cache) Access(p addr.Phys, write bool) Outcome {
 	// (Section III-C1); the assertion enforces that invariant.
 	if c.locator != nil {
 		if h, ok := c.locator.Lookup(p); ok {
-			c.assertLocatorHit(s, si, p, h)
+			if !c.holds(s, si, p, h) {
+				locatorMispredicted(s, p, h)
+			}
 			out.LocatorHit, out.Hit, out.Big, out.Way = true, true, h.Big, h.Way
 			c.touchHit(s, si, p, h.Big, h.Way, write)
 			c.noteInterval()
@@ -340,19 +342,19 @@ func (c *Cache) Access(p addr.Phys, write bool) Outcome {
 // noteInterval advances the adaptation interval.
 func (c *Cache) noteInterval() { c.global.NoteAccess() }
 
-// assertLocatorHit panics if the way locator returned a way that does not
-// actually hold the block — the design guarantees this never happens.
-func (c *Cache) assertLocatorHit(s *cacheSet, si uint64, p addr.Phys, h Hit) {
-	ok := false
+// locatorMispredicted panics: the way locator returned a way that does not
+// hold the block, which the design guarantees never happens.
+func locatorMispredicted(s *cacheSet, p addr.Phys, h Hit) {
+	panic(fmt.Sprintf("core: way locator mispredicted %x -> big=%v way=%d (set state %v)", p, h.Big, h.Way, s.st))
+}
+
+// holds reports whether the way h names in set si holds p's block at h's
+// granularity.
+func (c *Cache) holds(s *cacheSet, si uint64, p addr.Phys, h Hit) bool {
 	if h.Big {
-		ok = h.Way < s.st.X && s.validBig>>uint(h.Way)&1 != 0 && c.big[int(si)*c.maxBig+h.Way].tag == c.tagOf(p)
-	} else {
-		ok = h.Way < s.st.Y && s.validSmall>>uint(h.Way)&1 != 0 && c.small[int(si)*c.maxSmall+h.Way] == lineID(p)
+		return h.Way < s.st.X && s.validBig>>uint(h.Way)&1 != 0 && c.big[int(si)*c.maxBig+h.Way].tag == c.tagOf(p)
 	}
-	if !ok {
-		panic(fmt.Sprintf("core: way locator mispredicted %x -> big=%v way=%d (set state %v)",
-			p, h.Big, h.Way, s.st))
-	}
+	return h.Way < s.st.Y && s.validSmall>>uint(h.Way)&1 != 0 && c.small[int(si)*c.maxSmall+h.Way] == lineID(p)
 }
 
 // touchHit updates hit statistics and the dirty/used masks.
@@ -654,6 +656,9 @@ func (c *Cache) CheckInvariants() error {
 		if m := s.validSmall >> uint(s.st.Y); m != 0 {
 			return fmt.Errorf("set %d has valid small way %d beyond Y=%d", si, s.st.Y+bits.TrailingZeros32(m), s.st.Y)
 		}
+		if m := s.dirtySmall &^ s.validSmall; m != 0 {
+			return fmt.Errorf("set %d small way %d is dirty but holds no line", si, bits.TrailingZeros32(m))
+		}
 		// Small lines must belong to this set and not duplicate big ways.
 		for m := s.validSmall; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros32(m)
@@ -666,6 +671,18 @@ func (c *Cache) CheckInvariants() error {
 					return fmt.Errorf("set %d line %x resident both big and small", si, a)
 				}
 			}
+		}
+	}
+	// Every valid locator entry must name a block its way holds, so no
+	// Lookup can return a way that does not.
+	for i := 0; c.locator != nil && i < len(c.locator.entries); i++ {
+		e := &c.locator.entries[i]
+		p, h := addr.Phys(e.blockID<<6), Hit{Big: e.big(), Way: e.way()}
+		if h.Big {
+			p = addr.Phys(e.blockID << c.locator.bigShift)
+		}
+		if si := c.setOf(p); e.valid() && !c.holds(&c.sets[si], si, p, h) {
+			return fmt.Errorf("way-locator entry %d names %x in big=%v way %d, which does not hold it", i, p, h.Big, h.Way)
 		}
 	}
 	return nil

@@ -192,7 +192,8 @@ func (m *cacheModel) step(a addr.Phys, write bool, out Outcome) error {
 // every eviction names a resident block in its own way and reports exactly
 // the sub-blocks written (and, for a big block, referenced) since its fill,
 // a fill lands in a way the evictions freed, and a big fill leaves none of
-// its block's lines resident small. CheckInvariants runs every 64 accesses,
+// its block's lines resident small. CheckInvariants, which also checks
+// every valid way-locator entry against the sets, runs every 64 accesses,
 // the counters must match the model's totals at the end, and, when asked,
 // the cache goes through a snapshot round trip half way (the set table
 // holds validity and small-way dirt only in the occupancy masks).

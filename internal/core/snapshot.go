@@ -83,9 +83,9 @@ func (g *GlobalState) RestoreState(r *snapshot.Reader) {
 	g.dBig, g.dSmall, g.accesses, g.Transitions = dBig, dSmall, accesses, transitions
 }
 
-// wlEntryBytes is the encoded width of one way-locator entry: valid, big,
-// blockID, way (as int64), lastUse.
-const wlEntryBytes = 1 + 1 + 8 + 8 + 8
+// wlEntryBytes is the encoded width of one way-locator entry: its block ID
+// and its packed meta word (valid, big, way, lastUse).
+const wlEntryBytes = 8 + 8
 
 // SnapshotState implements snapshot.Snapshotter. The entry table is the
 // bulk of a Bi-Modal snapshot and is encoded as one Extend table.
@@ -94,11 +94,8 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	b := sw.Extend(len(w.entries) * wlEntryBytes)
 	for i := range w.entries {
 		e := &w.entries[i]
-		snapshot.PutBool(b, e.valid())
-		snapshot.PutBool(b[1:], e.big())
-		binary.LittleEndian.PutUint64(b[2:], e.blockID)
-		binary.LittleEndian.PutUint64(b[10:], uint64(e.way()))
-		binary.LittleEndian.PutUint64(b[18:], e.lastUse())
+		binary.LittleEndian.PutUint64(b, e.blockID)
+		binary.LittleEndian.PutUint64(b[8:], e.meta)
 		b = b[wlEntryBytes:]
 	}
 	sw.U64(w.clock)
@@ -107,8 +104,9 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	sw.I64(w.HitsSml)
 }
 
-// RestoreState implements snapshot.Snapshotter. An entry's way and lastUse
-// must fit its packed word, and the clock the lastUse field.
+// RestoreState implements snapshot.Snapshotter. The clock must fit the
+// 56-bit lastUse stamp; Cache.RestoreState checks the entries against the
+// sets.
 func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 	r.Tag("waylocator")
 	b := r.Next(len(w.entries) * wlEntryBytes)
@@ -116,13 +114,7 @@ func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 		return
 	}
 	for i := range w.entries {
-		valid, big := r.DecodeBool(b[0]), r.DecodeBool(b[1])
-		way, lastUse := binary.LittleEndian.Uint64(b[10:]), binary.LittleEndian.Uint64(b[18:])
-		if way > wlMaxWay || lastUse >= wlClockLimit {
-			r.Failf("way-locator entry %d: way %d or lastUse %d does not fit the entry word", i, way, lastUse)
-			return
-		}
-		w.entries[i] = wlEntry{blockID: binary.LittleEndian.Uint64(b[2:]), meta: wlMeta(valid, big, int(way), lastUse)}
+		w.entries[i] = wlEntry{blockID: binary.LittleEndian.Uint64(b), meta: binary.LittleEndian.Uint64(b[8:])}
 		b = b[wlEntryBytes:]
 	}
 	w.clock = r.U64()
@@ -167,14 +159,13 @@ func restoreStats(r *snapshot.Reader, s *CacheStats) {
 }
 
 // Encoded widths of the set table: each set is a header (X and Y as
-// int64, then the big and small occupancy masks) followed by its big ways
-// (valid, tag, dirty, used) and small ways (valid, lineID, dirty). A way's
-// valid byte is its occupancy bit and a small way's dirty byte its
-// dirtySmall bit, so a way's valid byte must agree with the header.
+// int64, then the big and small occupancy masks and the small-way dirty
+// mask) followed by its big ways (tag, dirty, used) and small ways (line
+// ID), the layout Cache holds them in.
 const (
-	setHeaderBytes = 8 + 8 + 4 + 4
-	bigWayBytes    = 1 + 8 + 4 + 4
-	smallWayBytes  = 1 + 8 + 1
+	setHeaderBytes = 8 + 8 + 4 + 4 + 4
+	bigWayBytes    = 8 + 4 + 4
+	smallWayBytes  = 8
 )
 
 // setTableBytes is the encoded size of the set table; every set carries
@@ -184,10 +175,10 @@ func (c *Cache) setTableBytes() int {
 }
 
 // SnapshotState implements snapshot.Snapshotter: per-set state, occupancy
-// bitmasks and way metadata as one Extend table, followed by the locator,
-// predictor, tracker histogram, global adaptation state, replacement rng
-// and statistics. The eviction scratch buffer is transient (truncated by
-// every Access) and is not part of the state.
+// and dirty masks and way metadata as one Extend table, followed by the
+// locator, predictor, tracker histogram, global adaptation state,
+// replacement rng and statistics. The eviction scratch buffer is transient
+// (truncated by every Access) and is not part of the state.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("corecache")
 	b := w.Extend(c.setTableBytes())
@@ -198,21 +189,19 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 		binary.LittleEndian.PutUint64(b[8:], uint64(s.st.Y))
 		binary.LittleEndian.PutUint32(b[16:], s.validBig)
 		binary.LittleEndian.PutUint32(b[20:], s.validSmall)
+		binary.LittleEndian.PutUint32(b[24:], s.dirtySmall)
 		b = b[setHeaderBytes:]
 		for j := range big[:c.maxBig] {
 			bw := &big[j]
-			snapshot.PutBool(b, s.validBig>>uint(j)&1 != 0)
-			binary.LittleEndian.PutUint64(b[1:], bw.tag)
-			binary.LittleEndian.PutUint32(b[9:], bw.dirty)
-			binary.LittleEndian.PutUint32(b[13:], bw.used)
+			binary.LittleEndian.PutUint64(b, bw.tag)
+			binary.LittleEndian.PutUint32(b[8:], bw.dirty)
+			binary.LittleEndian.PutUint32(b[12:], bw.used)
 			b = b[bigWayBytes:]
 		}
 		for j, ln := range small[:c.maxSmall] {
-			snapshot.PutBool(b, s.validSmall>>uint(j)&1 != 0)
-			binary.LittleEndian.PutUint64(b[1:], ln)
-			snapshot.PutBool(b[9:], s.dirtySmall>>uint(j)&1 != 0)
-			b = b[smallWayBytes:]
+			binary.LittleEndian.PutUint64(b[j*smallWayBytes:], ln)
 		}
+		b = b[c.maxSmall*smallWayBytes:]
 		big, small = big[c.maxBig:], small[c.maxSmall:]
 	}
 	w.Bool(c.locator != nil)
@@ -227,9 +216,9 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 }
 
 // RestoreState implements snapshot.Snapshotter. c must have been built
-// with the same Params (and locator presence) as the producer. Each way's
-// valid byte must match its occupancy bit, and the restored state is
-// validated with CheckInvariants.
+// with the same Params (and locator presence) as the producer. The
+// restored state is validated with CheckInvariants, which also checks
+// every valid locator entry against the sets.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("corecache")
 	b := r.Next(c.setTableBytes())
@@ -243,31 +232,20 @@ func (c *Cache) RestoreState(r *snapshot.Reader) {
 		s.st.Y = int(binary.LittleEndian.Uint64(b[8:]))
 		s.validBig = binary.LittleEndian.Uint32(b[16:])
 		s.validSmall = binary.LittleEndian.Uint32(b[20:])
-		s.dirtySmall = 0
+		s.dirtySmall = binary.LittleEndian.Uint32(b[24:])
 		b = b[setHeaderBytes:]
 		for j := range big[:c.maxBig] {
-			if valid := r.DecodeBool(b[0]); valid != (s.validBig>>uint(j)&1 != 0) {
-				r.Failf("set %d big way %d: valid byte %d disagrees with its occupancy bit", i, j, b[0])
-				return
-			}
 			big[j] = bigWay{
-				tag:   binary.LittleEndian.Uint64(b[1:]),
-				dirty: binary.LittleEndian.Uint32(b[9:]),
-				used:  binary.LittleEndian.Uint32(b[13:]),
+				tag:   binary.LittleEndian.Uint64(b),
+				dirty: binary.LittleEndian.Uint32(b[8:]),
+				used:  binary.LittleEndian.Uint32(b[12:]),
 			}
 			b = b[bigWayBytes:]
 		}
 		for j := range small[:c.maxSmall] {
-			if valid := r.DecodeBool(b[0]); valid != (s.validSmall>>uint(j)&1 != 0) {
-				r.Failf("set %d small way %d: valid byte %d disagrees with its occupancy bit", i, j, b[0])
-				return
-			}
-			small[j] = binary.LittleEndian.Uint64(b[1:])
-			if r.DecodeBool(b[9]) {
-				s.dirtySmall |= 1 << uint(j)
-			}
-			b = b[smallWayBytes:]
+			small[j] = binary.LittleEndian.Uint64(b[j*smallWayBytes:])
 		}
+		b = b[c.maxSmall*smallWayBytes:]
 		big, small = big[c.maxBig:], small[c.maxSmall:]
 	}
 	hasLocator := r.Bool()

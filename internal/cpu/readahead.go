@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bimodal/internal/telemetry"
 	"bimodal/internal/trace"
@@ -122,7 +123,7 @@ func startHelpers() {
 func fillLoop(jobs <-chan *readAhead) {
 	for ra := range jobs {
 		ra.fillBack()
-		ra.wg.Done()
+		ra.filling.Store(false)
 	}
 }
 
@@ -144,10 +145,10 @@ type readAhead struct {
 	// fill.
 	todo int64
 	// busy marks back as handed to a fill that prime has not yet taken
-	// over: wg is held until the fill is done, and nothing else may touch
-	// back, bufs[1] or the generator meanwhile.
-	busy bool
-	wg   sync.WaitGroup
+	// over: nothing else may touch back, bufs[1] or the generator
+	// meanwhile, and filling stays set until a helper's fill is done.
+	busy    bool
+	filling atomic.Bool
 	// stale marks a generator that ReleaseReadAhead left ahead of the
 	// engine: phases and snapshots panic until Reset or RestoreState.
 	stale bool
@@ -199,13 +200,13 @@ func (ra *readAhead) submit() {
 	n := min(ra.todo, chunkLen)
 	ra.back = ra.bufs[1].acc[:]
 	ra.busy = true
-	ra.wg.Add(1)
+	ra.filling.Store(true)
 	select {
 	case helpers.jobs <- ra:
 		ra.todo -= n
 		return
 	default:
-		ra.wg.Done()
+		ra.filling.Store(false)
 	}
 	if n == 0 {
 		ra.back, ra.busy = nil, false
@@ -224,13 +225,27 @@ func (ra *readAhead) fillBack() {
 	ra.fill.Fill(ra.back)
 }
 
+// wait returns once no helper fill is in flight. It polls and yields
+// rather than blocking: a goroutine that blocks takes a runtime sudog,
+// which the runtime allocates whenever its per-P and central caches run
+// dry (every GC empties the central one), so a blocking wait made the
+// process's allocation count depend on helper timing. A fill takes tens
+// of microseconds, and the engine has nothing else to do meanwhile.
+//
+//bmlint:hotpath
+func (ra *readAhead) wait() {
+	for ra.filling.Load() {
+		runtime.Gosched()
+	}
+}
+
 // advance is prime's slow path when cur is spent and back was handed to a
 // fill: wait for it, make it the current chunk, submit the next chunk into
 // the spent buffer, and return the new chunk's first access.
 //
 //bmlint:hotpath
 func (ra *readAhead) advance() trace.Access {
-	ra.wg.Wait()
+	ra.wait()
 	ra.bufs[0], ra.bufs[1] = ra.bufs[1], ra.bufs[0]
 	ra.cur, ra.pos, ra.back, ra.busy = ra.back, 1, nil, false
 	ra.submit()
@@ -270,7 +285,7 @@ func (ra *readAhead) sync() {
 	if ra.bufs[0] == nil {
 		return
 	}
-	ra.wg.Wait()
+	ra.wait()
 	if ra.ahead() {
 		ra.fill.Rewind(&ra.bufs[0].mark)
 		redo := ra.bufs[1].acc[:ra.pos]
@@ -294,7 +309,7 @@ func (ra *readAhead) drop() (ahead bool) {
 	if ra.bufs[0] == nil {
 		return false
 	}
-	ra.wg.Wait()
+	ra.wait()
 	ahead = ra.ahead()
 	ra.release()
 	return ahead

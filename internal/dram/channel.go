@@ -85,7 +85,6 @@ func (s *Stats) RowHitRate() float64 {
 type bank struct {
 	openRow   int64 // -1 when precharged
 	nextCAS   int64 // earliest CPU cycle for the next column command
-	nextACT   int64 // earliest CPU cycle for the next activate
 	actAt     int64 // time of the last activate (for tRAS)
 	wrRecover int64 // earliest CPU cycle a precharge may follow a write
 	lastEpoch int64 // refresh epoch of the last access (rows close across epochs)
@@ -247,13 +246,13 @@ func (c *Channel) Access(op Op, l addr.Location, now int64, bytes int64) (done i
 		casReady = max64(t, b.nextCAS)
 	case b.openRow == -1:
 		rr = RowEmpty
-		actAt := c.activate(l.Bank>>c.rankShift, b, max64(t, b.nextACT))
+		actAt := c.activate(l.Bank>>c.rankShift, b, t)
 		casReady = actAt + c.rcdCPU
 	default:
 		rr = RowConflict
 		preAt := max64(max64(t, b.actAt+c.rasCPU), b.wrRecover)
 		c.stats.Precharge++
-		actAt := c.activate(l.Bank>>c.rankShift, b, max64(preAt+c.rpCPU, b.nextACT))
+		actAt := c.activate(l.Bank>>c.rankShift, b, preAt+c.rpCPU)
 		casReady = actAt + c.rcdCPU
 	}
 	b.openRow = int64(l.Row)

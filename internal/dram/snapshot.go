@@ -10,7 +10,6 @@ func (c *Channel) SnapshotState(w *snapshot.Writer) {
 	for _, b := range c.banks {
 		w.I64(b.openRow)
 		w.I64(b.nextCAS)
-		w.I64(b.nextACT)
 		w.I64(b.actAt)
 		w.I64(b.wrRecover)
 		w.I64(b.lastEpoch)
@@ -43,7 +42,6 @@ func (c *Channel) RestoreState(r *snapshot.Reader) {
 	for i := range c.banks {
 		c.banks[i].openRow = r.I64()
 		c.banks[i].nextCAS = r.I64()
-		c.banks[i].nextACT = r.I64()
 		c.banks[i].actAt = r.I64()
 		c.banks[i].wrRecover = r.I64()
 		c.banks[i].lastEpoch = r.I64()

@@ -53,7 +53,6 @@ func NewATCache(cfg Config) *ATCache {
 		SizeBytes: 32768 * 64,
 		BlockSize: 64,
 		Assoc:     4,
-		Seed:      cfg.Seed,
 	})
 	return &ATCache{
 		cfg:         cfg,
@@ -183,9 +182,7 @@ func (a *ATCache) Reset(cfg Config) bool {
 	a.stacked.Reset()
 	a.offchip.Reset()
 	a.sets.reset()
-	tc := a.tagCache.Config()
-	tc.Seed = cfg.Seed
-	a.tagCache.Reset(tc)
+	a.tagCache.Reset()
 	a.metaReads, a.metaRowHits = 0, 0
 	return true
 }

@@ -28,55 +28,28 @@ type LohHill struct {
 	numSets int //bmlint:resetconst //bmlint:nosnapshot
 	sets    *assocArray
 
-	// missMap, when enabled, tracks resident lines exactly (the paper's
-	// MissMap lives in the L3 and is consulted before the DRAM cache, so
-	// known misses skip the tags-then-data DRAM accesses entirely).
-	missMap     map[uint64]struct{}
-	missMapLat  int64 //bmlint:resetconst //bmlint:nosnapshot
 	metaReads   int64
 	metaRowHits int64
 }
 
-// LohHillOption customizes NewLohHill.
-type LohHillOption func(*LohHill)
-
-// WithMissMap enables the Loh-Hill MissMap: an exact residency tracker
-// (held in the LLSC in their design) that lets predicted misses go
-// straight to off-chip memory without the compound DRAM tag access.
-func WithMissMap() LohHillOption {
-	return func(l *LohHill) {
-		l.missMap = make(map[uint64]struct{})
-		l.missMapLat = 6 // the MissMap shares the L3; a full L3-latency probe
-	}
-}
-
 // NewLohHill builds the scheme for cfg.
-func NewLohHill(cfg Config, opts ...LohHillOption) *LohHill {
+func NewLohHill(cfg Config) *LohHill {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	stacked, offchip := cfg.controllers()
 	n := int(cfg.CacheBytes / (lohHillWays * 64))
-	l := &LohHill{
+	return &LohHill{
 		cfg:     cfg,
 		stacked: stacked,
 		offchip: offchip,
 		numSets: n,
 		sets:    newAssocArray(n, lohHillWays),
 	}
-	for _, o := range opts {
-		o(l)
-	}
-	return l
 }
 
 // Name implements Scheme.
-func (l *LohHill) Name() string {
-	if l.missMap != nil {
-		return "LohHill+MissMap"
-	}
-	return "LohHill"
-}
+func (l *LohHill) Name() string { return "LohHill" }
 
 // setLoc maps a set to its DRAM row; column 0..191 hold the tags, data
 // block w sits at column 192 + 64w.
@@ -104,25 +77,6 @@ func (l *LohHill) Access(req Request, now int64) Result {
 
 	const ctrlLatency = 1
 	t0 := now + ctrlLatency
-
-	// MissMap short-circuit: a known-absent line skips the DRAM tag access.
-	if l.missMap != nil {
-		if _, resident := l.missMap[lineID]; !resident {
-			done, _ := l.offchip.Read(line, t0+l.missMapLat, 64)
-			if !req.Write {
-				l.fillAfterMiss(req, set, tag, now)
-				l.missMap[lineID] = struct{}{}
-			} else {
-				way := l.fillAfterMiss(req, set, tag, now)
-				l.stacked.WriteAt(l.setLoc(set, lohHillDataBase+uint64(way)*64), now, 64)
-				l.sets.setAux(set, way, 1)
-				l.missMap[lineID] = struct{}{}
-			}
-			l.note(req, false, now, done)
-			return Result{Done: done, Hit: false}
-		}
-		t0 += l.missMapLat
-	}
 
 	// Compound access: tag read opens the row; everything after is a row
 	// hit in the same bank.
@@ -158,9 +112,6 @@ func (l *LohHill) Access(req Request, now int64) Result {
 // fillAfterMiss installs the line (posted), writing back a dirty victim.
 func (l *LohHill) fillAfterMiss(req Request, set int, tag uint64, at int64) int {
 	victim, way := l.sets.insert(set, tag, 0)
-	if l.missMap != nil && victim.valid {
-		delete(l.missMap, victim.tag*uint64(l.numSets)+uint64(set))
-	}
 	if victim.valid && victim.aux != 0 {
 		vaddr := addr.Phys((victim.tag*uint64(l.numSets) + uint64(set)) << 6)
 		rd, _ := l.stacked.ReadAt(l.setLoc(set, lohHillDataBase+uint64(victim.way)*64), at, 64)
@@ -172,8 +123,8 @@ func (l *LohHill) fillAfterMiss(req Request, set int, tag uint64, at int64) int 
 }
 
 // Reset implements Resetter: the scheme returns to its just-constructed
-// state in place (MissMap option preserved), reusing the tag array and
-// both controllers. Only cfg.Seed may differ from the construction Config.
+// state in place, reusing the tag array and both controllers. Only
+// cfg.Seed may differ from the construction Config.
 //
 //bmlint:hotpath
 func (l *LohHill) Reset(cfg Config) bool {
@@ -185,9 +136,6 @@ func (l *LohHill) Reset(cfg Config) bool {
 	l.stacked.Reset()
 	l.offchip.Reset()
 	l.sets.reset()
-	if l.missMap != nil {
-		clear(l.missMap)
-	}
 	l.metaReads, l.metaRowHits = 0, 0
 	return true
 }

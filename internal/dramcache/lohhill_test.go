@@ -26,63 +26,6 @@ func TestLohHillCompoundAccess(t *testing.T) {
 	}
 }
 
-func TestLohHillMissMapSkipsTagAccess(t *testing.T) {
-	cfg := tinyConfig()
-	plain := NewLohHill(cfg)
-	mapped := NewLohHill(cfg, WithMissMap())
-	if mapped.Name() != "LohHill+MissMap" {
-		t.Errorf("name = %s", mapped.Name())
-	}
-	// A cold miss with the MissMap skips the DRAM tag read entirely, so
-	// it must be faster than the plain serial miss. (Start past t=0 so the
-	// initial refresh blackout window does not mask the difference.)
-	p := addr.Phys(0x20000)
-	const start = 5000
-	rp := plain.Access(Request{Addr: p}, start)
-	rm := mapped.Access(Request{Addr: p}, start)
-	if rm.Done >= rp.Done {
-		t.Errorf("MissMap miss latency %d >= plain %d", rm.Done, rp.Done)
-	}
-	if mapped.Report().MetaReads != 0 {
-		t.Error("MissMap miss still read DRAM tags")
-	}
-	// After the fill, the line is in the map: the next access takes the
-	// normal hit path.
-	r2 := mapped.Access(Request{Addr: p}, rm.Done+100000)
-	if !r2.Hit {
-		t.Error("resident line missed with MissMap enabled")
-	}
-}
-
-func TestLohHillMissMapTracksEvictions(t *testing.T) {
-	cfg := tinyConfig()
-	l := NewLohHill(cfg, WithMissMap())
-	now := int64(0)
-	// Fill one set beyond capacity; every line that the map says is
-	// resident must actually hit, and evicted lines must miss (the map is
-	// exact, never stale).
-	set := 5
-	var lines []addr.Phys
-	for i := 0; i <= lohHillWays; i++ {
-		p := addr.Phys((uint64(i)*uint64(l.numSets) + uint64(set)) << 6)
-		lines = append(lines, p)
-		r := l.Access(Request{Addr: p}, now)
-		now = r.Done + 1000
-	}
-	// The LRU victim of the final insertion was lines[0]: the map must
-	// report it absent (miss), while the most recently inserted line must
-	// hit — the map is exact, never stale.
-	r := l.Access(Request{Addr: lines[0]}, now)
-	now = r.Done + 1000
-	if r.Hit {
-		t.Error("evicted line hit; MissMap stale")
-	}
-	r = l.Access(Request{Addr: lines[len(lines)-1]}, now)
-	if !r.Hit {
-		t.Error("recently inserted line missed")
-	}
-}
-
 func TestLohHillWriteDirtyWriteback(t *testing.T) {
 	cfg := tinyConfig()
 	l := NewLohHill(cfg)

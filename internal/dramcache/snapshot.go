@@ -2,7 +2,6 @@ package dramcache
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"bimodal/internal/addr"
 	"bimodal/internal/snapshot"
@@ -203,22 +202,11 @@ func (a *Alloy) RestoreState(r *snapshot.Reader) {
 	a.offchip.RestoreState(r)
 }
 
-// SnapshotState implements snapshot.Snapshotter. The MissMap, being a
-// Go map, is serialized in sorted-key order so identical states always
-// produce identical blobs.
+// SnapshotState implements snapshot.Snapshotter.
 func (l *LohHill) SnapshotState(w *snapshot.Writer) {
 	w.Tag("lohhill")
 	l.baseStats.snapshotState(w)
 	l.sets.snapshotState(w)
-	w.Bool(l.missMap != nil)
-	if l.missMap != nil {
-		keys := make([]uint64, 0, len(l.missMap))
-		for k := range l.missMap {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U64s(keys)
-	}
 	w.I64(l.metaReads)
 	w.I64(l.metaRowHits)
 	l.stacked.SnapshotState(w)
@@ -230,21 +218,6 @@ func (l *LohHill) RestoreState(r *snapshot.Reader) {
 	r.Tag("lohhill")
 	l.baseStats.restoreState(r)
 	l.sets.restoreState(r)
-	hasMap := r.Bool()
-	if r.Err() == nil && hasMap != (l.missMap != nil) {
-		r.Failf("MissMap presence mismatch: blob %v, scheme %v", hasMap, l.missMap != nil)
-		return
-	}
-	if l.missMap != nil {
-		n := r.SliceLen(8)
-		if r.Err() != nil {
-			return
-		}
-		clear(l.missMap)
-		for i := 0; i < n; i++ {
-			l.missMap[r.U64()] = struct{}{}
-		}
-	}
 	l.metaReads = r.I64()
 	l.metaRowHits = r.I64()
 	l.stacked.RestoreState(r)

@@ -81,7 +81,7 @@ func fig1(ctx context.Context, o Options) (*stats.Table, error) {
 	for _, mix := range mixes {
 		for _, block := range fig1BlockSizes {
 			cells = append(cells, cell[float64]{label: fmt.Sprintf("%s %dB", mix.Name, block), run: func(ctx context.Context) (float64, error) {
-				c := sram.New(sram.Config{SizeBytes: cacheBytes, BlockSize: block, Assoc: 8, Seed: o.Seed})
+				c := sram.New(sram.Config{SizeBytes: cacheBytes, BlockSize: block, Assoc: 8})
 				rr := newRoundRobin(mix, o.Seed)
 				err := streamLoop(ctx, o.StreamAccesses, func() {
 					a, _ := rr.Next()
@@ -169,7 +169,7 @@ func fig5(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[*stats.Histogram]
 	for _, mix := range mixes {
 		cells = append(cells, cell[*stats.Histogram]{label: mix.Name, run: func(ctx context.Context) (*stats.Histogram, error) {
-			c := sram.New(sram.Config{SizeBytes: 256 << 20, BlockSize: 512, Assoc: 8, Seed: o.Seed})
+			c := sram.New(sram.Config{SizeBytes: 256 << 20, BlockSize: 512, Assoc: 8})
 			hist := stats.NewHistogram(8)
 			rr := newRoundRobin(mix, o.Seed)
 			err := streamLoop(ctx, o.StreamAccesses, func() {

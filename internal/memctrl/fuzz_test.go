@@ -20,7 +20,6 @@ type refController struct {
 	il       addr.Interleave
 	channels []*dram.Channel
 	writeQ   [][]refWrite
-	lastNow  int64
 }
 
 type refWrite struct {
@@ -41,9 +40,6 @@ func newRef(cfg Config) *refController {
 }
 
 func (c *refController) observe(ch int, now int64) {
-	if now > c.lastNow {
-		c.lastNow = now
-	}
 	if c.cfg.WriteQueueDepth == 0 {
 		return
 	}
@@ -95,7 +91,6 @@ func (c *refController) Reset() {
 	for i := range c.writeQ {
 		c.writeQ[i] = c.writeQ[i][:0]
 	}
-	c.lastNow = 0
 	for _, ch := range c.channels {
 		ch.Reset()
 	}
@@ -127,8 +122,11 @@ func (c *refController) WriteAt(l addr.Location, now, bytes int64) int64 {
 	return now + 1
 }
 
+// SnapshotState encodes each queued write as its drain key (the
+// rank-major bank in the top log2(banks) bits, the row below), column,
+// bytes and arrival time.
 func (c *refController) SnapshotState(w *snapshot.Writer) {
-	g := c.cfg.Geometry
+	rowBits := 64 - addr.Log2(uint64(c.cfg.Geometry.Banks()))
 	w.Tag("memctrl")
 	for _, ch := range c.channels {
 		ch.SnapshotState(w)
@@ -136,16 +134,12 @@ func (c *refController) SnapshotState(w *snapshot.Writer) {
 	for _, q := range c.writeQ {
 		w.U32(uint32(len(q)))
 		for _, pw := range q {
-			w.Int(pw.loc.Channel)
-			w.Int(g.Rank(pw.loc.Bank))
-			w.Int(pw.loc.Bank % g.BanksPerRnk)
-			w.U64(pw.loc.Row)
+			w.U64(uint64(pw.loc.Bank)<<rowBits | pw.loc.Row)
 			w.U64(pw.loc.Column)
 			w.I64(pw.bytes)
 			w.I64(pw.at)
 		}
 	}
-	w.I64(c.lastNow)
 }
 
 // fuzzDepths are the write-queue depths FuzzWriteQueue picks from: 0

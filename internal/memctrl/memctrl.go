@@ -95,10 +95,8 @@ type Controller struct {
 	cfg      Config          //bmlint:resetconst //bmlint:nosnapshot
 	il       addr.Interleave //bmlint:resetconst //bmlint:nosnapshot
 	channels []*dram.Channel
-	// writeQ holds deferred writes per channel; lastNow tracks the most
-	// recent arrival for final drains.
-	writeQ  []writeQueue
-	lastNow int64
+	// writeQ holds deferred writes per channel.
+	writeQ []writeQueue
 	// A drain key holds the rank-major bank in its top bankBits bits and
 	// the row in the rowBits below them; rowMask keeps the row.
 	bankBits uint   //bmlint:resetconst //bmlint:nosnapshot
@@ -146,14 +144,13 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// observe advances the controller's notion of time and reports whether
-// the channel's oldest deferred write has aged out, in which case the
-// caller drains the aged prefix with ageOut. ageOut only drains a prefix
-// of the queue, so checking the front entry alone decides whether any
-// drain would happen; that keeps observe loop-free and call-free, small
-// enough to inline into every Read/Write/Open.
+// observe reports whether the channel's oldest deferred write has aged
+// out at now, in which case the caller drains the aged prefix with
+// ageOut. ageOut only drains a prefix of the queue, so checking the front
+// entry alone decides whether any drain would happen; that keeps observe
+// loop-free and call-free, small enough to inline into every
+// Read/Write/Open.
 func (c *Controller) observe(ch int, now int64) (aged bool) {
-	c.lastNow = max(c.lastNow, now)
 	q := &c.writeQ[ch]
 	return q.n != 0 && q.buf[q.head].at <= now-c.cfg.WriteMaxAge
 }
@@ -228,7 +225,6 @@ func (c *Controller) Reset() {
 	for i := range c.writeQ {
 		c.writeQ[i].head, c.writeQ[i].n = 0, 0
 	}
-	c.lastNow = 0
 	for _, ch := range c.channels {
 		ch.Reset()
 	}

@@ -9,9 +9,8 @@ import (
 
 // queuedWrite is one write-queue entry as the snapshot codec lays it out.
 type queuedWrite struct {
-	channel, rank, bank int
-	row, col            uint64
-	bytes, at           int64
+	key, col  uint64
+	bytes, at int64
 }
 
 // sealQueues hand-builds a sealed blob of a freshly built controller's
@@ -26,32 +25,23 @@ func sealQueues(cfg Config, queues [][]queuedWrite) []byte {
 	for _, q := range queues {
 		w.U32(uint32(len(q)))
 		for _, e := range q {
-			w.Int(e.channel)
-			w.Int(e.rank)
-			w.Int(e.bank)
-			w.U64(e.row)
+			w.U64(e.key)
 			w.U64(e.col)
 			w.I64(e.bytes)
 			w.I64(e.at)
 		}
 	}
-	w.I64(0)
 	return w.Seal()
 }
 
-// TestRestoreRejectsBadQueues restores hand-built blobs whose write
-// queues no live controller could hold. Each must fail the restore with
-// an error instead of restoring and panicking inside dram.Channel.Access
-// at the next drain; a well-formed blob restores and drains.
+// TestRestoreRejectsBadQueues restores hand-built blobs. A queue longer
+// than the depth, which no live controller holds, must fail the restore
+// with an error; a well-formed blob whose key names the last bank and the
+// widest row restores and drains.
 func TestRestoreRejectsBadQueues(t *testing.T) {
 	cfg := OffChipConfig(2) // two ranks of eight banks: 16-bank drain keys hold 60-bit rows
 	cfg.WriteQueueDepth = 2
-	ok := queuedWrite{channel: 1, rank: 1, bank: 7, row: 1<<60 - 1, col: 64, bytes: 64, at: 100}
-	with := func(f func(*queuedWrite)) []queuedWrite {
-		e := ok
-		f(&e)
-		return []queuedWrite{e}
-	}
+	ok := queuedWrite{key: ^uint64(0), col: 64, bytes: 64, at: 100}
 	cases := []struct {
 		name  string
 		queue []queuedWrite // channel 1's queue
@@ -59,12 +49,6 @@ func TestRestoreRejectsBadQueues(t *testing.T) {
 	}{
 		{"valid", []queuedWrite{ok, ok}, ""},
 		{"longer than depth", []queuedWrite{ok, ok, ok}, "depth"},
-		{"other channel", with(func(e *queuedWrite) { e.channel = 0 }), "channel"},
-		{"rank too high", with(func(e *queuedWrite) { e.rank = 2 }), "rank"},
-		{"negative rank", with(func(e *queuedWrite) { e.rank = -1 }), "rank"},
-		{"bank too high", with(func(e *queuedWrite) { e.bank = 8 }), "bank"},
-		{"negative bank", with(func(e *queuedWrite) { e.bank = -1 }), "bank"},
-		{"row too wide", with(func(e *queuedWrite) { e.row = 1 << 60 }), "row"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

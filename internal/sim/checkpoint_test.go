@@ -131,17 +131,6 @@ func TestRestoreThenRunGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreGoldenLohHillMissMap covers the MissMap (a Go map serialized
-// in sorted-key order), which no registry entry enables.
-func TestRestoreGoldenLohHillMissMap(t *testing.T) {
-	mix := workloads.MustByName("Q1")
-	factory := func(cfg dramcache.Config) dramcache.Scheme {
-		return dramcache.NewLohHill(cfg, dramcache.WithMissMap())
-	}
-	o := Options{AccessesPerCore: 1000, CacheDivisor: 64, Seed: 3, Workers: 1}
-	checkRestoreGolden(t, mix, factory, o, "sha256:"+string(bytes.Repeat([]byte{'a'}, 64)))
-}
-
 // TestRestorePrefixMismatch proves a blob cannot restore under a
 // different prefix hash: the envelope binding, not caller discipline,
 // enforces congruence.
@@ -222,15 +211,17 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadTableBool proves the bulk table decoders keep their
-// per-element checks. A sealed Bi-Modal blob is patched behind a section
-// tag and resealed with a correct checksum, and restore must still fail
-// for:
-//   - a valid byte of 2 in the first way-locator entry or cache-set way;
-//   - a locator way of 64, or a lastUse or locator clock of 2^56, which do
-//     not fit the packed 16-byte entry;
-//   - a big or a small way whose valid byte is 1 while its occupancy bit
-//     is 0 (the masks are the cache's only validity state).
+// TestRestoreRejectsBadTableBool proves the Bi-Modal decoders keep their
+// checks. A sealed blob is patched and resealed with a correct checksum,
+// and restore must still fail for:
+//   - a presence flag of 2 (the way locator's, in the core cache section,
+//     and the victim buffer's, the payload's last byte);
+//   - a set whose dirty mask marks a small way that holds no line, or whose
+//     occupancy masks mark a way beyond its state's X or Y;
+//   - a valid way-locator entry whose way, or whose block ID moved by 2^20
+//     (same index), does not hold its block, which the first Measure would
+//     otherwise hit and panic on;
+//   - a locator clock of 2^56, which the 56-bit lastUse stamp cannot hold.
 func TestRestoreRejectsBadTableBool(t *testing.T) {
 	rs := goldenSpec(t, "bimodal", nil, 0)
 	prefix, _, err := rs.PrefixHash()
@@ -251,46 +242,81 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 	if err := NewSim(mix, factory, o).Restore(blob, prefix); err != nil {
 		t.Fatalf("unmodified blob: %v", err)
 	}
-	// A section tag is 0xA5, its u32 length and its name; the table
-	// follows. Behind "corecache" sits the first set: its header (X and
-	// Y, then the big and small occupancy masks at 16 and 20: 24 bytes),
-	// four 17-byte big ways (valid, tag, dirty, used) and its 10-byte
-	// small ways (valid, lineID, dirty). Behind "waylocator" sit the
-	// 26-byte entries (valid, big, blockID, way at 10, lastUse at 18);
-	// the clock and three counters end that section, right before the
-	// "sizepred" tag.
-	tagBytes := func(tag string) int { return 1 + 4 + len(tag) }
-	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
-	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	type patch struct {
-		tag  string
-		off  int // from the end of the tag
-		data []byte
+	// A section tag is 0xA5, its u32 length and its name. Behind
+	// "corecache" sits the first set's 28-byte header: X and Y, then the
+	// big, small and small-dirty masks at 16, 20 and 24. The locator
+	// presence flag ends the set table, right before "waylocator", behind
+	// which sit the 16-byte entries (block ID, then the meta word: valid
+	// bit 63, big bit 62, way in bits 56-61); the clock and three counters
+	// end that section, right before "sizepred". The payload ends with the
+	// miss predictor's and the victim buffer's presence flags.
+	u32 := binary.LittleEndian.Uint32
+	put32, put64 := binary.LittleEndian.PutUint32, binary.LittleEndian.PutUint64
+	section := func(t *testing.T, b []byte, tag string) int {
+		t.Helper()
+		marker := append([]byte{0xA5}, binary.LittleEndian.AppendUint32(nil, uint32(len(tag)))...)
+		marker = append(marker, tag...)
+		at := bytes.Index(b, marker)
+		if at < 0 || bytes.Index(b[at+1:], marker) >= 0 {
+			t.Fatalf("section %q not found exactly once", tag)
+		}
+		return at + len(marker)
+	}
+	// validEntries calls f with the offset of every valid locator entry.
+	validEntries := func(t *testing.T, b []byte, f func(at int)) {
+		t.Helper()
+		start, end := section(t, b, "waylocator"), section(t, b, "sizepred")-(1+4+len("sizepred"))-32
+		n := 0
+		for at := start; at < end; at += 16 {
+			if binary.LittleEndian.Uint64(b[at+8:])>>63 != 0 {
+				f(at)
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("no valid way-locator entry")
+		}
 	}
 	for _, tc := range []struct {
-		name    string
-		patches []patch
-		want    string
+		name string
+		edit func(t *testing.T, b []byte)
+		want string
 	}{
-		{"waylocator", []patch{{"waylocator", 0, []byte{2}}}, "invalid bool byte 2"},
-		{"corecache", []patch{{"corecache", 24, []byte{2}}}, "invalid bool byte 2"},
-		{"waylocator_way", []patch{{"waylocator", 10, u64(64)}}, "does not fit"},
-		{"waylocator_lastUse", []patch{{"waylocator", 18, u64(1 << 56)}}, "does not fit"},
-		{"waylocator_clock", []patch{{"sizepred", -tagBytes("sizepred") - 32, u64(1 << 56)}}, "does not fit"},
-		{"corecache_big_valid", []patch{{"corecache", 16, u32(0)}, {"corecache", 24, []byte{1}}}, "occupancy"},
-		{"corecache_small_valid", []patch{{"corecache", 20, u32(0)}, {"corecache", 24 + 4*17, []byte{1}}}, "occupancy"},
+		{"waylocator", func(t *testing.T, b []byte) {
+			b[section(t, b, "waylocator")-(1+4+len("waylocator"))-1] = 2
+		}, "invalid bool byte 2"},
+		{"bimodal", func(t *testing.T, b []byte) { b[len(b)-sha256.Size-1] = 2 }, "invalid bool byte 2"},
+		{"corecache", func(t *testing.T, b []byte) {
+			h := b[section(t, b, "corecache"):]
+			put32(h[24:], ^u32(h[20:]))
+		}, "dirty but holds no line"},
+		{"corecache_big_valid", func(t *testing.T, b []byte) {
+			h := b[section(t, b, "corecache"):]
+			put32(h[16:], u32(h[16:])|1<<binary.LittleEndian.Uint64(h))
+		}, "beyond X"},
+		{"corecache_small_valid", func(t *testing.T, b []byte) {
+			h := b[section(t, b, "corecache"):]
+			put32(h[20:], u32(h[20:])|1<<binary.LittleEndian.Uint64(h[8:]))
+		}, "beyond Y"},
+		{"waylocator_way", func(t *testing.T, b []byte) {
+			done := false
+			validEntries(t, b, func(at int) {
+				if !done {
+					b[at+15] ^= 1 // the low way bit
+					done = true
+				}
+			})
+		}, "does not hold it"},
+		{"waylocator_block", func(t *testing.T, b []byte) {
+			validEntries(t, b, func(at int) { put64(b[at:], binary.LittleEndian.Uint64(b[at:])+1<<20) })
+		}, "does not hold it"},
+		{"waylocator_clock", func(t *testing.T, b []byte) {
+			put64(b[section(t, b, "sizepred")-(1+4+len("sizepred"))-32:], 1<<56)
+		}, "does not fit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), blob...)
-			for _, p := range tc.patches {
-				marker := append([]byte{0xA5}, binary.LittleEndian.AppendUint32(nil, uint32(len(p.tag)))...)
-				marker = append(marker, p.tag...)
-				at := bytes.Index(blob, marker)
-				if at < 0 || bytes.Index(blob[at+1:], marker) >= 0 {
-					t.Fatalf("section %q not found exactly once", p.tag)
-				}
-				copy(bad[at+len(marker)+p.off:], p.data)
-			}
+			tc.edit(t, bad)
 			body := bad[:len(bad)-sha256.Size]
 			sum := sha256.Sum256(body)
 			copy(bad[len(body):], sum[:])

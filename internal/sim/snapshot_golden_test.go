@@ -9,10 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
-	"bimodal/internal/dramcache"
 	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
@@ -37,11 +35,13 @@ func blobDigest(t *testing.T, mix workloads.Mix, factory Factory, o Options, pre
 
 // TestSnapshotBlobGolden pins the sealed bytes of a warm snapshot for every
 // registered scheme on Q1 and Q7 at cache/64, plus the optional structures
-// (miss predictor, victim buffer, prefetcher, MissMap) the registry entries
-// leave disabled. Restore goldens prove a blob round-trips; this proves the
-// encoder still writes the same bytes, so blobs already in a shared store
-// stay readable. A failure means the snapshot format drifted: regenerate
-// with -update only together with a snapshot.Version and prefix-domain bump.
+// (miss predictor, victim buffer, prefetcher) the registry entries leave
+// disabled. Restore goldens prove a blob round-trips; this proves the
+// encoder writes the same bytes for the same state, so a `bmsim
+// -checkpoint` file either restores byte-identically or is rejected by
+// its version. A failure means the snapshot format drifted: regenerate
+// with -update only together with a snapshot.Version and prefix-domain
+// bump.
 func TestSnapshotBlobGolden(t *testing.T) {
 	type case_ struct {
 		name     string
@@ -89,12 +89,6 @@ func TestSnapshotBlobGolden(t *testing.T) {
 			o.Workers = 1
 			got[mixName+"/"+tc.name] = blobDigest(t, mix, factory, o, prefix)
 		}
-		missMap := func(cfg dramcache.Config) dramcache.Scheme {
-			return dramcache.NewLohHill(cfg, dramcache.WithMissMap())
-		}
-		o := Options{AccessesPerCore: 1000, WarmupPerCore: 400, CacheDivisor: 64, Seed: 3, Workers: 1}
-		got[mixName+"/lohhill+missmap"] = blobDigest(t, workloads.MustByName(mixName), missMap, o,
-			"sha256:"+strings.Repeat("a", 64))
 	}
 
 	if *updateBlobs {

@@ -54,7 +54,12 @@ type Snapshotter interface {
 // decomposed address/arrival processes.
 // v3: Bi-Modal family presets build with run-length-scaled core
 // parameters, so their warm state means something else than under v2.
-const Version = 3
+// v4: every table is sealed in the layout the simulator holds it: core
+// sets without per-way valid and dirty bytes, 16-byte way-locator
+// entries, write-queue entries as their drain key; dead DRAM and
+// controller fields, LohHill's MissMap and the SRAM replacement rng are
+// gone.
+const Version = 4
 
 // magic identifies a sealed snapshot blob.
 const magic = "BMSN"

@@ -11,7 +11,7 @@ import (
 // hash can never collide with the Hash of any spec, so the name a
 // snapshot blob is sealed against never names a result. Bump the suffix
 // together with snapshot.Version when the blob layout changes.
-const prefixDomain = "bimodal-warm-prefix/v3\n"
+const prefixDomain = "bimodal-warm-prefix/v4\n"
 
 // PrefixHash returns the identity of the spec's warmup prefix: the hash
 // of the canonical spec with every parameter that only affects the

@@ -11,8 +11,8 @@ import (
 const wayBytes = 1 + 1 + 8 + 8 + 8
 
 // SnapshotState implements snapshot.Snapshotter: every way as one Extend
-// table (walked set-major, way-minor), the recency clock, the replacement
-// rng and the hit/miss counters. Geometry is configuration.
+// table (walked set-major, way-minor), the recency clock and the hit/miss
+// counters. Geometry is configuration.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("sram")
 	b := w.Extend(len(c.sets) * c.cfg.Assoc * wayBytes)
@@ -28,7 +28,6 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 		}
 	}
 	w.U64(c.clock)
-	c.rng.SnapshotState(w)
 	w.I64(c.Hits)
 	w.I64(c.Misses)
 }
@@ -53,7 +52,6 @@ func (c *Cache) RestoreState(r *snapshot.Reader) {
 		}
 	}
 	c.clock = r.U64()
-	c.rng.RestoreState(r)
 	c.Hits = r.I64()
 	c.Misses = r.I64()
 }

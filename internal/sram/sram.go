@@ -10,28 +10,13 @@ import (
 	"fmt"
 
 	"bimodal/internal/addr"
-	"bimodal/internal/xrand"
 )
 
-// Replacement selects the victim policy.
-type Replacement int
-
-// Replacement policies.
-const (
-	LRU Replacement = iota
-	Random
-)
-
-// Config describes a cache.
+// Config describes a cache. Replacement is LRU.
 type Config struct {
 	SizeBytes uint64
 	BlockSize uint64
 	Assoc     int
-	Policy    Replacement
-	// HitLatency in CPU cycles (informational; callers add it themselves).
-	HitLatency int64
-	// Seed for the Random policy.
-	Seed uint64
 }
 
 // Way is one cache way's state.
@@ -57,11 +42,10 @@ type Victim struct {
 type Cache struct {
 	// cfg and the derived field extractor are construction-time geometry;
 	// snapshots rebuild them from Config.
-	cfg    Config      //bmlint:nosnapshot
+	cfg    Config      //bmlint:resetconst //bmlint:nosnapshot
 	fields addr.Fields //bmlint:resetconst //bmlint:nosnapshot
 	sets   [][]Way
 	clock  uint64
-	rng    *xrand.Rand
 
 	// Statistics.
 	Hits   int64
@@ -84,7 +68,6 @@ func New(cfg Config) *Cache {
 		cfg:    cfg,
 		fields: addr.NewFields(cfg.BlockSize, sets),
 		sets:   make([][]Way, sets),
-		rng:    xrand.New(cfg.Seed + 0x5ea5),
 	}
 	backing := make([]Way, int(sets)*cfg.Assoc)
 	for i := range c.sets {
@@ -94,21 +77,17 @@ func New(cfg Config) *Cache {
 }
 
 // Reset returns the cache to its just-constructed state in place, reusing
-// the set backing array: all ways invalidated, recency clock zeroed, the
-// victim rng re-seeded and statistics cleared. cfg.Seed may differ from the
-// construction seed; the remaining geometry fields must match (callers key
-// pooled reuse on geometry, so this is not re-checked here).
+// the set backing array: all ways invalidated, recency clock zeroed and
+// statistics cleared.
 //
 //bmlint:hotpath
-func (c *Cache) Reset(cfg Config) {
-	c.cfg = cfg
+func (c *Cache) Reset() {
 	for _, set := range c.sets {
 		for i := range set {
 			set[i] = Way{}
 		}
 	}
 	c.clock = 0
-	c.rng.Seed(cfg.Seed + 0x5ea5)
 	c.Hits, c.Misses = 0, 0
 }
 
@@ -177,7 +156,7 @@ func (c *Cache) Insert(p addr.Phys, dirty bool, aux uint64) Victim {
 	}
 	var victim Victim
 	if vi == -1 {
-		vi = c.victimIndex(set)
+		vi = lruIndex(set)
 		w := set[vi]
 		victim = Victim{
 			Valid: true,
@@ -190,11 +169,8 @@ func (c *Cache) Insert(p addr.Phys, dirty bool, aux uint64) Victim {
 	return victim
 }
 
-// victimIndex picks a victim way per the policy.
-func (c *Cache) victimIndex(set []Way) int {
-	if c.cfg.Policy == Random {
-		return c.rng.Intn(len(set))
-	}
+// lruIndex picks the least recently used way of a full set.
+func lruIndex(set []Way) int {
 	vi, oldest := 0, set[0].lastUse
 	for i := 1; i < len(set); i++ {
 		if set[i].lastUse < oldest {

@@ -18,7 +18,6 @@ import (
 type LLSCFilter struct {
 	src   Generator
 	cache *sram.Cache
-	cfg   sram.Config //bmlint:resetconst
 
 	pendingGap uint64
 	queue      []Access
@@ -28,15 +27,10 @@ type LLSCFilter struct {
 	Misses   int64
 }
 
-// NewLLSCFilter wraps src with an LLSC of the given size and associativity.
-func NewLLSCFilter(src Generator, sizeBytes uint64, assoc int, seed uint64) *LLSCFilter {
-	cfg := sram.Config{
-		SizeBytes: sizeBytes,
-		BlockSize: LineBytes,
-		Assoc:     assoc,
-		Seed:      seed,
-	}
-	return &LLSCFilter{src: src, cache: sram.New(cfg), cfg: cfg}
+// NewLLSCFilter wraps src with an LRU LLSC of the given size and
+// associativity.
+func NewLLSCFilter(src Generator, sizeBytes uint64, assoc int) *LLSCFilter {
+	return &LLSCFilter{src: src, cache: sram.New(sram.Config{SizeBytes: sizeBytes, BlockSize: LineBytes, Assoc: assoc})}
 }
 
 // Name implements Generator.
@@ -44,13 +38,10 @@ func (f *LLSCFilter) Name() string { return f.src.Name() + "+llsc" }
 
 // Reset implements Generator: the wrapped source is reset with the same
 // seed (so a filter constructed over a seed-matched source round-trips),
-// the LLSC is emptied and re-seeded, and the filter state and counters
-// clear.
+// the LLSC is emptied, and the filter state and counters clear.
 func (f *LLSCFilter) Reset(seed uint64) {
 	f.src.Reset(seed)
-	cfg := f.cfg
-	cfg.Seed = seed
-	f.cache.Reset(cfg)
+	f.cache.Reset()
 	f.pendingGap = 0
 	f.queue = f.queue[:0]
 	f.Accesses = 0

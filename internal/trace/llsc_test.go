@@ -14,7 +14,7 @@ func TestLLSCFilterHitsAreAbsorbed(t *testing.T) {
 		{Addr: 0x1000, Gap: 20}, // LLSC hit
 		{Addr: 0x2000, Gap: 30},
 	}, Lab: "s"}
-	f := NewLLSCFilter(src, 1<<16, 4, 1)
+	f := NewLLSCFilter(src, 1<<16, 4)
 	a1 := f.Next()
 	if a1.Addr != 0x1000 || a1.Gap != 10 {
 		t.Fatalf("first emitted: %+v", a1)
@@ -37,7 +37,7 @@ func TestLLSCFilterHitsAreAbsorbed(t *testing.T) {
 func TestLLSCFilterMissesAreReads(t *testing.T) {
 	// A store miss reaches the DRAM cache as a read fill.
 	src := &SliceGen{Accs: []Access{{Addr: 0x3000, Gap: 5, Write: true}}, Lab: "s"}
-	f := NewLLSCFilter(src, 1<<16, 4, 1)
+	f := NewLLSCFilter(src, 1<<16, 4)
 	a := f.Next()
 	if a.Write {
 		t.Error("miss fill must be a read")
@@ -54,7 +54,7 @@ func TestLLSCFilterEmitsWritebacks(t *testing.T) {
 		Access{Addr: 0, Gap: 1, Write: true},
 		Access{Addr: 128, Gap: 1}, // evicts dirty line 0
 	)
-	f := NewLLSCFilter(&SliceGen{Accs: accs, Lab: "s"}, 128, 1, 1)
+	f := NewLLSCFilter(&SliceGen{Accs: accs, Lab: "s"}, 128, 1)
 	a1 := f.Next()
 	if a1.Addr != 0 {
 		t.Fatalf("first: %+v", a1)
@@ -71,7 +71,7 @@ func TestLLSCFilterEmitsWritebacks(t *testing.T) {
 
 func TestLLSCFilterPreservesDependence(t *testing.T) {
 	src := &SliceGen{Accs: []Access{{Addr: 0x5000, Gap: 1, Dep: true}}, Lab: "s"}
-	f := NewLLSCFilter(src, 1<<16, 4, 1)
+	f := NewLLSCFilter(src, 1<<16, 4)
 	if !f.Next().Dep {
 		t.Error("dependence flag lost")
 	}
@@ -80,7 +80,7 @@ func TestLLSCFilterPreservesDependence(t *testing.T) {
 func TestLLSCFilterReducesIntensity(t *testing.T) {
 	// Filtering a reuse-heavy stream must cut the access rate sharply.
 	g := NewSynthetic(MustProfile("hmmer"), 0, 3)
-	f := NewLLSCFilter(g, 4<<20, 8, 1)
+	f := NewLLSCFilter(g, 4<<20, 8)
 	for i := 0; i < 5000; i++ {
 		a := f.Next()
 		if a.Addr%LineBytes != 0 {

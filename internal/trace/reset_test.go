@@ -34,7 +34,7 @@ func TestResetMatchesFreshConstruction(t *testing.T) {
 			}, 0, 0.05, 64, seed)
 		}},
 		{"llsc-filtered", func(seed uint64) Generator {
-			return NewLLSCFilter(NewSynthetic(MustProfile("kvstore"), 0, seed), 1<<18, 8, seed)
+			return NewLLSCFilter(NewSynthetic(MustProfile("kvstore"), 0, seed), 1<<18, 8)
 		}},
 	}
 	for _, tc := range cases {
