@@ -44,7 +44,6 @@ package bimodal
 import (
 	"context"
 
-	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
@@ -77,7 +76,8 @@ func Workloads(cores int) ([]Mix, error) { return workloads.ForCores(cores) }
 
 // RunBiModal runs the mix on the paper's Bi-Modal cache with run-length
 // scaled adaptation parameters. It panics where RunScheme would return an
-// error: on a mix without a name or a negative AccessesPerCore.
+// error: on a mix without a name or options a run spec rejects, such as a
+// negative AccessesPerCore or a cache size that is not a power of two.
 func RunBiModal(mix Mix, o Options) RunResult {
 	res, err := RunBiModalContext(context.Background(), mix, o)
 	if err != nil {
@@ -118,31 +118,27 @@ func ANTTContext(ctx context.Context, name string, mix Mix, o Options) (float64,
 	return run(ctx, name, mix, o, true)
 }
 
-// run simulates the mix on the named scheme, built through
-// sim.FactoryForSpec, and with antt also each benchmark standalone. A
-// scheme depends on the run only through its measured length (the
-// Bi-Modal family scales its adaptation to it), so the spec carries just
-// that; o sets the rest, including what a spec cannot, such as the core
-// model.
+// run simulates the mix on the named scheme through sim.ForSpec, with
+// antt also each benchmark standalone: o and the scheme name become the
+// run spec, so a facade run is the spec run of the same name.
 func run(ctx context.Context, name string, mix Mix, o Options, antt bool) (float64, RunResult, error) {
-	rs := spec.RunSpec{Scheme: name, Mix: mix.Name, Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}
-	f, err := sim.FactoryForSpec(rs, mix.Cores())
+	rs := spec.RunSpec{Scheme: name, Mix: mix.Name, Seed: o.Seed, Options: spec.Options{
+		AccessesPerCore: o.AccessesPerCore,
+		WarmupPerCore:   o.WarmupPerCore,
+		CacheBytes:      o.CacheBytes,
+		CacheDivisor:    o.CacheDivisor,
+		Prefetch:        o.PrefetchN,
+		ANTT:            antt,
+	}}
+	s, err := sim.ForSpec(nil, rs, mix, o.Workers)
 	if err != nil {
 		return 0, RunResult{}, err
 	}
-	s := sim.NewSim(mix, f, o)
 	if err := s.Warmup(ctx); err != nil {
 		return 0, RunResult{}, err
 	}
 	res, err := s.Measure(ctx)
-	if err != nil || !antt {
-		return 0, res, err
-	}
-	terms, err := s.Standalone(ctx)
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	return cpu.ANTT(res.PerCore, terms), res, nil
+	return res.ANTT, res, err
 }
 
 // NewBiModalScheme builds a standalone Bi-Modal scheme instance for direct

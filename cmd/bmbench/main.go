@@ -14,6 +14,8 @@
 //
 // Medians over -runs repetitions damp scheduler noise; allocation counts
 // are compared exactly (any new allocation on a zero-alloc path fails).
+// A repetition runs at least three iterations: one that completes fewer
+// within -benchtime is re-run at exactly three.
 package main
 
 import (
@@ -89,7 +91,7 @@ func main() {
 		if *filter != "" && !strings.Contains(c.Name, *filter) {
 			continue
 		}
-		r := measure(c, *runs)
+		r := measure(c, *runs, *benchtime)
 		snap.Results[c.Name] = r
 		fmt.Printf("%-24s %12.1f ns/op %8d B/op %6d allocs/op\n",
 			c.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
@@ -126,12 +128,20 @@ func main() {
 	}
 }
 
+// minIterations is the fewest iterations a repetition may report: at one
+// or two, runtime-internal allocations move allocs/op by one or two.
+const minIterations = 3
+
 // measure runs one case `runs` times and returns the repetition with the
-// median ns/op.
-func measure(c bench.Case, runs int) caseResult {
+// median ns/op. A repetition that completes fewer than minIterations
+// within benchtime is re-run at exactly minIterations.
+func measure(c bench.Case, runs int, benchtime string) caseResult {
 	results := make([]testing.BenchmarkResult, 0, runs)
 	for i := 0; i < runs; i++ {
 		r := testing.Benchmark(c.Run)
+		if r.N > 0 && r.N < minIterations {
+			r = benchmarkMinIterations(c, benchtime)
+		}
 		if r.N == 0 {
 			fatal(fmt.Errorf("bmbench: %s did not run (failed inside the benchmark body?)", c.Name))
 		}
@@ -147,6 +157,19 @@ func measure(c bench.Case, runs int) caseResult {
 		BytesPerOp:  m.AllocedBytesPerOp(),
 		Iterations:  m.N,
 	}
+}
+
+// benchmarkMinIterations runs c for exactly minIterations iterations, then
+// restores the -benchtime the other repetitions run at.
+func benchmarkMinIterations(c bench.Case, benchtime string) testing.BenchmarkResult {
+	if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", minIterations)); err != nil {
+		fatal(err)
+	}
+	r := testing.Benchmark(c.Run)
+	if err := flag.Set("test.benchtime", benchtime); err != nil {
+		fatal(err)
+	}
+	return r
 }
 
 // compare reports whether current holds up against base: every shared case

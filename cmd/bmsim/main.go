@@ -19,6 +19,8 @@
 // A checkpoint binds to its warmup prefix (spec.PrefixHash), so restoring
 // under an incompatible spec fails instead of producing wrong numbers;
 // results after a restore are byte-identical to a straight-through run.
+// -antt leaves the prefix alone (its standalone runs follow the measured
+// window), so a checkpoint restores into the ANTT run of the same spec.
 //
 // A run is fully described by its canonical run spec (internal/spec):
 // -dump-spec prints the canonical spec JSON for the given flags (with its
@@ -42,7 +44,6 @@ import (
 	"os/signal"
 	"time"
 
-	"bimodal/internal/cpu"
 	"bimodal/internal/energy"
 	"bimodal/internal/engine"
 	"bimodal/internal/profiling"
@@ -186,11 +187,11 @@ func printSpec(rs spec.RunSpec) error {
 }
 
 // run resolves the spec into a simulation, warms it up (or restores the
-// warm state from -restore, sealing it to -checkpoint when asked), runs
-// the measured window and, for -antt, the standalone runs. A checkpoint
-// binds to the spec's warmup prefix hash, so a checkpoint from a different
-// configuration is rejected, and a restored run is byte-identical to a
-// straight-through one.
+// warm state from -restore, sealing it to -checkpoint when asked) and runs
+// the measured window, which for -antt includes the standalone runs. A
+// checkpoint binds to the spec's warmup prefix hash, which -antt does not
+// change, so a checkpoint from a different configuration is rejected, and
+// a restored run is byte-identical to a straight-through one.
 func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkpoint, restore string) error {
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
@@ -208,24 +209,14 @@ func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkp
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	res, err := s.Measure(ctx)
 	if err != nil {
 		return err
 	}
-	var antt float64
-	var anttTime time.Duration
-	if rs.Options.ANTT {
-		start := time.Now()
-		terms, err := s.Standalone(ctx)
-		if err != nil {
-			return err
-		}
-		antt, anttTime = cpu.ANTT(res.PerCore, terms), time.Since(start)
-	}
+	measured := time.Since(start)
 	if jsonOut {
-		cell := service.NewCellResult(rs.Scheme, res)
-		cell.ANTT = antt
-		return printJSON(rs, cell)
+		return printJSON(rs, service.NewCellResult(rs.Scheme, res))
 	}
 
 	r := res.Report
@@ -263,7 +254,7 @@ func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkp
 	fmt.Print(per)
 
 	if rs.Options.ANTT {
-		fmt.Printf("ANTT = %.3f (lower is better, computed in %s)\n", antt, anttTime.Round(time.Millisecond))
+		fmt.Printf("ANTT = %.3f (lower is better, computed in %s)\n", res.ANTT, measured.Round(time.Millisecond))
 	}
 	return nil
 }
@@ -278,7 +269,7 @@ func warmCheckpointed(ctx context.Context, rs spec.RunSpec, s *sim.Sim, checkpoi
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("this spec has no reusable warmup prefix (-antt, or warmup disabled); -checkpoint/-restore do not apply")
+		return fmt.Errorf("this spec has no reusable warmup prefix (warmup disabled); -checkpoint/-restore do not apply")
 	}
 	if restore != "" {
 		blob, err := os.ReadFile(restore)

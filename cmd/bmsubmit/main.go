@@ -35,7 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"bimodal/internal/service"
 	"bimodal/internal/spec"
@@ -54,9 +53,8 @@ func main() {
 		prefetchN = flag.Int("prefetch", 0, "next-N-lines prefetch depth")
 		antt      = flag.Bool("antt", false, "also compute per-cell ANTT (cores+1 sims per cell)")
 		specFile  = flag.String("spec", "", "submit run specs from a JSON file (one spec object or an array; \"-\" reads stdin)")
-		follow    = flag.Bool("follow", false, "stream per-cell progress events to stderr (SSE)")
+		follow    = flag.Bool("follow", false, "print per-cell progress events to stderr")
 		noWait    = flag.Bool("no-wait", false, "submit and print the sweep id without waiting")
-		poll      = flag.Duration("poll", 200*time.Millisecond, "status poll interval when not following")
 		timeout   = flag.Duration("timeout", 0, "client-side deadline (0 = none)")
 		retries   = flag.Int("retries", 6, "total submission attempts while the server reports queue_full")
 	)
@@ -98,7 +96,7 @@ func main() {
 	}
 	c := service.NewClient(*server)
 	backoff := service.Backoff{Attempts: *retries}
-	if err := run(ctx, c, req, backoff, *follow, *noWait, *poll); err != nil {
+	if err := run(ctx, c, req, backoff, *follow, *noWait); err != nil {
 		fmt.Fprintln(os.Stderr, "bmsubmit:", err)
 		os.Exit(1)
 	}
@@ -157,7 +155,9 @@ func progress(e service.Event) {
 	}
 }
 
-func run(ctx context.Context, c *service.Client, req service.SweepRequest, b service.Backoff, follow, noWait bool, poll time.Duration) error {
+// run submits the sweep and waits on its SSE stream until it ends,
+// printing the events to stderr with follow.
+func run(ctx context.Context, c *service.Client, req service.SweepRequest, b service.Backoff, follow, noWait bool) error {
 	st, err := c.SubmitSweepRetry(ctx, req, b)
 	if err != nil {
 		return err
@@ -167,12 +167,11 @@ func run(ctx context.Context, c *service.Client, req service.SweepRequest, b ser
 		fmt.Println(st.ID)
 		return nil
 	}
+	var fn func(service.Event)
 	if follow {
-		st, err = c.FollowSweep(ctx, st.ID, progress)
-	} else {
-		st, err = c.WaitSweep(ctx, st.ID, poll)
+		fn = progress
 	}
-	if err != nil {
+	if st, err = c.FollowSweep(ctx, st.ID, fn); err != nil {
 		return err
 	}
 	if st.State != service.StateCompleted {

@@ -116,7 +116,7 @@ func singleNodeResult(t *testing.T, req service.SweepRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.WaitSweep(context.Background(), st.ID, 20*time.Millisecond)
+	fin, err := c.FollowSweep(context.Background(), st.ID, nil)
 	if err != nil || fin.State != service.StateCompleted {
 		t.Fatalf("single-node sweep: %v, state %s (%s)", err, fin.State, fin.Error)
 	}
@@ -171,7 +171,7 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	}
 	tc.kill(0)
 
-	fin, err := tc.client.WaitSweep(ctx, st.ID, 50*time.Millisecond)
+	fin, err := tc.client.FollowSweep(ctx, st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin2, err := tc.client.WaitSweep(ctx, st2.ID, 20*time.Millisecond)
+	fin2, err := tc.client.FollowSweep(ctx, st2.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestClusterStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := tc.client.WaitSweep(ctx, st.ID, 50*time.Millisecond)
+	fin, err := tc.client.FollowSweep(ctx, st.ID, nil)
 	if err != nil || fin.State != service.StateCompleted {
 		t.Fatalf("sweep: %v, state %+v", err, fin.State)
 	}

@@ -644,23 +644,6 @@ func (e *Engine) TenantTotals() []TenantResult {
 	return out
 }
 
-// STP computes System Throughput (Eyerman & Eeckhout's companion metric to
-// ANTT): STP = sum(C_i^SP / C_i^MP). Higher is better; n equals perfect
-// scaling.
-func STP(multi, single []CoreResult) float64 {
-	if len(multi) != len(single) || len(multi) == 0 {
-		panic("cpu: STP needs matching non-empty result sets")
-	}
-	sum := 0.0
-	for i := range multi {
-		if multi[i].Cycles == 0 {
-			panic("cpu: multiprogrammed run with zero cycles")
-		}
-		sum += float64(single[i].Cycles) / float64(multi[i].Cycles)
-	}
-	return sum
-}
-
 // ANTT computes the Average Normalized Turnaround Time of a
 // multiprogrammed run against per-benchmark standalone runs:
 // ANTT = (1/n) * sum(C_i^MP / C_i^SP). Lower is better.

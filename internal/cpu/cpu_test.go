@@ -196,6 +196,15 @@ func TestANTT(t *testing.T) {
 	}
 }
 
+func TestANTTGrowsWithInterference(t *testing.T) {
+	single := []CoreResult{{Cycles: 100}, {Cycles: 100}}
+	light := []CoreResult{{Cycles: 110}, {Cycles: 120}}
+	heavy := []CoreResult{{Cycles: 200}, {Cycles: 250}}
+	if !(ANTT(heavy, single) > ANTT(light, single)) {
+		t.Error("ANTT should grow with interference")
+	}
+}
+
 func TestANTTPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

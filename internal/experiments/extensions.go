@@ -40,11 +40,11 @@ func extMissPred(ctx context.Context, o Options) (*stats.Table, error) {
 		withPred := rs
 		withPred.Params = spec.Params{"miss_predictor": 1}
 		cells = append(cells, cell[predResult]{label: mix.Name, run: func(ctx context.Context) (predResult, error) {
-			base, _, err := runSpec(ctx, o, rs)
+			base, err := runSpec(ctx, o, rs)
 			if err != nil {
 				return predResult{}, err
 			}
-			pred, _, err := runSpec(ctx, o, withPred)
+			pred, err := runSpec(ctx, o, withPred)
 			if err != nil {
 				return predResult{}, err
 			}
@@ -90,11 +90,11 @@ func extVictim(ctx context.Context, o Options) (*stats.Table, error) {
 		withVictims := rs
 		withVictims.Params = spec.Params{"victim_entries": 256}
 		cells = append(cells, cell[victimResult]{label: mix.Name, run: func(ctx context.Context) (victimResult, error) {
-			base, _, err := runSpec(ctx, o, rs)
+			base, err := runSpec(ctx, o, rs)
 			if err != nil {
 				return victimResult{}, err
 			}
-			vic, _, err := runSpec(ctx, o, withVictims)
+			vic, err := runSpec(ctx, o, withVictims)
 			if err != nil {
 				return victimResult{}, err
 			}

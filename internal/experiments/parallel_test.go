@@ -31,7 +31,7 @@ func detOptions(workers int) Options {
 func TestParallelRunResultsIdenticalToSerial(t *testing.T) {
 	mixes := Options{MaxMixes: 3}.mixes(4)
 	o := Options{AccessesPerCore: 1200, Seed: 1}
-	keep := func(res sim.RunResult, _ float64) sim.RunResult { return res }
+	keep := func(res sim.RunResult) sim.RunResult { return res }
 	runAll := func(workers int) []sim.RunResult {
 		t.Helper()
 		cells := make([]cell[sim.RunResult], 0, 2*len(mixes))

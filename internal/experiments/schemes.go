@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
 	"bimodal/internal/sim"
@@ -41,27 +40,18 @@ func (o Options) cellSpec(scheme, mix string) spec.RunSpec {
 }
 
 // runSpec runs the cell rs describes on the Sim sim.ForSpec resolves for
-// it. The second result is the cell's ANTT when rs asks for it
-// (Options.ANTT), else 0; Workers propagates so the standalone runs
-// inside an ANTT cell fan out too.
-func runSpec(ctx context.Context, o Options, rs spec.RunSpec) (sim.RunResult, float64, error) {
+// it. Workers propagates, so the standalone runs inside an ANTT cell
+// (Options.ANTT) fan out too.
+func runSpec(ctx context.Context, o Options, rs spec.RunSpec) (sim.RunResult, error) {
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
-		return sim.RunResult{}, 0, err
+		return sim.RunResult{}, err
 	}
 	s, err := sim.ForSpec(nil, rs, mix, o.Workers)
 	if err != nil {
-		return sim.RunResult{}, 0, err
+		return sim.RunResult{}, err
 	}
-	res, err := runSim(ctx, s)
-	if err != nil || !rs.Options.ANTT {
-		return res, 0, err
-	}
-	terms, err := s.Standalone(ctx)
-	if err != nil {
-		return sim.RunResult{}, 0, err
-	}
-	return res, cpu.ANTT(res.PerCore, terms), nil
+	return runSim(ctx, s)
 }
 
 // runSim runs s through its warmup and measured windows.
@@ -75,14 +65,14 @@ func runSim(ctx context.Context, s *sim.Sim) (sim.RunResult, error) {
 // specCell builds an engine cell running the cell rs describes and
 // keeping only what the table needs, so no scheme instance outlives its
 // cell.
-func specCell[T any](label string, o Options, rs spec.RunSpec, keep func(res sim.RunResult, antt float64) T) cell[T] {
+func specCell[T any](label string, o Options, rs spec.RunSpec, keep func(res sim.RunResult) T) cell[T] {
 	return cell[T]{label: label, run: func(ctx context.Context) (T, error) {
-		res, antt, err := runSpec(ctx, o, rs)
+		res, err := runSpec(ctx, o, rs)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		return keep(res, antt), nil
+		return keep(res), nil
 	}}
 }
 
@@ -90,13 +80,13 @@ func specCell[T any](label string, o Options, rs spec.RunSpec, keep func(res sim
 // describes.
 func anttCell(label string, o Options, rs spec.RunSpec) cell[float64] {
 	rs.Options.ANTT = true
-	return specCell(label, o, rs, func(_ sim.RunResult, antt float64) float64 { return antt })
+	return specCell(label, o, rs, func(res sim.RunResult) float64 { return res.ANTT })
 }
 
 // reportCell builds an engine cell keeping the report of the cell rs
 // describes.
 func reportCell(label string, o Options, rs spec.RunSpec) cell[dramcache.Report] {
-	return specCell(label, o, rs, func(res sim.RunResult, _ float64) dramcache.Report { return res.Report })
+	return specCell(label, o, rs, func(res sim.RunResult) dramcache.Report { return res.Report })
 }
 
 // fig7 compares ANTT of BiModal against the AlloyCache baseline across
@@ -361,7 +351,7 @@ func fig10(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[smallState]
 	for _, mix := range mixes {
 		cells = append(cells, specCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name),
-			func(res sim.RunResult, _ float64) smallState {
+			func(res sim.RunResult) smallState {
 				bm := res.Scheme.(*dramcache.BiModal)
 				return smallState{res.Report.SmallFraction, bm.Core().GlobalState().String()}
 			}))
@@ -382,7 +372,7 @@ func fig11(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 11: memory energy per access, nJ (8-core)",
 		"mix", "alloy", "bimodal", "savings")
 	mixes := o.mixes(8)
-	perAccess := func(res sim.RunResult, _ float64) float64 {
+	perAccess := func(res sim.RunResult) float64 {
 		return energy.PerAccess(res.Energy, res.Report.Accesses)
 	}
 	var cells []cell[float64]

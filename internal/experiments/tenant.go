@@ -55,11 +55,11 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	for _, mix := range mixes {
 		bmSpec, alSpec := o.cellSpec("bimodal", mix.Name), o.cellSpec(reference, mix.Name)
 		cells = append(cells, cell[tenantResult]{label: mix.Name, run: func(ctx context.Context) (tenantResult, error) {
-			bm, _, err := runSpec(ctx, o, bmSpec)
+			bm, err := runSpec(ctx, o, bmSpec)
 			if err != nil {
 				return tenantResult{}, err
 			}
-			al, _, err := runSpec(ctx, o, alSpec)
+			al, err := runSpec(ctx, o, alSpec)
 			if err != nil {
 				return tenantResult{}, err
 			}

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"bimodal/internal/cpu"
 	"bimodal/internal/energy"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
@@ -264,6 +263,7 @@ func NewCellResult(scheme string, res sim.RunResult) CellResult {
 		WastedFetchBytes:  r.WastedFetchBytes,
 		EnergyPerAccessNJ: energy.PerAccess(res.Energy, r.Accesses),
 		TotalCycles:       res.TotalCycles(),
+		ANTT:              res.ANTT,
 	}
 	if len(res.PerTenant) > 0 {
 		shares := make([]stats.TenantShare, len(res.PerTenant))
@@ -329,47 +329,21 @@ type cellSpec struct {
 // label identifies the cell in progress events.
 func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
 
-// run executes the cell on a simulator from the process-wide pool,
+// runJSON runs the cell on a simulator from the process-wide pool,
 // resolved by sim.ForSpec exactly as cmd/bmsim and the figures resolve
-// theirs, so service results line up with theirs. An ANTT cell adds its
-// standalone terms, run serially (Workers 1): the service parallelizes
-// across cells.
-func (c cellSpec) run(ctx context.Context) (CellResult, error) {
-	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
-	if err != nil {
-		return CellResult{}, err
-	}
-	if err := s.Warmup(ctx); err != nil {
-		return CellResult{}, err
-	}
-	res, err := s.Measure(ctx)
-	if err != nil {
-		return CellResult{}, err
-	}
-	// NewCellResult must read res (which aliases the live scheme), and
-	// Standalone the Sim's configuration, before Put makes the simulator
-	// eligible for a concurrent Reset. Failed runs never reach Put: their
-	// partial state is discarded with the Sim.
-	cr := NewCellResult(c.rs.Scheme, res)
-	if c.rs.Options.ANTT {
-		terms, err := s.Standalone(ctx)
-		if err != nil {
-			return CellResult{}, err
-		}
-		cr.ANTT = cpu.ANTT(res.PerCore, terms)
-	}
-	runPool.Put(s)
-	return cr, nil
-}
-
-// runJSON runs the cell and marshals its result: the compact CellResult
-// JSON every node produces identically for the cell's spec.
+// theirs, and marshals its result: the compact CellResult JSON every node
+// produces identically for the cell's spec. It ends as a warm cell does,
+// in measureJSON. An ANTT cell's standalone terms run serially (Workers
+// 1): the service parallelizes across cells.
 func (c cellSpec) runJSON(ctx context.Context) ([]byte, error) {
-	res, err := c.run(ctx)
+	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
 	if err != nil {
 		return nil, err
 	}
-	return marshalResultJSON(res)
+	if err := s.Warmup(ctx); err != nil {
+		return nil, err
+	}
+	return measureJSON(ctx, c, s)
 }
 
 // cells expands a canonical request into its simulation cells — explicit

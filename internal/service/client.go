@@ -210,30 +210,6 @@ func (c *Client) SpecResult(ctx context.Context, hash string) (json.RawMessage, 
 	return raw, err
 }
 
-// WaitSweep polls until the sweep reaches a terminal state or ctx ends.
-// poll <= 0 selects 100ms.
-func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (SweepStatus, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Sweep(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
-}
-
 // FollowSweep consumes the sweep's SSE stream (merged progress across
 // store hits and dispatched cells), invoking fn per event, then returns
 // the final status. The stream ends when the sweep reaches a terminal

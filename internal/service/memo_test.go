@@ -33,7 +33,7 @@ func metricValue(t *testing.T, metrics, name string) int {
 // waitCompleted waits for a sweep and fails the test unless it completed.
 func waitCompleted(ctx context.Context, t *testing.T, c *Client, id string) SweepStatus {
 	t.Helper()
-	st, err := c.WaitSweep(ctx, id, 20*time.Millisecond)
+	st, err := c.FollowSweep(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bimodal/internal/spec"
 	"bimodal/internal/store"
@@ -59,7 +58,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	if st.Cells != 4 || st.SweepHash == "" {
 		t.Fatalf("submit status = %+v, want 4 cells and a sweep hash", st)
 	}
-	fin, err := c.WaitSweep(ctx, st.ID, 20*time.Millisecond)
+	fin, err := c.FollowSweep(ctx, st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	if st2.ID == st.ID {
 		t.Fatalf("resweep reused the sweep ID %s", st2.ID)
 	}
-	fin2, err := c.WaitSweep(ctx, st2.ID, 20*time.Millisecond)
+	fin2, err := c.FollowSweep(ctx, st2.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestSweepSpecEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.WaitSweep(ctx, st.ID, 20*time.Millisecond)
+	fin, err := c.FollowSweep(ctx, st.ID, nil)
 	if err != nil || fin.State != StateCompleted {
 		t.Fatalf("sweep: %v, state %+v", err, fin)
 	}
@@ -258,7 +257,7 @@ func TestListPagination(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
-		if _, err := c.WaitSweep(ctx, st.ID, 10*time.Millisecond); err != nil {
+		if _, err := c.FollowSweep(ctx, st.ID, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,10 +55,10 @@ func planWarm(cells []cellSpec, misses []int) (map[int]*warmGroup, error) {
 
 // sharedPrefix returns the warmup prefix hash under which rs may share a
 // warm snapshot with other cells. ok is false when no other cell could
-// restore it: the spec has no prefix at all (ANTT, warmup disabled), or
-// its scheme is MeasuredCoupled, whose prefix covers the whole canonical
-// spec, so the only cell that could restore the blob is an identical one
-// the result store already answers.
+// restore it: the spec has no prefix at all (warmup disabled), or its
+// scheme is MeasuredCoupled, whose prefix covers the whole canonical spec
+// but its ANTT flag, so only an identical cell, which the result store
+// answers, or the cell's ANTT twin could restore the blob.
 func sharedPrefix(rs spec.RunSpec) (prefix string, ok bool, err error) {
 	d, err := spec.Lookup(rs.Scheme)
 	if err != nil {
@@ -146,10 +146,11 @@ func measureRestored(ctx context.Context, c cellSpec, blob []byte, prefix string
 	return measureJSON(ctx, c, s)
 }
 
-// measureJSON runs the measured window of the cell's warm simulation and
-// marshals its result, returning the simulator to the pool once the bytes
-// are sealed: after Put a concurrent Reset may scribble over the scheme
-// the result aliases.
+// measureJSON runs the measured window of the cell's simulation, warmed
+// up or restored, and marshals its result, returning the simulator to the
+// pool once the bytes are sealed: after Put a concurrent Reset may
+// scribble over the scheme the result aliases. Failed runs never reach
+// Put: their partial state is discarded with the Sim.
 func measureJSON(ctx context.Context, c cellSpec, s *sim.Sim) ([]byte, error) {
 	res, err := s.Measure(ctx)
 	if err != nil {

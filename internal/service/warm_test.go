@@ -229,32 +229,61 @@ func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestWarmRunnerSkipsANTT pins the no-prefix path through a sweep: two
-// ANTT cells that differ only in measured length (their non-ANTT twins
-// would share a warm prefix) run cold and seal nothing.
-func TestWarmRunnerSkipsANTT(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
-	var specs []spec.RunSpec
-	var twinPrefix string
-	for _, n := range []int64{300, 400} {
-		rs := spec.RunSpec{Scheme: "alloy", Mix: "Q1",
-			Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 300, CacheDivisor: 64, ANTT: true}, Seed: 2}
-		if _, ok, err := rs.PrefixHash(); err != nil || ok {
-			t.Fatalf("ANTT PrefixHash: ok=%v err=%v, want no prefix", ok, err)
+// TestWarmRunnerSharesANTTPrefix pins that ANTT does not shape warmup:
+// two ANTT cells differing only in measured length form one warm group,
+// and so do an ANTT cell and its non-ANTT twin. In each sweep the member
+// restores the producer's blob, and every cell's bytes, the antt field
+// included, equal a cold RunCellSpec of its spec.
+func TestWarmRunnerSharesANTTPrefix(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
+	cell := func(n int64, antt bool) spec.RunSpec {
+		rs, err := spec.RunSpec{Scheme: "alloy", Mix: "Q1", Seed: 2,
+			Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 300, CacheDivisor: 64, ANTT: antt}}.Canonical()
+		if err != nil {
+			t.Fatal(err)
 		}
-		twin := rs
-		twin.Options.ANTT = false
-		prefix, ok, err := twin.PrefixHash()
-		if err != nil || !ok || (twinPrefix != "" && prefix != twinPrefix) {
-			t.Fatalf("fixture broken: twin prefixes differ (%v, ok=%v)", err, ok)
+		return rs
+	}
+	for _, specs := range [][]spec.RunSpec{
+		{cell(300, true), cell(400, true)},
+		{cell(500, true), cell(500, false)},
+	} {
+		if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 1 || got["warm"] != 1 {
+			t.Errorf("origins = %v, want 1 run + 1 warm", got)
 		}
-		twinPrefix = prefix
-		specs = append(specs, rs)
+		for i, raw := range checkColdBytes(t, c, specs) {
+			if got := strings.Contains(string(raw), `"antt":`); got != specs[i].Options.ANTT {
+				t.Errorf("cell %d: antt field present = %v, want %v", i, got, specs[i].Options.ANTT)
+			}
+		}
 	}
-	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 2 {
-		t.Errorf("origins = %v, want 2 run", got)
+}
+
+// checkColdBytes checks that the server stored, for every spec, the bytes
+// a cold RunCellSpec returns, and returns those bytes.
+func checkColdBytes(t *testing.T, c *Client, specs []spec.RunSpec) [][]byte {
+	t.Helper()
+	ctx := context.Background()
+	var out [][]byte
+	for _, rs := range specs {
+		hash, err := rs.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := c.SpecResult(ctx, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := RunCellSpec(ctx, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stored) != string(cold) {
+			t.Errorf("%s cell bytes differ from RunCellSpec:\nstored: %s\ncold:   %s", rs.Scheme, stored, cold)
+		}
+		out = append(out, cold)
 	}
-	checkSealedNothing(t, s, c, 2, twinPrefix)
+	return out
 }
 
 // TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a sweep of
@@ -263,7 +292,6 @@ func TestWarmRunnerSkipsANTT(t *testing.T) {
 // cold, nothing is sealed and the store holds the two results only.
 func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
-	ctx := context.Background()
 	var specs []spec.RunSpec
 	var prefixes []string
 	for _, scheme := range []string{"alloy", "bimodal"} {
@@ -283,23 +311,7 @@ func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 		t.Errorf("origins = %v, want 2 run", got)
 	}
 	checkSealedNothing(t, s, c, 2, prefixes...)
-	for _, rs := range specs {
-		hash, err := rs.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored, err := c.SpecResult(ctx, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := RunCellSpec(ctx, rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(stored) != string(cold) {
-			t.Errorf("%s cell bytes differ from RunCellSpec:\nstored: %s\ncold:   %s", rs.Scheme, stored, cold)
-		}
-	}
+	checkColdBytes(t, c, specs)
 }
 
 // TestWarmRunnerStoresResultsOnly checks that a planned group's snapshot

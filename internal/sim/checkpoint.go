@@ -23,7 +23,7 @@ import (
 type Sim struct {
 	mix workloads.Mix
 	o   Options
-	// factory built the scheme; Standalone builds its single-core runs
+	// factory built the scheme; standalone builds its single-core runs
 	// with it. A pooled Sim keeps it: the pool key binds one factory.
 	factory Factory //bmlint:resetconst
 	eng     *cpu.Engine
@@ -32,9 +32,11 @@ type Sim struct {
 	// captured alongside pre and subtracted the same way.
 	preT   []cpu.TenantResult
 	warmed bool
-	// solo marks one of Standalone's single-core runs: it replays one slot
-	// of mix, so Reset declines it.
-	solo bool //bmlint:resetconst
+	// antt makes Measure run the standalone terms and report ANTT. It is
+	// per draw, not per geometry: ForSpec sets it from the spec on every
+	// take or build and the pool key leaves it out, so an ANTT cell and its
+	// non-ANTT twin share pooled simulators.
+	antt bool
 
 	// seeds is a reusable per-core seed buffer for Reset.
 	seeds []uint64
@@ -58,7 +60,7 @@ func NewSim(mix workloads.Mix, factory Factory, o Options) *Sim {
 }
 
 // newSim builds a Sim over gens, every core of the mix or one slot alone
-// (Standalone). The scheme is configured for the whole mix either way;
+// (standalone). The scheme is configured for the whole mix either way;
 // the prefetcher tracks one stream per generator.
 func newSim(mix workloads.Mix, factory Factory, o Options, gens []trace.Generator) *Sim {
 	var pf *cpu.Prefetcher
@@ -69,14 +71,14 @@ func newSim(mix workloads.Mix, factory Factory, o Options, gens []trace.Generato
 		mix:     mix,
 		o:       o,
 		factory: factory,
-		eng:     cpu.NewEngine(factory(ConfigFor(mix, o)), gens, o.CoreCfg, pf),
+		eng:     cpu.NewEngine(factory(ConfigFor(mix, o)), gens, cpu.DefaultCoreConfig(), pf),
 	}
 }
 
 // sameRunShape reports whether two normalized option sets describe the
 // same simulator structure. Seed is excluded (Reset re-seeds everything in
-// place) and so is Workers (it only fans out Standalone and never shapes
-// a Sim).
+// place) and so is Workers (it only fans out the standalone runs and never
+// shapes a Sim).
 func sameRunShape(a, b Options) bool {
 	a.Seed, b.Seed = 0, 0
 	a.Workers, b.Workers = 0, 0
@@ -87,12 +89,11 @@ func sameRunShape(a, b Options) bool {
 // run — scheme, cores, generators and statistics — reusing every backing
 // array, and reports whether it could. Reuse requires the same mix and the
 // same run shape (options modulo Seed and Workers), and a scheme that
-// implements dramcache.Resetter and accepts the derived config; a
-// standalone run (Standalone) is always declined. When Reset declines it
-// may leave the Sim unusable (possibly half-reset), and the caller must
-// build fresh with NewSim. After a successful Reset the Sim behaves
-// byte-identically to NewSim(mix, factory, o) with the factory it was
-// built with: the scheme is back to its constructed state with the new
+// implements dramcache.Resetter and accepts the derived config. When Reset
+// declines it may leave the Sim unusable (possibly half-reset), and the
+// caller must build fresh with NewSim. After a successful Reset the Sim
+// behaves byte-identically to NewSim(mix, factory, o) with the factory it
+// was built with: the scheme is back to its constructed state with the new
 // seed, and each core's generator is re-seeded with
 // workloads.CoreSeed(o.Seed, i) — exactly the seeds mix.Generators(o.Seed)
 // would use.
@@ -100,7 +101,7 @@ func sameRunShape(a, b Options) bool {
 //bmlint:hotpath
 func (s *Sim) Reset(mix workloads.Mix, o Options) bool {
 	o = o.normalize()
-	if s.solo || mix.Name != s.mix.Name || mix.Cores() != s.mix.Cores() || !sameRunShape(o, s.o) {
+	if mix.Name != s.mix.Name || mix.Cores() != s.mix.Cores() || !sameRunShape(o, s.o) {
 		return false
 	}
 	rs, ok := s.eng.Scheme().(dramcache.Resetter)
@@ -119,6 +120,7 @@ func (s *Sim) Reset(mix workloads.Mix, o Options) bool {
 	s.pre = nil
 	s.preT = nil
 	s.warmed = false
+	s.antt = false
 	return true
 }
 
@@ -184,7 +186,8 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 // Measure runs the measured window and assembles the run result. With no
 // prior warmup it replays the plain single-phase path; after Warmup or
 // Restore it reports the measured window relative to the warmup baseline.
-// It ends the run: the engine
+// For a Sim ForSpec drew for an ANTT spec it then runs the standalone
+// terms and reports RunResult.ANTT. It ends the run: the engine
 // hands its trace read-ahead back, so an idle pooled Sim holds none, and
 // the Sim runs nothing more until Reset or Restore.
 func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
@@ -201,30 +204,36 @@ func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
 	}
 	scheme := s.eng.Scheme()
 	rep := scheme.Report()
-	return RunResult{
+	res := RunResult{
 		Mix:       s.mix.Name,
 		PerCore:   per,
 		PerTenant: cpu.DeltaTenants(s.eng.TenantTotals(), s.preT),
 		Report:    rep,
 		Energy:    energy.Compute(rep, energy.Default()),
 		Scheme:    scheme,
-	}, nil
+	}
+	if s.antt {
+		terms, err := s.standalone(ctx)
+		if err != nil {
+			return RunResult{}, err
+		}
+		res.ANTT = cpu.ANTT(per, terms)
+	}
+	return res, nil
 }
 
-// Standalone runs each benchmark of the mix alone on the same machine and
+// standalone runs each benchmark of the mix alone on the same machine and
 // returns the per-core results in mix order, labelled with their slots —
-// the C^SP terms of ANTT (cpu.ANTT pairs them with Measure's PerCore).
+// the C^SP terms of ANTT, which Measure pairs with its own PerCore.
 // Slot i's run is a fresh single-core Sim through Warmup and Measure: the
 // mix's config and this Sim's factory, slot i's generator alone
 // (workloads.CoreSeed(seed, i) at workloads.CoreBase(i)) and a one-core
 // prefetcher. The runs are independent, so they fan out over
 // Options.Workers goroutines, with the same result at any worker count.
-// Standalone reads only the Sim's configuration, so it may run before or
-// after the Sim's own phases, but not beside a Reset.
-func (s *Sim) Standalone(ctx context.Context) ([]cpu.CoreResult, error) {
+// standalone reads only the Sim's configuration, never its engine.
+func (s *Sim) standalone(ctx context.Context) ([]cpu.CoreResult, error) {
 	return engine.Map(ctx, s.o.Workers, s.mix.Cores(), func(ctx context.Context, i int) (cpu.CoreResult, error) {
 		solo := newSim(s.mix, s.factory, s.o, []trace.Generator{s.mix.Generator(s.o.Seed, i)})
-		solo.solo = true
 		if err := solo.Warmup(ctx); err != nil {
 			return cpu.CoreResult{}, err
 		}

@@ -330,8 +330,9 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 
 // TestPrefixHashGrouping pins the prefix-hash semantics the sweep planner
 // relies on: cells differing only in measured length share a prefix
-// (except the run-length-coupled Bi-Modal family), cells differing
-// in seed or warmup do not, and ANTT or warmup-disabled cells have none.
+// (except the run-length-coupled Bi-Modal family), an ANTT cell shares
+// its twin's, cells differing in seed or warmup do not, and
+// warmup-disabled cells have none.
 func TestPrefixHashGrouping(t *testing.T) {
 	base := spec.RunSpec{Scheme: "alloy", Mix: "Q1",
 		Options: spec.Options{AccessesPerCore: 1000, WarmupPerCore: 500, CacheDivisor: 64}, Seed: 3}
@@ -369,8 +370,8 @@ func TestPrefixHashGrouping(t *testing.T) {
 
 	antt := base
 	antt.Options.ANTT = true
-	if _, ok, _ := antt.PrefixHash(); ok {
-		t.Error("ANTT spec reported a prefix")
+	if h4, ok, _ := antt.PrefixHash(); !ok || h4 != h1 {
+		t.Errorf("ANTT spec: prefix %q (ok=%v), want its twin's %q", h4, ok, h1)
 	}
 
 	if h, err := base.Hash(); err != nil || h == h1 {

@@ -24,13 +24,13 @@ func TestRunStandaloneContextParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("Q3")
 	o := Options{AccessesPerCore: 2_000, Seed: 7, CacheDivisor: 8}
 	o.Workers = 1
-	serial, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(context.Background())
+	serial, err := NewSim(mix, paperFactory(t, "alloy"), o).standalone(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, runtime.NumCPU()} {
 		o.Workers = workers
-		got, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(context.Background())
+		got, err := NewSim(mix, paperFactory(t, "alloy"), o).standalone(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestANTTContextCancelled(t *testing.T) {
 	o := Options{AccessesPerCore: 50_000_000, Seed: 1, CacheDivisor: 8, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSim(mix, paperFactory(t, "alloy"), o).Standalone(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("Standalone on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := NewSim(mix, paperFactory(t, "alloy"), o).standalone(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("standalone on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

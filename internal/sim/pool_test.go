@@ -34,22 +34,17 @@ func run(t *testing.T, mix workloads.Mix, factory Factory, o Options) RunResult 
 	return runSim(t, NewSim(mix, factory, o))
 }
 
-// anttRun runs the mix on a fresh Sim, then its standalone terms, and
-// returns the ANTT and the multiprogrammed result.
+// anttRun runs the mix on a fresh Sim whose Measure reports ANTT, as
+// ForSpec draws one for an ANTT spec, and returns the ANTT and the
+// multiprogrammed result.
 func anttRun(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (float64, RunResult, error) {
 	s := NewSim(mix, factory, o)
+	s.antt = true
 	if err := s.Warmup(ctx); err != nil {
 		return 0, RunResult{}, err
 	}
 	res, err := s.Measure(ctx)
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	terms, err := s.Standalone(ctx)
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	return cpu.ANTT(res.PerCore, terms), res, nil
+	return res.ANTT, res, err
 }
 
 // marshalResult serializes the comparable portion of a run result (the
@@ -108,6 +103,48 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 			}
 			pool.Put(s2)
 		})
+	}
+}
+
+// TestPooledANTTTwinSharesKey draws a pooled Sim for an ANTT spec, then
+// for its non-ANTT twin: the twin is a pool hit on the same simulator, and
+// it reports no ANTT, since ForSpec sets the flag per draw.
+func TestPooledANTTTwinSharesKey(t *testing.T) {
+	mix := workloads.MustByName("Q1")
+	twin, err := spec.RunSpec{Scheme: "alloy", Mix: "Q1", Seed: 3,
+		Options: spec.Options{AccessesPerCore: 1500, CacheDivisor: 64}}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	antt := twin
+	antt.Options.ANTT = true
+	pool := NewRunPool(2)
+	s, err := ForSpec(pool, antt, mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := runSim(t, s); res.ANTT <= 1 {
+		t.Errorf("ANTT draw: ANTT = %v, want > 1", res.ANTT)
+	}
+	pool.Put(s)
+
+	s2, err := ForSpec(pool, twin, mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := pool.Stats(); hits != 1 || misses != 1 || s2 != s {
+		t.Fatalf("twin draw: hits=%d misses=%d, same Sim %v; want one key, a hit", hits, misses, s2 == s)
+	}
+	res := runSim(t, s2)
+	if res.ANTT != 0 {
+		t.Errorf("twin draw: ANTT = %v, want 0", res.ANTT)
+	}
+	fresh, err := ForSpec(nil, twin, mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeResult(t, res), encodeResult(t, runSim(t, fresh))) {
+		t.Error("twin drawn after an ANTT run diverges from a fresh run")
 	}
 }
 

@@ -40,7 +40,7 @@ func newInlineSim(mix workloads.Mix, factory Factory, o Options) *Sim {
 	for i, g := range gens {
 		gens[i] = inlineGen{g}
 	}
-	return &Sim{mix: mix, o: o, eng: cpu.NewEngine(factory(ConfigFor(mix, o)), gens, o.CoreCfg, nil)}
+	return &Sim{mix: mix, o: o, eng: cpu.NewEngine(factory(ConfigFor(mix, o)), gens, cpu.DefaultCoreConfig(), nil)}
 }
 
 // cancelAfter is a context whose Err reports cancellation from its n-th

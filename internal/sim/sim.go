@@ -1,6 +1,6 @@
 // Package sim assembles full-system simulations: a workload mix, a DRAM
 // cache scheme, the multi-core engine and (optionally) the next-N-lines
-// prefetcher, plus the standalone runs needed for ANTT.
+// prefetcher, plus the standalone runs an ANTT cell measures.
 package sim
 
 import (
@@ -35,14 +35,12 @@ type Options struct {
 	// window (the paper fast-forwards before collecting statistics).
 	// 0 selects AccessesPerCore (1:1 warmup); negative disables warmup.
 	WarmupPerCore int64
-	// CoreCfg is the core timing model; zero value selects the default.
-	CoreCfg cpu.CoreConfig
 	// PrefetchN enables the next-N-lines prefetcher when positive.
 	PrefetchN int
-	// Workers bounds the fan-out of Sim.Standalone, whose per-benchmark
-	// runs are independent simulations. 0 or 1 runs them serially; results
-	// are collected in mix order either way, so the output is identical at
-	// any worker count. It never shapes a Sim.
+	// Workers bounds the fan-out of an ANTT cell's standalone runs, which
+	// are independent simulations. 0 or 1 runs them serially; results are
+	// collected in mix order either way, so the output is identical at any
+	// worker count. It never shapes a Sim.
 	Workers int
 }
 
@@ -53,9 +51,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CoreCfg.MSHRs == 0 {
-		o.CoreCfg = cpu.DefaultCoreConfig()
 	}
 	if o.WarmupPerCore == 0 {
 		o.WarmupPerCore = o.AccessesPerCore
@@ -88,6 +83,9 @@ type RunResult struct {
 	PerTenant []cpu.TenantResult
 	Report    dramcache.Report
 	Energy    energy.Breakdown
+	// ANTT is the run's average normalized turnaround time when the spec
+	// asked for it (spec.Options.ANTT), else 0.
+	ANTT float64
 	// Scheme retains the instance for scheme-specific inspection (e.g.
 	// the Bi-Modal core cache).
 	Scheme dramcache.Scheme

@@ -91,7 +91,7 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 	o := quick()
 	s := NewSim(mix, f, o)
 	multi := runSim(t, s)
-	single, err := s.Standalone(context.Background())
+	single, err := s.standalone(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func referenceStandalone(t *testing.T, mix workloads.Mix, factory Factory, o Opt
 	if o.PrefetchN > 0 {
 		pf = cpu.NewPrefetcher(o.PrefetchN, 1)
 	}
-	eng := cpu.NewEngine(factory(ConfigFor(mix, o)), mix.Generators(o.Seed)[i:i+1], o.CoreCfg, pf)
+	eng := cpu.NewEngine(factory(ConfigFor(mix, o)), mix.Generators(o.Seed)[i:i+1], cpu.DefaultCoreConfig(), pf)
 	defer eng.ReleaseReadAhead()
 	ctx := context.Background()
 	var res []cpu.CoreResult
@@ -158,7 +158,7 @@ func TestStandaloneMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						o := OptionsForSpec(rs)
-						got, err := NewSim(mix, factory, o).Standalone(context.Background())
+						got, err := NewSim(mix, factory, o).standalone(context.Background())
 						if err != nil {
 							t.Fatal(err)
 						}

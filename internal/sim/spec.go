@@ -14,8 +14,9 @@ import (
 // ready-to-run Sim: drawn from pool when a simulator of the same geometry
 // is idle there, built fresh otherwise (always when pool is nil). A spec
 // drawn from a pool must be canonical, since its scheme name and params
-// key the pool. workers bounds Standalone's fan-out (Options.Workers);
-// the spec cannot express it, since it never changes a result.
+// key the pool. When the spec asks for ANTT, the Sim's Measure runs the
+// standalone terms too; workers bounds their fan-out (Options.Workers),
+// which the spec cannot express, since it never changes a result.
 // FactoryForSpec runs only when a Sim is built: a pooled Sim keeps the
 // factory it was built with, and the pool key binds every spec that
 // reaches it to an identically building one.
@@ -23,20 +24,24 @@ func ForSpec(pool *RunPool, rs spec.RunSpec, mix workloads.Mix, workers int) (*S
 	o := OptionsForSpec(rs)
 	o.Workers = workers
 	var k poolKey
+	var s *Sim
 	if pool != nil {
 		k = newPoolKey(poolSchemeKey(rs), mix, o)
-		if s := pool.take(k, mix, o); s != nil {
-			return s, nil
+		s = pool.take(k, mix, o)
+	}
+	if s == nil {
+		factory, err := FactoryForSpec(rs, mix.Cores())
+		if err != nil {
+			return nil, err
+		}
+		if pool == nil {
+			s = NewSim(mix, factory, o)
+		} else {
+			s = pool.build(k, mix, factory, o)
 		}
 	}
-	factory, err := FactoryForSpec(rs, mix.Cores())
-	if err != nil {
-		return nil, err
-	}
-	if pool == nil {
-		return NewSim(mix, factory, o), nil
-	}
-	return pool.build(k, mix, factory, o), nil
+	s.antt = rs.Options.ANTT
+	return s, nil
 }
 
 // poolSchemeKey derives the RunPool scheme key for a canonical run spec.

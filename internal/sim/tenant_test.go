@@ -107,7 +107,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	factory := paperFactory(t, "bimodal")
 	base := dcOptions()
 	base.Workers = 1
-	serialStandalone, err := NewSim(mix, factory, base).Standalone(context.Background())
+	serialStandalone, err := NewSim(mix, factory, base).standalone(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, engine.Workers(0)} {
 		o := base
 		o.Workers = workers
-		par, err := NewSim(mix, factory, o).Standalone(context.Background())
+		par, err := NewSim(mix, factory, o).standalone(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

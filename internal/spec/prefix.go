@@ -22,24 +22,26 @@ const prefixDomain = "bimodal-warm-prefix/v4\n"
 // (internal/service).
 //
 // ok is false when the spec has no reusable warmup prefix: warmup is
-// disabled, or ANTT runs standalone phases a single engine snapshot
-// cannot represent.
+// disabled.
 func (s RunSpec) PrefixHash() (string, bool, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return "", false, err
 	}
-	if c.Options.ANTT || c.Options.WarmupPerCore <= 0 {
+	if c.Options.WarmupPerCore <= 0 {
 		return "", false, nil
 	}
 	d, err := Lookup(c.Scheme)
 	if err != nil {
 		return "", false, err
 	}
+	// ANTT adds standalone runs after the measured window and never shapes
+	// warmup, so an ANTT cell shares its non-ANTT twin's prefix.
+	c.Options.ANTT = false
 	if !d.MeasuredCoupled {
-		// The measured quota is the only knob that does not shape warmup
+		// The measured quota is the other knob that does not shape warmup
 		// (Options.Canonical already resolved a defaulted warmup against
-		// it). omitempty drops the zero, keeping the encoding canonical.
+		// it). omitempty drops the zeros, keeping the encoding canonical.
 		c.Options.AccessesPerCore = 0
 	}
 	b, err := json.Marshal(c)

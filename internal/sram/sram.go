@@ -1,9 +1,11 @@
 // Package sram provides a functional set-associative SRAM cache model.
 //
 // It is used for the last-level SRAM cache (LLSC) that filters traffic in
-// the full-system example, for the ATCache tag cache and for the Footprint
-// Cache tag array. Contents are tracked functionally (tags only); timing is
-// a fixed hit latency configured by the owner.
+// the full-system example (trace.LLSCFilter), for the ATCache tag cache,
+// and as the block-size and MRU-position cache of the Fig 1 and Fig 5
+// stream studies and examples/blocksize. The Footprint Cache tag array is
+// dramcache.assocArray, not this model. Contents are tracked functionally
+// (tags only); timing is a fixed hit latency configured by the owner.
 package sram
 
 import (
