@@ -677,11 +677,14 @@ func (c *Cache) CheckInvariants() error {
 	// Lookup can return a way that does not.
 	for i := 0; c.locator != nil && i < len(c.locator.entries); i++ {
 		e := &c.locator.entries[i]
+		if !e.valid() {
+			continue
+		}
 		p, h := addr.Phys(e.blockID<<6), Hit{Big: e.big(), Way: e.way()}
 		if h.Big {
 			p = addr.Phys(e.blockID << c.locator.bigShift)
 		}
-		if si := c.setOf(p); e.valid() && !c.holds(&c.sets[si], si, p, h) {
+		if si := c.setOf(p); !c.holds(&c.sets[si], si, p, h) {
 			return fmt.Errorf("way-locator entry %d names %x in big=%v way %d, which does not hold it", i, p, h.Big, h.Way)
 		}
 	}

@@ -87,17 +87,21 @@ func (g *GlobalState) RestoreState(r *snapshot.Reader) {
 // and its packed meta word (valid, big, way, lastUse).
 const wlEntryBytes = 8 + 8
 
-// SnapshotState implements snapshot.Snapshotter. The entry table is the
-// bulk of a Bi-Modal snapshot and is encoded as one Extend table.
+// SnapshotState implements snapshot.Snapshotter. The entry table is a
+// sparse table: after a short warmup most entries were never written.
 func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 	sw.Tag("waylocator")
-	b := sw.Extend(len(w.entries) * wlEntryBytes)
+	t := sw.Sparse(len(w.entries), wlEntryBytes)
 	for i := range w.entries {
 		e := &w.entries[i]
+		if *e == (wlEntry{}) {
+			continue
+		}
+		b := t.Put(i)
 		binary.LittleEndian.PutUint64(b, e.blockID)
 		binary.LittleEndian.PutUint64(b[8:], e.meta)
-		b = b[wlEntryBytes:]
 	}
+	t.Close()
 	sw.U64(w.clock)
 	sw.I64(w.Lookups)
 	sw.I64(w.HitsBig)
@@ -109,13 +113,10 @@ func (w *WayLocator) SnapshotState(sw *snapshot.Writer) {
 // sets.
 func (w *WayLocator) RestoreState(r *snapshot.Reader) {
 	r.Tag("waylocator")
-	b := r.Next(len(w.entries) * wlEntryBytes)
-	if r.Err() != nil {
-		return
-	}
-	for i := range w.entries {
+	clear(w.entries)
+	t := r.Sparse(len(w.entries), wlEntryBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
 		w.entries[i] = wlEntry{blockID: binary.LittleEndian.Uint64(b), meta: binary.LittleEndian.Uint64(b[8:])}
-		b = b[wlEntryBytes:]
 	}
 	w.clock = r.U64()
 	w.Lookups = r.I64()
@@ -158,31 +159,24 @@ func restoreStats(r *snapshot.Reader, s *CacheStats) {
 	s.StateChanges = r.I64()
 }
 
-// Encoded widths of the set table: each set is a header (X and Y as
-// int64, then the big and small occupancy masks and the small-way dirty
-// mask) followed by its big ways (tag, dirty, used) and small ways (line
-// ID), the layout Cache holds them in.
+// Encoded widths of the set table: a dense table of set headers (X and Y
+// as int64, then the big and small occupancy masks and the small-way dirty
+// mask), then every set's big ways (tag, dirty, used) and small ways (line
+// ID) as two sparse tables over the flat arrays Cache holds them in.
 const (
 	setHeaderBytes = 8 + 8 + 4 + 4 + 4
 	bigWayBytes    = 8 + 4 + 4
 	smallWayBytes  = 8
 )
 
-// setTableBytes is the encoded size of the set table; every set carries
-// MaxBig big and MaxSmall small way slots (NewCache).
-func (c *Cache) setTableBytes() int {
-	return len(c.sets) * (setHeaderBytes + c.params.MaxBig()*bigWayBytes + c.params.MaxSmall()*smallWayBytes)
-}
-
-// SnapshotState implements snapshot.Snapshotter: per-set state, occupancy
-// and dirty masks and way metadata as one Extend table, followed by the
-// locator, predictor, tracker histogram, global adaptation state,
-// replacement rng and statistics. The eviction scratch buffer is transient
-// (truncated by every Access) and is not part of the state.
+// SnapshotState implements snapshot.Snapshotter: the set headers, the big
+// and small ways, then the locator, predictor, tracker histogram, global
+// adaptation state, replacement rng and statistics. The eviction scratch
+// buffer is transient (truncated by every Access) and is not part of the
+// state.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("corecache")
-	b := w.Extend(c.setTableBytes())
-	big, small := c.big, c.small
+	b := w.Extend(len(c.sets) * setHeaderBytes)
 	for i := range c.sets {
 		s := &c.sets[i]
 		binary.LittleEndian.PutUint64(b, uint64(s.st.X))
@@ -191,19 +185,26 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 		binary.LittleEndian.PutUint32(b[20:], s.validSmall)
 		binary.LittleEndian.PutUint32(b[24:], s.dirtySmall)
 		b = b[setHeaderBytes:]
-		for j := range big[:c.maxBig] {
-			bw := &big[j]
-			binary.LittleEndian.PutUint64(b, bw.tag)
-			binary.LittleEndian.PutUint32(b[8:], bw.dirty)
-			binary.LittleEndian.PutUint32(b[12:], bw.used)
-			b = b[bigWayBytes:]
-		}
-		for j, ln := range small[:c.maxSmall] {
-			binary.LittleEndian.PutUint64(b[j*smallWayBytes:], ln)
-		}
-		b = b[c.maxSmall*smallWayBytes:]
-		big, small = big[c.maxBig:], small[c.maxSmall:]
 	}
+	t := w.Sparse(len(c.big), bigWayBytes)
+	for i := range c.big {
+		bw := &c.big[i]
+		if *bw == (bigWay{}) {
+			continue
+		}
+		b := t.Put(i)
+		binary.LittleEndian.PutUint64(b, bw.tag)
+		binary.LittleEndian.PutUint32(b[8:], bw.dirty)
+		binary.LittleEndian.PutUint32(b[12:], bw.used)
+	}
+	t.Close()
+	t = w.Sparse(len(c.small), smallWayBytes)
+	for i, ln := range c.small {
+		if ln != 0 {
+			binary.LittleEndian.PutUint64(t.Put(i), ln)
+		}
+	}
+	t.Close()
 	w.Bool(c.locator != nil)
 	if c.locator != nil {
 		c.locator.SnapshotState(w)
@@ -221,11 +222,10 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 // every valid locator entry against the sets.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("corecache")
-	b := r.Next(c.setTableBytes())
+	b := r.Next(len(c.sets) * setHeaderBytes)
 	if r.Err() != nil {
 		return
 	}
-	big, small := c.big, c.small
 	for i := range c.sets {
 		s := &c.sets[i]
 		s.st.X = int(binary.LittleEndian.Uint64(b))
@@ -234,19 +234,20 @@ func (c *Cache) RestoreState(r *snapshot.Reader) {
 		s.validSmall = binary.LittleEndian.Uint32(b[20:])
 		s.dirtySmall = binary.LittleEndian.Uint32(b[24:])
 		b = b[setHeaderBytes:]
-		for j := range big[:c.maxBig] {
-			big[j] = bigWay{
-				tag:   binary.LittleEndian.Uint64(b),
-				dirty: binary.LittleEndian.Uint32(b[8:]),
-				used:  binary.LittleEndian.Uint32(b[12:]),
-			}
-			b = b[bigWayBytes:]
+	}
+	clear(c.big)
+	t := r.Sparse(len(c.big), bigWayBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
+		c.big[i] = bigWay{
+			tag:   binary.LittleEndian.Uint64(b),
+			dirty: binary.LittleEndian.Uint32(b[8:]),
+			used:  binary.LittleEndian.Uint32(b[12:]),
 		}
-		for j := range small[:c.maxSmall] {
-			small[j] = binary.LittleEndian.Uint64(b[j*smallWayBytes:])
-		}
-		b = b[c.maxSmall*smallWayBytes:]
-		big, small = big[c.maxBig:], small[c.maxSmall:]
+	}
+	clear(c.small)
+	t = r.Sparse(len(c.small), smallWayBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
+		c.small[i] = binary.LittleEndian.Uint64(b)
 	}
 	hasLocator := r.Bool()
 	if r.Err() == nil && hasLocator != (c.locator != nil) {

@@ -607,11 +607,16 @@ func (e *Engine) MeasureAfterWarmupContext(ctx context.Context, measure int64, p
 // values the last completed phase returned. After RestoreState this
 // reconstructs the warmup baseline for MeasureAfterWarmupContext.
 func (e *Engine) CumulativeResults() []CoreResult {
-	out := make([]CoreResult, len(e.cores))
-	for i, c := range e.cores {
-		out[i] = c.result
+	return e.AppendCumulativeResults(make([]CoreResult, 0, len(e.cores)))
+}
+
+// AppendCumulativeResults appends CumulativeResults to dst and returns the
+// extended slice, so a caller that keeps its baseline reuses its array.
+func (e *Engine) AppendCumulativeResults(dst []CoreResult) []CoreResult {
+	for _, c := range e.cores {
+		dst = append(dst, c.result)
 	}
-	return out
+	return dst
 }
 
 // TenantTotals aggregates per-tenant attribution across every core,

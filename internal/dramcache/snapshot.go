@@ -45,31 +45,32 @@ const assocWayBytes = 1 + 8 + 8 + 8
 
 func (a *assocArray) snapshotState(w *snapshot.Writer) {
 	w.Tag("assoc")
-	b := w.Extend(len(a.ways) * assocWayBytes)
+	t := w.Sparse(len(a.ways), assocWayBytes)
 	for i := range a.ways {
 		e := &a.ways[i]
+		if *e == (assocWay{}) {
+			continue
+		}
+		b := t.Put(i)
 		snapshot.PutBool(b, e.valid)
 		binary.LittleEndian.PutUint64(b[1:], e.tag)
 		binary.LittleEndian.PutUint64(b[9:], e.lastUse)
 		binary.LittleEndian.PutUint64(b[17:], e.aux)
-		b = b[assocWayBytes:]
 	}
+	t.Close()
 	w.U64(a.clock)
 }
 
 func (a *assocArray) restoreState(r *snapshot.Reader) {
 	r.Tag("assoc")
-	b := r.Next(len(a.ways) * assocWayBytes)
-	if r.Err() != nil {
-		return
-	}
-	for i := range a.ways {
+	clear(a.ways)
+	t := r.Sparse(len(a.ways), assocWayBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
 		e := &a.ways[i]
 		e.valid = r.DecodeBool(b[0])
 		e.tag = binary.LittleEndian.Uint64(b[1:])
 		e.lastUse = binary.LittleEndian.Uint64(b[9:])
 		e.aux = binary.LittleEndian.Uint64(b[17:])
-		b = b[assocWayBytes:]
 	}
 	a.clock = r.U64()
 }
@@ -184,7 +185,13 @@ func (b *BiModal) RestoreState(r *snapshot.Reader) {
 func (a *Alloy) SnapshotState(w *snapshot.Writer) {
 	w.Tag("alloy")
 	a.baseStats.snapshotState(w)
-	w.U32s(a.tags)
+	t := w.Sparse(len(a.tags), 4)
+	for i, tag := range a.tags {
+		if tag != 0 {
+			binary.LittleEndian.PutUint32(t.Put(i), tag)
+		}
+	}
+	t.Close()
 	a.pred.SnapshotState(w)
 	w.I64(a.WastedParallelBytes)
 	a.stacked.SnapshotState(w)
@@ -195,7 +202,11 @@ func (a *Alloy) SnapshotState(w *snapshot.Writer) {
 func (a *Alloy) RestoreState(r *snapshot.Reader) {
 	r.Tag("alloy")
 	a.baseStats.restoreState(r)
-	r.U32s(a.tags)
+	clear(a.tags)
+	t := r.Sparse(len(a.tags), 4)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
+		a.tags[i] = binary.LittleEndian.Uint32(b)
+	}
 	a.pred.RestoreState(r)
 	a.WastedParallelBytes = r.I64()
 	a.stacked.RestoreState(r)
@@ -257,15 +268,19 @@ func (f *Footprint) SnapshotState(w *snapshot.Writer) {
 	w.Tag("footprint")
 	f.baseStats.snapshotState(w)
 	f.pages.snapshotState(w)
-	b := w.Extend(len(f.state) * fpcStateBytes)
+	t := w.Sparse(len(f.state), fpcStateBytes)
 	for i := range f.state {
 		p := &f.state[i]
+		if *p == (fpcPage{}) {
+			continue
+		}
+		b := t.Put(i)
 		binary.LittleEndian.PutUint32(b, p.present)
 		binary.LittleEndian.PutUint32(b[4:], p.used)
 		binary.LittleEndian.PutUint32(b[8:], p.dirty)
 		binary.LittleEndian.PutUint64(b[12:], p.trigger)
-		b = b[fpcStateBytes:]
 	}
+	t.Close()
 	w.U32s(f.hist)
 	w.I64(f.Bypassed)
 	w.I64(f.WastedFetchBytes)
@@ -279,15 +294,14 @@ func (f *Footprint) RestoreState(r *snapshot.Reader) {
 	r.Tag("footprint")
 	f.baseStats.restoreState(r)
 	f.pages.restoreState(r)
-	if b := r.Next(len(f.state) * fpcStateBytes); b != nil {
-		for i := range f.state {
-			p := &f.state[i]
-			p.present = binary.LittleEndian.Uint32(b)
-			p.used = binary.LittleEndian.Uint32(b[4:])
-			p.dirty = binary.LittleEndian.Uint32(b[8:])
-			p.trigger = binary.LittleEndian.Uint64(b[12:])
-			b = b[fpcStateBytes:]
-		}
+	clear(f.state)
+	t := r.Sparse(len(f.state), fpcStateBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
+		p := &f.state[i]
+		p.present = binary.LittleEndian.Uint32(b)
+		p.used = binary.LittleEndian.Uint32(b[4:])
+		p.dirty = binary.LittleEndian.Uint32(b[8:])
+		p.trigger = binary.LittleEndian.Uint64(b[12:])
 	}
 	r.U32s(f.hist)
 	f.Bypassed = r.I64()

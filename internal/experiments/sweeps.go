@@ -64,7 +64,7 @@ func coreParamCell(o Options, label, mixName string, mutate func(*core.Params)) 
 			return dramcache.Report{}, err
 		}
 		factory := func(cfg dramcache.Config) dramcache.Scheme {
-			p := sim.ScaledCoreParams(cfg.CacheBytes, mix.Cores(), rs.Options.AccessesPerCore)
+			p := sim.ScaledCoreParams(cfg.CacheBytes, mix.Cores(), sim.OptionsForSpec(rs))
 			mutate(&p)
 			s, err := d.New(spec.BuildConfig{Cache: cfg, CoreParams: &p}, nil)
 			if err != nil {

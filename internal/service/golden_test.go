@@ -24,21 +24,25 @@ var updateGolden = flag.Bool("update", false, "rewrite golden result files")
 // terms too, to the full precision of the result's antt field. The simulator's contract is
 // bit-reproducible output per (request, seed): performance refactors of
 // the hot path must not move a single counter. A failure here means
-// simulated behaviour changed, not just speed.
+// simulated behaviour changed, not just speed. The warmup case is the one
+// whose Bi-Modal adaptation interval the warmup quota sizes above its 10k
+// floor (12.5k where the 20k measured quota would give 10k).
 func TestResultGolden(t *testing.T) {
 	cases := []struct {
 		mix      string
 		scheme   string
 		antt     bool
 		prefetch int
+		warmup   int64
 	}{
-		{"Q1", "bimodal", false, 0},
-		{"Q1", "alloy", false, 0},
-		{"E3", "bimodal", false, 0},
-		{"S2", "bimodal-only", false, 0},
-		{"Q1", "alloy", true, 0},
-		{"Q7", "bimodal", true, 0},
-		{"Q2", "bimodal-bypass", true, 1},
+		{"Q1", "bimodal", false, 0, 0},
+		{"Q1", "alloy", false, 0, 0},
+		{"E3", "bimodal", false, 0, 0},
+		{"S2", "bimodal-only", false, 0, 0},
+		{"Q1", "alloy", true, 0, 0},
+		{"Q7", "bimodal", true, 0, 0},
+		{"Q2", "bimodal-bypass", true, 1, 0},
+		{"Q1", "bimodal", false, 0, 50_000},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -49,11 +53,14 @@ func TestResultGolden(t *testing.T) {
 		if tc.prefetch > 0 {
 			name += fmt.Sprintf("_prefetch%d", tc.prefetch)
 		}
+		if tc.warmup > 0 {
+			name += fmt.Sprintf("_warmup%d", tc.warmup)
+		}
 		t.Run(name, func(t *testing.T) {
 			rs, err := spec.RunSpec{
 				Scheme: tc.scheme,
 				Mix:    tc.mix,
-				Options: spec.Options{AccessesPerCore: 20_000, CacheDivisor: 64,
+				Options: spec.Options{AccessesPerCore: 20_000, WarmupPerCore: tc.warmup, CacheDivisor: 64,
 					ANTT: tc.antt, Prefetch: tc.prefetch},
 				Seed: 7,
 			}.Canonical()

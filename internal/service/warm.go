@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"bimodal/internal/sim"
-	"bimodal/internal/spec"
 )
 
 // warmGroup is a set of one sweep's store misses that share a warmup
@@ -31,7 +30,7 @@ func planWarm(cells []cellSpec, misses []int) (map[int]*warmGroup, error) {
 	plan := map[int]*warmGroup{}
 	first := map[string]int{} // prefix -> cell index of its first miss
 	for _, i := range misses {
-		prefix, ok, err := sharedPrefix(cells[i].rs)
+		prefix, ok, err := cells[i].rs.PrefixHash()
 		if err != nil {
 			return nil, err
 		}
@@ -51,23 +50,6 @@ func planWarm(cells []cellSpec, misses []int) (map[int]*warmGroup, error) {
 		plan[i] = g
 	}
 	return plan, nil
-}
-
-// sharedPrefix returns the warmup prefix hash under which rs may share a
-// warm snapshot with other cells. ok is false when no other cell could
-// restore it: the spec has no prefix at all (warmup disabled), or its
-// scheme is MeasuredCoupled, whose prefix covers the whole canonical spec
-// but its ANTT flag, so only an identical cell, which the result store
-// answers, or the cell's ANTT twin could restore the blob.
-func sharedPrefix(rs spec.RunSpec) (prefix string, ok bool, err error) {
-	d, err := spec.Lookup(rs.Scheme)
-	if err != nil {
-		return "", false, err
-	}
-	if d.MeasuredCoupled {
-		return "", false, nil
-	}
-	return rs.PrefixHash()
 }
 
 // runWarm runs sweep cell i in-process and reports whether a restored

@@ -286,10 +286,35 @@ func checkColdBytes(t *testing.T, c *Client, specs []spec.RunSpec) [][]byte {
 	return out
 }
 
+// TestWarmRunnerSharesBiModalPrefix pins that the Bi-Modal family scales
+// its core parameters to the warmup, not to the measured length: two
+// bimodal cells that differ only in measured length form one warm group,
+// the second restores the first one's blob, and both store the bytes of a
+// cold RunCellSpec.
+func TestWarmRunnerSharesBiModalPrefix(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
+	var specs []spec.RunSpec
+	for _, n := range []int64{300, 500} {
+		rs, err := (spec.RunSpec{Scheme: "bimodal", Mix: "Q1",
+			Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 400, CacheDivisor: 64}, Seed: 6}).Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, rs)
+	}
+	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 1 || got["warm"] != 1 {
+		t.Errorf("origins = %v, want 1 run + 1 warm", got)
+	}
+	if hits, misses := s.mSnapHits.Value(), s.mSnapMisses.Value(); hits != 1 || misses != 1 {
+		t.Errorf("snapshot hits %d, misses %d; want 1 and 1", hits, misses)
+	}
+	checkColdBytes(t, c, specs)
+}
+
 // TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a sweep of
 // one alloy and one bimodal cell shares no prefix between its misses (the
-// schemes differ, and bimodal is MeasuredCoupled besides), so both run
-// cold, nothing is sealed and the store holds the two results only.
+// schemes differ), so both run cold, nothing is sealed and the store holds
+// the two results only.
 func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	var specs []spec.RunSpec

@@ -46,10 +46,18 @@ type Sim struct {
 	pooled bool    //bmlint:resetconst
 	// payloadMax is the largest payload Snapshot has sealed, the capacity
 	// hint for the next one. Reset leaves it: a pooled Sim keeps its
-	// geometry, so only the variable-length parts (write queues, in-flight
-	// misses, trace tails) move the size of its snapshots.
+	// geometry, and its warm states fill its sparse tables about as much
+	// from one cell to the next.
 	payloadMax int //bmlint:resetconst
+	// rd is the Reader Restore decodes with, kept so that a restore
+	// allocates none. It holds no payload between calls.
+	rd snapshot.Reader //bmlint:resetconst
 }
+
+// firstSealHint is the capacity hint of a Sim's first snapshot: a
+// Bi-Modal blob after a short warmup at cache/64 is 60-83 KB, most other
+// schemes' are smaller, and a larger one grows by doubling.
+const firstSealHint = 64 << 10
 
 // NewSim assembles a simulation without running it: normalized options,
 // the derived config, a fresh scheme from factory and one generator per
@@ -117,7 +125,7 @@ func (s *Sim) Reset(mix workloads.Mix, o Options) bool {
 	}
 	s.mix = mix
 	s.o = o
-	s.pre = nil
+	s.pre = s.pre[:0]
 	s.preT = nil
 	s.warmed = false
 	s.antt = false
@@ -148,9 +156,14 @@ func (s *Sim) Warmup(ctx context.Context) error {
 // after Warmup, before Measure. The state is encoded in place behind the
 // envelope header, so sealing copies nothing, and a Sim that sealed before
 // allocates the blob once, sized from its largest earlier payload plus a
-// sixteenth for the variable-length parts.
+// sixteenth for the variable-length parts; a first blob starts at
+// firstSealHint.
 func (s *Sim) Snapshot(prefixHash string) []byte {
-	w := snapshot.NewSealer(prefixHash, s.payloadMax+s.payloadMax/16)
+	hint := s.payloadMax + s.payloadMax/16
+	if hint == 0 {
+		hint = firstSealHint
+	}
+	w := snapshot.NewSealer(prefixHash, hint)
 	s.eng.SnapshotState(w)
 	s.payloadMax = max(s.payloadMax, w.Len())
 	return w.Seal()
@@ -166,18 +179,19 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 	if err != nil {
 		return err
 	}
-	if wantPrefix != "" && prefixHash != wantPrefix {
+	if wantPrefix != "" && string(prefixHash) != wantPrefix {
 		return fmt.Errorf("sim: snapshot prefix %s does not match expected %s", prefixHash, wantPrefix)
 	}
-	r := snapshot.NewReader(payload)
-	s.eng.RestoreState(r)
-	if err := r.Err(); err != nil {
+	s.rd.Reset(payload)
+	defer s.rd.Reset(nil)
+	s.eng.RestoreState(&s.rd)
+	if err := s.rd.Err(); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
-	if n := r.Remaining(); n != 0 {
+	if n := s.rd.Remaining(); n != 0 {
 		return fmt.Errorf("sim: restore: %d trailing payload bytes", n)
 	}
-	s.pre = s.eng.CumulativeResults()
+	s.pre = s.eng.AppendCumulativeResults(s.pre[:0])
 	s.preT = s.eng.TenantTotals()
 	s.warmed = true
 	return nil

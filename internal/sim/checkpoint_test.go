@@ -131,6 +131,44 @@ func TestRestoreThenRunGolden(t *testing.T) {
 	}
 }
 
+// TestWarmForkAllocs pins what a warm fork allocates on pooled Sims:
+// Snapshot the sealing Writer and the blob, Restore nothing. The prefix
+// check reads the blob in place, the Sim keeps its Reader, and the warmup
+// baseline reuses the slice the Sim already holds.
+func TestWarmForkAllocs(t *testing.T) {
+	rs := goldenSpec(t, "bimodal", nil, 0)
+	prefix, _, err := rs.PrefixHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workloads.MustByName(rs.Mix)
+	pool := NewRunPool(2)
+	producer, err := ForSpec(pool, rs, mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := producer.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	blob := producer.Snapshot(prefix) // sizes the next blobs
+	twin, err := ForSpec(pool, rs, mix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func() {
+		if err := twin.Restore(blob, prefix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore() // sizes the twin's warmup baseline
+	if got := testing.AllocsPerRun(10, func() { producer.Snapshot(prefix) }); got != 2 {
+		t.Errorf("Snapshot allocates %v objects, want 2 (the sealing Writer and the blob)", got)
+	}
+	if got := testing.AllocsPerRun(10, restore); got != 0 {
+		t.Errorf("Restore allocates %v objects, want 0", got)
+	}
+}
+
 // TestRestorePrefixMismatch proves a blob cannot restore under a
 // different prefix hash: the envelope binding, not caller discipline,
 // enforces congruence.
@@ -221,7 +259,15 @@ func TestRestoreRejectsCorruptBlob(t *testing.T) {
 //   - a valid way-locator entry whose way, or whose block ID moved by 2^20
 //     (same index), does not hold its block, which the first Measure would
 //     otherwise hit and panic on;
-//   - a locator clock of 2^56, which the 56-bit lastUse stamp cannot hold.
+//   - a locator clock of 2^56, which the 56-bit lastUse stamp cannot hold;
+//   - a sparse table (the way locator's) whose count disagrees with its
+//     bitmap, or which carries a present entry that is all zero;
+//   - a set table followed by a stray byte, which the locator presence
+//     flag then reads.
+//
+// Every sparse table of a real blob has a multiple of 8 entries, so a
+// presence bit past a table's end has no room here; internal/snapshot's
+// TestSparseRejectsMalformed covers it.
 func TestRestoreRejectsBadTableBool(t *testing.T) {
 	rs := goldenSpec(t, "bimodal", nil, 0)
 	prefix, _, err := rs.PrefixHash()
@@ -243,13 +289,15 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 		t.Fatalf("unmodified blob: %v", err)
 	}
 	// A section tag is 0xA5, its u32 length and its name. Behind
-	// "corecache" sits the first set's 28-byte header: X and Y, then the
-	// big, small and small-dirty masks at 16, 20 and 24. The locator
-	// presence flag ends the set table, right before "waylocator", behind
-	// which sit the 16-byte entries (block ID, then the meta word: valid
-	// bit 63, big bit 62, way in bits 56-61); the clock and three counters
-	// end that section, right before "sizepred". The payload ends with the
-	// miss predictor's and the victim buffer's presence flags.
+	// "corecache" sits the dense table of 28-byte set headers (X and Y,
+	// then the big, small and small-dirty masks at 16, 20 and 24), then the
+	// big and small ways as sparse tables: a presence bitmap, a u32 count
+	// and the present entries. The locator presence flag ends the set
+	// table, right before "waylocator", behind which sits the sparse table
+	// of the 2^(K+1) 16-byte locator entries (block ID, then the meta word:
+	// valid bit 63, big bit 62, way in bits 56-61); the clock and three
+	// counters end that section, right before "sizepred". The payload ends
+	// with the miss predictor's and the victim buffer's presence flags.
 	u32 := binary.LittleEndian.Uint32
 	put32, put64 := binary.LittleEndian.PutUint32, binary.LittleEndian.PutUint64
 	section := func(t *testing.T, b []byte, tag string) int {
@@ -262,14 +310,25 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 		}
 		return at + len(marker)
 	}
-	// validEntries calls f with the offset of every valid locator entry.
-	validEntries := func(t *testing.T, b []byte, f func(at int)) {
+	// presenceFlag is the offset of the locator presence flag.
+	presenceFlag := func(t *testing.T, b []byte) int {
+		return section(t, b, "waylocator") - (1 + 4 + len("waylocator")) - 1
+	}
+	// locator returns the offset of the locator table's count and its
+	// present entries.
+	locator := func(t *testing.T, b []byte) (countAt int, entries []byte) {
 		t.Helper()
-		start, end := section(t, b, "waylocator"), section(t, b, "sizepred")-(1+4+len("sizepred"))-32
+		countAt = section(t, b, "waylocator") + (2<<dramcache.DefaultConfig(4).WayLocatorK)/8
+		return countAt, b[countAt+4 : countAt+4+16*int(u32(b[countAt:]))]
+	}
+	// validEntries calls f with every valid locator entry.
+	validEntries := func(t *testing.T, b []byte, f func(e []byte)) {
+		t.Helper()
+		_, entries := locator(t, b)
 		n := 0
-		for at := start; at < end; at += 16 {
-			if binary.LittleEndian.Uint64(b[at+8:])>>63 != 0 {
-				f(at)
+		for ; len(entries) > 0; entries = entries[16:] {
+			if binary.LittleEndian.Uint64(entries[8:])>>63 != 0 {
+				f(entries[:16])
 				n++
 			}
 		}
@@ -279,44 +338,73 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		edit func(t *testing.T, b []byte)
+		// edit patches the blob in place, or returns a longer one.
+		edit func(t *testing.T, b []byte) []byte
 		want string
 	}{
-		{"waylocator", func(t *testing.T, b []byte) {
-			b[section(t, b, "waylocator")-(1+4+len("waylocator"))-1] = 2
+		{"waylocator", func(t *testing.T, b []byte) []byte {
+			b[presenceFlag(t, b)] = 2
+			return b
 		}, "invalid bool byte 2"},
-		{"bimodal", func(t *testing.T, b []byte) { b[len(b)-sha256.Size-1] = 2 }, "invalid bool byte 2"},
-		{"corecache", func(t *testing.T, b []byte) {
+		{"bimodal", func(t *testing.T, b []byte) []byte {
+			b[len(b)-sha256.Size-1] = 2
+			return b
+		}, "invalid bool byte 2"},
+		{"corecache", func(t *testing.T, b []byte) []byte {
 			h := b[section(t, b, "corecache"):]
 			put32(h[24:], ^u32(h[20:]))
+			return b
 		}, "dirty but holds no line"},
-		{"corecache_big_valid", func(t *testing.T, b []byte) {
+		{"corecache_big_valid", func(t *testing.T, b []byte) []byte {
 			h := b[section(t, b, "corecache"):]
 			put32(h[16:], u32(h[16:])|1<<binary.LittleEndian.Uint64(h))
+			return b
 		}, "beyond X"},
-		{"corecache_small_valid", func(t *testing.T, b []byte) {
+		{"corecache_small_valid", func(t *testing.T, b []byte) []byte {
 			h := b[section(t, b, "corecache"):]
 			put32(h[20:], u32(h[20:])|1<<binary.LittleEndian.Uint64(h[8:]))
+			return b
 		}, "beyond Y"},
-		{"waylocator_way", func(t *testing.T, b []byte) {
+		{"waylocator_way", func(t *testing.T, b []byte) []byte {
 			done := false
-			validEntries(t, b, func(at int) {
+			validEntries(t, b, func(e []byte) {
 				if !done {
-					b[at+15] ^= 1 // the low way bit
+					e[15] ^= 1 // the low way bit
 					done = true
 				}
 			})
+			return b
 		}, "does not hold it"},
-		{"waylocator_block", func(t *testing.T, b []byte) {
-			validEntries(t, b, func(at int) { put64(b[at:], binary.LittleEndian.Uint64(b[at:])+1<<20) })
+		{"waylocator_block", func(t *testing.T, b []byte) []byte {
+			validEntries(t, b, func(e []byte) { put64(e, binary.LittleEndian.Uint64(e)+1<<20) })
+			return b
 		}, "does not hold it"},
-		{"waylocator_clock", func(t *testing.T, b []byte) {
+		{"waylocator_clock", func(t *testing.T, b []byte) []byte {
 			put64(b[section(t, b, "sizepred")-(1+4+len("sizepred"))-32:], 1<<56)
+			return b
 		}, "does not fit"},
+		{"sparse_count", func(t *testing.T, b []byte) []byte {
+			at, _ := locator(t, b)
+			put32(b[at:], u32(b[at:])-1)
+			return b
+		}, "but its bitmap marks"},
+		{"sparse_zero_entry", func(t *testing.T, b []byte) []byte {
+			_, entries := locator(t, b)
+			clear(entries[:16])
+			return b
+		}, "present but all zero"},
+		{"set_table_trailing", func(t *testing.T, b []byte) []byte {
+			// Insert a zero byte and lengthen the envelope's payload, which
+			// the u32 before the payload holds.
+			at := presenceFlag(t, b)
+			b = append(b[:at:at], append([]byte{0}, b[at:]...)...)
+			payloadLen := len(b) - sha256.Size - len(prefix) - (4 + 4 + 4 + 4)
+			put32(b[4+4+4+len(prefix):], uint32(payloadLen))
+			return b
+		}, "locator presence mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := append([]byte(nil), blob...)
-			tc.edit(t, bad)
+			bad := tc.edit(t, append([]byte(nil), blob...))
 			body := bad[:len(bad)-sha256.Size]
 			sum := sha256.Sum256(body)
 			copy(bad[len(body):], sum[:])
@@ -329,10 +417,10 @@ func TestRestoreRejectsBadTableBool(t *testing.T) {
 }
 
 // TestPrefixHashGrouping pins the prefix-hash semantics the sweep planner
-// relies on: cells differing only in measured length share a prefix
-// (except the run-length-coupled Bi-Modal family), an ANTT cell shares
-// its twin's, cells differing in seed or warmup do not, and
-// warmup-disabled cells have none.
+// relies on: cells differing only in measured length share a prefix (the
+// Bi-Modal family too, which scales its core parameters to the warmup), an
+// ANTT cell shares its twin's, cells differing in scheme, seed or warmup
+// do not, and warmup-disabled cells have none.
 func TestPrefixHashGrouping(t *testing.T) {
 	base := spec.RunSpec{Scheme: "alloy", Mix: "Q1",
 		Options: spec.Options{AccessesPerCore: 1000, WarmupPerCore: 500, CacheDivisor: 64}, Seed: 3}
@@ -347,13 +435,21 @@ func TestPrefixHashGrouping(t *testing.T) {
 		t.Error("measured length changed an alloy prefix hash")
 	}
 
-	coupled := base
-	coupled.Scheme = "bimodal"
-	ch1, _, _ := coupled.PrefixHash()
-	coupledLonger := coupled
-	coupledLonger.Options.AccessesPerCore = 5000
-	if ch2, _, _ := coupledLonger.PrefixHash(); ch2 == ch1 {
-		t.Error("bimodal scales core params from run length; prefix must differ")
+	bm := base
+	bm.Scheme = "bimodal"
+	bh1, _, _ := bm.PrefixHash()
+	if bh1 == h1 {
+		t.Error("scheme change kept the prefix hash")
+	}
+	bmLonger := bm
+	bmLonger.Options.AccessesPerCore = 5000
+	if bh2, _, _ := bmLonger.PrefixHash(); bh2 != bh1 {
+		t.Error("measured length changed a bimodal prefix hash")
+	}
+	bmWarmer := bm
+	bmWarmer.Options.WarmupPerCore = 5000
+	if bh3, _, _ := bmWarmer.PrefixHash(); bh3 == bh1 {
+		t.Error("warmup change kept a bimodal prefix hash")
 	}
 
 	seeded := base
@@ -381,9 +477,7 @@ func TestPrefixHashGrouping(t *testing.T) {
 
 // TestPrefixHashSoundness checks the prefix hash against the state it
 // names, for every registered scheme: two cells differing only in measured
-// length either share a prefix hash and seal byte-identical warm blobs, or
-// the scheme is MeasuredCoupled — the one flag that makes both the factory
-// and the hash depend on measured length.
+// length share a prefix hash and seal byte-identical warm blobs.
 func TestPrefixHashSoundness(t *testing.T) {
 	mix := workloads.MustByName("Q1")
 	seal := func(t *testing.T, scheme string, accesses int64) (prefix string, blob []byte) {
@@ -411,17 +505,13 @@ func TestPrefixHashSoundness(t *testing.T) {
 	}
 	for _, name := range spec.Names() {
 		t.Run(name, func(t *testing.T) {
-			d, err := spec.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			shortPrefix, shortBlob := seal(t, name, 200)
 			longPrefix, longBlob := seal(t, name, 300)
 			switch {
-			case shortPrefix == longPrefix && !bytes.Equal(shortBlob, longBlob):
+			case shortPrefix != longPrefix:
+				t.Error("measured length changed the prefix hash")
+			case !bytes.Equal(shortBlob, longBlob):
 				t.Errorf("equal prefix hashes but the warm blobs differ (%d vs %d bytes)", len(shortBlob), len(longBlob))
-			case shortPrefix != longPrefix && !d.MeasuredCoupled:
-				t.Error("measured length changed the prefix hash of a scheme that is not MeasuredCoupled")
 			}
 		})
 	}

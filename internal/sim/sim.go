@@ -103,13 +103,21 @@ func (r RunResult) TotalCycles() int64 {
 }
 
 // ScaledCoreParams returns the paper's core parameters for a cache size
-// with the adaptation interval scaled to the run length: the paper adapts
+// with the adaptation interval scaled to the run's warmup: the paper adapts
 // every 1M cache accesses over multi-billion-access traces; shorter replays
 // keep the same number of adaptation opportunities by scaling the interval
-// to 1/16 of the total expected accesses (min 10k).
-func ScaledCoreParams(cacheBytes uint64, cores int, accessesPerCore int64) core.Params {
+// to 1/16 of the warmup accesses over all cores (of the measured accesses
+// when warmup is disabled), min 10k. Scaling from the warmup, which the
+// measured window follows, is what lets cells that differ only in measured
+// length share a warm prefix (spec.PrefixHash).
+func ScaledCoreParams(cacheBytes uint64, cores int, o Options) core.Params {
+	o = o.normalize()
+	quota := o.WarmupPerCore
+	if quota == 0 {
+		quota = o.AccessesPerCore
+	}
 	p := core.DefaultParams(cacheBytes)
-	interval := accessesPerCore * int64(cores) / 16
+	interval := quota * int64(cores) / 16
 	if interval < 10_000 {
 		interval = 10_000
 	}

@@ -188,51 +188,72 @@ func TestANTTAboveOne(t *testing.T) {
 	}
 }
 
+// TestScaledCoreParams checks the interval's floor and cap and that it
+// scales to the warmup quota, or to the measured quota when warmup is
+// disabled.
 func TestScaledCoreParams(t *testing.T) {
-	p := ScaledCoreParams(128<<20, 4, 100_000)
-	if p.AdaptInterval != 25_000 {
-		t.Errorf("interval = %d, want 25000", p.AdaptInterval)
-	}
-	p = ScaledCoreParams(128<<20, 4, 1_000)
-	if p.AdaptInterval != 10_000 {
-		t.Errorf("interval floor = %d", p.AdaptInterval)
-	}
-	p = ScaledCoreParams(128<<20, 16, 10_000_000)
-	if p.AdaptInterval != 1_000_000 {
-		t.Errorf("interval cap = %d", p.AdaptInterval)
+	for _, tc := range []struct {
+		cores    int
+		o        Options
+		interval int64
+	}{
+		{4, Options{AccessesPerCore: 100_000}, 25_000},
+		{4, Options{AccessesPerCore: 1_000}, 10_000},          // floor
+		{16, Options{AccessesPerCore: 10_000_000}, 1_000_000}, // cap
+		{4, Options{AccessesPerCore: 1_000, WarmupPerCore: 100_000}, 25_000},
+		{4, Options{AccessesPerCore: 100_000, WarmupPerCore: 1_000}, 10_000},
+		{4, Options{AccessesPerCore: 100_000, WarmupPerCore: -1}, 25_000}, // no warmup
+	} {
+		if p := ScaledCoreParams(128<<20, tc.cores, tc.o); p.AdaptInterval != tc.interval {
+			t.Errorf("%d cores, %+v: interval %d, want %d", tc.cores, tc.o, p.AdaptInterval, tc.interval)
+		}
 	}
 }
 
 // TestBiModalFactoryAppliesScaledInterval checks that FactoryForSpec
 // scales the core parameters of every Bi-Modal family member, the plain
-// scheme and each preset alike, and of no baseline.
+// scheme and each preset alike, and of no baseline, to the warmup quota,
+// or to the measured quota when warmup is disabled.
 func TestBiModalFactoryAppliesScaledInterval(t *testing.T) {
 	o := quick()
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = o.CacheBytes
-	want := ScaledCoreParams(cfg.CacheBytes, 4, o.AccessesPerCore)
+	want := ScaledCoreParams(cfg.CacheBytes, 4, o)
 	family := 0
 	for _, d := range spec.Descriptors() {
-		f, err := FactoryForSpec(spec.RunSpec{Scheme: d.Name, Mix: "Q1",
-			Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bm, ok := f(cfg).(*dramcache.BiModal)
-		if d.Baseline {
-			if ok {
-				t.Errorf("%s: baseline built a BiModal", d.Name)
+		for _, tc := range []struct {
+			accesses, warmup, interval int64
+		}{
+			{4_000, 0, 10_000},       // warmup defaults to the measured quota
+			{4_000, 100_000, 25_000}, // the warmup sizes the interval
+			{100_000, 4_000, 10_000}, // and the measured quota does not
+			{100_000, -1, 25_000},    // unless warmup is disabled
+			{4_000, 1_000_000, 250_000},
+		} {
+			f, err := FactoryForSpec(spec.RunSpec{Scheme: d.Name, Mix: "Q1",
+				Options: spec.Options{AccessesPerCore: tc.accesses, WarmupPerCore: tc.warmup}}, 4)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			bm, ok := f(cfg).(*dramcache.BiModal)
+			if d.Baseline {
+				if ok {
+					t.Errorf("%s: baseline built a BiModal", d.Name)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("%s: built %T, want *dramcache.BiModal", d.Name, f(cfg))
+			}
+			p := bm.Core().Params()
+			if p.AdaptInterval != tc.interval || p.SampleShift != want.SampleShift || p.PredictorBits != want.PredictorBits {
+				t.Errorf("%s, %d measured, %d warmup: interval %d, sample shift %d, predictor bits %d; want %d, %d, %d",
+					d.Name, tc.accesses, tc.warmup, p.AdaptInterval, p.SampleShift, p.PredictorBits,
+					tc.interval, want.SampleShift, want.PredictorBits)
+			}
 		}
-		if !ok {
-			t.Fatalf("%s: built %T, want *dramcache.BiModal", d.Name, f(cfg))
-		}
-		family++
-		p := bm.Core().Params()
-		if p.AdaptInterval != 10_000 || p.SampleShift != want.SampleShift || p.PredictorBits != want.PredictorBits {
-			t.Errorf("%s: interval %d, sample shift %d, predictor bits %d; want %d, %d, %d", d.Name,
-				p.AdaptInterval, p.SampleShift, p.PredictorBits, 10_000, want.SampleShift, want.PredictorBits)
+		if !d.Baseline {
+			family++
 		}
 	}
 	if family != 5 {

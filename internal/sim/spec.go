@@ -85,9 +85,9 @@ func OptionsForSpec(rs spec.RunSpec) Options {
 }
 
 // FactoryForSpec returns the factory every run of the spec uses: the
-// figures, cmd/bmsim, the service, the cluster and the facade. A scheme
-// whose descriptor is MeasuredCoupled (the Bi-Modal family: plain bimodal
-// and its presets) gets the run-length-scaled core parameters
+// figures, cmd/bmsim, the service, the cluster and the facade. The
+// Bi-Modal family (plain bimodal and its presets, every scheme that is
+// not a baseline) gets the run-length-scaled core parameters
 // (ScaledCoreParams); baselines build with their paper defaults. Spec
 // params overlay either way, so geometry overrides compose with the
 // scaling.
@@ -100,11 +100,11 @@ func FactoryForSpec(rs spec.RunSpec, cores int) (Factory, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := OptionsForSpec(c).normalize()
+	o := OptionsForSpec(c)
 	return func(cfg dramcache.Config) dramcache.Scheme {
 		bc := spec.BuildConfig{Cache: cfg}
-		if d.MeasuredCoupled {
-			p := ScaledCoreParams(cfg.CacheBytes, cores, o.AccessesPerCore)
+		if !d.Baseline {
+			p := ScaledCoreParams(cfg.CacheBytes, cores, o)
 			bc.CoreParams = &p
 		}
 		s, err := d.New(bc, c.Params)

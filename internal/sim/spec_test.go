@@ -82,7 +82,7 @@ func TestFactoryForSpecMatchesLegacy(t *testing.T) {
 			}
 			opts := OptionsForSpec(rs)
 			ref := func(cfg dramcache.Config) dramcache.Scheme {
-				return tc.ref(cfg, ScaledCoreParams(cfg.CacheBytes, mix.Cores(), opts.AccessesPerCore))
+				return tc.ref(cfg, ScaledCoreParams(cfg.CacheBytes, mix.Cores(), opts))
 			}
 			want := run(t, mix, ref, opts)
 			got := run(t, mix, specFactory, opts)

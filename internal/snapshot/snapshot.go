@@ -19,12 +19,15 @@
 // component boundaries so a producer/consumer skew fails loudly at the
 // first drifted field instead of silently misreading the rest.
 //
-// Large tables (cache sets, way-locator entries, tag arrays) are encoded in
-// bulk: Writer.Extend reserves a table's bytes once and the owner fills them
-// in place with encoding/binary little-endian puts, in exactly the layout
-// the per-element primitives would write; Reader.Next hands the decoder the
-// same span as one bounds-checked slice. Warm snapshots are sealed in
-// place (NewSealer, Writer.Seal) and Open returns the payload as a
+// Large tables are encoded in bulk. A small fixed table (cache set headers,
+// predictor counters) is dense: Writer.Extend reserves its bytes once and
+// the owner fills them in place with encoding/binary little-endian puts, in
+// exactly the layout the per-element primitives would write; Reader.Next
+// hands the decoder the same span as one bounds-checked slice. A table of
+// mostly unwritten entries (cache ways, way-locator entries, tag arrays) is
+// sparse: Writer.Sparse seals only its nonzero entries behind a presence
+// bitmap, and Reader.Sparse scatters them back. Warm snapshots are sealed
+// in place (NewSealer, Writer.Seal) and Open returns the payload as a
 // sub-slice of the blob, so neither direction copies the payload.
 package snapshot
 
@@ -33,6 +36,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -59,7 +63,10 @@ type Snapshotter interface {
 // entries, write-queue entries as their drain key; dead DRAM and
 // controller fields, LohHill's MissMap and the SRAM replacement rng are
 // gone.
-const Version = 4
+// v5: every bulk table of mostly unwritten entries (core ways, way-locator
+// entries, tag arrays, page state) is sparse: a presence bitmap, a count
+// and the nonzero entries only (Writer.Sparse).
+const Version = 5
 
 // magic identifies a sealed snapshot blob.
 const magic = "BMSN"
@@ -89,9 +96,8 @@ func (w *Writer) Len() int { return len(w.buf) - w.payload }
 func (w *Writer) Extend(n int) []byte {
 	l := len(w.buf)
 	if n > cap(w.buf)-l {
-		// Reserve an eighth more than needed, so the small writes that
-		// follow a big table do not copy it again.
-		w.buf = slices.Grow(w.buf, n+(l+n)/8)
+		// At least double: a sparse table grows one entry at a time.
+		w.buf = slices.Grow(w.buf, l+n)
 	}
 	w.buf = w.buf[:l+n]
 	return w.buf[l : l+n : l+n]
@@ -196,6 +202,11 @@ type Reader struct {
 
 // NewReader wraps a payload.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Reset makes r read data from its start, with no error recorded, so a
+// caller that restores repeatedly can keep one Reader instead of
+// allocating one per payload.
+func (r *Reader) Reset(data []byte) { *r = Reader{data: data} }
 
 // Err returns the sticky error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -394,6 +405,151 @@ func (r *Reader) Tag(name string) {
 	}
 }
 
+// A sparse table holds n fixed-width entries, most of them all zero in a
+// briefly warmed simulator. It is encoded as
+//
+//	bitmap | u32 count | present entries
+//
+// where the bitmap has one bit per entry ((n+7)/8 bytes, entry i at bit
+// i%8 of byte i/8), an entry is present iff its encoding has a nonzero
+// byte, and the present entries follow in index order. The encoding is
+// canonical, one blob per state: Reader.Sparse rejects a count that
+// disagrees with the bitmap, a bit at or past n and a present entry that
+// is all zero.
+
+// SparseWriter writes one sparse table; see Writer.Sparse.
+type SparseWriter struct {
+	w     *Writer
+	at    int // offset of the bitmap in w.buf
+	n     int
+	width int
+	count int
+	last  int // index of the last entry Put, -1 before the first
+}
+
+// Sparse starts a sparse table of n entries of width bytes. The owner
+// calls Put for its nonzero entries in increasing index order, fills the
+// returned bytes in place and ends the table with Close. Skipping every
+// zero entry is what keeps the encoding canonical: an entry Put and left
+// all zero makes Reader.Sparse reject the blob.
+func (w *Writer) Sparse(n, width int) SparseWriter {
+	at := len(w.buf)
+	clear(w.Extend((n+7)/8 + 4))
+	return SparseWriter{w: w, at: at, n: n, width: width, last: -1}
+}
+
+// Put marks entry i present and returns its width bytes for the caller to
+// fill with a nonzero entry, valid until the next write. i must exceed
+// every earlier index.
+func (t *SparseWriter) Put(i int) []byte {
+	if i <= t.last || i >= t.n {
+		panic(fmt.Sprintf("snapshot: sparse entry %d after %d in a table of %d", i, t.last, t.n))
+	}
+	t.last = i
+	t.w.buf[t.at+i>>3] |= 1 << (i & 7)
+	t.count++
+	return t.w.Extend(t.width)
+}
+
+// Close ends the table, writing its count. The SparseWriter must not be
+// used afterwards.
+func (t *SparseWriter) Close() {
+	binary.LittleEndian.PutUint32(t.w.buf[t.at+(t.n+7)/8:], uint32(t.count))
+}
+
+// zero reports whether every byte of b is zero.
+func zero(b []byte) bool {
+	for len(b) >= 8 {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+		b = b[8:]
+	}
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SparseReader iterates the present entries of a sparse table; see
+// Reader.Sparse.
+type SparseReader struct {
+	r       *Reader
+	bitmap  []byte
+	entries []byte
+	width   int
+	word    uint64 // presence bits not yet visited, entry base at bit 0
+	base    int
+	next    int // entry at bit 0 of the next word to load
+}
+
+// Sparse opens a sparse table of n entries of width bytes, checking that
+// its count matches its bitmap and that no bit lies at or past n. The
+// owner clears its table, then scatters the present entries back with
+// Next. On a malformed table it records an error and Next yields nothing.
+func (r *Reader) Sparse(n, width int) SparseReader {
+	bitmap := r.Next((n + 7) / 8)
+	count := int(r.U32())
+	if r.err != nil {
+		return SparseReader{}
+	}
+	if k := n & 7; k != 0 && bitmap[len(bitmap)-1]>>k != 0 {
+		r.Failf("sparse table of %d entries has a presence bit past its end", n)
+		return SparseReader{}
+	}
+	set := 0
+	for b := bitmap; len(b) > 0; b = b[min(8, len(b)):] {
+		set += bits.OnesCount64(loadWord(b))
+	}
+	if set != count {
+		r.Failf("sparse table count %d, but its bitmap marks %d entries present", count, set)
+		return SparseReader{}
+	}
+	entries := r.Next(count * width)
+	if r.err != nil {
+		return SparseReader{}
+	}
+	return SparseReader{r: r, bitmap: bitmap, entries: entries, width: width}
+}
+
+// loadWord reads up to the first 8 bytes of b as a little-endian word.
+func loadWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var w uint64
+	for i, v := range b {
+		w |= uint64(v) << (8 * i)
+	}
+	return w
+}
+
+// Next returns the index and the width bytes of the next present entry,
+// or -1 and nil after the last one. It records an error, and stops, at a
+// present entry that is all zero. The bytes alias the payload: decode
+// from them, never write or retain them.
+func (t *SparseReader) Next() (int, []byte) {
+	for t.word == 0 {
+		if t.next >= 8*len(t.bitmap) {
+			return -1, nil
+		}
+		t.base, t.word = t.next, loadWord(t.bitmap[t.next/8:])
+		t.next += 64
+	}
+	i := t.base + bits.TrailingZeros64(t.word)
+	t.word &= t.word - 1
+	e := t.entries[:t.width:t.width]
+	t.entries = t.entries[t.width:]
+	if zero(e) {
+		t.r.Failf("sparse table entry %d is present but all zero", i)
+		t.word, t.bitmap = 0, nil
+		return -1, nil
+	}
+	return i, e
+}
+
 // NewSealer starts a sealed blob bound to prefixHash, in the versioned
 // envelope
 //
@@ -436,32 +592,32 @@ func Seal(prefixHash string, payload []byte) []byte {
 }
 
 // Open unwraps a sealed blob, verifying magic, version and checksum, and
-// returns the bound prefix hash and the payload. The payload is a
-// sub-slice of blob, not a copy: blobs are shared read-only (store.Mem
-// returns its stored bytes), so restore code must not write it or keep
-// slices of it.
-func Open(blob []byte) (prefixHash string, payload []byte, err error) {
+// returns the bound prefix hash and the payload. Both are sub-slices of
+// blob, not copies: blobs are shared read-only (a sweep's warm group hands
+// one blob to every member), so restore code must not write them or keep
+// slices of them.
+func Open(blob []byte) (prefixHash, payload []byte, err error) {
 	if len(blob) < len(magic)+4+4+4+sha256.Size {
-		return "", nil, fmt.Errorf("snapshot: blob too short (%d bytes)", len(blob))
+		return nil, nil, fmt.Errorf("snapshot: blob too short (%d bytes)", len(blob))
 	}
 	body, tail := blob[:len(blob)-sha256.Size], blob[len(blob)-sha256.Size:]
 	if sum := sha256.Sum256(body); string(sum[:]) != string(tail) {
-		return "", nil, fmt.Errorf("snapshot: checksum mismatch (corrupt blob)")
+		return nil, nil, fmt.Errorf("snapshot: checksum mismatch (corrupt blob)")
 	}
-	r := NewReader(body)
-	if got := string(r.Next(len(magic))); r.err == nil && got != magic {
-		return "", nil, fmt.Errorf("snapshot: bad magic %q", got)
+	r := Reader{data: body}
+	if got := r.Next(len(magic)); string(got) != magic {
+		return nil, nil, fmt.Errorf("snapshot: bad magic %q", got)
 	}
-	if v := r.U32(); r.err == nil && v != Version {
-		return "", nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
+	if v := r.U32(); v != Version {
+		return nil, nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
-	prefixHash = r.String()
+	prefixHash = r.bytes8()
 	payload = r.bytes8()
 	if r.err != nil {
-		return "", nil, r.err
+		return nil, nil, r.err
 	}
 	if r.Remaining() != 0 {
-		return "", nil, fmt.Errorf("snapshot: %d trailing bytes after payload", r.Remaining())
+		return nil, nil, fmt.Errorf("snapshot: %d trailing bytes after payload", r.Remaining())
 	}
 	return prefixHash, payload, nil
 }

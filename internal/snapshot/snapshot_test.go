@@ -365,7 +365,7 @@ func TestSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if gotHash != hash {
+	if string(gotHash) != hash {
 		t.Errorf("prefix hash = %q", gotHash)
 	}
 	if !bytes.Equal(gotPayload, payload) {
@@ -448,7 +448,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		var script []op
 		for _, k := range ops {
-			k %= 13
+			k %= 14
 			v := next()
 			script = append(script, op{k, v})
 			for _, wr := range []*Writer{w, sw} {
@@ -486,6 +486,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 						binary.LittleEndian.PutUint64(b[1:], v+uint64(i))
 						b = b[9:]
 					}
+				case 13:
+					putSparse(wr, v)
 				}
 			}
 		}
@@ -502,7 +504,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Seal/Open: %v", err)
 		}
-		if hash != "sha256:fuzz" || !bytes.Equal(opened, payload) {
+		if string(hash) != "sha256:fuzz" || !bytes.Equal(opened, payload) {
 			t.Fatal("sealed payload did not round-trip")
 		}
 
@@ -586,6 +588,16 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 					}
 					b = b[9:]
 				}
+			case 13:
+				n, width, want := sparseTable(o.val)
+				got := make([]byte, n*width)
+				sr := r.Sparse(n, width)
+				for i, b := sr.Next(); b != nil; i, b = sr.Next() {
+					copy(got[i*width:], b)
+				}
+				if r.Err() == nil && !bytes.Equal(got, want) {
+					t.Fatalf("sparse table of %d x %d bytes did not round-trip", n, width)
+				}
 			}
 		}
 		if err := r.Err(); err != nil {
@@ -604,7 +616,124 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				t.Fatalf("corruption at byte %d accepted", i)
 			}
 		}
+
+		// A sparse table corrupted under the checksum: a flipped bitmap
+		// bit, a changed count or a truncation is rejected, and a changed
+		// entry byte is rejected when it leaves the entry all zero, and
+		// never panics.
+		v := next()
+		n, width, _ := sparseTable(v)
+		tw := NewWriter()
+		putSparse(tw, v)
+		table, bitmap := tw.Bytes(), (n+7)/8
+		mutated := append([]byte(nil), table...)
+		rejected := true
+		switch pos := next(); {
+		case pos%4 == 0 && n > 0:
+			bit := int(pos>>2) % (8 * bitmap)
+			mutated[bit/8] ^= 1 << (bit % 8)
+		case pos%4 == 1:
+			delta := uint32(pos>>2)%7 + 1
+			binary.LittleEndian.PutUint32(mutated[bitmap:], binary.LittleEndian.Uint32(mutated[bitmap:])+delta)
+		case pos%4 == 2 && len(table) > bitmap+4:
+			at := bitmap + 4 + int(pos>>2)%(len(table)-bitmap-4)
+			mutated[at] ^= byte(pos>>40) | 1
+			e := (at - bitmap - 4) / width * width
+			rejected = zero(mutated[bitmap+4+e : bitmap+4+e+width])
+		default:
+			mutated = mutated[:int(pos>>2)%len(table)]
+		}
+		r = NewReader(mutated)
+		sr := r.Sparse(n, width)
+		for _, b := sr.Next(); b != nil; _, b = sr.Next() {
+		}
+		if (r.Err() != nil) != rejected {
+			t.Fatalf("corrupted sparse table of %d x %d bytes: err = %v, want rejected = %v", n, width, r.Err(), rejected)
+		}
 	})
+}
+
+// sparseTable derives a sparse table from a fuzz value: 0 to 69 entries
+// of 1 to 9 bytes at a density of 0 to 100%, and its dense image. A
+// present entry's first byte is odd, so it is never all zero.
+func sparseTable(v uint64) (n, width int, dense []byte) {
+	n, width = int(v%70), 1+int(v>>8%9)
+	density := v >> 16 % 101
+	dense = make([]byte, n*width)
+	for i := 0; i < n; i++ {
+		h := (v + uint64(i)) * 0x9E3779B97F4A7C15
+		if h>>32%100 >= density {
+			continue
+		}
+		e := dense[i*width : (i+1)*width]
+		for j := range e {
+			e[j] = byte(h >> (8 * (j % 8)))
+		}
+		e[0] |= 1
+	}
+	return n, width, dense
+}
+
+// putSparse writes sparseTable(v) as a sparse table, putting its nonzero
+// entries only.
+func putSparse(w *Writer, v uint64) {
+	n, width, dense := sparseTable(v)
+	t := w.Sparse(n, width)
+	for i := 0; i < n; i++ {
+		if e := dense[i*width : (i+1)*width]; !zero(e) {
+			copy(t.Put(i), e)
+		}
+	}
+	t.Close()
+}
+
+// TestSparseRejectsMalformed checks every rule of the sparse table
+// encoding: a table reads back only with a count equal to its bitmap's
+// popcount, no presence bit past its last entry, no present entry that is
+// all zero and all of its entry bytes.
+func TestSparseRejectsMalformed(t *testing.T) {
+	// 11 two-byte entries, entries 1 and 9 present: a 2-byte bitmap, a
+	// count and 4 entry bytes.
+	w := NewWriter()
+	sw := w.Sparse(11, 2)
+	copy(sw.Put(1), []byte{1, 0})
+	copy(sw.Put(9), []byte{0, 9})
+	sw.Close()
+	good := w.Bytes()
+	if want := []byte{0b10, 0b10, 2, 0, 0, 0, 1, 0, 0, 9}; !bytes.Equal(good, want) {
+		t.Fatalf("encoding = %v, want %v", good, want)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte) []byte
+		want string
+	}{
+		{"ok", func(b []byte) []byte { return b }, ""},
+		{"count above popcount", func(b []byte) []byte { b[2] = 3; return b }, "bitmap marks 2"},
+		{"count below popcount", func(b []byte) []byte { b[2] = 1; return b }, "bitmap marks 2"},
+		{"extra bit", func(b []byte) []byte { b[0] |= 1; return b }, "bitmap marks 3"},
+		{"bit past the table", func(b []byte) []byte { b[1] |= 1 << 3; b[2] = 3; return b }, "past its end"},
+		{"present entry all zero", func(b []byte) []byte { b[9] = 0; return b }, "entry 9 is present but all zero"},
+		{"truncated entries", func(b []byte) []byte { return b[:len(b)-1] }, "truncated"},
+		{"truncated bitmap", func(b []byte) []byte { return b[:1] }, "truncated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewReader(tc.edit(append([]byte(nil), good...)))
+			dst := make([]byte, 11*2)
+			sr := r.Sparse(11, 2)
+			for i, b := sr.Next(); b != nil; i, b = sr.Next() {
+				copy(dst[2*i:], b)
+			}
+			switch err := r.Err(); {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid table rejected: %v", err)
+			case tc.want == "" && (dst[2] != 1 || dst[19] != 9 || r.Remaining() != 0):
+				t.Fatalf("decoded %v with %d bytes left", dst, r.Remaining())
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // fuzzU64s, fuzzU32s and fuzzI64s derive short bulk slices (0-3

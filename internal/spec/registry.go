@@ -72,18 +72,6 @@ type Descriptor struct {
 	// CrossCheck validates relations between merged parameters that
 	// per-key bounds cannot express.
 	CrossCheck func(Params) error
-	// MeasuredCoupled marks schemes whose construction depends on the
-	// measured-run length (the Bi-Modal family scales its core parameters
-	// from AccessesPerCore). It is the one place that coupling is
-	// declared, and three consumers read it: sim.FactoryForSpec scales
-	// the core parameters (sim.ScaledCoreParams); PrefixHash keeps
-	// AccessesPerCore, so the prefix covers the whole canonical spec; and
-	// the sweep planner in internal/service therefore never groups such
-	// cells for a shared warmup and seals no snapshot of them, since only
-	// an identical spec, already a result-store hit, could restore it.
-	// Family presets inherit the flag with the builder, so a preset is the
-	// figures' variant of its name.
-	MeasuredCoupled bool
 	// Build constructs the scheme.
 	Build Builder
 }
@@ -95,8 +83,8 @@ var (
 )
 
 // Register adds a descriptor to the registry. Family descriptors inherit
-// their family's builder, schema, cross-check and measured-run coupling.
-// Name and alias collisions are errors.
+// their family's builder, schema and cross-check. Name and alias
+// collisions are errors.
 func Register(d Descriptor) error {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -114,7 +102,6 @@ func Register(d Descriptor) error {
 		d.Build = fam.Build
 		d.Params = fam.Params
 		d.CrossCheck = fam.CrossCheck
-		d.MeasuredCoupled = fam.MeasuredCoupled
 	}
 	if d.Build == nil {
 		return fmt.Errorf("spec: scheme %q has no builder", d.Name)

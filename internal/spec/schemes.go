@@ -21,9 +21,6 @@ func init() {
 		Params:      biModalParams,
 		CrossCheck:  biModalCrossCheck,
 		Build:       buildBiModal,
-		// The family's core parameters scale with the measured run length
-		// (sim.ScaledCoreParams); the presets below inherit the coupling.
-		MeasuredCoupled: true,
 	})
 	mustRegister(Descriptor{
 		Name:        "bimodal-only",

@@ -238,9 +238,15 @@ func (s RunSpec) Hash() (string, error) {
 }
 
 // HashBytes returns the content hash of an already-canonical encoding.
-func HashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:])
+func HashBytes(b []byte) string { return hashString(sha256.Sum256(b)) }
+
+// hashString formats a digest as "sha256:<hex>" in one allocation.
+func hashString(sum [sha256.Size]byte) string {
+	const tag = "sha256:"
+	var b [len(tag) + 2*sha256.Size]byte
+	copy(b[:], tag)
+	hex.Encode(b[len(tag):], sum[:])
+	return string(b[:])
 }
 
 // HashJSON marshals v (which must already be in canonical form) and

@@ -213,8 +213,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 
 // TestRegistryShape pins the registry's structural invariants the rest of
 // the system relies on: nine schemes in comparison order, four baselines,
-// the bimodal family presets, and MeasuredCoupled on exactly the Bi-Modal
-// family (the plain scheme and every preset), never on a baseline.
+// and the bimodal family presets, every scheme either a member of the
+// Bi-Modal family (the plain scheme or a preset) or a baseline.
 func TestRegistryShape(t *testing.T) {
 	wantNames := []string{
 		"bimodal", "bimodal-only", "wl-only", "bimodal-cometa",
@@ -237,9 +237,8 @@ func TestRegistryShape(t *testing.T) {
 		if d.Build == nil {
 			t.Errorf("scheme %q has no builder", d.Name)
 		}
-		inFamily := d.Name == "bimodal" || d.Family == "bimodal"
-		if d.MeasuredCoupled != inFamily {
-			t.Errorf("scheme %q: MeasuredCoupled = %v", d.Name, d.MeasuredCoupled)
+		if inFamily := d.Name == "bimodal" || d.Family == "bimodal"; inFamily == d.Baseline {
+			t.Errorf("scheme %q: in the Bi-Modal family %v, baseline %v", d.Name, inFamily, d.Baseline)
 		}
 	}
 }

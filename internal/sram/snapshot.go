@@ -10,23 +10,27 @@ import (
 // lastUse.
 const wayBytes = 1 + 1 + 8 + 8 + 8
 
-// SnapshotState implements snapshot.Snapshotter: every way as one Extend
+// SnapshotState implements snapshot.Snapshotter: every way as one sparse
 // table (walked set-major, way-minor), the recency clock and the hit/miss
 // counters. Geometry is configuration.
 func (c *Cache) SnapshotState(w *snapshot.Writer) {
 	w.Tag("sram")
-	b := w.Extend(len(c.sets) * c.cfg.Assoc * wayBytes)
-	for _, set := range c.sets {
+	t := w.Sparse(len(c.sets)*c.cfg.Assoc, wayBytes)
+	for s, set := range c.sets {
 		for i := range set {
 			way := &set[i]
+			if *way == (Way{}) {
+				continue
+			}
+			b := t.Put(s*c.cfg.Assoc + i)
 			snapshot.PutBool(b, way.Valid)
 			snapshot.PutBool(b[1:], way.Dirty)
 			binary.LittleEndian.PutUint64(b[2:], way.Tag)
 			binary.LittleEndian.PutUint64(b[10:], way.Aux)
 			binary.LittleEndian.PutUint64(b[18:], way.lastUse)
-			b = b[wayBytes:]
 		}
 	}
+	t.Close()
 	w.U64(c.clock)
 	w.I64(c.Hits)
 	w.I64(c.Misses)
@@ -36,20 +40,17 @@ func (c *Cache) SnapshotState(w *snapshot.Writer) {
 // with the same Config as the producer.
 func (c *Cache) RestoreState(r *snapshot.Reader) {
 	r.Tag("sram")
-	b := r.Next(len(c.sets) * c.cfg.Assoc * wayBytes)
-	if r.Err() != nil {
-		return
-	}
 	for _, set := range c.sets {
-		for i := range set {
-			way := &set[i]
-			way.Valid = r.DecodeBool(b[0])
-			way.Dirty = r.DecodeBool(b[1])
-			way.Tag = binary.LittleEndian.Uint64(b[2:])
-			way.Aux = binary.LittleEndian.Uint64(b[10:])
-			way.lastUse = binary.LittleEndian.Uint64(b[18:])
-			b = b[wayBytes:]
-		}
+		clear(set)
+	}
+	t := r.Sparse(len(c.sets)*c.cfg.Assoc, wayBytes)
+	for i, b := t.Next(); b != nil; i, b = t.Next() {
+		way := &c.sets[i/c.cfg.Assoc][i%c.cfg.Assoc]
+		way.Valid = r.DecodeBool(b[0])
+		way.Dirty = r.DecodeBool(b[1])
+		way.Tag = binary.LittleEndian.Uint64(b[2:])
+		way.Aux = binary.LittleEndian.Uint64(b[10:])
+		way.lastUse = binary.LittleEndian.Uint64(b[18:])
 	}
 	c.clock = r.U64()
 	c.Hits = r.I64()

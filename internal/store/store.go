@@ -4,8 +4,12 @@
 // pure function of its canonical spec — the determinism contract — a hash
 // fully identifies one immutable blob, so the store never needs
 // versioning, invalidation or overwrite semantics: putting the same hash
-// twice necessarily stores the same bytes. It holds cell results only;
-// warm-state snapshots stay in memory with the sweep that seals them.
+// twice necessarily stores the same bytes. The contract holds within one
+// simulator version: a change that gives a canonical spec new result bytes
+// without moving its hash (DESIGN §7) leaves a Disk store written before
+// it stale, so clear the store when upgrading across such a change. It
+// holds cell results only; warm-state snapshots stay in memory with the
+// sweep that seals them.
 //
 // Two implementations cover the deployment spectrum: Mem for tests and
 // servers whose results may die with the process, Disk for servers whose
