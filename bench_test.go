@@ -94,6 +94,7 @@ func BenchmarkEndToEndMix(b *testing.B)            { bench.Run(b, "EndToEndMix")
 func BenchmarkEndToEndMixPooled(b *testing.B)      { bench.Run(b, "EndToEndMixPooled") }
 func BenchmarkSweepColdWarmup(b *testing.B)        { bench.Run(b, "SweepColdWarmup") }
 func BenchmarkSweepWarmRestore(b *testing.B)       { bench.Run(b, "SweepWarmRestore") }
+func BenchmarkSweepSharedRun(b *testing.B)         { bench.Run(b, "SweepSharedRun") }
 func BenchmarkSweepPooled(b *testing.B)            { bench.Run(b, "SweepPooled") }
 func BenchmarkWarmSnapshot(b *testing.B)           { bench.Run(b, "WarmSnapshot") }
 func BenchmarkWarmRestore(b *testing.B)            { bench.Run(b, "WarmRestore") }

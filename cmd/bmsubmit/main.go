@@ -140,8 +140,9 @@ func splitList(s string) []string {
 }
 
 // progress renders one SSE event to stderr. Cell events carry an origin
-// (run|warm|store) showing whether the cell simulated, simulated from a
-// restored warm snapshot, or was answered by the content-addressed store.
+// (run|warm|store) showing whether the cell simulated, was read off the
+// run of another cell sharing its warm prefix, or was answered by the
+// content-addressed store.
 func progress(e service.Event) {
 	switch e.Type {
 	case "cell":

@@ -71,6 +71,7 @@ var cases = []Case{
 	{"EndToEndMixPooled", "the EndToEndMix cell recycled through a RunPool (steady-state Reset)", endToEndMixPooled},
 	{"SweepColdWarmup", "10-cell same-prefix sweep, every cell warming from cold", sweepColdWarmup},
 	{"SweepWarmRestore", "10-cell same-prefix sweep warming once via snapshot restore", sweepWarmRestore},
+	{"SweepSharedRun", "the 10 SweepWarmRestore cells read off one warm run", sweepSharedRun},
 	{"SweepPooled", "10-seed one-cell sweep recycling a single pooled simulator", sweepPooled},
 	{"WarmSnapshot", "seal the warm state of a Bi-Modal Q7 cache/64 simulator", warmSnapshot},
 	{"WarmRestore", "open and restore a sealed Bi-Modal Q7 cache/64 warm snapshot", warmRestore},
@@ -272,11 +273,12 @@ func endToEndMixPooled(b *testing.B) {
 
 // --- warm-state checkpointing: sweep warmup amortization ---
 //
-// The two sweep cases run the same 10-cell workload — cells identical up
+// The three sweep cases run the same 10-cell workload — cells identical up
 // to measured length, so they share one warmup prefix hash — first the
 // pre-snapshot way (every cell warms from cold), then through the
-// snapshot seam (warm once, seal, fork restored engines). The pair
-// quantifies what internal/snapshot buys a same-prefix sweep; the
+// snapshot seam (warm once, seal, fork restored engines), then as a
+// service sweep runs it (warm once, measure once, read every cell off the
+// run). They quantify what warm sharing buys a same-prefix sweep; the
 // warmup window is sized so warmup dominates, as it does in real
 // convergence sweeps. TestWarmSweepBeatsColdWarmup pins the ratio >= 2x.
 
@@ -361,6 +363,31 @@ func runSweepWarmRestore() error {
 	return nil
 }
 
+// runSweepSharedRun executes the sweep the way a service sweep runs a
+// warm-prefix group: one Sim warms up once and measures once, to the
+// longest cell, and every cell's result is read off that run as it passes
+// the cell's measured length.
+func runSweepSharedRun() error {
+	ctx := context.Background()
+	specs := warmSweepSpecs()
+	mix, err := workloads.MixForSpec(specs[0])
+	if err != nil {
+		return err
+	}
+	s, err := sim.ForSpec(nil, specs[0], mix, 1)
+	if err != nil {
+		return err
+	}
+	if err := s.Warmup(ctx); err != nil {
+		return err
+	}
+	quotas := make([]sim.Quota, len(specs))
+	for i, rs := range specs {
+		quotas[i].Accesses = rs.Options.AccessesPerCore
+	}
+	return s.MeasureEach(ctx, quotas, func(int, sim.RunResult) error { return nil })
+}
+
 // sweepColdWarmup measures the pre-snapshot sweep path. One untimed sweep
 // first grows the process-wide read-ahead chunk list and marks and the
 // Zipf table cache, so allocs/op does not depend on b.N.
@@ -381,6 +408,22 @@ func sweepWarmRestore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := runSweepWarmRestore(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sweepSharedRun measures the one-run sweep path. One untimed sweep
+// first grows the process-wide read-ahead chunk list and marks, so
+// allocs/op does not depend on b.N.
+func sweepSharedRun(b *testing.B) {
+	if err := runSweepSharedRun(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := runSweepSharedRun(); err != nil {
 			b.Fatal(err)
 		}
 	}

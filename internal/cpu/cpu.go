@@ -133,10 +133,13 @@ type core struct {
 	// generator weaves multiple tenants (empty otherwise). Sized once at
 	// construction from the generator's Tenants().
 	tens []TenantResult
-	// remaining/next/key are phase-boundary non-state: runPhase re-primes
-	// every core when a phase starts, overwriting them before first use
-	// (see the seam note at the top of snapshot.go).
+	// remaining/quota/next/key are phase-boundary non-state: runPhase
+	// re-primes every core when a phase starts, overwriting them before
+	// first use (see the seam note at the top of snapshot.go). remaining
+	// counts the accesses left to the core's current quota, the index quota
+	// names in the phase's list.
 	remaining int64 //bmlint:nosnapshot
+	quota     int   //bmlint:nosnapshot
 	// next is the primed upcoming access; key is its projected issue time
 	// (the heap priority, so requests reach memory in global time order).
 	next trace.Access //bmlint:nosnapshot
@@ -201,7 +204,8 @@ func (c *core) prime() {
 
 // step replays the primed access against the scheme at the issue time
 // prime computed. It returns true when this access completed the core's
-// measured quota (results freeze at that point; execution continues).
+// current quota; past its phase's last quota the core's results freeze
+// and execution continues uncounted.
 //
 //bmlint:hotpath
 func (c *core) step(s dramcache.Scheme, pf *Prefetcher) bool {
@@ -269,14 +273,18 @@ func (c *core) insertOutstanding(done int64) {
 }
 
 // finish drains in-flight misses into the final cycle count.
-func (c *core) finish() {
+func (c *core) finish() { c.result.Cycles = c.finishTime() }
+
+// finishTime is the cycle count finish would record now: the core's clock
+// or its last in-flight miss, whichever ends later.
+func (c *core) finishTime() int64 {
 	t := c.time
 	for _, m := range c.outstanding[c.outHead:] {
 		if m.done > t {
 			t = m.done
 		}
 	}
-	c.result.Cycles = t
+	return t
 }
 
 // reset returns the core to its just-constructed replay state, keeping
@@ -296,6 +304,7 @@ func (c *core) reset() {
 		c.tens[i] = TenantResult{Tenant: i}
 	}
 	c.remaining = 0
+	c.quota = 0
 	c.next = trace.Access{}
 	c.key = 0
 }
@@ -322,6 +331,13 @@ type Engine struct {
 	// across phases and pooled runs so runPhase never reallocates it.
 	// Transient within a phase — always empty at the snapshot seam.
 	sched []*core //bmlint:nosnapshot
+	// caps and capT are RunEachContext's capture buffers: each core's
+	// results as it completes quota k at caps[k*len(cores)+core], and the
+	// tenant totals at quota k at capT[k*tenants+tenant]. Sized before a
+	// phase and reused across phases and pooled runs; their contents never
+	// outlive one phase.
+	caps []CoreResult   //bmlint:resetconst //bmlint:nosnapshot
+	capT []TenantResult //bmlint:resetconst //bmlint:nosnapshot
 }
 
 // NewEngine builds an engine. gens supplies one generator per core; a
@@ -455,7 +471,52 @@ const ctxCheckInterval = 8192
 // checks ctx every ctxCheckInterval accesses and returns ctx.Err() when
 // the context ends, discarding partial results.
 func (e *Engine) RunContext(ctx context.Context, accessesPerCore int64) ([]CoreResult, error) {
-	return e.runPhase(ctx, accessesPerCore, measureRate)
+	if err := e.runPhase(ctx, []int64{accessesPerCore}, measureRate, nil); err != nil {
+		return nil, err
+	}
+	return e.CumulativeResults(), nil
+}
+
+// RunEachContext is RunContext toward several quotas in one phase: it runs
+// to the last of quotas, which must ascend strictly from a positive first,
+// and calls each(k, per, tens) as the phase passes quotas[k], that is when
+// the last core completes its quotas[k]-th counted access, before any
+// further access. per holds every core's results as of its own
+// quotas[k]-th access, cycles as finish records them, and tens the
+// per-tenant totals over those points (as TenantTotals, empty without
+// tenants); both are cumulative, and alias engine buffers valid only
+// during the call. An error from each ends the phase as a cancelled ctx
+// does, and RunEachContext returns it.
+//
+// Counting toward a quota changes what a core counts, never what the
+// engine simulates: finished cores keep running either way, and counted
+// feeds only the core's results, tenants and remaining count. So when the
+// phase passes quotas[k], the scheme, its statistics and every core's
+// results are exactly those at the end of RunContext(ctx, quotas[k]) on an
+// identical engine: a shorter phase is a prefix of a longer one.
+func (e *Engine) RunEachContext(ctx context.Context, quotas []int64, each func(k int, per []CoreResult, tens []TenantResult) error) error {
+	for k, q := range quotas {
+		if q <= 0 || k > 0 && q <= quotas[k-1] {
+			panic("cpu: quotas must ascend strictly from a positive first")
+		}
+	}
+	if len(quotas) == 0 {
+		return nil
+	}
+	n := len(quotas) * len(e.cores)
+	if cap(e.caps) < n {
+		e.caps = make([]CoreResult, n)
+	}
+	e.caps = e.caps[:n]
+	nt := e.tenants()
+	if cap(e.capT) < len(quotas)*nt {
+		e.capT = make([]TenantResult, len(quotas)*nt)
+	}
+	e.capT = e.capT[:len(quotas)*nt]
+	for i := range e.capT {
+		e.capT[i] = TenantResult{Tenant: i % nt}
+	}
+	return e.runPhase(ctx, quotas, measureRate, each)
 }
 
 // Phase throughput histograms, resolved once at package init: building
@@ -487,56 +548,94 @@ func observeRate(h *telemetry.Histogram, steps int64, elapsed time.Duration) {
 // context check cadence and heap fairness stay predictable.
 const dispatchBatch = 64
 
-// runPhase is RunContext tagged with a phase histogram for throughput
-// telemetry (warmup vs measure). Dispatch is batched: because the
-// scheduler orders cores by the (key, id) total order, "this core is
-// before the heap root" is exactly "this core is the global minimum", so
-// skipping the push/pop pair while that holds replays the identical
-// access sequence one-at-a-time dispatch would.
+// runPhase runs one phase toward quotas (ascending; a zero quota only
+// alone), tagged with a phase histogram for throughput telemetry (warmup
+// vs measure). Each core counts its accesses toward quotas[c.quota]; when
+// it completes one, it moves on to the next, and past the last it keeps
+// running uncounted. The phase passes a quota when the last core
+// completes it, ends when it passes the last one, and calls each (when
+// not nil, with the capture buffers RunEachContext sized) at every pass.
+// The quota bookkeeping runs only when step reports a completed quota, so
+// its per-access cost is step's remaining == 0 test.
+//
+// Dispatch is batched: because the scheduler orders cores by the (key,
+// id) total order, "this core is before the heap root" is exactly "this
+// core is the global minimum", so skipping the push/pop pair while that
+// holds replays the identical access sequence one-at-a-time dispatch
+// would.
 //
 //bmlint:hotpath
-func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist *telemetry.Histogram) ([]CoreResult, error) {
+func (e *Engine) runPhase(ctx context.Context, quotas []int64, phaseHist *telemetry.Histogram, each func(k int, per []CoreResult, tens []TenantResult) error) error {
 	start := telemetry.Now() //bmlint:wallclock — phase throughput telemetry only
 	e.sched = e.sched[:0]
-	active := 0
+	last := quotas[len(quotas)-1]
 	for _, c := range e.cores {
 		c.ra.mustBeCurrent()
-		c.remaining = accessesPerCore
-		if c.remaining > 0 {
-			active++
-			c.ra.start(accessesPerCore + 1) // the guaranteed region
+		c.quota = 0
+		c.remaining = quotas[0]
+		if last > 0 {
+			c.ra.start(last + 1) // the guaranteed region
 			c.prime()
 			e.push(c)
 		} else {
 			c.finish()
 		}
 	}
+	// passed counts the quotas the phase has passed, behind the cores that
+	// have yet to complete quotas[passed]; nt is the tenant stride of capT.
+	passed, behind := 0, len(e.cores)
+	if last == 0 || behind == 0 {
+		passed = len(quotas)
+	}
+	nt := 0
+	if each != nil {
+		nt = len(e.capT) / len(quotas)
+	}
 	var steps int64
-	for active > 0 {
+	for passed < len(quotas) {
 		c := e.pop()
 		for batch := 0; ; batch++ {
 			if steps%ctxCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
-					for _, c := range e.cores {
-						c.ra.sync()
-					}
-					return nil, err
+					e.syncReadAhead()
+					return err
 				}
 			}
 			steps++
 			if c.step(e.scheme, e.pf) {
-				c.finish()
-				active--
+				k := c.quota
+				c.quota++
+				if each != nil {
+					e.capture(c, k, nt)
+				}
+				if c.quota < len(quotas) {
+					c.remaining = quotas[c.quota] - quotas[k]
+				} else {
+					c.finish()
+				}
+				if k == passed {
+					if behind--; behind == 0 {
+						if each != nil {
+							n := len(e.cores)
+							if err := each(k, e.caps[k*n:(k+1)*n], e.capT[k*nt:(k+1)*nt]); err != nil {
+								e.syncReadAhead()
+								return err
+							}
+						}
+						passed++
+						behind = e.behind(passed)
+					}
+				}
 			}
 			c.prime()
-			if active == 0 {
+			if passed == len(quotas) {
 				break
 			}
 			if batch+1 >= dispatchBatch || (len(e.sched) > 0 && !c.before(e.sched[0])) {
 				break
 			}
 		}
-		if active == 0 {
+		if passed == len(quotas) {
 			break
 		}
 		e.push(c)
@@ -545,11 +644,43 @@ func (e *Engine) runPhase(ctx context.Context, accessesPerCore int64, phaseHist 
 		c.ra.end()
 	}
 	observeRate(phaseHist, steps, telemetry.Since(start)) //bmlint:wallclock
-	out := make([]CoreResult, len(e.cores))               //bmlint:allow alloc — one phase-exit result copy, not per-access
-	for i, c := range e.cores {
-		out[i] = c.result
+	return nil
+}
+
+// capture records core c's results as it completes quota k: its counters
+// with the cycles finish would record now, and its tenants' attribution
+// added into quota k's totals (nt tenants per quota).
+func (e *Engine) capture(c *core, k, nt int) {
+	r := c.result
+	r.Cycles = c.finishTime()
+	e.caps[k*len(e.cores)+c.id] = r
+	tot := e.capT[k*nt : (k+1)*nt]
+	for i, t := range c.tens {
+		tot[i].Accesses += t.Accesses
+		tot[i].Reads += t.Reads
+		tot[i].Hits += t.Hits
+		tot[i].LatencySum += t.LatencySum
+		tot[i].Insts += t.Insts
 	}
-	return out, nil
+}
+
+// behind counts the cores that have yet to complete quota index k.
+func (e *Engine) behind(k int) int {
+	n := 0
+	for _, c := range e.cores {
+		if c.quota <= k {
+			n++
+		}
+	}
+	return n
+}
+
+// syncReadAhead puts every core's generator back at the engine's position
+// when a phase ends early.
+func (e *Engine) syncReadAhead() {
+	for _, c := range e.cores {
+		c.ra.sync()
+	}
 }
 
 // ReleaseReadAhead hands every core's read-ahead buffers back to the
@@ -574,7 +705,10 @@ func (e *Engine) ReleaseReadAhead() {
 // exactly this point (see SnapshotState): measuring after a restore
 // replays the measured window of the uninterrupted engine identically.
 func (e *Engine) WarmupContext(ctx context.Context, warmup int64) ([]CoreResult, error) {
-	return e.runPhase(ctx, warmup, warmupRate)
+	if err := e.runPhase(ctx, []int64{warmup}, warmupRate, nil); err != nil {
+		return nil, err
+	}
+	return e.CumulativeResults(), nil
 }
 
 // MeasureAfterWarmupContext resets scheme statistics (cache state stays
@@ -583,24 +717,41 @@ func (e *Engine) WarmupContext(ctx context.Context, warmup int64) ([]CoreResult,
 // engine restored from a warmup snapshot.
 func (e *Engine) MeasureAfterWarmupContext(ctx context.Context, measure int64, pre []CoreResult) ([]CoreResult, error) {
 	e.scheme.ResetStats()
-	post, err := e.RunContext(ctx, measure)
-	if err != nil {
+	if err := e.runPhase(ctx, []int64{measure}, measureRate, nil); err != nil {
 		return nil, err
 	}
-	out := make([]CoreResult, len(post))
-	for i := range post {
-		out[i] = CoreResult{
-			Core:       post[i].Core,
-			Benchmark:  post[i].Benchmark,
-			Cycles:     post[i].Cycles - pre[i].Cycles,
-			Insts:      post[i].Insts - pre[i].Insts,
-			Accesses:   post[i].Accesses - pre[i].Accesses,
-			Reads:      post[i].Reads - pre[i].Reads,
-			Hits:       post[i].Hits - pre[i].Hits,
-			LatencySum: post[i].LatencySum - pre[i].LatencySum,
-		}
+	out := make([]CoreResult, len(e.cores))
+	for i, c := range e.cores {
+		out[i] = c.result.minus(pre[i])
 	}
 	return out, nil
+}
+
+// minus returns r's counters less a warmup baseline's, keeping r's
+// identity (core and benchmark).
+func (r CoreResult) minus(pre CoreResult) CoreResult {
+	return CoreResult{
+		Core:       r.Core,
+		Benchmark:  r.Benchmark,
+		Cycles:     r.Cycles - pre.Cycles,
+		Insts:      r.Insts - pre.Insts,
+		Accesses:   r.Accesses - pre.Accesses,
+		Reads:      r.Reads - pre.Reads,
+		Hits:       r.Hits - pre.Hits,
+		LatencySum: r.LatencySum - pre.LatencySum,
+	}
+}
+
+// DeltaResults subtracts a warmup baseline from cumulative per-core
+// results, as MeasureAfterWarmupContext does, into a new slice. pre may
+// be empty (no warmup): the results are then copied as they are.
+func DeltaResults(post, pre []CoreResult) []CoreResult {
+	out := make([]CoreResult, len(post))
+	copy(out, post)
+	for i := range pre {
+		out[i] = post[i].minus(pre[i])
+	}
+	return out
 }
 
 // CumulativeResults returns each core's cumulative counters — the same
@@ -624,12 +775,7 @@ func (e *Engine) AppendCumulativeResults(dst []CoreResult) []CoreResult {
 // tenants. Totals are cumulative (like CumulativeResults); subtract a
 // warmup baseline with DeltaTenants.
 func (e *Engine) TenantTotals() []TenantResult {
-	n := 0
-	for _, c := range e.cores {
-		if len(c.tens) > n {
-			n = len(c.tens)
-		}
-	}
+	n := e.tenants()
 	if n == 0 {
 		return nil
 	}
@@ -647,6 +793,16 @@ func (e *Engine) TenantTotals() []TenantResult {
 		}
 	}
 	return out
+}
+
+// tenants is the number of tenants any core attributes to: the length of
+// TenantTotals, 0 when no core weaves multiple tenants.
+func (e *Engine) tenants() int {
+	n := 0
+	for _, c := range e.cores {
+		n = max(n, len(c.tens))
+	}
+	return n
 }
 
 // ANTT computes the Average Normalized Turnaround Time of a

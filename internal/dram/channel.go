@@ -133,17 +133,44 @@ type Channel struct {
 // NewChannel builds a channel with the given timing and geometry (ranks x
 // banks per rank; banks per rank must be a power of two).
 func NewChannel(t Timing, ranks, banksPerRank int) *Channel {
+	checkGeometry(t, ranks, banksPerRank)
+	c := new(Channel)
+	c.init(t, make([]bank, ranks*banksPerRank), make([]rankState, ranks))
+	return c
+}
+
+// NewChannels builds n channels as n calls of NewChannel would, but the
+// channels, their banks and their ranks each share one backing array, so
+// a controller's channels cost four allocations whatever their number.
+func NewChannels(t Timing, ranks, banksPerRank, n int) []*Channel {
+	checkGeometry(t, ranks, banksPerRank)
+	nb := ranks * banksPerRank
+	chans, banks, rks := make([]Channel, n), make([]bank, n*nb), make([]rankState, n*ranks)
+	out := make([]*Channel, n)
+	for i := range chans {
+		chans[i].init(t, banks[i*nb:(i+1)*nb:(i+1)*nb], rks[i*ranks:(i+1)*ranks:(i+1)*ranks])
+		out[i] = &chans[i]
+	}
+	return out
+}
+
+// checkGeometry panics on an invalid timing or geometry.
+func checkGeometry(t Timing, ranks, banksPerRank int) {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
 	if ranks <= 0 || !addr.IsPow2(uint64(banksPerRank)) {
 		panic(fmt.Sprintf("dram: invalid geometry ranks=%d banks=%d", ranks, banksPerRank))
 	}
-	c := &Channel{
+}
+
+// init sets a zero Channel up over its bank and rank arrays.
+func (c *Channel) init(t Timing, banks []bank, ranks []rankState) {
+	*c = Channel{
 		timing:    t,
-		banks:     make([]bank, ranks*banksPerRank),
-		ranks:     make([]rankState, ranks),
-		rankShift: addr.Log2(uint64(banksPerRank)),
+		banks:     banks,
+		ranks:     ranks,
+		rankShift: addr.Log2(uint64(len(banks) / len(ranks))),
 		clCPU:     t.cpu(t.CL),
 		cwlCPU:    t.cpu(t.CWL),
 		rcdCPU:    t.cpu(t.RCD),
@@ -171,7 +198,6 @@ func NewChannel(t Timing, ranks, banksPerRank int) *Channel {
 		c.refPeriod = t.cpu(t.REFI)
 		c.refDur = t.cpu(t.RFC)
 	}
-	return c
 }
 
 // Reset returns the channel to its just-constructed state in place, reusing
@@ -204,6 +230,16 @@ func (c *Channel) Stats() Stats { return c.stats }
 
 // ResetStats zeroes the statistics (timing state is preserved).
 func (c *Channel) ResetStats() { c.stats = Stats{} }
+
+// CopyFrom overwrites c's state (bank and rank timing, the bus and the
+// statistics) with src's, so that c then behaves exactly as src does. Both
+// must be built with the same timing and geometry. It allocates nothing.
+func (c *Channel) CopyFrom(src *Channel) {
+	copy(c.banks, src.banks)
+	copy(c.ranks, src.ranks)
+	c.busAt = src.busAt
+	c.stats = src.stats
+}
 
 // refreshAdjust moves t out of any refresh blackout window and closes the
 // bank's row if a refresh happened since its last use.

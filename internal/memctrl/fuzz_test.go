@@ -87,6 +87,25 @@ func (c *refController) FlushWrites() {
 	}
 }
 
+// flushedStats is what Controller.Stats must return: the channel sum after
+// FlushWrites, taken on a copy so the reference itself moves on unflushed.
+// The copy's channels come through their snapshot codec.
+func (c *refController) flushedStats() dram.Stats {
+	cp := newRef(c.cfg)
+	for ch, dc := range c.channels {
+		w := snapshot.NewWriter()
+		dc.SnapshotState(w)
+		cp.channels[ch].RestoreState(snapshot.NewReader(w.Bytes()))
+		cp.writeQ[ch] = append([]refWrite(nil), c.writeQ[ch]...)
+	}
+	cp.FlushWrites()
+	var s dram.Stats
+	for _, dc := range cp.channels {
+		s.Add(dc.Stats())
+	}
+	return s
+}
+
 func (c *refController) Reset() {
 	for i := range c.writeQ {
 		c.writeQ[i] = c.writeQ[i][:0]
@@ -159,11 +178,16 @@ var fuzzMaxAges = [...]int64{0, 64, 700, 5000}
 // banks; else stacked, one rank), the queue depth (bits 1-3) and the
 // write age (bits 4-5). Each operation is four bytes: an opcode whose
 // low three bits pick Read, ReadAt, Write, WriteAt, Open, OpenAt,
-// FlushWrites or a SnapshotState/RestoreState round trip into a fresh
-// controller (Reset when bit 7 is set), and whose bits 3-4 pick the
-// arrival time (the same as the last, later by a small or a large step,
-// or earlier than the last); then a location byte, a row/column byte and
-// a time byte.
+// FlushWrites (Stats when bit 7 is set) or a SnapshotState/RestoreState
+// round trip into a fresh controller (Reset when bit 7 is set), and whose
+// bits 3-4 pick the arrival time (the same as the last, later by a small
+// or a large step, or earlier than the last); then a location byte, a
+// row/column byte and a time byte.
+//
+// Stats is the one operation only the controller performs: it must return
+// the reference's statistics after a flush of a copy, and leave the
+// controller exactly where the unflushed reference is, so every later
+// comparison still holds.
 func FuzzWriteQueue(f *testing.F) {
 	// Same-row writes with equal keys and arrival times hundreds of
 	// cycles apart and out of order, then a flush: the drain's
@@ -181,6 +205,12 @@ func FuzzWriteQueue(f *testing.F) {
 	f.Add([]byte{0x0c, 3, 0, 0, 1, 3, 2, 0, 1, 3, 4, 0, 1, 3, 6, 0, 1, 3, 8, 0, 1, 3, 10, 0, 1,
 		3, 0x80, 1, 1, 3, 0x82, 1, 1, 0x07, 0, 0, 0, 1, 0, 0, 30, 0x16, 1, 0, 200})
 	f.Add([]byte{0x00, 2, 1, 0, 0, 0, 1, 0, 5, 4, 1, 0, 0, 5, 1, 0, 0, 1, 3, 1, 10, 0x07, 0, 0, 0})
+	// Stats with writes queued, then a read of the bank they wait for: a
+	// Stats that drained the queue in place would have opened another row.
+	// Then Stats around a flush, and across an age-out on two ranks.
+	f.Add([]byte{0x08, 0x03, 2, 5, 0, 0x0b, 2, 9, 10, 0x86, 0, 0, 0, 0x09, 2, 5, 20, 0x86, 0, 0, 0,
+		0x06, 0, 0, 0, 0x86, 0, 0, 0})
+	f.Add([]byte{0x17, 0x03, 1, 7, 0, 0x0b, 3, 7, 5, 0x86, 0, 0, 0, 0x11, 1, 7, 3, 0x86, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -239,6 +269,12 @@ func FuzzWriteQueue(f *testing.F) {
 				got, gotRR = c.OpenAt(l, at)
 				want, wantRR = ref.OpenAt(l, at)
 			case 6:
+				if op&0x80 != 0 {
+					if got, want := c.Stats(), ref.flushedStats(); got != want {
+						t.Fatalf("op %d: Stats %+v, reference after a flush %+v", i/4, got, want)
+					}
+					break
+				}
 				c.FlushWrites()
 				ref.FlushWrites()
 			case 7:

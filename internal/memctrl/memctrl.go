@@ -105,6 +105,10 @@ type Controller struct {
 	// perm is drain scratch: the ring slots of a batch in issue order.
 	// Its contents never outlive one drain.
 	perm []int //bmlint:resetconst //bmlint:nosnapshot
+	// flushed is Stats' scratch channel: a channel's queued writes drain
+	// into a copy of it here, never into the channel itself. Its contents
+	// never outlive one Stats call; nil without a write queue.
+	flushed *dram.Channel //bmlint:resetconst //bmlint:nosnapshot
 }
 
 // New builds a controller from cfg.
@@ -118,10 +122,17 @@ func New(cfg Config) *Controller {
 	if cfg.WriteQueueDepth > 0 && cfg.WriteMaxAge == 0 {
 		cfg.WriteMaxAge = 4096
 	}
+	// The channels and Stats' scratch channel, when there is a write queue,
+	// are built together.
+	n := cfg.Geometry.Channels
+	if cfg.WriteQueueDepth > 0 {
+		n++
+	}
+	chans := dram.NewChannels(cfg.Timing, cfg.Geometry.Ranks, cfg.Geometry.BanksPerRnk, n)
 	c := &Controller{
 		cfg:      cfg,
 		il:       addr.NewInterleave(cfg.Geometry),
-		channels: make([]*dram.Channel, cfg.Geometry.Channels),
+		channels: chans[:cfg.Geometry.Channels],
 		writeQ:   make([]writeQueue, cfg.Geometry.Channels),
 		bankBits: addr.Log2(uint64(cfg.Geometry.Banks())),
 	}
@@ -137,9 +148,7 @@ func New(cfg Config) *Controller {
 			c.writeQ[i].buf = back[i*(d+1) : (i+1)*(d+1)]
 		}
 		c.perm = make([]int, d+1)
-	}
-	for i := range c.channels {
-		c.channels[i] = dram.NewChannel(cfg.Timing, cfg.Geometry.Ranks, cfg.Geometry.BanksPerRnk)
+		c.flushed = chans[cfg.Geometry.Channels]
 	}
 	return c
 }
@@ -180,6 +189,18 @@ func (c *Controller) ageOut(ch int, now int64) {
 // given enqueue sequence.
 func (c *Controller) drain(ch int, k int) {
 	q := &c.writeQ[ch]
+	perm := c.order(ch, k)
+	if q.head += k; q.head >= len(q.buf) {
+		q.head -= len(q.buf)
+	}
+	q.n -= k
+	c.issue(ch, perm, c.channels[ch])
+}
+
+// order sorts the ring slots of the channel's k oldest deferred writes into
+// drain order in perm and returns them; the queue itself is untouched.
+func (c *Controller) order(ch int, k int) []int {
+	q := &c.writeQ[ch]
 	perm := c.perm[:k]
 	s := q.head
 	for i := range perm {
@@ -197,8 +218,13 @@ func (c *Controller) drain(ch int, k int) {
 			s = 0
 		}
 	}
-	q.head, q.n = s, q.n-k
-	dc := c.channels[ch]
+	return perm
+}
+
+// issue performs the channel's writes in the ring slots perm, in order, on
+// dc: the channel itself for a drain, a copy of it for Stats.
+func (c *Controller) issue(ch int, perm []int, dc *dram.Channel) {
+	q := &c.writeQ[ch]
 	for _, slot := range perm {
 		w := &q.buf[slot]
 		l := addr.Location{Channel: ch, Bank: int(w.key >> c.rowBits), Row: w.key & c.rowMask, Column: w.col}
@@ -206,8 +232,8 @@ func (c *Controller) drain(ch int, k int) {
 	}
 }
 
-// FlushWrites drains every deferred write (used before reading final
-// statistics so bandwidth and energy accounting are complete).
+// FlushWrites drains every deferred write into the channels. Stats does
+// not need it: it accounts for queued writes without draining them.
 func (c *Controller) FlushWrites() {
 	for ch := range c.writeQ {
 		if c.writeQ[ch].n > 0 {
@@ -324,13 +350,20 @@ func (c *Controller) OpenAt(l addr.Location, now int64) (ready int64, rr dram.Ro
 	return c.channels[l.Channel].Access(dram.OpOpen, l, now+c.cfg.FixedLatency, 0)
 }
 
-// Stats returns the aggregate statistics over all channels, draining any
-// deferred writes first so traffic accounting is complete.
+// Stats returns the aggregate statistics over all channels as they would
+// read after FlushWrites, so traffic accounting is complete, and leaves the
+// controller unchanged: a channel with queued writes drains them into the
+// scratch copy flushed of itself, whose statistics count in its place.
+// Reading statistics mid-run therefore never changes what follows.
 func (c *Controller) Stats() dram.Stats {
-	c.FlushWrites()
 	var s dram.Stats
-	for _, ch := range c.channels {
-		s.Add(ch.Stats())
+	for ch, dc := range c.channels {
+		if n := c.writeQ[ch].n; n > 0 {
+			c.flushed.CopyFrom(dc)
+			c.issue(ch, c.order(ch, n), c.flushed)
+			dc = c.flushed
+		}
+		s.Add(dc.Stats())
 	}
 	return s
 }

@@ -312,9 +312,9 @@ type Event struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Origin says what answered a cell event: "run" (simulated), "store"
-	// (served from the content-addressed result store) or "warm"
-	// (simulated from a restored warm-state snapshot — byte-identical to
-	// "run", but the warmup phase was reused).
+	// (served from the content-addressed result store) or "warm" (read
+	// off the run of another cell sharing its warm prefix —
+	// byte-identical to "run", but that run was reused).
 	Origin string `json:"origin,omitempty"`
 	// Error carries the failure reason on terminal failed states.
 	Error string `json:"error,omitempty"`
@@ -329,21 +329,13 @@ type cellSpec struct {
 // label identifies the cell in progress events.
 func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
 
-// runJSON runs the cell on a simulator from the process-wide pool,
-// resolved by sim.ForSpec exactly as cmd/bmsim and the figures resolve
-// theirs, and marshals its result: the compact CellResult JSON every node
-// produces identically for the cell's spec. It ends as a warm cell does,
-// in measureJSON. An ANTT cell's standalone terms run serially (Workers
-// 1): the service parallelizes across cells.
+// runJSON runs the cell on a simulator from the process-wide pool and
+// marshals its result: a warm-prefix group of one (runGroup), the path
+// every in-process cell takes.
 func (c cellSpec) runJSON(ctx context.Context) ([]byte, error) {
-	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Warmup(ctx); err != nil {
-		return nil, err
-	}
-	return measureJSON(ctx, c, s)
+	cells, quotas, raws := [1]cellSpec{c}, [1]sim.Quota{}, [1][]byte{}
+	err := runGroup(ctx, cells[:], quotas[:], raws[:])
+	return raws[0], err
 }
 
 // cells expands a canonical request into its simulation cells — explicit

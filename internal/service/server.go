@@ -84,7 +84,7 @@ type Server struct {
 	mSweepSubmitted, mSweepCompleted      *telemetry.Counter
 	mSweepFailed, mSweepCanceled          *telemetry.Counter
 	mRejected, mStoreHits, mStoreMisses   *telemetry.Counter
-	mSnapHits, mSnapMisses, mSnapBytes    *telemetry.Counter
+	mSnapHits, mSnapMisses                *telemetry.Counter
 	gQueueDepth, gInFlight, gStoreEntries *telemetry.Gauge
 	hCellSeconds                          *telemetry.Histogram
 }
@@ -111,7 +111,6 @@ func New(cfg Config) *Server {
 		mStoreMisses:    reg.Counter("bimodal_sweep_store_misses_total"),
 		mSnapHits:       reg.Counter("bimodal_snapshot_hits_total"),
 		mSnapMisses:     reg.Counter("bimodal_snapshot_misses_total"),
-		mSnapBytes:      reg.Counter("bimodal_snapshot_bytes_total"),
 		gQueueDepth:     reg.Gauge("bimodal_queue_depth"),
 		gInFlight:       reg.Gauge("bimodal_jobs_inflight"),
 		gStoreEntries:   reg.Gauge("bimodal_store_entries"),

@@ -170,9 +170,9 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 		misses = append(misses, i)
 	}
 	if len(misses) > 0 {
-		// In-process misses that share a warmup prefix share one warmup;
-		// a Dispatcher gets every miss on its own.
-		var plan map[int]*warmGroup
+		// In-process misses that share a warmup prefix share one run; a
+		// Dispatcher gets every miss on its own.
+		var plan *warmPlan
 		if s.cfg.Dispatcher == nil {
 			var err error
 			if plan, err = planWarm(sw.cells, misses); err != nil {
@@ -183,7 +183,7 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 			func(ctx context.Context, k int) (struct{}, error) {
 				i := misses[k]
 				start := telemetry.Now()
-				raw, origin, err := s.dispatchCell(ctx, sw, i, plan[i])
+				raw, origin, err := s.dispatchCell(ctx, sw, i, plan, k)
 				if err != nil {
 					return struct{}{}, err
 				}
@@ -217,16 +217,16 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// dispatchCell routes one store-miss cell to the configured dispatcher,
-// or runs it in-process when none is configured; g is the cell's warm
-// group, nil when it has none. The returned origin is "run", or "warm"
-// when a restored warm snapshot replaced the cell's warmup phase.
-func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int, g *warmGroup) ([]byte, string, error) {
+// dispatchCell routes sweep cell i, the sweep's k-th store miss, to the
+// configured dispatcher, or runs it in-process in its warm-prefix group of
+// plan when none is configured. The returned origin is "run", or "warm"
+// when the cell's result was read off a run another cell of its group led.
+func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int, plan *warmPlan, k int) ([]byte, string, error) {
 	if s.cfg.Dispatcher != nil {
 		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
 		return raw, "run", err
 	}
-	raw, warm, err := s.runWarm(ctx, sw.cells[i], i, g)
+	raw, warm, err := s.runWarm(ctx, plan, k)
 	origin := "run"
 	if warm {
 		origin = "warm"

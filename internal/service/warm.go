@@ -1,146 +1,181 @@
 package service
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"bimodal/internal/sim"
 )
 
-// warmGroup is a set of one sweep's store misses that share a warmup
-// prefix hash (the warm-state checkpoint subsystem, DESIGN.md section 14).
-// Its producer, the group's first miss in sweep order, warms up, seals the
-// simulator state into blob and closes ready; every other member restores
-// blob instead of running its own warmup. Restore-then-measure is
-// byte-identical to a straight-through run (the golden tests in
-// internal/sim prove it per scheme), so a group changes only how often
-// warmup executes, never result bytes. Blobs live in memory for the sweep
-// that sealed them and never enter the result store.
+// A sweep runs its store misses in warm-prefix groups (DESIGN.md section
+// 14). Misses that share a warmup prefix hash differ only in what follows
+// warmup, their measured length and ANTT, and a shorter measured run is an
+// exact prefix of a longer one (sim.Sim.MeasureEach). So a group is one
+// simulation: its leader, the group's first miss in sweep order, warms up
+// once and measures once, to the longest member's quota, and every
+// member's result is read off that run as it passes the member's quota.
+// A miss that shares its prefix with no other miss, or has none (warmup
+// disabled), is a group of one, whose run is exactly RunCellSpec's.
+
+// warmPlan lays a sweep's store misses out by group: each group's members
+// sit side by side in cells, quotas and raws, in sweep order.
+type warmPlan struct {
+	groups []warmGroup
+	cells  []cellSpec
+	quotas []sim.Quota // runGroup's scratch
+	raws   [][]byte    // each member's result bytes
+	// at maps each miss, by its position in the sweep's miss list, to its
+	// slot in cells and its group.
+	at []warmSlot
+}
+
+type warmSlot struct{ slot, group int }
+
+// warmGroup is one group: the slots lo to lo+n-1 of its plan, lo leading.
 type warmGroup struct {
-	prefix   string
-	producer int           // sweep cell index of the group's first miss
-	ready    chan struct{} // closed once blob is final
-	blob     []byte        // sealed warm state; nil if the producer failed
+	lo, n int
+	// ready is closed once the group's run has ended, when raws and err
+	// are final. A group of one has none: nobody waits for it.
+	ready chan struct{}
+	err   error
 }
 
 // planWarm groups a sweep's store misses (cell indices in sweep order) by
-// shared warmup prefix and maps every grouped cell to its group. A miss
-// whose prefix no other miss shares is left out and runs cold: nothing in
-// the sweep could restore its snapshot, so it seals none.
-func planWarm(cells []cellSpec, misses []int) (map[int]*warmGroup, error) {
-	plan := map[int]*warmGroup{}
-	first := map[string]int{} // prefix -> cell index of its first miss
-	for _, i := range misses {
+// warmup prefix hash, whatever their scheme.
+func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
+	p := &warmPlan{
+		groups: make([]warmGroup, 0, len(misses)),
+		cells:  make([]cellSpec, len(misses)),
+		quotas: make([]sim.Quota, len(misses)),
+		raws:   make([][]byte, len(misses)),
+		at:     make([]warmSlot, len(misses)),
+	}
+	byPrefix := map[string]int{}
+	for k, i := range misses {
 		prefix, ok, err := cells[i].rs.PrefixHash()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
+		g, seen := byPrefix[prefix]
+		if !ok || !seen {
+			g = len(p.groups)
+			p.groups = append(p.groups, warmGroup{})
+			if ok {
+				byPrefix[prefix] = g
+			}
 		}
-		p, seen := first[prefix]
-		if !seen {
-			first[prefix] = i
-			continue
-		}
-		g := plan[p]
-		if g == nil {
-			g = &warmGroup{prefix: prefix, producer: p, ready: make(chan struct{})}
-			plan[p] = g
-		}
-		plan[i] = g
+		p.at[k].group = g
+		p.groups[g].n++
 	}
-	return plan, nil
+	lo := 0
+	for g := range p.groups {
+		grp := &p.groups[g]
+		if grp.n > 1 {
+			grp.ready = make(chan struct{})
+		}
+		grp.lo, lo, grp.n = lo, lo+grp.n, 0
+	}
+	for k, i := range misses {
+		grp := &p.groups[p.at[k].group]
+		p.at[k].slot = grp.lo + grp.n
+		p.cells[grp.lo+grp.n] = cells[i]
+		grp.n++
+	}
+	return p, nil
 }
 
-// runWarm runs sweep cell i in-process and reports whether a restored
-// snapshot replaced its warmup. g is the cell's warm group, nil when it
-// shares its prefix with no other miss of the sweep.
+// runWarm returns the result bytes of the sweep's k-th store miss and
+// whether they were read off a run another miss led. The leader runs its
+// group; every other member waits for that run. The leader is an earlier
+// miss, and engine.Map hands misses out in order, so it is already running
+// or done: the wait cannot deadlock.
 //
-// Every grouped cell that completes counts exactly one snapshot hit (a
-// restore replaced its warmup) or one miss (it warmed up itself: as the
-// producer, or after its producer failed or the blob did not restore).
-// Ungrouped cells count neither.
-func (s *Server) runWarm(ctx context.Context, c cellSpec, i int, g *warmGroup) (raw []byte, warm bool, err error) {
-	switch {
-	case g == nil:
-		raw, err = c.runJSON(ctx)
-		return raw, false, err
-	case i == g.producer:
-		raw, err = s.produceWarm(ctx, c, g)
-		return raw, false, err
+// Every grouped miss that completes counts exactly one snapshot miss (it
+// led its group's run) or one hit (it shared that run). Groups of one
+// count neither.
+func (s *Server) runWarm(ctx context.Context, p *warmPlan, k int) (raw []byte, warm bool, err error) {
+	at := p.at[k]
+	g := &p.groups[at.group]
+	if at.slot == g.lo {
+		hi := g.lo + g.n
+		err := runGroup(ctx, p.cells[g.lo:hi], p.quotas[g.lo:hi], p.raws[g.lo:hi])
+		if g.ready != nil {
+			g.err = err
+			close(g.ready)
+			if err == nil {
+				s.mSnapMisses.Inc()
+			}
+		}
+		return p.raws[at.slot], false, err
 	}
-	// The producer is an earlier miss, and engine.Map hands indices out in
-	// order, so it is already running or done: this wait cannot deadlock.
 	select {
 	case <-g.ready:
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
-	if g.blob != nil {
-		raw, err = measureRestored(ctx, c, g.blob, g.prefix)
-		if err == nil {
-			s.mSnapHits.Inc()
-			return raw, true, nil
+	if g.err != nil {
+		return nil, false, g.err
+	}
+	s.mSnapHits.Inc()
+	return p.raws[at.slot], true, nil
+}
+
+// runGroup runs cells, which share a warm prefix or are one cell, as one
+// simulation and sets raws[i] to cell i's result bytes. The first cell
+// draws a Sim from the process-wide pool, resolved by sim.ForSpec exactly
+// as cmd/bmsim and the figures resolve theirs; it warms up once and
+// measures once, through every distinct measured length in ascending
+// order, asking for ANTT at a length when any cell of that length does.
+// A cell's bytes, the compact CellResult JSON every node produces
+// identically for its spec, are marshaled as the run passes its length,
+// with ANTT only if the cell asked for it. quotas is scratch as long as
+// cells. An ANTT cell's standalone terms run serially (Workers 1): the
+// service parallelizes across cells.
+//
+// The Sim goes back to the pool once every result is sealed: after Put a
+// concurrent Reset may scribble over the scheme a result aliases. A failed
+// run never reaches Put: its partial state is discarded with the Sim.
+func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws [][]byte) error {
+	qs := quotas[:0]
+	for _, c := range cells {
+		o := c.rs.Options
+		i, found := slices.BinarySearchFunc(qs, o.AccessesPerCore, func(q sim.Quota, n int64) int {
+			return cmp.Compare(q.Accesses, n)
+		})
+		if found {
+			qs[i].ANTT = qs[i].ANTT || o.ANTT
+		} else {
+			qs = slices.Insert(qs, i, sim.Quota{Accesses: o.AccessesPerCore, ANTT: o.ANTT})
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	// A failed producer or a blob that does not restore must not fail the
-	// cell: it warms up itself.
-	s.mSnapMisses.Inc()
-	raw, err = c.runJSON(ctx)
-	return raw, false, err
-}
-
-// produceWarm warms the producer's own simulation, seals the snapshot for
-// the rest of the group, then measures on the already-warm state.
-func (s *Server) produceWarm(ctx context.Context, c cellSpec, g *warmGroup) ([]byte, error) {
-	s.mSnapMisses.Inc()
-	sm, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
-	if err == nil {
-		err = sm.Warmup(ctx)
-	}
-	if err == nil {
-		g.blob = sm.Snapshot(g.prefix)
-		s.mSnapBytes.Add(int64(len(g.blob)))
-	}
-	close(g.ready)
+	s, err := sim.ForSpec(runPool, cells[0].rs, cells[0].mix, 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return measureJSON(ctx, c, sm)
-}
-
-// measureRestored overwrites a congruent simulation's state from the
-// snapshot blob and runs the measured window. A pooled simulator is always
-// fully reset (or fresh), so restoring over it is exactly NewSim+Restore.
-// A failed Restore leaves partial state: that simulator is discarded,
-// never Put back.
-func measureRestored(ctx context.Context, c cellSpec, blob []byte, prefix string) ([]byte, error) {
-	s, err := sim.ForSpec(runPool, c.rs, c.mix, 1)
+	if err := s.Warmup(ctx); err != nil {
+		return err
+	}
+	err = s.MeasureEach(ctx, qs, func(k int, res sim.RunResult) error {
+		for i, c := range cells {
+			if c.rs.Options.AccessesPerCore != qs[k].Accesses {
+				continue
+			}
+			r := res
+			if !c.rs.Options.ANTT {
+				r.ANTT = 0
+			}
+			raw, err := marshalResultJSON(NewCellResult(c.rs.Scheme, r))
+			if err != nil {
+				return err
+			}
+			raws[i] = raw
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := s.Restore(blob, prefix); err != nil {
-		return nil, err
-	}
-	return measureJSON(ctx, c, s)
-}
-
-// measureJSON runs the measured window of the cell's simulation, warmed
-// up or restored, and marshals its result, returning the simulator to the
-// pool once the bytes are sealed: after Put a concurrent Reset may
-// scribble over the scheme the result aliases. Failed runs never reach
-// Put: their partial state is discarded with the Sim.
-func measureJSON(ctx context.Context, c cellSpec, s *sim.Sim) ([]byte, error) {
-	res, err := s.Measure(ctx)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := marshalResultJSON(NewCellResult(c.rs.Scheme, res))
-	if err == nil {
-		runPool.Put(s)
-	}
-	return raw, err
+	runPool.Put(s)
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"bimodal/internal/spec"
 )
@@ -44,10 +43,10 @@ func samePrefixSweep(t *testing.T) SweepRequest {
 }
 
 // TestSweepWarmupRunsOnce is the subsystem's headline contract: a
-// same-prefix sweep warms up once (one snapshot miss), serves every other
-// cell from the snapshot (origin "warm"), and still produces exactly the
-// bytes a cold run would — proven by resweeping against the store and by
-// a cold server.
+// same-prefix sweep is one group, so it warms up and measures once (one
+// snapshot miss), reads every other cell off that run (origin "warm") and
+// still stores, for every cell, exactly the bytes a cold run of its spec
+// returns.
 func TestSweepWarmupRunsOnce(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, SweepFanout: 4})
 	ctx := context.Background()
@@ -80,37 +79,24 @@ func TestSweepWarmupRunsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, metrics, "bimodal_snapshot_misses_total"); got != 1 {
-		t.Errorf("snapshot misses = %d, want 1 (warmup must run exactly once)", got)
+		t.Errorf("snapshot misses = %d, want 1 (the group must run exactly once)", got)
 	}
 	if got := metricValue(t, metrics, "bimodal_snapshot_hits_total"); got != 9 {
 		t.Errorf("snapshot hits = %d, want 9", got)
 	}
-	if !strings.Contains(metrics, "bimodal_snapshot_bytes_total") {
-		t.Error("metrics missing bimodal_snapshot_bytes_total")
+	if strings.Contains(metrics, "bimodal_snapshot_bytes_total") {
+		t.Error("metrics still carry bimodal_snapshot_bytes_total; a sweep seals nothing")
 	}
 
-	// Byte-identity against a cold server: run one of the warm-served
-	// cells straight through and compare the stored cell bytes.
-	req := samePrefixSweep(t)
-	rs, err := req.Specs[7].Canonical()
-	if err != nil {
-		t.Fatal(err)
+	var specs []spec.RunSpec
+	for _, rs := range samePrefixSweep(t).Specs {
+		canon, err := rs.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, canon)
 	}
-	hash, err := rs.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, err := c.SpecResult(ctx, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := RunCellSpec(ctx, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stored) != string(cold) {
-		t.Errorf("warm cell bytes differ from cold run:\nwarm: %s\ncold: %s", stored, cold)
-	}
+	checkColdBytes(t, c, specs)
 }
 
 // sweepOrigins submits req, follows it to completion and counts its cell
@@ -137,19 +123,19 @@ func sweepOrigins(t *testing.T, c *Client, req SweepRequest) map[string]int {
 	return origins
 }
 
-// checkSealedNothing asserts that the server's sweeps so far moved no
-// snapshot counter, that its store holds nothing but the given number of
-// cell results, and that none of the given prefix hashes has an entry
-// there.
-func checkSealedNothing(t *testing.T, s *Server, c *Client, cells int, prefixes ...string) {
+// checkSharedNothing asserts that the server's sweeps so far moved no
+// snapshot counter (every group was a group of one), that its store holds
+// nothing but the given number of cell results, and that none of the
+// given prefix hashes has an entry there.
+func checkSharedNothing(t *testing.T, s *Server, c *Client, cells int, prefixes ...string) {
 	t.Helper()
 	metrics, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"bimodal_snapshot_hits_total", "bimodal_snapshot_misses_total", "bimodal_snapshot_bytes_total"} {
+	for _, name := range []string{"bimodal_snapshot_hits_total", "bimodal_snapshot_misses_total"} {
 		if got := metricValue(t, metrics, name); got != 0 {
-			t.Errorf("%s = %d, want 0 (nothing to share, so nothing sealed)", name, got)
+			t.Errorf("%s = %d, want 0 (nothing to share)", name, got)
 		}
 	}
 	if got := metricValue(t, metrics, "bimodal_store_entries"); got != cells {
@@ -162,80 +148,15 @@ func checkSealedNothing(t *testing.T, s *Server, c *Client, cells int, prefixes 
 	}
 }
 
-// TestWarmRunnerFallsBackOnCorruptSnapshot plans a three-cell group, lets
-// its producer seal the warm state, then corrupts the blob: the other two
-// cells must warm up themselves and return the cold bytes, each counting
-// a snapshot miss, never a hit.
-func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
-	s := New(Config{Workers: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	ctx := context.Background()
-	req := samePrefixSweep(t)
-	req.Specs = req.Specs[:3]
-	req, _, err := req.canonicalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := req.cells(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := planWarm(cells, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := plan[0]
-	if g == nil || g.producer != 0 || plan[1] != g || plan[2] != g {
-		t.Fatalf("plan = %v, want one group of cells 0-2 produced by cell 0", plan)
-	}
-
-	check := func(i int, raw []byte, warm bool, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-		if warm {
-			t.Errorf("cell %d reported a warm restore", i)
-		}
-		cold, err := RunCellSpec(ctx, cells[i].rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(raw) != string(cold) {
-			t.Errorf("cell %d bytes differ from a cold run:\ngot:  %s\ncold: %s", i, raw, cold)
-		}
-	}
-	raw, warm, err := s.runWarm(ctx, cells[0], 0, g)
-	check(0, raw, warm, err)
-	if len(g.blob) == 0 || s.mSnapBytes.Value() != int64(len(g.blob)) {
-		t.Fatalf("producer sealed %d bytes, counted %d", len(g.blob), s.mSnapBytes.Value())
-	}
-	bad := append([]byte(nil), g.blob...)
-	bad[len(bad)/2] ^= 0xff
-	g.blob = bad
-	for i := 1; i < 3; i++ {
-		raw, warm, err := s.runWarm(ctx, cells[i], i, g)
-		check(i, raw, warm, err)
-	}
-	if got := s.mSnapHits.Value(); got != 0 {
-		t.Errorf("snapshot hits = %d, want 0 (no restore replaced a warmup)", got)
-	}
-	if got := s.mSnapMisses.Value(); got != 3 {
-		t.Errorf("snapshot misses = %d, want 3 (the producer and two fallbacks)", got)
-	}
-}
-
 // TestWarmRunnerSharesANTTPrefix pins that ANTT does not shape warmup:
-// two ANTT cells differing only in measured length form one warm group,
-// and so do an ANTT cell and its non-ANTT twin. In each sweep the member
-// restores the producer's blob, and every cell's bytes, the antt field
-// included, equal a cold RunCellSpec of its spec.
+// two ANTT cells differing only in measured length form one group, and so
+// do an ANTT cell and its non-ANTT twin, which share one capture of the
+// run, and a three-cell group whose ANTT cell sits at the same quota as a
+// plain one. In each sweep one cell runs the group and the others are read
+// off its run, and every cell's bytes, the antt field included, equal a
+// cold RunCellSpec of its spec.
 func TestWarmRunnerSharesANTTPrefix(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
+	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	cell := func(n int64, antt bool) spec.RunSpec {
 		rs, err := spec.RunSpec{Scheme: "alloy", Mix: "Q1", Seed: 2,
 			Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 300, CacheDivisor: 64, ANTT: antt}}.Canonical()
@@ -244,12 +165,18 @@ func TestWarmRunnerSharesANTTPrefix(t *testing.T) {
 		}
 		return rs
 	}
+	var hits, misses int64
 	for _, specs := range [][]spec.RunSpec{
 		{cell(300, true), cell(400, true)},
 		{cell(500, true), cell(500, false)},
+		{cell(450, false), cell(250, false), cell(450, true)},
 	} {
-		if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 1 || got["warm"] != 1 {
-			t.Errorf("origins = %v, want 1 run + 1 warm", got)
+		if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 1 || got["warm"] != len(specs)-1 {
+			t.Errorf("origins = %v, want 1 run + %d warm", got, len(specs)-1)
+		}
+		hits, misses = hits+int64(len(specs)-1), misses+1
+		if h, m := s.mSnapHits.Value(), s.mSnapMisses.Value(); h != hits || m != misses {
+			t.Errorf("snapshot hits %d, misses %d; want %d and %d", h, m, hits, misses)
 		}
 		for i, raw := range checkColdBytes(t, c, specs) {
 			if got := strings.Contains(string(raw), `"antt":`); got != specs[i].Options.ANTT {
@@ -288,8 +215,8 @@ func checkColdBytes(t *testing.T, c *Client, specs []spec.RunSpec) [][]byte {
 
 // TestWarmRunnerSharesBiModalPrefix pins that the Bi-Modal family scales
 // its core parameters to the warmup, not to the measured length: two
-// bimodal cells that differ only in measured length form one warm group,
-// the second restores the first one's blob, and both store the bytes of a
+// bimodal cells that differ only in measured length form one group, the
+// second is read off the first one's run, and both store the bytes of a
 // cold RunCellSpec.
 func TestWarmRunnerSharesBiModalPrefix(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
@@ -311,10 +238,42 @@ func TestWarmRunnerSharesBiModalPrefix(t *testing.T) {
 	checkColdBytes(t, c, specs)
 }
 
-// TestWarmRunnerSkipsUnsharedPrefix pins the sealing policy: a sweep of
+// TestWarmRunnerSharesTenantPrefix gives an 8-core multi-tenant workload
+// group the same checks: three cells that differ only in measured length,
+// one of them with ANTT, form one group, and every cell's bytes, its
+// per-tenant attribution included, equal a cold RunCellSpec.
+func TestWarmRunnerSharesTenantPrefix(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 3})
+	var specs []spec.RunSpec
+	for i, n := range []int64{400, 250, 400} {
+		rs, err := (spec.RunSpec{Scheme: "bimodal", Workload: &spec.WorkloadSpec{
+			Cores:       8,
+			Tenants:     []spec.TenantSpec{{Profile: "kvstore", Weight: 2}, {Profile: "webserve"}, {Profile: "scan"}},
+			SharedPct:   5,
+			SharedPages: 64,
+		}, Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 300, CacheDivisor: 64, ANTT: i == 2}, Seed: 9}).Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, rs)
+	}
+	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 1 || got["warm"] != 2 {
+		t.Errorf("origins = %v, want 1 run + 2 warm", got)
+	}
+	if hits, misses := s.mSnapHits.Value(), s.mSnapMisses.Value(); hits != 2 || misses != 1 {
+		t.Errorf("snapshot hits %d, misses %d; want 2 and 1", hits, misses)
+	}
+	for i, raw := range checkColdBytes(t, c, specs) {
+		if !strings.Contains(string(raw), `"per_tenant"`) {
+			t.Errorf("cell %d has no per-tenant attribution: %s", i, raw)
+		}
+	}
+}
+
+// TestWarmRunnerSkipsUnsharedPrefix pins the grouping policy: a sweep of
 // one alloy and one bimodal cell shares no prefix between its misses (the
-// schemes differ), so both run cold, nothing is sealed and the store holds
-// the two results only.
+// schemes differ), so each is a group of one, nothing is shared and the
+// store holds the two results only.
 func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	var specs []spec.RunSpec
@@ -335,13 +294,14 @@ func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 	if got := sweepOrigins(t, c, SweepRequest{Specs: specs}); got["run"] != 2 {
 		t.Errorf("origins = %v, want 2 run", got)
 	}
-	checkSealedNothing(t, s, c, 2, prefixes...)
+	checkSharedNothing(t, s, c, 2, prefixes...)
 	checkColdBytes(t, c, specs)
 }
 
-// TestWarmRunnerStoresResultsOnly checks that a planned group's snapshot
-// stays out of the result store: after a sweep whose second cell restored
-// the first one's warm state, the prefix hash answers 404 not_found.
+// TestWarmRunnerStoresResultsOnly checks that a group leaves nothing but
+// its cells' results in the store: after a sweep whose second cell was
+// read off the first one's run, the prefix hash answers 404 not_found, the
+// store holds the two results, and both are a cold run's bytes.
 func TestWarmRunnerStoresResultsOnly(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	ctx := context.Background()
@@ -366,7 +326,13 @@ func TestWarmRunnerStoresResultsOnly(t *testing.T) {
 	if got := metricValue(t, metrics, "bimodal_store_entries"); got != 2 {
 		t.Errorf("bimodal_store_entries = %d, want 2 (cell results only)", got)
 	}
-	if got := metricValue(t, metrics, "bimodal_snapshot_bytes_total"); got == 0 {
-		t.Error("bimodal_snapshot_bytes_total = 0, want the group's sealed blob")
+	var specs []spec.RunSpec
+	for _, rs := range req.Specs {
+		canon, err := rs.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, canon)
 	}
+	checkColdBytes(t, c, specs)
 }

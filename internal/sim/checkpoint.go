@@ -197,66 +197,124 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 	return nil
 }
 
-// Measure runs the measured window and assembles the run result. With no
+// Measure runs the measured window and assembles the run result: the
+// one-quota call of MeasureEach, at the Sim's AccessesPerCore. With no
 // prior warmup it replays the plain single-phase path; after Warmup or
 // Restore it reports the measured window relative to the warmup baseline.
-// For a Sim ForSpec drew for an ANTT spec it then runs the standalone
-// terms and reports RunResult.ANTT. It ends the run: the engine
-// hands its trace read-ahead back, so an idle pooled Sim holds none, and
-// the Sim runs nothing more until Reset or Restore.
+// For a Sim ForSpec drew for an ANTT spec it also runs the standalone
+// terms and reports RunResult.ANTT. The result is captured at the end of
+// the run, so its Scheme stays valid until the Sim is Reset or Put.
 func (s *Sim) Measure(ctx context.Context) (RunResult, error) {
-	var per []cpu.CoreResult
-	var err error
-	if s.warmed {
-		per, err = s.eng.MeasureAfterWarmupContext(ctx, s.o.AccessesPerCore, s.pre)
-	} else {
-		per, err = s.eng.RunContext(ctx, s.o.AccessesPerCore)
-	}
-	s.eng.ReleaseReadAhead()
+	var res RunResult
+	q := [1]Quota{{Accesses: s.o.AccessesPerCore, ANTT: s.antt}}
+	err := s.MeasureEach(ctx, q[:], func(_ int, r RunResult) error {
+		res = r
+		return nil
+	})
 	if err != nil {
 		return RunResult{}, err
-	}
-	scheme := s.eng.Scheme()
-	rep := scheme.Report()
-	res := RunResult{
-		Mix:       s.mix.Name,
-		PerCore:   per,
-		PerTenant: cpu.DeltaTenants(s.eng.TenantTotals(), s.preT),
-		Report:    rep,
-		Energy:    energy.Compute(rep, energy.Default()),
-		Scheme:    scheme,
-	}
-	if s.antt {
-		terms, err := s.standalone(ctx)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.ANTT = cpu.ANTT(per, terms)
 	}
 	return res, nil
 }
 
+// Quota is a point at which MeasureEach reports: a measured length per
+// core, and whether the result there carries ANTT.
+type Quota struct {
+	Accesses int64
+	ANTT     bool
+}
+
+// MeasureEach runs the measured window once, to the last of quotas, whose
+// Accesses must ascend strictly from a positive first, and calls each(k,
+// res) as the run passes quotas[k].Accesses: when the last core completes
+// that many measured accesses. res is then exactly what Measure returns on
+// a Sim that differs from this one only in AccessesPerCore (and in ANTT,
+// as quotas[k] asks), provided its scheme builds identically, which holds
+// for all Sims of specs sharing a warm prefix (spec.PrefixHash): the
+// engine counts toward the longer quotas without changing what it
+// simulates (cpu.Engine.RunEachContext), so a shorter run is a prefix of
+// a longer one. res.Scheme is the live scheme, valid only inside each,
+// since the run goes on after each returns; res's slices are each
+// capture's own. An error from each ends the run, and MeasureEach returns
+// it.
+//
+// The standalone terms of the quotas that ask for ANTT run first, for all
+// of them at once. MeasureEach ends the run: the engine hands its trace
+// read-ahead back, so an idle pooled Sim holds none, and the Sim runs
+// nothing more until Reset or Restore.
+func (s *Sim) MeasureEach(ctx context.Context, quotas []Quota, each func(k int, res RunResult) error) error {
+	defer s.eng.ReleaseReadAhead()
+	var buf [4]int64 // the engine's quotas; a sweep's groups rarely need more
+	qs := buf[:0]
+	var antt []Quota
+	for _, q := range quotas {
+		qs = append(qs, q.Accesses)
+		if q.ANTT {
+			antt = append(antt, Quota{Accesses: q.Accesses})
+		}
+	}
+	var terms []cpu.CoreResult
+	if len(antt) > 0 {
+		var err error
+		if terms, err = s.standalone(ctx, antt); err != nil {
+			return err
+		}
+	}
+	scheme := s.eng.Scheme()
+	if s.warmed {
+		scheme.ResetStats()
+	}
+	n := s.mix.Cores()
+	return s.eng.RunEachContext(ctx, qs, func(k int, per []cpu.CoreResult, tens []cpu.TenantResult) error {
+		rep := scheme.Report()
+		res := RunResult{
+			Mix:       s.mix.Name,
+			PerCore:   cpu.DeltaResults(per, s.pre),
+			PerTenant: cpu.DeltaTenants(tens, s.preT),
+			Report:    rep,
+			Energy:    energy.Compute(rep, energy.Default()),
+			Scheme:    scheme,
+		}
+		if quotas[k].ANTT {
+			res.ANTT = cpu.ANTT(res.PerCore, terms[:n])
+			terms = terms[n:]
+		}
+		return each(k, res)
+	})
+}
+
 // standalone runs each benchmark of the mix alone on the same machine and
-// returns the per-core results in mix order, labelled with their slots —
-// the C^SP terms of ANTT, which Measure pairs with its own PerCore.
-// Slot i's run is a fresh single-core Sim through Warmup and Measure: the
-// mix's config and this Sim's factory, slot i's generator alone
-// (workloads.CoreSeed(seed, i) at workloads.CoreBase(i)) and a one-core
-// prefetcher. The runs are independent, so they fan out over
+// returns the C^SP terms of ANTT at every quota: terms[j*n+i] is core slot
+// i's result at quotas[j], labelled with its slot, for an n-core mix.
+// Slot i's run is one fresh single-core Sim through Warmup and MeasureEach
+// over quotas: the mix's config and this Sim's factory, slot i's generator
+// alone (workloads.CoreSeed(seed, i) at workloads.CoreBase(i)) and a
+// one-core prefetcher. The runs are independent, so they fan out over
 // Options.Workers goroutines, with the same result at any worker count.
 // standalone reads only the Sim's configuration, never its engine.
-func (s *Sim) standalone(ctx context.Context) ([]cpu.CoreResult, error) {
-	return engine.Map(ctx, s.o.Workers, s.mix.Cores(), func(ctx context.Context, i int) (cpu.CoreResult, error) {
+func (s *Sim) standalone(ctx context.Context, quotas []Quota) ([]cpu.CoreResult, error) {
+	n := s.mix.Cores()
+	per, err := engine.Map(ctx, s.o.Workers, n, func(ctx context.Context, i int) ([]cpu.CoreResult, error) {
 		solo := newSim(s.mix, s.factory, s.o, []trace.Generator{s.mix.Generator(s.o.Seed, i)})
 		if err := solo.Warmup(ctx); err != nil {
-			return cpu.CoreResult{}, err
+			return nil, err
 		}
-		res, err := solo.Measure(ctx)
-		if err != nil {
-			return cpu.CoreResult{}, err
-		}
-		r := res.PerCore[0]
-		r.Core = i
-		return r, nil
+		out := make([]cpu.CoreResult, len(quotas))
+		err := solo.MeasureEach(ctx, quotas, func(j int, res RunResult) error {
+			out[j] = res.PerCore[0]
+			out[j].Core = i
+			return nil
+		})
+		return out, err
 	})
+	if err != nil {
+		return nil, err
+	}
+	terms := make([]cpu.CoreResult, len(quotas)*n)
+	for i, p := range per {
+		for j, r := range p {
+			terms[j*n+i] = r
+		}
+	}
+	return terms, nil
 }

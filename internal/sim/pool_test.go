@@ -28,6 +28,12 @@ func runSim(t *testing.T, s *Sim) RunResult {
 	return res
 }
 
+// ownTerms runs s's standalone terms at its own measured quota, one per
+// core slot in mix order.
+func ownTerms(ctx context.Context, s *Sim) ([]cpu.CoreResult, error) {
+	return s.standalone(ctx, []Quota{{Accesses: s.o.AccessesPerCore}})
+}
+
 // run runs the mix on a fresh Sim.
 func run(t *testing.T, mix workloads.Mix, factory Factory, o Options) RunResult {
 	t.Helper()

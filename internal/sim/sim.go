@@ -87,7 +87,9 @@ type RunResult struct {
 	// asked for it (spec.Options.ANTT), else 0.
 	ANTT float64
 	// Scheme retains the instance for scheme-specific inspection (e.g.
-	// the Bi-Modal core cache).
+	// the Bi-Modal core cache). It is the live scheme: in a result that
+	// MeasureEach hands to its callback it is valid only inside that call,
+	// since the run goes on.
 	Scheme dramcache.Scheme
 }
 

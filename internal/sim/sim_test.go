@@ -91,7 +91,7 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 	o := quick()
 	s := NewSim(mix, f, o)
 	multi := runSim(t, s)
-	single, err := s.standalone(context.Background())
+	single, err := ownTerms(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStandaloneMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						o := OptionsForSpec(rs)
-						got, err := NewSim(mix, factory, o).standalone(context.Background())
+						got, err := ownTerms(context.Background(), NewSim(mix, factory, o))
 						if err != nil {
 							t.Fatal(err)
 						}

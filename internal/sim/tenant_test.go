@@ -107,7 +107,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	factory := paperFactory(t, "bimodal")
 	base := dcOptions()
 	base.Workers = 1
-	serialStandalone, err := NewSim(mix, factory, base).standalone(context.Background())
+	serialStandalone, err := ownTerms(context.Background(), NewSim(mix, factory, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDCMixParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, engine.Workers(0)} {
 		o := base
 		o.Workers = workers
-		par, err := NewSim(mix, factory, o).standalone(context.Background())
+		par, err := ownTerms(context.Background(), NewSim(mix, factory, o))
 		if err != nil {
 			t.Fatal(err)
 		}
