@@ -57,11 +57,13 @@ snapshot-golden:
 	$(GO) test -run 'TestRestore|TestPrefixHash|TestSnapshotBlobGolden' -v ./internal/sim
 	$(GO) test -run 'TestSweepWarmupRunsOnce|TestWarmRunner' -v ./internal/service
 
-# bench re-measures the hot-path microbenchmarks and writes (or refreshes)
-# the dated baseline snapshot. Commit the file to update the baseline CI
-# compares against.
+# bench re-measures the hot-path microbenchmarks and refreshes the newest
+# committed baseline into a dated snapshot: each case keeps the lower of
+# its old and new figures, so a refresh on a slower host cannot loosen a
+# gate (it also compares, like bench-compare). Commit the file to update
+# the baseline CI compares against.
 bench:
-	$(GO) run ./cmd/bmbench -runs 5
+	$(GO) run ./cmd/bmbench -runs 5 -baseline "$$(ls BENCH_*.json | sort | tail -n1)"
 
 # bench-compare measures and compares against the newest committed
 # BENCH_*.json, failing on >10% ns/op regression or any new allocation.

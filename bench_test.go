@@ -96,6 +96,7 @@ func BenchmarkSweepColdWarmup(b *testing.B)        { bench.Run(b, "SweepColdWarm
 func BenchmarkSweepWarmRestore(b *testing.B)       { bench.Run(b, "SweepWarmRestore") }
 func BenchmarkSweepSharedRun(b *testing.B)         { bench.Run(b, "SweepSharedRun") }
 func BenchmarkSweepPooled(b *testing.B)            { bench.Run(b, "SweepPooled") }
+func BenchmarkSweepSchemes(b *testing.B)           { bench.Run(b, "SweepSchemes") }
 func BenchmarkWarmSnapshot(b *testing.B)           { bench.Run(b, "WarmSnapshot") }
 func BenchmarkWarmRestore(b *testing.B)            { bench.Run(b, "WarmRestore") }
 func BenchmarkTraceNextKVStore(b *testing.B)       { bench.Run(b, "TraceNextKVStore") }

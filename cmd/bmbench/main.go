@@ -16,6 +16,12 @@
 // are compared exactly (any new allocation on a zero-alloc path fails).
 // A repetition runs at least three iterations: one that completes fewer
 // within -benchtime is re-run at exactly three.
+//
+// A snapshot written with -baseline refreshes that baseline without
+// loosening it: every case the baseline holds keeps the lower of its old
+// and new ns/op, allocs/op and B/op, and cases new to this run are added.
+// A slower host can therefore never raise a bar, only a faster run or a
+// leaner change can lower one.
 package main
 
 import (
@@ -100,22 +106,29 @@ func main() {
 		fatal(fmt.Errorf("bmbench: no cases match -filter %q", *filter))
 	}
 
+	var base snapshot
+	if *baseline != "" {
+		var err error
+		if base, err = readSnapshot(*baseline); err != nil {
+			fatal(err)
+		}
+	}
 	if *out != "-" {
 		path := *out
 		if path == "" {
 			path = "BENCH_" + snap.Date + ".json"
 		}
-		if err := writeSnapshot(path, snap); err != nil {
+		written := snap
+		if *baseline != "" {
+			written = tighten(base, snap)
+		}
+		if err := writeSnapshot(path, written); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "bmbench: wrote %s\n", path)
 	}
 
 	if *baseline != "" {
-		base, err := readSnapshot(*baseline)
-		if err != nil {
-			fatal(err)
-		}
 		ratcheted := map[string]bool{}
 		for _, n := range strings.Split(*ratchet, ",") {
 			if n = strings.TrimSpace(n); n != "" {
@@ -225,6 +238,32 @@ func compare(base, cur snapshot, tolerance float64, ratcheted map[string]bool) b
 		fmt.Println("bmbench: REGRESSION — rerun on a quiet machine, or update the baseline with `make bench` if the change is intended")
 	}
 	return ok
+}
+
+// tighten returns cur refreshed against base: every case base holds keeps
+// the lower of base's and cur's ns/op (with its iteration count), allocs/op
+// and B/op, each on its own, and cases only cur measured are added as they
+// are. cur's own results are left alone.
+func tighten(base, cur snapshot) snapshot {
+	out := cur
+	out.Results = make(map[string]caseResult, len(base.Results)+len(cur.Results))
+	for n, c := range cur.Results {
+		out.Results[n] = c
+	}
+	for n, b := range base.Results {
+		c, ok := out.Results[n]
+		if !ok {
+			out.Results[n] = b
+			continue
+		}
+		if b.NsPerOp < c.NsPerOp {
+			c.NsPerOp, c.Iterations = b.NsPerOp, b.Iterations
+		}
+		c.AllocsPerOp = min(c.AllocsPerOp, b.AllocsPerOp)
+		c.BytesPerOp = min(c.BytesPerOp, b.BytesPerOp)
+		out.Results[n] = c
+	}
+	return out
 }
 
 func writeSnapshot(path string, s snapshot) error {

@@ -16,6 +16,7 @@ import (
 	"bimodal/internal/dram"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/memctrl"
+	"bimodal/internal/service"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/trace"
@@ -73,6 +74,7 @@ var cases = []Case{
 	{"SweepWarmRestore", "10-cell same-prefix sweep warming once via snapshot restore", sweepWarmRestore},
 	{"SweepSharedRun", "the 10 SweepWarmRestore cells read off one warm run", sweepSharedRun},
 	{"SweepPooled", "10-seed one-cell sweep recycling a single pooled simulator", sweepPooled},
+	{"SweepSchemes", "e2ebench's service-sweep misses in-process: alloy, bimodal x Q1, Q7, one seed", sweepSchemes},
 	{"WarmSnapshot", "seal the warm state of a Bi-Modal Q7 cache/64 simulator", warmSnapshot},
 	{"WarmRestore", "open and restore a sealed Bi-Modal Q7 cache/64 warm snapshot", warmRestore},
 	{"TraceNextKVStore", "datacenter kvstore profile stream generation", traceNextCase("kvstore")},
@@ -465,6 +467,50 @@ func sweepPooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := runSweepPooled(pool, factory); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// schemesSweepSpecs returns the eight cells a service-sweep sweep of
+// e2ebench runs (its other four are store hits): alloy and bimodal over Q1
+// and Q7 at one seed, 200 and 300 measured accesses per core after a
+// 400-access warmup, at cache/64. They form four warm-prefix groups that
+// draw 7 distinct core streams.
+func schemesSweepSpecs() ([]spec.RunSpec, error) {
+	var specs []spec.RunSpec
+	for _, mix := range []string{"Q1", "Q7"} {
+		for _, scheme := range []string{"alloy", "bimodal"} {
+			for _, n := range []int64{200, 300} {
+				rs, err := (spec.RunSpec{Scheme: scheme, Mix: mix, Seed: 11,
+					Options: spec.Options{AccessesPerCore: n, WarmupPerCore: 400, CacheDivisor: 64}}).Canonical()
+				if err != nil {
+					return nil, err
+				}
+				specs = append(specs, rs)
+			}
+		}
+	}
+	return specs, nil
+}
+
+// sweepSchemes measures the service's sweep path without HTTP or a store:
+// service.RunSpecs over the schemes sweep at fan-out 1, as the e2ebench
+// server runs it. One untimed sweep first fills the simulator pool and the
+// read-ahead free list, so allocs/op does not depend on b.N.
+func sweepSchemes(b *testing.B) {
+	specs, err := schemesSweepSpecs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := service.RunSpecs(ctx, specs, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := service.RunSpecs(ctx, specs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

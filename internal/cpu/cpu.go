@@ -170,6 +170,8 @@ func (c *core) prime() {
 		ra.pos++
 	} else if ra.busy {
 		c.next = ra.advance()
+	} else if ra.rec != nil {
+		c.next = ra.tail()
 	} else {
 		c.next = c.gen.Next()
 	}
@@ -294,6 +296,7 @@ func (c *core) finishTime() int64 {
 //bmlint:hotpath
 func (c *core) reset() {
 	c.ra.drop()
+	c.ra.replayed = 0
 	c.time = 0
 	c.outstanding = c.outstanding[:0]
 	c.outHead = 0
@@ -338,6 +341,13 @@ type Engine struct {
 	// outlive one phase.
 	caps []CoreResult   //bmlint:resetconst //bmlint:nosnapshot
 	capT []TenantResult //bmlint:resetconst //bmlint:nosnapshot
+	// drawn counts the accesses the cores drew in the phases completed
+	// since Reset (Draws), and moved marks an engine that has begun a
+	// phase or restored state since NewEngine or Reset, whose generators
+	// therefore no longer stand at their streams' starts. Both describe
+	// this engine's own history, so neither is state.
+	drawn int64 //bmlint:nosnapshot
+	moved bool  //bmlint:nosnapshot
 }
 
 // NewEngine builds an engine. gens supplies one generator per core; a
@@ -447,10 +457,73 @@ func (e *Engine) Reset(seeds []uint64) bool {
 	// a reset engine is observably identical to a freshly constructed one
 	// even if the previous run was abandoned mid-phase.
 	e.sched = e.sched[:0]
+	e.drawn, e.moved = 0, false
 	if e.pf != nil {
 		e.pf.Reset()
 	}
 	return true
+}
+
+// Record makes core i keep the accesses it draws in r, for the cores of
+// other engines that draw the same stream to replay (readahead.go): the
+// core draws through r's buffer, filled inline as its phases need it, up to
+// chunkLen accesses, and then on as before. r completes when its buffer is
+// full or when ReleaseReadAhead ends the run. Call it on an engine fresh
+// from NewEngine or Reset, before its first phase. It reports false,
+// recording nothing, when the core's generator is not a trace.Filler.
+func (e *Engine) Record(i int, r *Recording) bool {
+	c := e.cores[i]
+	if c.ra.fill == nil {
+		return false
+	}
+	e.mustBeFresh(c)
+	c.ra.record(r)
+	return true
+}
+
+// Replay makes core i draw the complete recording r first and then go on
+// exactly where r's recorder's generator stood after it, so the core
+// draws what its own generator would have. r must record the stream core
+// i's generator draws: the same benchmark or tenant composition, core
+// slot and seed (workloads.Mix.Stream). Call it on an engine fresh from
+// NewEngine or Reset, before its first phase; r must stay unreleased until
+// the engine has been Reset or dropped, or has ended its run with
+// ReleaseReadAhead. It reports false, replaying nothing, when the core's
+// generator is not a trace.Filler.
+func (e *Engine) Replay(i int, r *Recording) bool {
+	c := e.cores[i]
+	if c.ra.fill == nil {
+		return false
+	}
+	if !r.done {
+		panic("cpu: replaying a recording that is not complete")
+	}
+	e.mustBeFresh(c)
+	c.ra.replay(r)
+	return true
+}
+
+// mustBeFresh panics unless core c's generator stands at its stream's
+// start: the engine has run no phase and restored nothing since it was
+// built or Reset.
+func (e *Engine) mustBeFresh(c *core) {
+	if e.moved || c.ra.bufs[0] != nil {
+		panic("cpu: Record and Replay need an engine that has run no phase or restore since NewEngine or Reset")
+	}
+}
+
+// Draws reports how many accesses the cores drew in the phases completed
+// since NewEngine or Reset, the discarded primes at phase ends included,
+// and how many of those came from replayed recordings. The two differ by
+// what the cores' own generators produced for them.
+func (e *Engine) Draws() (drawn, replayed int64) {
+	for _, c := range e.cores {
+		replayed += c.ra.replayed
+		if c.ra.replaying {
+			replayed += int64(c.ra.pos)
+		}
+	}
+	return e.drawn, replayed
 }
 
 // Scheme returns the scheme the engine drives.
@@ -568,6 +641,7 @@ const dispatchBatch = 64
 func (e *Engine) runPhase(ctx context.Context, quotas []int64, phaseHist *telemetry.Histogram, each func(k int, per []CoreResult, tens []TenantResult) error) error {
 	start := telemetry.Now() //bmlint:wallclock — phase throughput telemetry only
 	e.sched = e.sched[:0]
+	e.moved = true
 	last := quotas[len(quotas)-1]
 	for _, c := range e.cores {
 		c.ra.mustBeCurrent()
@@ -643,6 +717,9 @@ func (e *Engine) runPhase(ctx context.Context, quotas []int64, phaseHist *teleme
 	for _, c := range e.cores {
 		c.ra.end()
 	}
+	if last > 0 {
+		e.drawn += steps + int64(len(e.cores))
+	}
 	observeRate(phaseHist, steps, telemetry.Since(start)) //bmlint:wallclock
 	return nil
 }
@@ -684,15 +761,17 @@ func (e *Engine) syncReadAhead() {
 }
 
 // ReleaseReadAhead hands every core's read-ahead buffers back to the
-// process-wide free list, after waiting for the fills in flight. Call it
-// once the engine will run no further phase before Reset or RestoreState,
-// so that a finished or idle pooled engine holds no buffers. It does not
-// rewind: a generator read ahead of its core stays ahead, and the engine
-// then panics on any phase or SnapshotState until Reset or RestoreState.
+// process-wide free list, after waiting for the fills in flight, and
+// completes the recordings in progress. Call it once the engine will run
+// no further phase before Reset or RestoreState, so that a finished or
+// idle pooled engine holds no buffers. It does not rewind: a generator
+// read ahead of its core stays ahead, and the engine then panics on any
+// phase or SnapshotState until Reset or RestoreState.
 //
 //bmlint:hotpath
 func (e *Engine) ReleaseReadAhead() {
 	for _, c := range e.cores {
+		c.ra.complete()
 		c.ra.stale = c.ra.drop()
 	}
 }
@@ -705,10 +784,17 @@ func (e *Engine) ReleaseReadAhead() {
 // exactly this point (see SnapshotState): measuring after a restore
 // replays the measured window of the uninterrupted engine identically.
 func (e *Engine) WarmupContext(ctx context.Context, warmup int64) ([]CoreResult, error) {
+	return e.AppendWarmup(ctx, make([]CoreResult, 0, len(e.cores)), warmup)
+}
+
+// AppendWarmup is WarmupContext appending the baseline to dst, so a caller
+// that keeps its baseline reuses its array. On error it returns dst as it
+// was.
+func (e *Engine) AppendWarmup(ctx context.Context, dst []CoreResult, warmup int64) ([]CoreResult, error) {
 	if err := e.runPhase(ctx, []int64{warmup}, warmupRate, nil); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return e.CumulativeResults(), nil
+	return e.AppendCumulativeResults(dst), nil
 }
 
 // MeasureAfterWarmupContext resets scheme statistics (cache state stays

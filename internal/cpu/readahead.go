@@ -32,6 +32,18 @@ import (
 // ReleaseReadAhead hands the buffers back without rewinding, and an engine
 // it leaves ahead refuses phases and snapshots until Reset or
 // RestoreState. Every result and blob byte is that of inline generation.
+//
+// A recording is a carried chunk another engine drew. A core that records
+// draws every access through one chunk, filled inline as the phases need
+// it (the guaranteed region, then tailPiece accesses of the tail at a
+// time), and keeps it: the chunk's mark is the stream's start, and when the
+// chunk is full or the run ends the chunk's end mark takes where the
+// generator stands, right after the last access filled. A core that replays
+// the recording starts with its chunk as carried read-ahead and its
+// generator rewound to that end mark, so every access it draws, inside the
+// recording and past it, is the one its own generator would have drawn.
+// Neither core ever fills or frees a recording's chunk (kept); the
+// recording's owner frees it with Recording.Release.
 
 // chunkLen is the number of accesses one fill generates. A phase whose
 // guaranteed region fits in one chunk starts no read-ahead.
@@ -46,6 +58,42 @@ const chunkLen = 2048
 type chunk struct {
 	acc  *[chunkLen]trace.Access
 	mark trace.Mark
+	// end is a recording's end mark; read-ahead leaves it alone.
+	end trace.Mark
+}
+
+// tailPiece is how many accesses of a phase's uncounted tail a recording
+// core fills at a time: small, so that a recorder generates at most this
+// many accesses its run never draws.
+const tailPiece = 64
+
+// Recording is the start of one core's access stream, drawn once by a
+// recording engine's core (Engine.Record) and replayed by the cores of
+// other engines that draw the same stream (Engine.Replay). It holds at
+// most chunkLen accesses in one buffer from the read-ahead free list, so
+// recording allocates nothing once the list has grown. Its owner must
+// Release it once no engine replays it any more; until then, once Done, it
+// is read-only, and any number of engines may replay it at once.
+type Recording struct {
+	c    *chunk
+	n    int
+	done bool
+}
+
+// Done reports whether the recording is complete: its chunk filled up, or
+// its recorder's run ended (Engine.ReleaseReadAhead) with the recording
+// intact. Only a complete recording may be replayed. A phase cancelled, a
+// snapshot taken or a Reset while the core was still recording abandons
+// the recording, which then never completes.
+func (r *Recording) Done() bool { return r.done }
+
+// Release returns the recording's buffer to the free list and empties the
+// recording.
+func (r *Recording) Release() {
+	if r.c != nil {
+		chunks.put(r.c)
+	}
+	*r = Recording{}
 }
 
 // chunkList is a free list of read-ahead buffers.
@@ -152,13 +200,25 @@ type readAhead struct {
 	// stale marks a generator that ReleaseReadAhead left ahead of the
 	// engine: phases and snapshots panic until Reset or RestoreState.
 	stale bool
+	// rec is the recording the core is filling, bufs[0] its chunk; nil
+	// when the core is not recording or the chunk is full.
+	rec *Recording
+	// kept marks bufs[0] as a recording's chunk, the core's own or one it
+	// replays: the core reads it and rewinds to its mark, but never fills
+	// or frees it. replaying marks a replayed one, and replayed counts the
+	// accesses the core has drawn from recordings since Reset, less those
+	// still in cur.
+	kept, replaying bool
+	replayed        int64
 }
 
 // start begins a phase in which the core is certain to draw n accesses.
-// Accesses carried over from the previous phase come first and count
-// toward n. Without them, a phase that fits in one chunk stays inline;
-// otherwise the first chunk is needed at once and is filled inline, and
-// the next goes to a helper.
+// Accesses carried over from the previous phase, or replayed, come first
+// and count toward n, and a recording core fills what is missing into its
+// recording while the chunk has room; a fill goes to a helper only for
+// what is left after that. Without carried accesses, a phase that fits in
+// one chunk stays inline; otherwise the first chunk is needed at once and
+// is filled inline, and the next goes to a helper.
 //
 //bmlint:hotpath
 func (ra *readAhead) start(n int64) {
@@ -166,13 +226,22 @@ func (ra *readAhead) start(n int64) {
 		return
 	}
 	if ra.bufs[0] != nil {
-		carriedPhases.Inc()
 		ahead := int64(len(ra.cur) - ra.pos)
 		if ra.busy {
 			ahead += int64(len(ra.back))
 		}
+		if ahead > 0 {
+			carriedPhases.Inc()
+		}
+		if ra.rec != nil && ahead < n {
+			ahead += ra.grow(n - ahead)
+		}
 		ra.todo = max(n-ahead, 0)
-		if !ra.busy {
+		if !ra.busy && ra.todo > 0 {
+			helpers.once.Do(startHelpers)
+			if ra.bufs[1] == nil {
+				ra.bufs[1] = chunks.get()
+			}
 			ra.submit()
 		}
 		return
@@ -243,9 +312,16 @@ func (ra *readAhead) wait() {
 // fill: wait for it, make it the current chunk, submit the next chunk into
 // the spent buffer, and return the new chunk's first access.
 //
+// A recording's chunk is not the core's to fill again: it is left for a
+// fresh buffer.
+//
 //bmlint:hotpath
 func (ra *readAhead) advance() trace.Access {
 	ra.wait()
+	if ra.kept {
+		ra.leave(len(ra.cur))
+		ra.bufs[0] = chunks.get()
+	}
 	ra.bufs[0], ra.bufs[1] = ra.bufs[1], ra.bufs[0]
 	ra.cur, ra.pos, ra.back, ra.busy = ra.back, 1, nil, false
 	ra.submit()
@@ -259,8 +335,8 @@ func (ra *readAhead) ahead() bool { return ra.busy || ra.pos < len(ra.cur) }
 
 // end closes a completed phase. The engine has drawn the whole guaranteed
 // region, so all of it must have gone to fills. What is still ahead
-// carries over into the next phase; with nothing ahead the buffers go
-// back to the free list.
+// carries over into the next phase, and so does a recording in progress;
+// with neither the buffers go back to the free list.
 //
 //bmlint:hotpath
 func (ra *readAhead) end() {
@@ -270,7 +346,7 @@ func (ra *readAhead) end() {
 	if ra.todo != 0 {
 		panic("cpu: guaranteed accesses never handed to a fill at the end of a phase")
 	}
-	if !ra.ahead() {
+	if !ra.ahead() && ra.rec == nil {
 		ra.release()
 	}
 }
@@ -278,15 +354,19 @@ func (ra *readAhead) end() {
 // sync puts the generator back at the engine's position and returns the
 // buffers: it waits for a fill in flight, rewinds to the current chunk's
 // mark and re-draws the accesses the engine consumed from that chunk,
-// which must equal them.
+// which must equal them. A recording in progress is abandoned.
 //
 //bmlint:hotpath
 func (ra *readAhead) sync() {
+	ra.rec = nil
 	if ra.bufs[0] == nil {
 		return
 	}
 	ra.wait()
 	if ra.ahead() {
+		if ra.bufs[1] == nil {
+			ra.bufs[1] = chunks.get()
+		}
 		ra.fill.Rewind(&ra.bufs[0].mark)
 		redo := ra.bufs[1].acc[:ra.pos]
 		ra.fill.Fill(redo)
@@ -299,13 +379,14 @@ func (ra *readAhead) sync() {
 }
 
 // drop returns the buffers without rewinding, after waiting for a fill in
-// flight, and clears stale. It reports whether the generator was left
-// ahead of the engine, which matters only to ReleaseReadAhead: Reset and
-// RestoreState overwrite the generator.
+// flight, abandons a recording in progress and clears stale. It reports
+// whether the generator was left ahead of the engine, which matters only to
+// ReleaseReadAhead: Reset and RestoreState overwrite the generator.
 //
 //bmlint:hotpath
 func (ra *readAhead) drop() (ahead bool) {
 	ra.stale = false
+	ra.rec = nil
 	if ra.bufs[0] == nil {
 		return false
 	}
@@ -315,14 +396,90 @@ func (ra *readAhead) drop() (ahead bool) {
 	return ahead
 }
 
-// release returns both buffers to the free list. No fill may be in flight.
+// release returns the core's buffers to the free list, leaving a
+// recording's chunk to its owner. No fill may be in flight.
 //
 //bmlint:hotpath
 func (ra *readAhead) release() {
-	chunks.put(ra.bufs[0])
-	chunks.put(ra.bufs[1])
+	if ra.kept {
+		ra.leave(ra.pos)
+	} else {
+		chunks.put(ra.bufs[0])
+	}
+	if ra.bufs[1] != nil {
+		chunks.put(ra.bufs[1])
+	}
 	ra.bufs = [2]*chunk{}
 	ra.cur, ra.pos, ra.back, ra.todo, ra.busy = nil, 0, nil, 0, false
+}
+
+// leave lets go of a recording's chunk as bufs[0] after the core drew n of
+// its accesses.
+//
+//bmlint:hotpath
+func (ra *readAhead) leave(n int) {
+	if ra.replaying {
+		ra.replayed += int64(n)
+	}
+	ra.kept, ra.replaying = false, false
+}
+
+// record starts recording into r. The generator must stand at the start
+// of its stream and the core must hold no read-ahead.
+func (ra *readAhead) record(r *Recording) {
+	c := chunks.get()
+	ra.fill.Mark(&c.mark)
+	*r = Recording{c: c}
+	ra.rec, ra.kept = r, true
+	ra.bufs[0], ra.cur, ra.pos = c, c.acc[:0], 0
+}
+
+// replay makes the complete recording r the core's carried chunk and puts
+// the generator at r's end. The generator must be congruent to r's
+// recorder's (the same stream) and the core must hold no read-ahead.
+func (ra *readAhead) replay(r *Recording) {
+	ra.fill.Rewind(&r.c.end)
+	ra.bufs[0], ra.cur, ra.pos = r.c, r.c.acc[:r.n], 0
+	ra.kept, ra.replaying = true, true
+}
+
+// grow fills up to want more accesses into the recording behind cur, at
+// least one, and returns how many it filled. A full chunk completes the
+// recording.
+//
+//bmlint:hotpath
+func (ra *readAhead) grow(want int64) int64 {
+	r := ra.rec
+	k := int(min(want, int64(chunkLen-r.n)))
+	ra.fill.Fill(r.c.acc[r.n : r.n+k])
+	r.n += k
+	ra.cur = r.c.acc[:r.n]
+	if r.n == chunkLen {
+		ra.complete()
+	}
+	return int64(k)
+}
+
+// tail is prime's path for a recording core whose cur is spent: it grows
+// the recording by a piece of the tail and draws its first access.
+//
+//bmlint:hotpath
+func (ra *readAhead) tail() trace.Access {
+	ra.grow(tailPiece)
+	ra.pos++
+	return ra.cur[ra.pos-1]
+}
+
+// complete ends a recording in progress: the generator stands right after
+// the last access filled, which is where the recording ends.
+//
+//bmlint:hotpath
+func (ra *readAhead) complete() {
+	if r := ra.rec; r != nil {
+		ra.fill.Mark(&r.c.end)
+		r.done = true
+		ra.rec = nil
+	}
 }
 
 // mustBeCurrent panics when ReleaseReadAhead left the generator ahead of

@@ -35,6 +35,7 @@ func (e *Engine) SnapshotState(w *snapshot.Writer) {
 // congruently (same generators, core config, prefetcher and scheme
 // construction) to the snapshot producer.
 func (e *Engine) RestoreState(r *snapshot.Reader) {
+	e.moved = true
 	r.Tag("engine")
 	for _, c := range e.cores {
 		c.restoreState(r)

@@ -14,6 +14,11 @@
 // `result` payloads, whichever workers ran the cells, in whatever order
 // they finished, and whether a cell was simulated or read back from the
 // store.
+//
+// In-process, a sweep's misses run in warm-prefix groups, one simulation
+// per group, and the groups share core streams: the first group to draw a
+// core stream that a later group draws too records it, and the later group
+// replays it (warm.go). Neither changes a byte; both only save work.
 package service
 
 import (
@@ -22,9 +27,11 @@ import (
 	"fmt"
 
 	"bimodal/internal/energy"
+	"bimodal/internal/engine"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/stats"
+	"bimodal/internal/telemetry"
 	"bimodal/internal/workloads"
 )
 
@@ -158,6 +165,31 @@ func RunCellSpec(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
 		return nil, err
 	}
 	return cellSpec{mix: mix, rs: rs}.runJSON(ctx)
+}
+
+// RunSpecs executes canonical run specs in-process the way a sweep runs
+// its store misses, with no store: in warm-prefix groups that share core
+// streams (warm.go), at most workers cells at a time (engine.Workers), and
+// returns each spec's result bytes in order, which equal RunCellSpec's.
+func RunSpecs(ctx context.Context, specs []spec.RunSpec, workers int) ([][]byte, error) {
+	cells, err := SweepRequest{Specs: specs}.cells(0)
+	if err != nil {
+		return nil, err
+	}
+	misses := make([]int, len(cells))
+	for i := range misses {
+		misses[i] = i
+	}
+	p, err := planWarm(cells, misses)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	st := shareStats{new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter)}
+	return engine.Map(ctx, engine.Workers(workers), len(cells), func(ctx context.Context, k int) ([]byte, error) {
+		raw, _, err := p.run(ctx, k, &st)
+		return raw, err
+	})
 }
 
 // SweepList is the paginated reply of GET /v1/sweeps.
@@ -334,7 +366,7 @@ func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
 // every in-process cell takes.
 func (c cellSpec) runJSON(ctx context.Context) ([]byte, error) {
 	cells, quotas, raws := [1]cellSpec{c}, [1]sim.Quota{}, [1][]byte{}
-	err := runGroup(ctx, cells[:], quotas[:], raws[:])
+	_, _, err := runGroup(ctx, cells[:], quotas[:], raws[:], nil, nil)
 	return raws[0], err
 }
 

@@ -84,9 +84,10 @@ type Server struct {
 	mSweepSubmitted, mSweepCompleted      *telemetry.Counter
 	mSweepFailed, mSweepCanceled          *telemetry.Counter
 	mRejected, mStoreHits, mStoreMisses   *telemetry.Counter
-	mSnapHits, mSnapMisses                *telemetry.Counter
 	gQueueDepth, gInFlight, gStoreEntries *telemetry.Gauge
 	hCellSeconds                          *telemetry.Histogram
+	// shareStats counts what the in-process group runs share (warm.go).
+	shareStats
 }
 
 // New builds a Server and starts its workers.
@@ -109,12 +110,16 @@ func New(cfg Config) *Server {
 		mSweepCanceled:  reg.Counter("bimodal_sweeps_canceled_total"),
 		mStoreHits:      reg.Counter("bimodal_sweep_store_hits_total"),
 		mStoreMisses:    reg.Counter("bimodal_sweep_store_misses_total"),
-		mSnapHits:       reg.Counter("bimodal_snapshot_hits_total"),
-		mSnapMisses:     reg.Counter("bimodal_snapshot_misses_total"),
 		gQueueDepth:     reg.Gauge("bimodal_queue_depth"),
 		gInFlight:       reg.Gauge("bimodal_jobs_inflight"),
 		gStoreEntries:   reg.Gauge("bimodal_store_entries"),
 		hCellSeconds:    reg.Histogram("bimodal_cell_seconds", telemetry.LatencyBuckets()...),
+		shareStats: shareStats{
+			mSnapHits:        reg.Counter("bimodal_snapshot_hits_total"),
+			mSnapMisses:      reg.Counter("bimodal_snapshot_misses_total"),
+			mStreamGenerated: reg.Counter("bimodal_stream_accesses_generated_total"),
+			mStreamReplayed:  reg.Counter("bimodal_stream_accesses_replayed_total"),
+		},
 	}
 	// The run context is handed to each worker rather than stored on the
 	// Server: contexts are call-scoped (bmctxhygiene), and the only

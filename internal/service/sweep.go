@@ -178,6 +178,9 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 			if plan, err = planWarm(sw.cells, misses); err != nil {
 				return nil, err
 			}
+			// engine.Map returns once every cell has, so no run replays a
+			// recording by then.
+			defer plan.release()
 		}
 		_, err := engine.Map(ctx, engine.Workers(s.cfg.SweepFanout), len(misses),
 			func(ctx context.Context, k int) (struct{}, error) {
@@ -226,7 +229,7 @@ func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int, plan *warmP
 		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
 		return raw, "run", err
 	}
-	raw, warm, err := s.runWarm(ctx, plan, k)
+	raw, warm, err := plan.run(ctx, k, &s.shareStats)
 	origin := "run"
 	if warm {
 		origin = "warm"

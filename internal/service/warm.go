@@ -4,8 +4,12 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"sync"
 
+	"bimodal/internal/cpu"
 	"bimodal/internal/sim"
+	"bimodal/internal/telemetry"
+	"bimodal/internal/workloads"
 )
 
 // A sweep runs its store misses in warm-prefix groups (DESIGN.md section
@@ -17,6 +21,16 @@ import (
 // member's result is read off that run as it passes the member's quota.
 // A miss that shares its prefix with no other miss, or has none (warmup
 // disabled), is a group of one, whose run is exactly RunCellSpec's.
+//
+// Groups also share core streams. Core i's access stream depends only on
+// its benchmark (or tenant composition), its slot and the seed
+// (workloads.Mix.Stream), never on the scheme, so the groups of a sweep
+// that scores several schemes on one mix draw the same streams. The first
+// group to draw a stream that a later group draws too records what its
+// core draws (sim.Sim.Record); a later group replays the recording
+// (sim.Sim.Replay) once that run has ended well, and generates its own
+// otherwise: it never waits for a recording. Replay changes no byte. The
+// recordings go back to the read-ahead free list when the sweep ends.
 
 // warmPlan lays a sweep's store misses out by group: each group's members
 // sit side by side in cells, quotas and raws, in sweep order.
@@ -28,41 +42,91 @@ type warmPlan struct {
 	// at maps each miss, by its position in the sweep's miss list, to its
 	// slot in cells and its group.
 	at []warmSlot
+	// streams holds every group's cores, group by group, when the plan has
+	// more than one group, and recs one recording per stream that more than
+	// one group draws.
+	streams []coreStream
+	recs    []cpu.Recording
+	// byPrefix and byStream are planWarm's scratch maps.
+	byPrefix map[string]int
+	byStream map[workloads.Stream]int
 }
+
+// plans recycles sweep plans with their tables and maps, so that a steady
+// stream of sweeps plans without allocating, its groups' ready channels
+// aside.
+var plans = sync.Pool{New: func() any { return new(warmPlan) }}
+
+// sized returns s at length n with every element zero, reusing its array
+// when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// coreStream is one core of a group's run. rec indexes the plan's recording
+// of the core's stream when another group draws that stream too, and is -1
+// otherwise; from is then the group that draws it first, which records it.
+// act is what the group's run does with the stream, set by its leader.
+type coreStream struct {
+	rec, from int
+	act       streamAct
+}
+
+// streamAct is what a core does with its shared stream: draw its own
+// generator only, record the stream, or replay it.
+type streamAct uint8
+
+const (
+	ownStream streamAct = iota
+	recordStream
+	replayStream
+)
 
 type warmSlot struct{ slot, group int }
 
-// warmGroup is one group: the slots lo to lo+n-1 of its plan, lo leading.
+// warmGroup is one group: the slots lo to lo+n-1 of its plan, lo leading,
+// and the entries so to so+cores-1 of its plan's streams, one per core.
 type warmGroup struct {
-	lo, n int
-	// ready is closed once the group's run has ended, when raws and err
-	// are final. A group of one has none: nobody waits for it.
+	lo, n     int
+	so, cores int
+	// records marks a group that records a stream another group replays.
+	records bool
+	// ready is closed once the group's run has ended, when raws, err and
+	// the recordings it made are final. A group of one that records no
+	// stream has none: nobody looks at it.
 	ready chan struct{}
 	err   error
 }
 
 // planWarm groups a sweep's store misses (cell indices in sweep order) by
 // warmup prefix hash, whatever their scheme.
+// The plan comes from the pool; release returns it.
 func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
-	p := &warmPlan{
-		groups: make([]warmGroup, 0, len(misses)),
-		cells:  make([]cellSpec, len(misses)),
-		quotas: make([]sim.Quota, len(misses)),
-		raws:   make([][]byte, len(misses)),
-		at:     make([]warmSlot, len(misses)),
+	p := plans.Get().(*warmPlan)
+	n := len(misses)
+	p.groups = p.groups[:0]
+	p.cells, p.quotas, p.raws, p.at = sized(p.cells, n), sized(p.quotas, n), sized(p.raws, n), sized(p.at, n)
+	p.streams, p.recs = p.streams[:0], p.recs[:0]
+	if p.byPrefix == nil {
+		p.byPrefix = map[string]int{}
 	}
-	byPrefix := map[string]int{}
 	for k, i := range misses {
 		prefix, ok, err := cells[i].rs.PrefixHash()
 		if err != nil {
+			p.release()
 			return nil, err
 		}
-		g, seen := byPrefix[prefix]
+		g, seen := p.byPrefix[prefix]
 		if !ok || !seen {
 			g = len(p.groups)
 			p.groups = append(p.groups, warmGroup{})
 			if ok {
-				byPrefix[prefix] = g
+				p.byPrefix[prefix] = g
 			}
 		}
 		p.at[k].group = g
@@ -71,9 +135,6 @@ func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
 	lo := 0
 	for g := range p.groups {
 		grp := &p.groups[g]
-		if grp.n > 1 {
-			grp.ready = make(chan struct{})
-		}
 		grp.lo, lo, grp.n = lo, lo+grp.n, 0
 	}
 	for k, i := range misses {
@@ -82,29 +143,147 @@ func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
 		p.cells[grp.lo+grp.n] = cells[i]
 		grp.n++
 	}
+	p.planStreams()
+	for g := range p.groups {
+		if grp := &p.groups[g]; grp.n > 1 || grp.records {
+			grp.ready = make(chan struct{})
+		}
+	}
 	return p, nil
 }
 
-// runWarm returns the result bytes of the sweep's k-th store miss and
+// planStreams keys every group's cores by stream identity and gives each
+// stream that more than one group draws a recording, recorded by the first
+// group that draws it. A plan of one group shares nothing and lays out no
+// streams.
+func (p *warmPlan) planStreams() {
+	if len(p.groups) < 2 {
+		return
+	}
+	n := 0
+	for g := range p.groups {
+		grp := &p.groups[g]
+		grp.so, grp.cores = n, p.cells[grp.lo].mix.Cores()
+		n += grp.cores
+	}
+	p.streams = sized(p.streams, n)
+	if p.byStream == nil {
+		p.byStream = make(map[workloads.Stream]int, n)
+	}
+	first := p.byStream // each stream's first entry
+	recs := 0
+	for g := range p.groups {
+		grp := &p.groups[g]
+		lead := p.cells[grp.lo]
+		for i := 0; i < grp.cores; i++ {
+			k := grp.so + i
+			p.streams[k] = coreStream{rec: -1, from: g}
+			// A zero seed runs as 1 (sim.Options).
+			key := lead.mix.Stream(max(lead.rs.Seed, 1), i)
+			j, seen := first[key]
+			if !seen {
+				first[key] = k
+				continue
+			}
+			f := &p.streams[j]
+			if f.rec < 0 {
+				f.rec, recs = recs, recs+1
+				p.groups[f.from].records = true
+			}
+			p.streams[k].rec, p.streams[k].from = f.rec, f.from
+		}
+	}
+	p.recs = sized(p.recs, recs)
+}
+
+// share decides what group g's run does with each core's stream and
+// returns the group's streams: it records the streams it draws first, and
+// replays the others' recordings whose runs have ended well. A recording
+// still being drawn is not waited for: the core generates its own stream.
+func (p *warmPlan) share(g int) []coreStream {
+	if len(p.streams) == 0 {
+		return nil
+	}
+	grp := &p.groups[g]
+	sts := p.streams[grp.so : grp.so+grp.cores]
+	for i := range sts {
+		st := &sts[i]
+		switch {
+		case st.rec < 0:
+			st.act = ownStream
+		case st.from == g:
+			st.act = recordStream
+		case p.recorded(st):
+			st.act = replayStream
+		default:
+			st.act = ownStream
+		}
+	}
+	return sts
+}
+
+// recorded reports whether st's recording is complete: its recorder's run
+// has ended well and completed it.
+func (p *warmPlan) recorded(st *coreStream) bool {
+	from := &p.groups[st.from]
+	select {
+	case <-from.ready:
+		return from.err == nil && p.recs[st.rec].Done()
+	default:
+		return false
+	}
+}
+
+// release returns the plan's recordings to the free list and the plan,
+// emptied of what it refers to, to its pool. Every group's run must have
+// ended, and nothing may use the plan after.
+func (p *warmPlan) release() {
+	for i := range p.recs {
+		p.recs[i].Release()
+	}
+	clear(p.groups)
+	clear(p.cells)
+	clear(p.raws)
+	clear(p.byPrefix)
+	clear(p.byStream)
+	plans.Put(p)
+}
+
+// shareStats counts what a sweep's group runs share: grouped misses that
+// led their group's run (mSnapMisses) and that were read off it
+// (mSnapHits), and the core-stream accesses the runs drew from their own
+// generators (mStreamGenerated) and from another group's recording
+// (mStreamReplayed).
+type shareStats struct {
+	mSnapHits, mSnapMisses            *telemetry.Counter
+	mStreamGenerated, mStreamReplayed *telemetry.Counter
+}
+
+// run returns the result bytes of the sweep's k-th store miss and
 // whether they were read off a run another miss led. The leader runs its
 // group; every other member waits for that run. The leader is an earlier
 // miss, and engine.Map hands misses out in order, so it is already running
 // or done: the wait cannot deadlock.
 //
 // Every grouped miss that completes counts exactly one snapshot miss (it
-// led its group's run) or one hit (it shared that run). Groups of one
-// count neither.
-func (s *Server) runWarm(ctx context.Context, p *warmPlan, k int) (raw []byte, warm bool, err error) {
+// led its group's run) or one hit (it shared that run) into st. Groups of
+// one count neither. Each group run that completes adds its stream draws
+// once.
+func (p *warmPlan) run(ctx context.Context, k int, st *shareStats) (raw []byte, warm bool, err error) {
 	at := p.at[k]
 	g := &p.groups[at.group]
 	if at.slot == g.lo {
 		hi := g.lo + g.n
-		err := runGroup(ctx, p.cells[g.lo:hi], p.quotas[g.lo:hi], p.raws[g.lo:hi])
+		drawn, replayed, err := runGroup(ctx, p.cells[g.lo:hi], p.quotas[g.lo:hi], p.raws[g.lo:hi], p.share(at.group), p.recs)
+		if err == nil {
+			st.mStreamGenerated.Add(drawn - replayed)
+			st.mStreamReplayed.Add(replayed)
+		}
 		if g.ready != nil {
 			g.err = err
 			close(g.ready)
-			if err == nil {
-				s.mSnapMisses.Inc()
+			if err == nil && g.n > 1 {
+				st.mSnapMisses.Inc()
 			}
 		}
 		return p.raws[at.slot], false, err
@@ -117,7 +296,7 @@ func (s *Server) runWarm(ctx context.Context, p *warmPlan, k int) (raw []byte, w
 	if g.err != nil {
 		return nil, false, g.err
 	}
-	s.mSnapHits.Inc()
+	st.mSnapHits.Inc()
 	return p.raws[at.slot], true, nil
 }
 
@@ -131,12 +310,15 @@ func (s *Server) runWarm(ctx context.Context, p *warmPlan, k int) (raw []byte, w
 // identically for its spec, are marshaled as the run passes its length,
 // with ANTT only if the cell asked for it. quotas is scratch as long as
 // cells. An ANTT cell's standalone terms run serially (Workers 1): the
-// service parallelizes across cells.
+// service parallelizes across cells. streams, when not nil, holds one
+// entry per core of the mix saying whether the core records its stream
+// into recs or replays it from there, and runGroup reports how many
+// accesses the cores drew and how many of those were replayed.
 //
 // The Sim goes back to the pool once every result is sealed: after Put a
 // concurrent Reset may scribble over the scheme a result aliases. A failed
 // run never reaches Put: its partial state is discarded with the Sim.
-func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws [][]byte) error {
+func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws [][]byte, streams []coreStream, recs []cpu.Recording) (drawn, replayed int64, err error) {
 	qs := quotas[:0]
 	for _, c := range cells {
 		o := c.rs.Options
@@ -151,10 +333,18 @@ func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws []
 	}
 	s, err := sim.ForSpec(runPool, cells[0].rs, cells[0].mix, 1)
 	if err != nil {
-		return err
+		return 0, 0, err
+	}
+	for i, st := range streams {
+		switch st.act {
+		case recordStream:
+			s.Record(i, &recs[st.rec])
+		case replayStream:
+			s.Replay(i, &recs[st.rec])
+		}
 	}
 	if err := s.Warmup(ctx); err != nil {
-		return err
+		return 0, 0, err
 	}
 	err = s.MeasureEach(ctx, qs, func(k int, res sim.RunResult) error {
 		for i, c := range cells {
@@ -174,8 +364,9 @@ func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws []
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
+	drawn, replayed = s.Draws()
 	runPool.Put(s)
-	return nil
+	return drawn, replayed, nil
 }

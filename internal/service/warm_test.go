@@ -272,8 +272,9 @@ func TestWarmRunnerSharesTenantPrefix(t *testing.T) {
 
 // TestWarmRunnerSkipsUnsharedPrefix pins the grouping policy: a sweep of
 // one alloy and one bimodal cell shares no prefix between its misses (the
-// schemes differ), so each is a group of one, nothing is shared and the
-// store holds the two results only.
+// schemes differ), so each is a group of one, no cell is read off another
+// one's run and the store holds the two results only. (The two groups may
+// still share core streams, which changes no byte.)
 func TestWarmRunnerSkipsUnsharedPrefix(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, SweepFanout: 2})
 	var specs []spec.RunSpec

@@ -141,7 +141,7 @@ func (s *Sim) Warmup(ctx context.Context) error {
 	if s.o.WarmupPerCore <= 0 {
 		return nil
 	}
-	pre, err := s.eng.WarmupContext(ctx, s.o.WarmupPerCore)
+	pre, err := s.eng.AppendWarmup(ctx, s.pre[:0], s.o.WarmupPerCore)
 	if err != nil {
 		return err
 	}
@@ -150,6 +150,26 @@ func (s *Sim) Warmup(ctx context.Context) error {
 	s.warmed = true
 	return nil
 }
+
+// Record has core i keep the accesses it draws in r, for other Sims whose
+// core draws the same stream (workloads.Mix.Stream) to replay. Call it
+// before the Sim's first phase, on a Sim fresh from NewSim, ForSpec or
+// Reset; the run completes r when Measure or MeasureEach ends it. It
+// changes no result or blob byte (cpu.Engine.Record), and reports false,
+// doing nothing, when the core's generator cannot be read ahead.
+func (s *Sim) Record(i int, r *cpu.Recording) bool { return s.eng.Record(i, r) }
+
+// Replay has core i draw the complete recording r first and then go on
+// exactly where r's recorder's generator stood after it, so the run's
+// bytes are those of fresh generation (cpu.Engine.Replay). Its rules are
+// Record's, and r must stay unreleased until the run has ended.
+func (s *Sim) Replay(i int, r *cpu.Recording) bool { return s.eng.Replay(i, r) }
+
+// Draws reports how many accesses the Sim's cores drew since it was built
+// or Reset, and how many of those came from replayed recordings
+// (cpu.Engine.Draws); ANTT's standalone runs draw their own and are not
+// counted.
+func (s *Sim) Draws() (drawn, replayed int64) { return s.eng.Draws() }
 
 // Snapshot seals the complete simulator state into a blob bound to
 // prefixHash (see spec.PrefixHash). Valid at the warmup/measure boundary:

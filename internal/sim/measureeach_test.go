@@ -154,10 +154,11 @@ func TestReportDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestMeasureEachAllocs pins what a shared run costs on a pooled warm Sim:
-// a two-quota MeasureEach allocates no more than Measure plus the one
-// PerCore slice of its extra capture. Both cycles draw the Sim, warm it up
-// and put it back.
+// TestMeasureEachAllocs pins what a run costs on a pooled warm Sim: a
+// Warmup+Measure cycle allocates one object, the result's PerCore (Warmup
+// refills the Sim's own baseline), and a two-quota MeasureEach no more than
+// Measure plus the one PerCore slice of its extra capture. Both cycles draw
+// the Sim, warm it up and put it back.
 func TestMeasureEachAllocs(t *testing.T) {
 	rs := goldenSpec(t, "bimodal", nil, 0)
 	mix := workloads.MustByName(rs.Mix)
@@ -190,6 +191,9 @@ func TestMeasureEachAllocs(t *testing.T) {
 	two()
 	m, e := testing.AllocsPerRun(10, one), testing.AllocsPerRun(10, two)
 	t.Logf("Measure cycle %v allocs, two-quota MeasureEach cycle %v", m, e)
+	if m != 1 {
+		t.Errorf("Warmup+Measure cycle allocates %v objects, want 1 (the result's PerCore)", m)
+	}
 	if e > m+1 {
 		t.Errorf("two-quota MeasureEach cycle allocates %v objects, Measure's %v: want at most one more", e, m)
 	}

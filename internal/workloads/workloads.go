@@ -64,6 +64,29 @@ func CoreSeed(seed uint64, i int) uint64 {
 	return seed*0x9E3779B9 + uint64(i)*0x85EBCA6B + 1
 }
 
+// Stream identifies one core's access stream by exactly what Generator
+// builds it from: the benchmark profile, or for a traffic mix its tenant
+// composition, which the mix name encodes in full (FromSpec's label; the
+// static mixes' names are fixed); the core slot, which places the
+// footprint at CoreBase; and the core's CoreSeed. Two cores whose Streams
+// are equal draw identical streams, whatever mix, scheme or run options
+// they belong to. A Stream is a comparable value.
+type Stream struct {
+	source  string
+	traffic bool
+	slot    int
+	seed    uint64
+}
+
+// Stream returns core i's stream identity under seed: Generator(seed, i)
+// draws it.
+func (m Mix) Stream(seed uint64, i int) Stream {
+	if m.Traffic != nil {
+		return Stream{source: m.Name, traffic: true, slot: i, seed: CoreSeed(seed, i)}
+	}
+	return Stream{source: m.Benchmarks[i], slot: i, seed: CoreSeed(seed, i)}
+}
+
 // Generators instantiates one deterministic generator per core. seed
 // decorrelates reruns (per-core derivation in CoreSeed).
 func (m Mix) Generators(seed uint64) []trace.Generator {

@@ -147,3 +147,35 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamIdentity pins what makes two cores' streams equal: the
+// benchmark or tenant composition, the slot and the seed, never the mix a
+// classic benchmark runs in.
+func TestStreamIdentity(t *testing.T) {
+	q1, q7, q8 := MustByName("Q1"), MustByName("Q7"), MustByName("Q8")
+	kv, web := MustByName("KV4"), MustByName("WEB4")
+	for _, c := range []struct {
+		what string
+		a, b Stream
+		same bool
+	}{
+		{"mcf on core 0 of Q1 and Q7", q1.Stream(3, 0), q7.Stream(3, 0), true},
+		{"core 0 of Q1 under two seeds", q1.Stream(3, 0), q1.Stream(4, 0), false},
+		{"mcf on cores 0 and 1 of Q8", q8.Stream(3, 0), q8.Stream(3, 1), false},
+		{"lbm and art on core 1", q1.Stream(3, 1), q7.Stream(3, 1), false},
+		{"core 2 of KV4 twice", kv.Stream(3, 2), kv.Stream(3, 2), true},
+		{"cores 1 and 2 of KV4", kv.Stream(3, 1), kv.Stream(3, 2), false},
+		{"core 1 of KV4 and WEB4", kv.Stream(3, 1), web.Stream(3, 1), false},
+	} {
+		if got := c.a == c.b; got != c.same {
+			t.Errorf("%s: same stream %v, want %v", c.what, got, c.same)
+		}
+	}
+	// The streams Stream calls equal are the ones Generator draws.
+	a, b := q1.Generator(3, 0), q7.Generator(3, 0)
+	for i := 0; i < 1000; i++ {
+		if x, y := a.Next(), b.Next(); x != y {
+			t.Fatalf("access %d: Q1 core 0 drew %+v, Q7 core 0 %+v", i, x, y)
+		}
+	}
+}
