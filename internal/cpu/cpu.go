@@ -860,15 +860,16 @@ func (e *Engine) AppendCumulativeResults(dst []CoreResult) []CoreResult {
 // indexed by tenant ID. It returns nil when no core weaves multiple
 // tenants. Totals are cumulative (like CumulativeResults); subtract a
 // warmup baseline with DeltaTenants.
-func (e *Engine) TenantTotals() []TenantResult {
-	n := e.tenants()
-	if n == 0 {
-		return nil
+func (e *Engine) TenantTotals() []TenantResult { return e.AppendTenantTotals(nil) }
+
+// AppendTenantTotals appends TenantTotals to dst and returns the extended
+// slice, so a caller that keeps its baseline reuses its array.
+func (e *Engine) AppendTenantTotals(dst []TenantResult) []TenantResult {
+	lo := len(dst)
+	for i := range e.tenants() {
+		dst = append(dst, TenantResult{Tenant: i})
 	}
-	out := make([]TenantResult, n)
-	for i := range out {
-		out[i].Tenant = i
-	}
+	out := dst[lo:]
 	for _, c := range e.cores {
 		for i, t := range c.tens {
 			out[i].Accesses += t.Accesses
@@ -878,7 +879,7 @@ func (e *Engine) TenantTotals() []TenantResult {
 			out[i].Insts += t.Insts
 		}
 	}
-	return out
+	return dst
 }
 
 // tenants is the number of tenants any core attributes to: the length of

@@ -35,7 +35,7 @@ type Options struct {
 	// Workers bounds the experiment engine's worker pool. 0 selects
 	// runtime.NumCPU(); 1 forces serial execution.
 	Workers int
-	// Progress, when non-nil, receives one timing line per completed
+	// Progress, when non-nil, receives one progress line per completed
 	// simulation cell (cmd/paper points it at stderr).
 	Progress io.Writer
 }
@@ -98,8 +98,9 @@ type Experiment struct {
 	Run func(context.Context, Options) (*stats.Table, error)
 }
 
-// cell is one independent simulation unit: one (mix, scheme, options)
-// combination. Each cell builds its own scheme instance, generators and
+// cell is one independent simulation unit that no run spec describes (a
+// W/P design-sweep point or a functional stream study; the rest are
+// batches). Each cell builds its own scheme instance, generators and
 // statistics inside run, so cells share no mutable state and may execute
 // on any worker in any order.
 type cell[T any] struct {
@@ -114,37 +115,44 @@ type cell[T any] struct {
 // runCells fans the cells out over the experiment engine's bounded worker
 // pool (Options.Workers, default NumCPU) and collects their values in
 // submission order — the assembly that follows is then identical to what
-// a serial loop would have produced. One progress/timing line is emitted
-// per completed cell when Options.Progress is set.
+// a serial loop would have produced. One progress line is emitted per
+// completed cell when Options.Progress is set.
 func runCells[T any](ctx context.Context, o Options, id string, cells []cell[T]) ([]T, error) {
-	n := &notifier{w: o.Progress, id: id, total: len(cells)}
+	n := newNotifier(o, id, len(cells))
 	return engine.Map(ctx, engine.Workers(o.Workers), len(cells), func(ctx context.Context, i int) (T, error) {
-		start := telemetry.Now() //bmlint:wallclock — per-cell progress timing only
 		v, err := cells[i].run(ctx)
 		if err == nil {
-			n.cellDone(cells[i].label, telemetry.Since(start)) //bmlint:wallclock
+			n.cellDone(cells[i].label)
 		}
 		return v, err
 	})
 }
 
 // notifier serializes per-cell status lines; cells complete concurrently,
-// so the counter and the writer sit behind one mutex.
+// so the counter and the writer sit behind one mutex. A line carries the
+// time since the experiment started: cells that share a run complete
+// together, so a cell has no time of its own.
 type notifier struct {
 	mu    sync.Mutex
 	w     io.Writer
 	id    string
+	start time.Time
 	total int
 	done  int
 }
 
-func (n *notifier) cellDone(label string, d time.Duration) {
+func newNotifier(o Options, id string, total int) *notifier {
+	return &notifier{w: o.Progress, id: id, start: telemetry.Now(), total: total} //bmlint:wallclock — progress timing only
+}
+
+func (n *notifier) cellDone(label string) {
 	if n.w == nil {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.done++
+	d := telemetry.Since(n.start) //bmlint:wallclock
 	fmt.Fprintf(n.w, "%s [%d/%d] %-28s %8s\n", n.id, n.done, n.total, label, d.Round(time.Millisecond))
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bimodal/internal/dramcache"
+	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 )
@@ -31,41 +32,33 @@ func extMissPred(ctx context.Context, o Options) (*stats.Table, error) {
 		"mix", "base latency", "with predictor", "reduction", "wasted probes")
 	mixes := o.mixes(4)
 	type predResult struct {
-		base, pred  float64
+		latency     float64
 		wastedProbe int64
 	}
-	var cells []cell[predResult]
+	b := batch[predResult]{keep: func(res sim.RunResult) predResult {
+		bm := res.Scheme.(*dramcache.BiModal)
+		return predResult{res.Report.AvgLatency(), bm.WastedProbeBytes}
+	}}
 	for _, mix := range mixes {
 		rs := o.cellSpec("bimodal", mix.Name)
-		withPred := rs
-		withPred.Params = spec.Params{"miss_predictor": 1}
-		cells = append(cells, cell[predResult]{label: mix.Name, run: func(ctx context.Context) (predResult, error) {
-			base, err := runSpec(ctx, o, rs)
-			if err != nil {
-				return predResult{}, err
-			}
-			pred, err := runSpec(ctx, o, withPred)
-			if err != nil {
-				return predResult{}, err
-			}
-			bm := pred.Scheme.(*dramcache.BiModal)
-			return predResult{base.Report.AvgLatency(), pred.Report.AvgLatency(), bm.WastedProbeBytes}, nil
-		}})
+		b.add(mix.Name+" bimodal", rs)
+		rs.Params = spec.Params{"miss_predictor": 1}
+		b.add(mix.Name+" miss-predictor", rs)
 	}
-	res, err := runCells(ctx, o, "ext-misspred", cells)
+	res, err := b.run(ctx, o, "ext-misspred")
 	if err != nil {
 		return nil, err
 	}
 	var reds []float64
 	for i, mix := range mixes {
-		r := res[i]
-		red := stats.Improvement(r.base, r.pred)
+		base, pred := res[2*i], res[2*i+1]
+		red := stats.Improvement(base.latency, pred.latency)
 		reds = append(reds, red)
 		tbl.AddRow(mix.Name,
-			fmt.Sprintf("%.1f", r.base),
-			fmt.Sprintf("%.1f", r.pred),
+			fmt.Sprintf("%.1f", base.latency),
+			fmt.Sprintf("%.1f", pred.latency),
 			stats.FmtPct(red),
-			stats.FmtBytes(float64(r.wastedProbe)))
+			stats.FmtBytes(float64(pred.wastedProbe)))
 	}
 	tbl.AddRow("average", "", "", stats.FmtPct(stats.MeanOf(reds)), "")
 	return tbl, nil
@@ -80,50 +73,33 @@ func extVictim(ctx context.Context, o Options) (*stats.Table, error) {
 		"mix", "base hit rate", "with 256-entry buffer", "victim hits/miss", "latency delta")
 	mixes := o.mixes(4)
 	type victimResult struct {
-		baseHit, vicHit    float64
-		baseLat, vicLat    float64
-		victimHits, misses int64
+		rep        dramcache.Report
+		victimHits int64
 	}
-	var cells []cell[victimResult]
+	b := batch[victimResult]{keep: func(res sim.RunResult) victimResult {
+		return victimResult{res.Report, res.Scheme.(*dramcache.BiModal).VictimHits}
+	}}
 	for _, mix := range mixes {
 		rs := o.cellSpec("bimodal", mix.Name)
-		withVictims := rs
-		withVictims.Params = spec.Params{"victim_entries": 256}
-		cells = append(cells, cell[victimResult]{label: mix.Name, run: func(ctx context.Context) (victimResult, error) {
-			base, err := runSpec(ctx, o, rs)
-			if err != nil {
-				return victimResult{}, err
-			}
-			vic, err := runSpec(ctx, o, withVictims)
-			if err != nil {
-				return victimResult{}, err
-			}
-			bm := vic.Scheme.(*dramcache.BiModal)
-			return victimResult{
-				baseHit:    base.Report.HitRate(),
-				vicHit:     vic.Report.HitRate(),
-				baseLat:    base.Report.AvgLatency(),
-				vicLat:     vic.Report.AvgLatency(),
-				victimHits: bm.VictimHits,
-				misses:     vic.Report.Accesses - vic.Report.Hits,
-			}, nil
-		}})
+		b.add(mix.Name+" bimodal", rs)
+		rs.Params = spec.Params{"victim_entries": 256}
+		b.add(mix.Name+" victim-buffer", rs)
 	}
-	res, err := runCells(ctx, o, "ext-victim", cells)
+	res, err := b.run(ctx, o, "ext-victim")
 	if err != nil {
 		return nil, err
 	}
 	for i, mix := range mixes {
-		r := res[i]
+		base, vic := res[2*i].rep, res[2*i+1]
 		var perMiss float64
-		if r.misses > 0 {
-			perMiss = float64(r.victimHits) / float64(r.misses)
+		if misses := vic.rep.Accesses - vic.rep.Hits; misses > 0 {
+			perMiss = float64(vic.victimHits) / float64(misses)
 		}
 		tbl.AddRow(mix.Name,
-			stats.FmtPct(r.baseHit),
-			stats.FmtPct(r.vicHit),
+			stats.FmtPct(base.HitRate()),
+			stats.FmtPct(vic.rep.HitRate()),
 			stats.FmtPct(perMiss),
-			stats.FmtPct(stats.Improvement(r.baseLat, r.vicLat)))
+			stats.FmtPct(stats.Improvement(base.AvgLatency(), vic.rep.AvgLatency())))
 	}
 	return tbl, nil
 }

@@ -26,28 +26,27 @@ func detOptions(workers int) Options {
 }
 
 // TestParallelRunResultsIdenticalToSerial runs a small Q-mix × scheme
-// table through the engine serially and with 1, 2 and NumCPU workers and
-// asserts the RunResults are identical — the engine's core guarantee.
+// batch serially and with 2 and NumCPU workers and asserts the RunResults
+// are identical — the engine's core guarantee.
 func TestParallelRunResultsIdenticalToSerial(t *testing.T) {
 	mixes := Options{MaxMixes: 3}.mixes(4)
 	o := Options{AccessesPerCore: 1200, Seed: 1}
-	keep := func(res sim.RunResult) sim.RunResult { return res }
 	runAll := func(workers int) []sim.RunResult {
 		t.Helper()
-		cells := make([]cell[sim.RunResult], 0, 2*len(mixes))
+		b := batch[sim.RunResult]{keep: func(res sim.RunResult) sim.RunResult {
+			res.Scheme = nil // live only inside keep; results must not depend on it
+			return res
+		}}
 		for _, mix := range mixes {
 			for _, scheme := range []string{"bimodal", "alloy"} {
 				rs := o.cellSpec(scheme, mix.Name)
 				rs.Options.CacheDivisor = 8
-				cells = append(cells, specCell(mix.Name+" "+scheme, o, rs, keep))
+				b.add(mix.Name+" "+scheme, rs)
 			}
 		}
-		res, err := runCells(context.Background(), Options{Workers: workers}, "det", cells)
+		res, err := b.run(context.Background(), Options{Workers: workers}, "det")
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range res {
-			res[i].Scheme = nil // instances differ by pointer; results must not
 		}
 		return res
 	}
@@ -67,29 +66,44 @@ func TestParallelRunResultsIdenticalToSerial(t *testing.T) {
 }
 
 // TestTablesByteIdenticalAcrossWorkerCounts regenerates full experiment
-// tables (one Run-based, one ANTT-based, one stream-based) at several
-// worker counts and asserts byte-identical renderings.
+// tables at several worker counts and asserts byte-identical renderings:
+// a report batch (fig8b), an ANTT batch (table6), fig12, whose identical
+// Alloy cells read one run, ext-victim, whose keep reads scheme state, and
+// a stream study (fig1). Under -short, fig12 and ext-victim run at a tiny
+// scale, serially and on 4 workers, so that the race detector sees keeps
+// running on concurrent group leaders.
 func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
+	tiny := Options{AccessesPerCore: 300, Seed: 1, MaxMixes: 1}
+	type tc struct {
+		id      string
+		o       Options
+		workers []int
 	}
-	for _, id := range []string{"fig8b", "table6", "fig1"} {
-		e, err := ByID(id)
+	cases := []tc{{"fig12", tiny, []int{1, 4}}, {"ext-victim", tiny, []int{1, 4}}}
+	if !testing.Short() {
+		for _, id := range []string{"fig8b", "table6", "fig12", "ext-victim", "fig1"} {
+			cases = append(cases, tc{id, detOptions(0), []int{1, 2, runtime.NumCPU()}})
+		}
+	}
+	for _, c := range cases {
+		e, err := ByID(c.id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var serial string
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			tbl, err := e.Run(context.Background(), detOptions(workers))
+		for _, workers := range c.workers {
+			o := c.o
+			o.Workers = workers
+			tbl, err := e.Run(context.Background(), o)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
+				t.Fatalf("%s workers=%d: %v", c.id, workers, err)
 			}
 			if workers == 1 {
 				serial = tbl.String()
 				continue
 			}
 			if got := tbl.String(); got != serial {
-				t.Errorf("%s: workers=%d output differs from serial\nserial:\n%s\nparallel:\n%s", id, workers, serial, got)
+				t.Errorf("%s: workers=%d output differs from serial\nserial:\n%s\nparallel:\n%s", c.id, workers, serial, got)
 			}
 		}
 	}

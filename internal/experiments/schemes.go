@@ -6,6 +6,7 @@ import (
 
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
+	"bimodal/internal/service"
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/stats"
@@ -39,54 +40,60 @@ func (o Options) cellSpec(scheme, mix string) spec.RunSpec {
 		Options: spec.Options{AccessesPerCore: o.AccessesPerCore, CacheDivisor: 4}}
 }
 
-// runSpec runs the cell rs describes on the Sim sim.ForSpec resolves for
-// it. Workers propagates, so the standalone runs inside an ANTT cell
-// (Options.ANTT) fan out too.
-func runSpec(ctx context.Context, o Options, rs spec.RunSpec) (sim.RunResult, error) {
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	s, err := sim.ForSpec(nil, rs, mix, o.Workers)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	return runSim(ctx, s)
-}
-
-// runSim runs s through its warmup and measured windows.
-func runSim(ctx context.Context, s *sim.Sim) (sim.RunResult, error) {
-	if err := s.Warmup(ctx); err != nil {
-		return sim.RunResult{}, err
-	}
-	return s.Measure(ctx)
-}
-
-// specCell builds an engine cell running the cell rs describes and
-// keeping only what the table needs, so no scheme instance outlives its
-// cell.
-func specCell[T any](label string, o Options, rs spec.RunSpec, keep func(res sim.RunResult) T) cell[T] {
-	return cell[T]{label: label, run: func(ctx context.Context) (T, error) {
-		res, err := runSpec(ctx, o, rs)
-		if err != nil {
-			var zero T
-			return zero, err
-		}
-		return keep(res), nil
-	}}
-}
-
-// anttCell builds an engine cell computing the ANTT of the cell rs
-// describes.
-func anttCell(label string, o Options, rs spec.RunSpec) cell[float64] {
+// anttSpec is cellSpec asking for ANTT, which anttOf reads.
+func (o Options) anttSpec(scheme, mix string) spec.RunSpec {
+	rs := o.cellSpec(scheme, mix)
 	rs.Options.ANTT = true
-	return specCell(label, o, rs, func(res sim.RunResult) float64 { return res.ANTT })
+	return rs
 }
 
-// reportCell builds an engine cell keeping the report of the cell rs
-// describes.
-func reportCell(label string, o Options, rs spec.RunSpec) cell[dramcache.Report] {
-	return specCell(label, o, rs, func(res sim.RunResult) dramcache.Report { return res.Report })
+// reportOf and anttOf are the batch keeps of the figures that read a
+// cell's scheme report or its ANTT.
+func reportOf(res sim.RunResult) dramcache.Report { return res.Report }
+func anttOf(res sim.RunResult) float64            { return res.ANTT }
+
+// batch is one experiment's timing cells, each a run spec labelled for
+// its progress line. run executes them as one service.RunSpecsEach call,
+// the way a sweep runs its misses: cells that share a warm prefix share
+// one run, and runs share core streams.
+type batch[T any] struct {
+	labels []string
+	specs  []spec.RunSpec
+	// keep reads what the table needs off a cell's result. It runs inside
+	// the cell's run, so it can read scheme state no result carries
+	// (res.Scheme is live), and concurrently for cells of different runs.
+	keep func(res sim.RunResult) T
+}
+
+// add appends a cell running rs.
+func (b *batch[T]) add(label string, rs spec.RunSpec) {
+	b.labels = append(b.labels, label)
+	b.specs = append(b.specs, rs)
+}
+
+// run executes the cells in their canonical form, at most Options.Workers
+// at a time, and returns keep's values in cell order, the same at any
+// worker count. One progress line is emitted per cell when
+// Options.Progress is set.
+func (b *batch[T]) run(ctx context.Context, o Options, id string) ([]T, error) {
+	for i, rs := range b.specs {
+		c, err := rs.Canonical()
+		if err != nil {
+			return nil, err
+		}
+		b.specs[i] = c
+	}
+	n := newNotifier(o, id, len(b.specs))
+	out := make([]T, len(b.specs))
+	err := service.RunSpecsEach(ctx, b.specs, o.Workers, func(k int, res sim.RunResult) error {
+		out[k] = b.keep(res)
+		n.cellDone(b.labels[k])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // fig7 compares ANTT of BiModal against the AlloyCache baseline across
@@ -100,17 +107,16 @@ func fig7(ctx context.Context, o Options) (*stats.Table, error) {
 		mixes []workloads.Mix
 	}
 	var groups []group
-	var cells []cell[float64]
+	b := batch[float64]{keep: anttOf}
 	for _, cores := range []int{4, 8, 16} {
 		mixes := o.mixes(cores)
 		groups = append(groups, group{cores, mixes})
 		for _, mix := range mixes {
-			cells = append(cells,
-				anttCell(mix.Name+" alloy", o, o.cellSpec(reference, mix.Name)),
-				anttCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name)))
+			b.add(mix.Name+" alloy", o.anttSpec(reference, mix.Name))
+			b.add(mix.Name+" bimodal", o.anttSpec("bimodal", mix.Name))
 		}
 	}
-	res, err := runCells(ctx, o, "fig7", cells)
+	res, err := b.run(ctx, o, "fig7")
 	if err != nil {
 		return nil, err
 	}
@@ -136,13 +142,13 @@ func fig8a(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 8a: ablation ANTT improvement over AlloyCache (8-core)",
 		"mix", "bimodal-only", "waylocator-only", "bimodal")
 	mixes := o.mixes(8)
-	var cells []cell[float64]
+	b := batch[float64]{keep: anttOf}
 	for _, mix := range mixes {
 		for _, scheme := range []string{reference, "bimodal-only", "wl-only", "bimodal"} {
-			cells = append(cells, anttCell(mix.Name+" "+scheme, o, o.cellSpec(scheme, mix.Name)))
+			b.add(mix.Name+" "+scheme, o.anttSpec(scheme, mix.Name))
 		}
 	}
-	res, err := runCells(ctx, o, "fig8a", cells)
+	res, err := b.run(ctx, o, "fig8a")
 	if err != nil {
 		return nil, err
 	}
@@ -163,14 +169,13 @@ func fig8b(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 8b: DRAM cache hit rate (quad-core)",
 		"mix", "alloy", "fixed-512B", "bimodal")
 	mixes := o.mixes(4)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, mix := range mixes {
-		cells = append(cells,
-			reportCell(mix.Name+" alloy", o, o.cellSpec(reference, mix.Name)),
-			reportCell(mix.Name+" fixed-512B", o, o.cellSpec("wl-only", mix.Name)),
-			reportCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name)))
+		b.add(mix.Name+" alloy", o.cellSpec(reference, mix.Name))
+		b.add(mix.Name+" fixed-512B", o.cellSpec("wl-only", mix.Name))
+		b.add(mix.Name+" bimodal", o.cellSpec("bimodal", mix.Name))
 	}
-	res, err := runCells(ctx, o, "fig8b", cells)
+	res, err := b.run(ctx, o, "fig8b")
 	if err != nil {
 		return nil, err
 	}
@@ -198,13 +203,13 @@ func fig8c(ctx context.Context, o Options) (*stats.Table, error) {
 	header := append([]string{"mix"}, schemes...)
 	tbl := stats.NewTable("Figure 8c: average access latency in CPU cycles (quad-core)", header...)
 	mixes := o.mixes(4)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, mix := range mixes {
 		for _, s := range schemes {
-			cells = append(cells, reportCell(mix.Name+" "+s, o, o.cellSpec(s, mix.Name)))
+			b.add(mix.Name+" "+s, o.cellSpec(s, mix.Name))
 		}
 	}
-	res, err := runCells(ctx, o, "fig8c", cells)
+	res, err := b.run(ctx, o, "fig8c")
 	if err != nil {
 		return nil, err
 	}
@@ -239,13 +244,12 @@ func fig9a(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 9a: wasted off-chip bandwidth (8-core)",
 		"mix", "fixed-512B", "bimodal", "savings")
 	mixes := o.mixes(8)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, mix := range mixes {
-		cells = append(cells,
-			reportCell(mix.Name+" fixed-512B", o, o.cellSpec("wl-only", mix.Name)),
-			reportCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name)))
+		b.add(mix.Name+" fixed-512B", o.cellSpec("wl-only", mix.Name))
+		b.add(mix.Name+" bimodal", o.cellSpec("bimodal", mix.Name))
 	}
-	res, err := runCells(ctx, o, "fig9a", cells)
+	res, err := b.run(ctx, o, "fig9a")
 	if err != nil {
 		return nil, err
 	}
@@ -267,13 +271,12 @@ func fig9b(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 9b: metadata row-buffer hit rate (quad-core)",
 		"mix", "co-located", "separate bank", "gain")
 	mixes := o.mixes(4)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, mix := range mixes {
-		cells = append(cells,
-			reportCell(mix.Name+" co-located", o, o.cellSpec("bimodal-cometa", mix.Name)),
-			reportCell(mix.Name+" separate", o, o.cellSpec("bimodal", mix.Name)))
+		b.add(mix.Name+" co-located", o.cellSpec("bimodal-cometa", mix.Name))
+		b.add(mix.Name+" separate", o.cellSpec("bimodal", mix.Name))
 	}
-	res, err := runCells(ctx, o, "fig9b", cells)
+	res, err := b.run(ctx, o, "fig9b")
 	if err != nil {
 		return nil, err
 	}
@@ -308,15 +311,15 @@ func fig9c(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	tbl := stats.NewTable("Figure 9c: way locator hit rate vs K (quad-core)", header...)
 	mixes := o.mixes(4)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, mix := range mixes {
 		for _, k := range ks {
 			rs := o.cellSpec("bimodal", mix.Name)
 			rs.Params = spec.Params{"way_locator_k": int64(k)}
-			cells = append(cells, reportCell(fmt.Sprintf("%s K=%d", mix.Name, k), o, rs))
+			b.add(fmt.Sprintf("%s K=%d", mix.Name, k), rs)
 		}
 	}
-	res, err := runCells(ctx, o, "fig9c", cells)
+	res, err := b.run(ctx, o, "fig9c")
 	if err != nil {
 		return nil, err
 	}
@@ -348,15 +351,14 @@ func fig10(ctx context.Context, o Options) (*stats.Table, error) {
 		small float64
 		state string
 	}
-	var cells []cell[smallState]
+	b := batch[smallState]{keep: func(res sim.RunResult) smallState {
+		bm := res.Scheme.(*dramcache.BiModal)
+		return smallState{res.Report.SmallFraction, bm.Core().GlobalState().String()}
+	}}
 	for _, mix := range mixes {
-		cells = append(cells, specCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name),
-			func(res sim.RunResult) smallState {
-				bm := res.Scheme.(*dramcache.BiModal)
-				return smallState{res.Report.SmallFraction, bm.Core().GlobalState().String()}
-			}))
+		b.add(mix.Name+" bimodal", o.cellSpec("bimodal", mix.Name))
 	}
-	res, err := runCells(ctx, o, "fig10", cells)
+	res, err := b.run(ctx, o, "fig10")
 	if err != nil {
 		return nil, err
 	}
@@ -372,16 +374,14 @@ func fig11(ctx context.Context, o Options) (*stats.Table, error) {
 	tbl := stats.NewTable("Figure 11: memory energy per access, nJ (8-core)",
 		"mix", "alloy", "bimodal", "savings")
 	mixes := o.mixes(8)
-	perAccess := func(res sim.RunResult) float64 {
+	b := batch[float64]{keep: func(res sim.RunResult) float64 {
 		return energy.PerAccess(res.Energy, res.Report.Accesses)
-	}
-	var cells []cell[float64]
+	}}
 	for _, mix := range mixes {
-		cells = append(cells,
-			specCell(mix.Name+" alloy", o, o.cellSpec(reference, mix.Name), perAccess),
-			specCell(mix.Name+" bimodal", o, o.cellSpec("bimodal", mix.Name), perAccess))
+		b.add(mix.Name+" alloy", o.cellSpec(reference, mix.Name))
+		b.add(mix.Name+" bimodal", o.cellSpec("bimodal", mix.Name))
 	}
-	res, err := runCells(ctx, o, "fig11", cells)
+	res, err := b.run(ctx, o, "fig11")
 	if err != nil {
 		return nil, err
 	}
@@ -408,19 +408,19 @@ func table6(ctx context.Context, o Options) (*stats.Table, error) {
 		mixes = mixes[:8]
 	}
 	ns := []int{1, 3}
-	var cells []cell[float64]
+	b := batch[float64]{keep: anttOf}
 	for _, n := range ns {
 		for _, mix := range mixes {
 			for _, c := range []struct{ label, scheme string }{
 				{"alloy", reference}, {"normal", "bimodal"}, {"bypass", "bimodal-bypass"},
 			} {
-				rs := o.cellSpec(c.scheme, mix.Name)
+				rs := o.anttSpec(c.scheme, mix.Name)
 				rs.Options.Prefetch = n
-				cells = append(cells, anttCell(fmt.Sprintf("%s N=%d %s", mix.Name, n, c.label), o, rs))
+				b.add(fmt.Sprintf("%s N=%d %s", mix.Name, n, c.label), rs)
 			}
 		}
 	}
-	res, err := runCells(ctx, o, "table6", cells)
+	res, err := b.run(ctx, o, "table6")
 	if err != nil {
 		return nil, err
 	}
@@ -466,20 +466,20 @@ func fig12(ctx context.Context, o Options) (*stats.Table, error) {
 	if len(mixes) > 6 {
 		mixes = mixes[:6]
 	}
-	var cells []cell[float64]
+	// The Alloy cells of one cache size are one spec, so they read one run.
+	b := batch[float64]{keep: anttOf}
 	for _, c := range cfgs {
 		for _, mix := range mixes {
-			alloy := o.cellSpec(reference, mix.Name)
+			alloy := o.anttSpec(reference, mix.Name)
 			alloy.Options.CacheBytes = c.cacheBytes / 4 // the same capacity scaling as cellSpec
 			bm := alloy
 			bm.Scheme = "bimodal"
 			bm.Params = spec.Params{"set_bytes": c.setBytes, "big_block": c.bigBlock, "min_big": c.minBig, "threshold": c.threshold}
-			cells = append(cells,
-				anttCell(mix.Name+" "+c.label+" alloy", o, alloy),
-				anttCell(mix.Name+" "+c.label, o, bm))
+			b.add(mix.Name+" "+c.label+" alloy", alloy)
+			b.add(mix.Name+" "+c.label, bm)
 		}
 	}
-	res, err := runCells(ctx, o, "fig12", cells)
+	res, err := b.run(ctx, o, "fig12")
 	if err != nil {
 		return nil, err
 	}

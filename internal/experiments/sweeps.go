@@ -72,7 +72,11 @@ func coreParamCell(o Options, label, mixName string, mutate func(*core.Params)) 
 			}
 			return s
 		}
-		res, err := runSim(ctx, sim.NewSim(mix, factory, sim.OptionsForSpec(rs)))
+		s := sim.NewSim(mix, factory, sim.OptionsForSpec(rs))
+		if err := s.Warmup(ctx); err != nil {
+			return dramcache.Report{}, err
+		}
+		res, err := s.Measure(ctx)
 		return res.Report, err
 	}}
 }
@@ -86,15 +90,15 @@ func sweepThreshold(ctx context.Context, o Options) (*stats.Table, error) {
 		"T", "avg latency", "wasted bytes", "small fraction")
 	ts := []int{2, 3, 4, 5, 6, 7, 8}
 	mixNames := sweepMixes(o)
-	var cells []cell[dramcache.Report]
+	b := batch[dramcache.Report]{keep: reportOf}
 	for _, T := range ts {
 		for _, mixName := range mixNames {
 			rs := o.cellSpec("bimodal", mixName)
 			rs.Params = spec.Params{"threshold": int64(T)}
-			cells = append(cells, reportCell(fmt.Sprintf("%s T=%d", mixName, T), o, rs))
+			b.add(fmt.Sprintf("%s T=%d", mixName, T), rs)
 		}
 	}
-	res, err := runCells(ctx, o, "sweep-threshold", cells)
+	res, err := b.run(ctx, o, "sweep-threshold")
 	if err != nil {
 		return nil, err
 	}

@@ -17,20 +17,24 @@ func init() {
 	})
 }
 
-// tenantQoS projects a multi-tenant run result onto its QoS numbers:
-// tenant ANTT and the worst tenant's slowdown.
-func tenantQoS(res sim.RunResult) (antt, worst float64) {
+// qos is a multi-tenant run's QoS numbers: tenant ANTT and the worst
+// tenant's slowdown.
+type qos struct{ antt, worst float64 }
+
+// tenantQoS projects a multi-tenant run result onto its QoS numbers.
+func tenantQoS(res sim.RunResult) qos {
 	shares := make([]stats.TenantShare, len(res.PerTenant))
 	for i, t := range res.PerTenant {
 		shares[i] = stats.TenantShare{Accesses: t.Accesses, Reads: t.Reads, Hits: t.Hits, LatencySum: t.LatencySum}
 	}
 	slow, antt := stats.TenantSlowdowns(shares)
+	q := qos{antt: antt}
 	for _, s := range slow {
-		if s > worst {
-			worst = s
+		if s > q.worst {
+			q.worst = s
 		}
 	}
-	return antt, worst
+	return q
 }
 
 // extTenant measures how a shared DRAM cache arbitrates consolidated
@@ -47,43 +51,26 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	tbl := stats.NewTable("Extension: tenant QoS on datacenter mixes (quad-core)",
 		"mix", "tenants", "BiModal ANTT", "Alloy ANTT", "BiModal worst", "Alloy worst", "ANTT gain")
-	type tenantResult struct {
-		bmANTT, bmWorst float64
-		alANTT, alWorst float64
-	}
-	var cells []cell[tenantResult]
+	b := batch[qos]{keep: tenantQoS}
 	for _, mix := range mixes {
-		bmSpec, alSpec := o.cellSpec("bimodal", mix.Name), o.cellSpec(reference, mix.Name)
-		cells = append(cells, cell[tenantResult]{label: mix.Name, run: func(ctx context.Context) (tenantResult, error) {
-			bm, err := runSpec(ctx, o, bmSpec)
-			if err != nil {
-				return tenantResult{}, err
-			}
-			al, err := runSpec(ctx, o, alSpec)
-			if err != nil {
-				return tenantResult{}, err
-			}
-			var r tenantResult
-			r.bmANTT, r.bmWorst = tenantQoS(bm)
-			r.alANTT, r.alWorst = tenantQoS(al)
-			return r, nil
-		}})
+		b.add(mix.Name+" bimodal", o.cellSpec("bimodal", mix.Name))
+		b.add(mix.Name+" alloy", o.cellSpec(reference, mix.Name))
 	}
-	res, err := runCells(ctx, o, "ext-tenant", cells)
+	res, err := b.run(ctx, o, "ext-tenant")
 	if err != nil {
 		return nil, err
 	}
 	var gains []float64
 	for i, mix := range mixes {
-		r := res[i]
-		gain := stats.Improvement(r.alANTT, r.bmANTT)
+		bm, al := res[2*i], res[2*i+1]
+		gain := stats.Improvement(al.antt, bm.antt)
 		gains = append(gains, gain)
 		tbl.AddRow(mix.Name,
 			fmt.Sprint(len(mix.Traffic.Tenants)),
-			fmt.Sprintf("%.3f", r.bmANTT),
-			fmt.Sprintf("%.3f", r.alANTT),
-			fmt.Sprintf("%.3f", r.bmWorst),
-			fmt.Sprintf("%.3f", r.alWorst),
+			fmt.Sprintf("%.3f", bm.antt),
+			fmt.Sprintf("%.3f", al.antt),
+			fmt.Sprintf("%.3f", bm.worst),
+			fmt.Sprintf("%.3f", al.worst),
 			stats.FmtPct(gain))
 	}
 	tbl.AddRow("average", "", "", "", "", "", stats.FmtPct(stats.MeanOf(gains)))

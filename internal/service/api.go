@@ -31,7 +31,6 @@ import (
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/stats"
-	"bimodal/internal/telemetry"
 	"bimodal/internal/workloads"
 )
 
@@ -159,22 +158,47 @@ type Dispatcher interface {
 // The spec must already be canonical (the coordinator only hands out
 // canonical specs); results are marshaled exactly once so every node
 // produces identical bytes for identical specs.
-func RunCellSpec(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
+func RunCellSpec(ctx context.Context, rs spec.RunSpec) (raw []byte, err error) {
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
 		return nil, err
 	}
-	return cellSpec{mix: mix, rs: rs}.runJSON(ctx)
+	// A warm-prefix group of one, the path every in-process cell takes.
+	cells, ks, quotas := [1]cellSpec{{mix: mix, rs: rs}}, [1]int{}, [1]sim.Quota{}
+	_, _, err = runGroup(ctx, cells[:], ks[:], quotas[:], nil, nil, func(_ int, res sim.RunResult) (err error) {
+		raw, err = marshalCell(rs.Scheme, res)
+		return err
+	})
+	return raw, err
 }
 
 // RunSpecs executes canonical run specs in-process the way a sweep runs
-// its store misses, with no store: in warm-prefix groups that share core
-// streams (warm.go), at most workers cells at a time (engine.Workers), and
-// returns each spec's result bytes in order, which equal RunCellSpec's.
+// its store misses (RunSpecsEach) and returns each spec's result bytes in
+// order, which equal RunCellSpec's.
 func RunSpecs(ctx context.Context, specs []spec.RunSpec, workers int) ([][]byte, error) {
-	cells, err := SweepRequest{Specs: specs}.cells(0)
+	raws := make([][]byte, len(specs))
+	err := RunSpecsEach(ctx, specs, workers, func(k int, res sim.RunResult) (err error) {
+		raws[k], err = marshalCell(specs[k].Scheme, res)
+		return err
+	})
 	if err != nil {
 		return nil, err
+	}
+	return raws, nil
+}
+
+// RunSpecsEach executes canonical run specs in-process the way a sweep
+// runs its store misses, with no store: in warm-prefix groups that share
+// core streams (warm.go), at most workers cells at a time
+// (engine.Workers). It calls each(k, res) once per spec as its group's
+// run passes it (runGroup), with what a fresh sim.ForSpec(nil, specs[k],
+// …) Sim returns from Warmup and Measure; res.Scheme is live only inside
+// the call, and calls for different groups may run concurrently. An error
+// from each ends its group's run, and RunSpecsEach returns it.
+func RunSpecsEach(ctx context.Context, specs []spec.RunSpec, workers int, each func(k int, res sim.RunResult) error) error {
+	cells, err := SweepRequest{Specs: specs}.cells(0)
+	if err != nil {
+		return err
 	}
 	misses := make([]int, len(cells))
 	for i := range misses {
@@ -182,14 +206,14 @@ func RunSpecs(ctx context.Context, specs []spec.RunSpec, workers int) ([][]byte,
 	}
 	p, err := planWarm(cells, misses)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer p.release()
-	st := shareStats{new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter)}
-	return engine.Map(ctx, engine.Workers(workers), len(cells), func(ctx context.Context, k int) ([]byte, error) {
-		raw, _, err := p.run(ctx, k, &st)
-		return raw, err
+	_, err = engine.Map(ctx, engine.Workers(workers), len(cells), func(ctx context.Context, k int) (struct{}, error) {
+		_, err := p.run(ctx, k, &discardShares, each)
+		return struct{}{}, err
 	})
+	return err
 }
 
 // SweepList is the paginated reply of GET /v1/sweeps.
@@ -360,15 +384,6 @@ type cellSpec struct {
 
 // label identifies the cell in progress events.
 func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
-
-// runJSON runs the cell on a simulator from the process-wide pool and
-// marshals its result: a warm-prefix group of one (runGroup), the path
-// every in-process cell takes.
-func (c cellSpec) runJSON(ctx context.Context) ([]byte, error) {
-	cells, quotas, raws := [1]cellSpec{c}, [1]sim.Quota{}, [1][]byte{}
-	_, _, err := runGroup(ctx, cells[:], quotas[:], raws[:], nil, nil)
-	return raws[0], err
-}
 
 // cells expands a canonical request into its simulation cells — explicit
 // specs in order, or mixes × schemes with mixes outermost. maxCells <= 0

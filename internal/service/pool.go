@@ -16,21 +16,22 @@ import (
 // can never change result bytes — only construction cost.
 var runPool = sim.NewRunPool(0)
 
-// encBufs backs marshalResultJSON with reusable encoder buffers: result
+// encBufs backs marshalCell with reusable encoder buffers: result
 // payloads are marshaled on every cell completion, and growing a fresh
 // buffer through json.Marshal for each one dominated the encoding cost of
 // large sweeps.
 var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// marshalResultJSON encodes v through a pooled encoder buffer and returns
-// a right-sized copy the caller owns. The bytes are identical to
-// json.Marshal(v) — same escaping, no trailing newline — which the result
-// determinism contract (and the committed goldens) depends on.
-func marshalResultJSON(v any) ([]byte, error) {
+// marshalCell encodes a cell's result bytes, the compact CellResult JSON
+// every node produces identically for its spec, through a pooled encoder
+// buffer and returns a right-sized copy the caller owns. The bytes are
+// identical to json.Marshal — same escaping, no trailing newline — which
+// the result determinism contract (and the committed goldens) depends on.
+func marshalCell(scheme string, res sim.RunResult) ([]byte, error) {
 	buf := encBufs.Get().(*bytes.Buffer)
 	defer encBufs.Put(buf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := json.NewEncoder(buf).Encode(NewCellResult(scheme, res)); err != nil {
 		return nil, err
 	}
 	b := buf.Bytes()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 )
 
@@ -52,8 +53,12 @@ func TestSweepSharesCoreStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	raws := make([][]byte, len(cells))
+	each := func(k int, res sim.RunResult) (err error) {
+		raws[k], err = marshalCell(specs[k].Scheme, res)
+		return err
+	}
 	for k := range misses {
-		if raws[k], _, err = p.run(ctx, k, &s.shareStats); err != nil {
+		if _, err := p.run(ctx, k, &s.shareStats, each); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"bimodal/internal/engine"
+	"bimodal/internal/sim"
 	"bimodal/internal/telemetry"
 )
 
@@ -182,19 +183,31 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 			// recording by then.
 			defer plan.release()
 		}
+		// A group's run marshals each member's result into its slot.
+		each := func(k int, res sim.RunResult) (err error) {
+			i := misses[k]
+			results[i], err = marshalCell(sw.cells[i].rs.Scheme, res)
+			return err
+		}
 		_, err := engine.Map(ctx, engine.Workers(s.cfg.SweepFanout), len(misses),
 			func(ctx context.Context, k int) (struct{}, error) {
 				i := misses[k]
 				start := telemetry.Now()
-				raw, origin, err := s.dispatchCell(ctx, sw, i, plan, k)
+				// The cell runs in its warm-prefix group of plan, or on the
+				// configured dispatcher.
+				origin, err := "run", error(nil)
+				if plan != nil {
+					origin, err = plan.run(ctx, k, &s.shareStats, each)
+				} else {
+					results[i], err = s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
+				}
 				if err != nil {
 					return struct{}{}, err
 				}
 				s.hCellSeconds.Observe(telemetry.Since(start).Seconds())
-				if err := s.store.Put(sw.hashes[i], raw); err != nil {
+				if err := s.store.Put(sw.hashes[i], results[i]); err != nil {
 					return struct{}{}, err
 				}
-				results[i] = raw
 				sw.cellDone(sw.cells[i].label(), origin)
 				return struct{}{}, nil
 			})
@@ -218,23 +231,6 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 	}
 	buf.WriteString(`]}`)
 	return buf.Bytes(), nil
-}
-
-// dispatchCell routes sweep cell i, the sweep's k-th store miss, to the
-// configured dispatcher, or runs it in-process in its warm-prefix group of
-// plan when none is configured. The returned origin is "run", or "warm"
-// when the cell's result was read off a run another cell of its group led.
-func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int, plan *warmPlan, k int) ([]byte, string, error) {
-	if s.cfg.Dispatcher != nil {
-		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
-		return raw, "run", err
-	}
-	raw, warm, err := plan.run(ctx, k, &s.shareStats)
-	origin := "run"
-	if warm {
-		origin = "warm"
-	}
-	return raw, origin, err
 }
 
 // storeGrew refreshes the store-entries gauge after a sweep's puts.

@@ -33,15 +33,15 @@ import (
 // recordings go back to the read-ahead free list when the sweep ends.
 
 // warmPlan lays a sweep's store misses out by group: each group's members
-// sit side by side in cells, quotas and raws, in sweep order.
+// sit side by side in cells, misses and quotas, in sweep order.
 type warmPlan struct {
 	groups []warmGroup
 	cells  []cellSpec
+	misses []int       // each member's position in the sweep's miss list
 	quotas []sim.Quota // runGroup's scratch
-	raws   [][]byte    // each member's result bytes
-	// at maps each miss, by its position in the sweep's miss list, to its
-	// slot in cells and its group.
-	at []warmSlot
+	// groupOf maps each miss, by its position in the sweep's miss list, to
+	// its group.
+	groupOf []int
 	// streams holds every group's cores, group by group, when the plan has
 	// more than one group, and recs one recording per stream that more than
 	// one group draws.
@@ -87,8 +87,6 @@ const (
 	replayStream
 )
 
-type warmSlot struct{ slot, group int }
-
 // warmGroup is one group: the slots lo to lo+n-1 of its plan, lo leading,
 // and the entries so to so+cores-1 of its plan's streams, one per core.
 type warmGroup struct {
@@ -96,9 +94,9 @@ type warmGroup struct {
 	so, cores int
 	// records marks a group that records a stream another group replays.
 	records bool
-	// ready is closed once the group's run has ended, when raws, err and
-	// the recordings it made are final. A group of one that records no
-	// stream has none: nobody looks at it.
+	// ready is closed once the group's run has ended, when err, the
+	// results it handed out and the recordings it made are final. A group
+	// of one that records no stream has none: nobody looks at it.
 	ready chan struct{}
 	err   error
 }
@@ -110,7 +108,7 @@ func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
 	p := plans.Get().(*warmPlan)
 	n := len(misses)
 	p.groups = p.groups[:0]
-	p.cells, p.quotas, p.raws, p.at = sized(p.cells, n), sized(p.quotas, n), sized(p.raws, n), sized(p.at, n)
+	p.cells, p.misses, p.quotas, p.groupOf = sized(p.cells, n), sized(p.misses, n), sized(p.quotas, n), sized(p.groupOf, n)
 	p.streams, p.recs = p.streams[:0], p.recs[:0]
 	if p.byPrefix == nil {
 		p.byPrefix = map[string]int{}
@@ -129,7 +127,7 @@ func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
 				p.byPrefix[prefix] = g
 			}
 		}
-		p.at[k].group = g
+		p.groupOf[k] = g
 		p.groups[g].n++
 	}
 	lo := 0
@@ -138,9 +136,8 @@ func planWarm(cells []cellSpec, misses []int) (*warmPlan, error) {
 		grp.lo, lo, grp.n = lo, lo+grp.n, 0
 	}
 	for k, i := range misses {
-		grp := &p.groups[p.at[k].group]
-		p.at[k].slot = grp.lo + grp.n
-		p.cells[grp.lo+grp.n] = cells[i]
+		grp := &p.groups[p.groupOf[k]]
+		p.cells[grp.lo+grp.n], p.misses[grp.lo+grp.n] = cells[i], k
 		grp.n++
 	}
 	p.planStreams()
@@ -243,7 +240,6 @@ func (p *warmPlan) release() {
 	}
 	clear(p.groups)
 	clear(p.cells)
-	clear(p.raws)
 	clear(p.byPrefix)
 	clear(p.byStream)
 	plans.Put(p)
@@ -259,22 +255,26 @@ type shareStats struct {
 	mStreamGenerated, mStreamReplayed *telemetry.Counter
 }
 
-// run returns the result bytes of the sweep's k-th store miss and
-// whether they were read off a run another miss led. The leader runs its
-// group; every other member waits for that run. The leader is an earlier
-// miss, and engine.Map hands misses out in order, so it is already running
-// or done: the wait cannot deadlock.
+// discardShares counts the shares of the runs no server reports, those of
+// RunSpecsEach.
+var discardShares = shareStats{new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter), new(telemetry.Counter)}
+
+// run resolves the sweep's k-th store miss and returns its origin: "run"
+// when it led its group's run, or "warm" when its result was read off a
+// run another miss led. The leader runs its group, which hands every
+// member's result to each; every other member waits for that run. The
+// leader is an earlier miss, and engine.Map hands misses out in order, so
+// it is already running or done: the wait cannot deadlock.
 //
 // Every grouped miss that completes counts exactly one snapshot miss (it
 // led its group's run) or one hit (it shared that run) into st. Groups of
 // one count neither. Each group run that completes adds its stream draws
 // once.
-func (p *warmPlan) run(ctx context.Context, k int, st *shareStats) (raw []byte, warm bool, err error) {
-	at := p.at[k]
-	g := &p.groups[at.group]
-	if at.slot == g.lo {
+func (p *warmPlan) run(ctx context.Context, k int, st *shareStats, each func(k int, res sim.RunResult) error) (origin string, err error) {
+	g := &p.groups[p.groupOf[k]]
+	if p.misses[g.lo] == k {
 		hi := g.lo + g.n
-		drawn, replayed, err := runGroup(ctx, p.cells[g.lo:hi], p.quotas[g.lo:hi], p.raws[g.lo:hi], p.share(at.group), p.recs)
+		drawn, replayed, err := runGroup(ctx, p.cells[g.lo:hi], p.misses[g.lo:hi], p.quotas[g.lo:hi], p.share(p.groupOf[k]), p.recs, each)
 		if err == nil {
 			st.mStreamGenerated.Add(drawn - replayed)
 			st.mStreamReplayed.Add(replayed)
@@ -286,39 +286,41 @@ func (p *warmPlan) run(ctx context.Context, k int, st *shareStats) (raw []byte, 
 				st.mSnapMisses.Inc()
 			}
 		}
-		return p.raws[at.slot], false, err
+		return "run", err
 	}
 	select {
 	case <-g.ready:
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return "", ctx.Err()
 	}
 	if g.err != nil {
-		return nil, false, g.err
+		return "", g.err
 	}
 	st.mSnapHits.Inc()
-	return p.raws[at.slot], true, nil
+	return "warm", nil
 }
 
 // runGroup runs cells, which share a warm prefix or are one cell, as one
-// simulation and sets raws[i] to cell i's result bytes. The first cell
-// draws a Sim from the process-wide pool, resolved by sim.ForSpec exactly
-// as cmd/bmsim and the figures resolve theirs; it warms up once and
-// measures once, through every distinct measured length in ascending
-// order, asking for ANTT at a length when any cell of that length does.
-// A cell's bytes, the compact CellResult JSON every node produces
-// identically for its spec, are marshaled as the run passes its length,
-// with ANTT only if the cell asked for it. quotas is scratch as long as
-// cells. An ANTT cell's standalone terms run serially (Workers 1): the
-// service parallelizes across cells. streams, when not nil, holds one
-// entry per core of the mix saying whether the core records its stream
-// into recs or replays it from there, and runGroup reports how many
-// accesses the cores drew and how many of those were replayed.
+// simulation and calls each(ks[i], res) as the run passes cell i's
+// measured length. The first cell draws a Sim from the process-wide pool
+// through sim.ForSpec; it warms up once and measures once, through every
+// distinct length in ascending order, asking for ANTT at a length when
+// any cell of that length does. res is what a fresh Sim for the cell's
+// spec returns from Warmup and Measure, with ANTT only if the cell asked
+// for it; res.Scheme is live only inside the call (sim.Sim.MeasureEach),
+// and cells of one length share res's slices. An error from each ends the
+// run. quotas is scratch as long as cells. An ANTT cell's standalone
+// terms run serially (Workers 1): callers parallelize across groups.
+// streams, when not nil, holds one entry per core of the mix saying
+// whether the core records its stream into recs or replays it from there,
+// and runGroup reports how many accesses the cores drew and how many of
+// those were replayed.
 //
-// The Sim goes back to the pool once every result is sealed: after Put a
-// concurrent Reset may scribble over the scheme a result aliases. A failed
-// run never reaches Put: its partial state is discarded with the Sim.
-func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws [][]byte, streams []coreStream, recs []cpu.Recording) (drawn, replayed int64, err error) {
+// The Sim goes back to the pool once every each call has returned: after
+// Put a concurrent Reset may scribble over the scheme a result aliases. A
+// failed run never reaches Put: its partial state is discarded with the
+// Sim.
+func runGroup(ctx context.Context, cells []cellSpec, ks []int, quotas []sim.Quota, streams []coreStream, recs []cpu.Recording, each func(k int, res sim.RunResult) error) (drawn, replayed int64, err error) {
 	qs := quotas[:0]
 	for _, c := range cells {
 		o := c.rs.Options
@@ -346,20 +348,18 @@ func runGroup(ctx context.Context, cells []cellSpec, quotas []sim.Quota, raws []
 	if err := s.Warmup(ctx); err != nil {
 		return 0, 0, err
 	}
-	err = s.MeasureEach(ctx, qs, func(k int, res sim.RunResult) error {
+	err = s.MeasureEach(ctx, qs, func(q int, res sim.RunResult) error {
 		for i, c := range cells {
-			if c.rs.Options.AccessesPerCore != qs[k].Accesses {
+			if c.rs.Options.AccessesPerCore != qs[q].Accesses {
 				continue
 			}
 			r := res
 			if !c.rs.Options.ANTT {
 				r.ANTT = 0
 			}
-			raw, err := marshalResultJSON(NewCellResult(c.rs.Scheme, r))
-			if err != nil {
+			if err := each(ks[i], r); err != nil {
 				return err
 			}
-			raws[i] = raw
 		}
 		return nil
 	})

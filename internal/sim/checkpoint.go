@@ -14,12 +14,12 @@ import (
 )
 
 // Sim is a simulation split at the warmup/measure phase boundary, the
-// seam the warm-state checkpointing subsystem operates on: warm up once,
-// snapshot, and fork restored engines into many measured runs. It is the
-// only way a run executes — Warmup then Measure, with a Snapshot or a
-// Restore at the seam in between — so straight-through, checkpointed,
-// pooled and standalone runs all replay the same engine call sequence
-// (DESIGN.md section 14).
+// seam the warm-state checkpointing subsystem operates on (bmsim
+// -checkpoint seals it, -restore resumes from it). It is the only way a
+// run executes — Warmup then Measure, with a Snapshot or a Restore at the
+// seam in between — so straight-through, checkpointed, pooled and
+// standalone runs all replay the same engine call sequence (DESIGN.md
+// section 14).
 type Sim struct {
 	mix workloads.Mix
 	o   Options
@@ -28,8 +28,8 @@ type Sim struct {
 	factory Factory //bmlint:resetconst
 	eng     *cpu.Engine
 	pre     []cpu.CoreResult
-	// preT is the per-tenant warmup baseline (nil for single-tenant mixes),
-	// captured alongside pre and subtracted the same way.
+	// preT is the per-tenant warmup baseline (empty for single-tenant
+	// mixes), captured alongside pre and subtracted the same way.
 	preT   []cpu.TenantResult
 	warmed bool
 	// antt makes Measure run the standalone terms and report ANTT. It is
@@ -126,7 +126,7 @@ func (s *Sim) Reset(mix workloads.Mix, o Options) bool {
 	s.mix = mix
 	s.o = o
 	s.pre = s.pre[:0]
-	s.preT = nil
+	s.preT = s.preT[:0]
 	s.warmed = false
 	s.antt = false
 	return true
@@ -146,7 +146,7 @@ func (s *Sim) Warmup(ctx context.Context) error {
 		return err
 	}
 	s.pre = pre
-	s.preT = s.eng.TenantTotals()
+	s.preT = s.eng.AppendTenantTotals(s.preT[:0])
 	s.warmed = true
 	return nil
 }
@@ -212,7 +212,7 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 		return fmt.Errorf("sim: restore: %d trailing payload bytes", n)
 	}
 	s.pre = s.eng.AppendCumulativeResults(s.pre[:0])
-	s.preT = s.eng.TenantTotals()
+	s.preT = s.eng.AppendTenantTotals(s.preT[:0])
 	s.warmed = true
 	return nil
 }

@@ -155,46 +155,68 @@ func TestReportDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestMeasureEachAllocs pins what a run costs on a pooled warm Sim: a
-// Warmup+Measure cycle allocates one object, the result's PerCore (Warmup
-// refills the Sim's own baseline), and a two-quota MeasureEach no more than
-// Measure plus the one PerCore slice of its extra capture. Both cycles draw
-// the Sim, warm it up and put it back.
+// Warmup+Measure cycle allocates the result's PerCore and, on the 8-core
+// multi-tenant workload, its PerTenant (Warmup refills the Sim's own
+// baselines), and a two-quota MeasureEach no more than Measure plus the
+// slices of its extra capture. Both cycles draw the Sim, warm it up and
+// put it back.
 func TestMeasureEachAllocs(t *testing.T) {
-	rs := goldenSpec(t, "bimodal", nil, 0)
-	mix := workloads.MustByName(rs.Mix)
-	pool := NewRunPool(1)
-	ctx := context.Background()
-	cycle := func(measure func(s *Sim) error) func() {
-		return func() {
-			s, err := ForSpec(pool, rs, mix, 1)
-			if err == nil {
-				err = s.Warmup(ctx)
-			}
-			if err == nil {
-				err = measure(s)
-			}
+	q1 := goldenSpec(t, "bimodal", nil, 0)
+	dc8 := q1
+	dc8.Mix, dc8.Workload = "", dc8Workload()
+	dc8, err := dc8.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rs   spec.RunSpec
+		want float64 // the result's slices
+	}{
+		{"Q1", q1, 1},
+		{"dc8", dc8, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := tc.rs
+			mix, err := workloads.MixForSpec(rs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool.Put(s)
-		}
-	}
-	one := cycle(func(s *Sim) error {
-		_, err := s.Measure(ctx)
-		return err
-	})
-	quotas := []Quota{{Accesses: 400}, {Accesses: rs.Options.AccessesPerCore}}
-	two := cycle(func(s *Sim) error {
-		return s.MeasureEach(ctx, quotas, func(int, RunResult) error { return nil })
-	})
-	one() // builds the pooled Sim and sizes its buffers
-	two()
-	m, e := testing.AllocsPerRun(10, one), testing.AllocsPerRun(10, two)
-	t.Logf("Measure cycle %v allocs, two-quota MeasureEach cycle %v", m, e)
-	if m != 1 {
-		t.Errorf("Warmup+Measure cycle allocates %v objects, want 1 (the result's PerCore)", m)
-	}
-	if e > m+1 {
-		t.Errorf("two-quota MeasureEach cycle allocates %v objects, Measure's %v: want at most one more", e, m)
+			pool := NewRunPool(1)
+			ctx := context.Background()
+			cycle := func(measure func(s *Sim) error) func() {
+				return func() {
+					s, err := ForSpec(pool, rs, mix, 1)
+					if err == nil {
+						err = s.Warmup(ctx)
+					}
+					if err == nil {
+						err = measure(s)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					pool.Put(s)
+				}
+			}
+			one := cycle(func(s *Sim) error {
+				_, err := s.Measure(ctx)
+				return err
+			})
+			quotas := []Quota{{Accesses: 400}, {Accesses: rs.Options.AccessesPerCore}}
+			two := cycle(func(s *Sim) error {
+				return s.MeasureEach(ctx, quotas, func(int, RunResult) error { return nil })
+			})
+			one() // builds the pooled Sim and sizes its buffers
+			two()
+			m, e := testing.AllocsPerRun(10, one), testing.AllocsPerRun(10, two)
+			t.Logf("Measure cycle %v allocs, two-quota MeasureEach cycle %v", m, e)
+			if m != tc.want {
+				t.Errorf("Warmup+Measure cycle allocates %v objects, want %v (the result's slices)", m, tc.want)
+			}
+			if e > 2*m {
+				t.Errorf("two-quota MeasureEach cycle allocates %v objects, Measure's %v: want at most one capture more", e, m)
+			}
+		})
 	}
 }
