@@ -92,13 +92,9 @@ func BenchmarkMemctrlRead(b *testing.B)            { bench.Run(b, "MemctrlRead")
 func BenchmarkTraceGeneration(b *testing.B)        { bench.Run(b, "TraceGeneration") }
 func BenchmarkEndToEndMix(b *testing.B)            { bench.Run(b, "EndToEndMix") }
 func BenchmarkEndToEndMixPooled(b *testing.B)      { bench.Run(b, "EndToEndMixPooled") }
-func BenchmarkSweepColdWarmup(b *testing.B)        { bench.Run(b, "SweepColdWarmup") }
-func BenchmarkSweepWarmRestore(b *testing.B)       { bench.Run(b, "SweepWarmRestore") }
 func BenchmarkSweepSharedRun(b *testing.B)         { bench.Run(b, "SweepSharedRun") }
 func BenchmarkSweepPooled(b *testing.B)            { bench.Run(b, "SweepPooled") }
 func BenchmarkSweepSchemes(b *testing.B)           { bench.Run(b, "SweepSchemes") }
-func BenchmarkWarmSnapshot(b *testing.B)           { bench.Run(b, "WarmSnapshot") }
-func BenchmarkWarmRestore(b *testing.B)            { bench.Run(b, "WarmRestore") }
 func BenchmarkTraceNextKVStore(b *testing.B)       { bench.Run(b, "TraceNextKVStore") }
 func BenchmarkTraceNextWebserve(b *testing.B)      { bench.Run(b, "TraceNextWebserve") }
 func BenchmarkTraceNextScan(b *testing.B)          { bench.Run(b, "TraceNextScan") }

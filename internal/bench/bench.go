@@ -7,7 +7,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	bimodal "bimodal"
@@ -70,13 +69,9 @@ var cases = []Case{
 	{"TraceGeneration", "synthetic access-stream generation", traceGeneration},
 	{"EndToEndMix", "complete small multiprogrammed run via the public facade", endToEndMix},
 	{"EndToEndMixPooled", "the EndToEndMix cell recycled through a RunPool (steady-state Reset)", endToEndMixPooled},
-	{"SweepColdWarmup", "10-cell same-prefix sweep, every cell warming from cold", sweepColdWarmup},
-	{"SweepWarmRestore", "10-cell same-prefix sweep warming once via snapshot restore", sweepWarmRestore},
-	{"SweepSharedRun", "the 10 SweepWarmRestore cells read off one warm run", sweepSharedRun},
+	{"SweepSharedRun", "10-cell same-prefix sweep read off one warm run", sweepSharedRun},
 	{"SweepPooled", "10-seed one-cell sweep recycling a single pooled simulator", sweepPooled},
 	{"SweepSchemes", "e2ebench's service-sweep misses in-process: alloy, bimodal x Q1, Q7, one seed", sweepSchemes},
-	{"WarmSnapshot", "seal the warm state of a Bi-Modal Q7 cache/64 simulator", warmSnapshot},
-	{"WarmRestore", "open and restore a sealed Bi-Modal Q7 cache/64 warm snapshot", warmRestore},
 	{"TraceNextKVStore", "datacenter kvstore profile stream generation", traceNextCase("kvstore")},
 	{"TraceNextWebserve", "bursty webserve profile stream generation", traceNextCase("webserve")},
 	{"TraceNextScan", "analytics scan profile stream generation", traceNextCase("scan")},
@@ -273,16 +268,14 @@ func endToEndMixPooled(b *testing.B) {
 	}
 }
 
-// --- warm-state checkpointing: sweep warmup amortization ---
+// --- warm sharing: one run for a same-prefix sweep ---
 //
-// The three sweep cases run the same 10-cell workload — cells identical up
-// to measured length, so they share one warmup prefix hash — first the
-// pre-snapshot way (every cell warms from cold), then through the
-// snapshot seam (warm once, seal, fork restored engines), then as a
-// service sweep runs it (warm once, measure once, read every cell off the
-// run). They quantify what warm sharing buys a same-prefix sweep; the
-// warmup window is sized so warmup dominates, as it does in real
-// convergence sweeps. TestWarmSweepBeatsColdWarmup pins the ratio >= 2x.
+// SweepSharedRun runs a 10-cell workload, cells identical up to measured
+// length so they share one warm prefix, as a service sweep runs a
+// warm-prefix group: warm once, measure once, read every cell off the run.
+// The warmup window is sized so warmup dominates, as it does in real
+// convergence sweeps. TestWarmSweepBeatsColdWarmup pins its lead over
+// warming every cell from cold at >= 2x.
 
 // warmSweepSpecs returns 10 cells differing only in measured length.
 func warmSweepSpecs() []spec.RunSpec {
@@ -300,69 +293,6 @@ func warmSweepSpecs() []spec.RunSpec {
 		})
 	}
 	return specs
-}
-
-// runSweepColdWarmup executes the sweep with per-cell warmup.
-func runSweepColdWarmup() error {
-	ctx := context.Background()
-	for _, rs := range warmSweepSpecs() {
-		mix, err := workloads.MixForSpec(rs)
-		if err != nil {
-			return err
-		}
-		s, err := sim.ForSpec(nil, rs, mix, 1)
-		if err != nil {
-			return err
-		}
-		if err := s.Warmup(ctx); err != nil {
-			return err
-		}
-		if _, err := s.Measure(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runSweepWarmRestore executes the sweep warming exactly once: the first
-// cell warms, seals a snapshot, and measures on its own warm state; every
-// other cell forks a restored engine.
-func runSweepWarmRestore() error {
-	ctx := context.Background()
-	specs := warmSweepSpecs()
-	prefix, ok, err := specs[0].PrefixHash()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("bench: sweep specs have no warmup prefix")
-	}
-	mix, err := workloads.ByName(specs[0].Mix)
-	if err != nil {
-		return err
-	}
-	factory, err := sim.FactoryForSpec(specs[0], mix.Cores())
-	if err != nil {
-		return err
-	}
-	var blob []byte
-	for i, rs := range specs {
-		so := sim.OptionsForSpec(rs)
-		so.Workers = 1
-		s := sim.NewSim(mix, factory, so)
-		if i == 0 {
-			if err := s.Warmup(ctx); err != nil {
-				return err
-			}
-			blob = s.Snapshot(prefix)
-		} else if err := s.Restore(blob, prefix); err != nil {
-			return err
-		}
-		if _, err := s.Measure(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runSweepSharedRun executes the sweep the way a service sweep runs a
@@ -388,31 +318,6 @@ func runSweepSharedRun() error {
 		quotas[i].Accesses = rs.Options.AccessesPerCore
 	}
 	return s.MeasureEach(ctx, quotas, func(int, sim.RunResult) error { return nil })
-}
-
-// sweepColdWarmup measures the pre-snapshot sweep path. One untimed sweep
-// first grows the process-wide read-ahead chunk list and marks and the
-// Zipf table cache, so allocs/op does not depend on b.N.
-func sweepColdWarmup(b *testing.B) {
-	if err := runSweepColdWarmup(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := runSweepColdWarmup(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// sweepWarmRestore measures the snapshot-amortized sweep path.
-func sweepWarmRestore(b *testing.B) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := runSweepWarmRestore(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // sweepSharedRun measures the one-run sweep path. One untimed sweep
@@ -511,77 +416,6 @@ func sweepSchemes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := service.RunSpecs(ctx, specs, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- warm-state checkpointing: the snapshot codec itself ---
-//
-// WarmSnapshot and WarmRestore isolate the two halves of a warm fork on a
-// Bi-Modal Q7 cell at cache/64 after a 400-access warmup, the fork a
-// service sweep makes for a pair of Bi-Modal cells that differ only in
-// measured length. Most of its way locator and core ways are still
-// unwritten then, and their sparse tables keep the blob under 100 KB.
-
-// warmBiModalQ7 returns a warmed Bi-Modal Q7 cache/64 simulator, its
-// congruent unwarmed twin, and the prefix hash they share.
-func warmBiModalQ7() (warm, twin *sim.Sim, prefix string, err error) {
-	rs, err := spec.RunSpec{Scheme: "bimodal", Mix: "Q7", Seed: 1,
-		Options: spec.Options{AccessesPerCore: 200, WarmupPerCore: 400, CacheDivisor: 64}}.Canonical()
-	if err != nil {
-		return nil, nil, "", err
-	}
-	prefix, _, err = rs.PrefixHash()
-	if err != nil {
-		return nil, nil, "", err
-	}
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	if warm, err = sim.ForSpec(nil, rs, mix, 1); err != nil {
-		return nil, nil, "", err
-	}
-	if twin, err = sim.ForSpec(nil, rs, mix, 1); err != nil {
-		return nil, nil, "", err
-	}
-	return warm, twin, prefix, warm.Warmup(context.Background())
-}
-
-// warmSnapshot measures sealing one warm snapshot. One untimed seal sizes
-// the Sim's next blobs first, so allocs/op does not depend on b.N.
-func warmSnapshot(b *testing.B) {
-	s, _, prefix, err := warmBiModalQ7()
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Snapshot(prefix)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Snapshot(prefix)
-	}
-}
-
-// warmRestore measures opening and restoring that snapshot into a
-// congruent simulator (Restore overwrites all state, so one target serves
-// every iteration).
-func warmRestore(b *testing.B) {
-	s, twin, prefix, err := warmBiModalQ7()
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := s.Snapshot(prefix)
-	// One untimed restore sizes the twin's warmup baseline first, so
-	// allocs/op does not depend on b.N.
-	if err := twin.Restore(blob, prefix); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := twin.Restore(blob, prefix); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -535,38 +535,28 @@ func (e *Engine) Scheme() dramcache.Scheme { return e.scheme }
 // cheap Err() call per interval.
 const ctxCheckInterval = 8192
 
-// RunContext replays accessesPerCore measured accesses on every core. A
-// core that reaches its quota freezes its results but continues executing
+// RunEachContext runs one measured phase toward quotas, counted accesses
+// per core, which must ascend strictly from a positive first. A core that
+// reaches the last quota freezes its results but continues executing
 // (uncounted) until every core has finished, exactly as the paper's
 // methodology keeps finished cores running to preserve shared-resource
-// contention. Keeping all cores in flight also keeps their clocks
-// synchronized, which the busy-time DRAM model requires. The tick loop
-// checks ctx every ctxCheckInterval accesses and returns ctx.Err() when
-// the context ends, discarding partial results.
-func (e *Engine) RunContext(ctx context.Context, accessesPerCore int64) ([]CoreResult, error) {
-	if err := e.runPhase(ctx, []int64{accessesPerCore}, measureRate, nil); err != nil {
-		return nil, err
-	}
-	return e.CumulativeResults(), nil
-}
-
-// RunEachContext is RunContext toward several quotas in one phase: it runs
-// to the last of quotas, which must ascend strictly from a positive first,
-// and calls each(k, per, tens) as the phase passes quotas[k], that is when
-// the last core completes its quotas[k]-th counted access, before any
-// further access. per holds every core's results as of its own
-// quotas[k]-th access, cycles as finish records them, and tens the
-// per-tenant totals over those points (as TenantTotals, empty without
-// tenants); both are cumulative, and alias engine buffers valid only
-// during the call. An error from each ends the phase as a cancelled ctx
-// does, and RunEachContext returns it.
+// contention; keeping all cores in flight also keeps their clocks
+// synchronized, which the busy-time DRAM model requires. It calls each(k,
+// per, tens) as the phase passes quotas[k], that is when the last core
+// completes its quotas[k]-th counted access, before any further access.
+// per holds every core's results as of its own quotas[k]-th access, cycles
+// as finish records them, and tens the per-tenant totals over those points
+// (as TenantTotals, empty without tenants); both are cumulative, and alias
+// engine buffers valid only during the call. The phase checks ctx every
+// ctxCheckInterval accesses; a cancelled ctx or an error from each ends
+// it, and RunEachContext returns that error.
 //
 // Counting toward a quota changes what a core counts, never what the
 // engine simulates: finished cores keep running either way, and counted
 // feeds only the core's results, tenants and remaining count. So when the
 // phase passes quotas[k], the scheme, its statistics and every core's
-// results are exactly those at the end of RunContext(ctx, quotas[k]) on an
-// identical engine: a shorter phase is a prefix of a longer one.
+// results are exactly those at the end of a phase toward quotas[k] alone
+// on an identical engine: a shorter phase is a prefix of a longer one.
 func (e *Engine) RunEachContext(ctx context.Context, quotas []int64, each func(k int, per []CoreResult, tens []TenantResult) error) error {
 	for k, q := range quotas {
 		if q <= 0 || k > 0 && q <= quotas[k-1] {

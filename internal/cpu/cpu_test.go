@@ -27,10 +27,11 @@ func (f *fakeScheme) Access(req dramcache.Request, now int64) dramcache.Result {
 func (f *fakeScheme) Report() dramcache.Report { return dramcache.Report{} }
 func (f *fakeScheme) ResetStats()              {}
 
-// run replays one phase of accessesPerCore accesses on every core.
+// run replays one phase of accessesPerCore accesses on every core and
+// returns the cumulative results at its end.
 func run(t testing.TB, e *Engine, accessesPerCore int64) []CoreResult {
 	t.Helper()
-	res, err := e.RunContext(context.Background(), accessesPerCore)
+	res, err := e.WarmupContext(context.Background(), accessesPerCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,34 +332,23 @@ func TestContentionSlowsCores(t *testing.T) {
 	}
 }
 
-func TestRunContextCancelled(t *testing.T) {
-	// A pre-cancelled context must stop a run that would otherwise take
-	// tens of millions of accesses.
+func TestRunMeasuredContextCancelled(t *testing.T) {
+	// A pre-cancelled context must stop a phase that would otherwise take
+	// tens of millions of accesses, and return no results.
 	f := &fakeScheme{latency: 10}
 	g := trace.NewSynthetic(trace.MustProfile("mcf"), 1, 1)
 	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := e.RunContext(ctx, 50_000_000)
+	res, err := e.WarmupContext(ctx, 50_000_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res != nil {
-		t.Error("cancelled run returned results")
+	if len(res) != 0 {
+		t.Error("cancelled phase returned results")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %s; should be near-immediate", elapsed)
-	}
-}
-
-func TestRunMeasuredContextCancelled(t *testing.T) {
-	f := &fakeScheme{latency: 10}
-	g := trace.NewSynthetic(trace.MustProfile("mcf"), 1, 1)
-	e := NewEngine(f, []trace.Generator{g}, CoreConfig{CPIBase: 1, MSHRs: 8}, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.WarmupContext(ctx, 1_000_000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

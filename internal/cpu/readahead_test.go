@@ -59,7 +59,7 @@ func TestReleaseReadAheadLeavesEngineStale(t *testing.T) {
 	}
 	e.ReleaseReadAhead()
 	const stale = "handed back ahead"
-	mustPanic(t, "RunContext", stale, func() { e.RunContext(context.Background(), 10) })
+	mustPanic(t, "WarmupContext", stale, func() { e.WarmupContext(context.Background(), 10) })
 	mustPanic(t, "SnapshotState", stale, func() { e.SnapshotState(snapshot.NewWriter()) })
 	if !e.Reset([]uint64{3, 4}) {
 		t.Fatal("Reset declined")

@@ -17,7 +17,7 @@ type queuedWrite struct {
 // state with the given write queues, one slice per channel.
 func sealQueues(cfg Config, queues [][]queuedWrite) []byte {
 	c := New(cfg)
-	w := snapshot.NewSealer("memctrl-test", 0)
+	w := snapshot.NewWriter()
 	w.Tag("memctrl")
 	for _, ch := range c.channels {
 		ch.SnapshotState(w)
@@ -31,7 +31,7 @@ func sealQueues(cfg Config, queues [][]queuedWrite) []byte {
 			w.I64(e.at)
 		}
 	}
-	return w.Seal()
+	return snapshot.Seal("memctrl-test", w.Bytes())
 }
 
 // TestRestoreRejectsBadQueues restores hand-built blobs. A queue longer

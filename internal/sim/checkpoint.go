@@ -44,20 +44,7 @@ type Sim struct {
 	// Reset deliberately leaves them so a pooled Sim stays pooled.
 	key    poolKey //bmlint:resetconst
 	pooled bool    //bmlint:resetconst
-	// payloadMax is the largest payload Snapshot has sealed, the capacity
-	// hint for the next one. Reset leaves it: a pooled Sim keeps its
-	// geometry, and its warm states fill its sparse tables about as much
-	// from one cell to the next.
-	payloadMax int //bmlint:resetconst
-	// rd is the Reader Restore decodes with, kept so that a restore
-	// allocates none. It holds no payload between calls.
-	rd snapshot.Reader //bmlint:resetconst
 }
-
-// firstSealHint is the capacity hint of a Sim's first snapshot: a
-// Bi-Modal blob after a short warmup at cache/64 is 60-83 KB, most other
-// schemes' are smaller, and a larger one grows by doubling.
-const firstSealHint = 64 << 10
 
 // NewSim assembles a simulation without running it: normalized options,
 // the derived config, a fresh scheme from factory and one generator per
@@ -173,20 +160,11 @@ func (s *Sim) Draws() (drawn, replayed int64) { return s.eng.Draws() }
 
 // Snapshot seals the complete simulator state into a blob bound to
 // prefixHash (see spec.PrefixHash). Valid at the warmup/measure boundary:
-// after Warmup, before Measure. The state is encoded in place behind the
-// envelope header, so sealing copies nothing, and a Sim that sealed before
-// allocates the blob once, sized from its largest earlier payload plus a
-// sixteenth for the variable-length parts; a first blob starts at
-// firstSealHint.
+// after Warmup, before Measure.
 func (s *Sim) Snapshot(prefixHash string) []byte {
-	hint := s.payloadMax + s.payloadMax/16
-	if hint == 0 {
-		hint = firstSealHint
-	}
-	w := snapshot.NewSealer(prefixHash, hint)
+	w := snapshot.NewWriter()
 	s.eng.SnapshotState(w)
-	s.payloadMax = max(s.payloadMax, w.Len())
-	return w.Seal()
+	return snapshot.Seal(prefixHash, w.Bytes())
 }
 
 // Restore overwrites the simulator state from a blob produced by Snapshot
@@ -202,13 +180,12 @@ func (s *Sim) Restore(blob []byte, wantPrefix string) error {
 	if wantPrefix != "" && string(prefixHash) != wantPrefix {
 		return fmt.Errorf("sim: snapshot prefix %s does not match expected %s", prefixHash, wantPrefix)
 	}
-	s.rd.Reset(payload)
-	defer s.rd.Reset(nil)
-	s.eng.RestoreState(&s.rd)
-	if err := s.rd.Err(); err != nil {
+	r := snapshot.NewReader(payload)
+	s.eng.RestoreState(r)
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
-	if n := s.rd.Remaining(); n != 0 {
+	if n := r.Remaining(); n != 0 {
 		return fmt.Errorf("sim: restore: %d trailing payload bytes", n)
 	}
 	s.pre = s.eng.AppendCumulativeResults(s.pre[:0])

@@ -131,44 +131,6 @@ func TestRestoreThenRunGolden(t *testing.T) {
 	}
 }
 
-// TestWarmForkAllocs pins what a warm fork allocates on pooled Sims:
-// Snapshot the sealing Writer and the blob, Restore nothing. The prefix
-// check reads the blob in place, the Sim keeps its Reader, and the warmup
-// baseline reuses the slice the Sim already holds.
-func TestWarmForkAllocs(t *testing.T) {
-	rs := goldenSpec(t, "bimodal", nil, 0)
-	prefix, _, err := rs.PrefixHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := workloads.MustByName(rs.Mix)
-	pool := NewRunPool(2)
-	producer, err := ForSpec(pool, rs, mix, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := producer.Warmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	blob := producer.Snapshot(prefix) // sizes the next blobs
-	twin, err := ForSpec(pool, rs, mix, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := func() {
-		if err := twin.Restore(blob, prefix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restore() // sizes the twin's warmup baseline
-	if got := testing.AllocsPerRun(10, func() { producer.Snapshot(prefix) }); got != 2 {
-		t.Errorf("Snapshot allocates %v objects, want 2 (the sealing Writer and the blob)", got)
-	}
-	if got := testing.AllocsPerRun(10, restore); got != 0 {
-		t.Errorf("Restore allocates %v objects, want 0", got)
-	}
-}
-
 // TestRestorePrefixMismatch proves a blob cannot restore under a
 // different prefix hash: the envelope binding, not caller discipline,
 // enforces congruence.

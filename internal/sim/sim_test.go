@@ -131,7 +131,7 @@ func referenceStandalone(t *testing.T, mix workloads.Mix, factory Factory, o Opt
 			res, err = eng.MeasureAfterWarmupContext(ctx, o.AccessesPerCore, pre)
 		}
 	} else {
-		res, err = eng.RunContext(ctx, o.AccessesPerCore)
+		res, err = eng.WarmupContext(ctx, o.AccessesPerCore)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,9 @@
 // hands the decoder the same span as one bounds-checked slice. A table of
 // mostly unwritten entries (cache ways, way-locator entries, tag arrays) is
 // sparse: Writer.Sparse seals only its nonzero entries behind a presence
-// bitmap, and Reader.Sparse scatters them back. Warm snapshots are sealed
-// in place (NewSealer, Writer.Seal) and Open returns the payload as a
-// sub-slice of the blob, so neither direction copies the payload.
+// bitmap, and Reader.Sparse scatters them back. Seal wraps a finished
+// payload in the envelope, and Open returns the payload as a sub-slice of
+// the blob instead of a copy.
 package snapshot
 
 import (
@@ -75,19 +75,13 @@ const magic = "BMSN"
 // The zero value is ready to use.
 type Writer struct {
 	buf []byte
-	// payload is the offset of the payload in buf: 0 for a plain Writer,
-	// the envelope header's length for one started by NewSealer.
-	payload int
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
 // Bytes returns the accumulated payload (not yet sealed).
-func (w *Writer) Bytes() []byte { return w.buf[w.payload:] }
-
-// Len returns the number of payload bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) - w.payload }
+func (w *Writer) Bytes() []byte { return w.buf }
 
 // Extend reserves n bytes at the end of the payload and returns them for
 // the caller to fill in place, in the little-endian layout the per-element
@@ -203,11 +197,6 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
-// Reset makes r read data from its start, with no error recorded, so a
-// caller that restores repeatedly can keep one Reader instead of
-// allocating one per payload.
-func (r *Reader) Reset(data []byte) { *r = Reader{data: data} }
-
 // Err returns the sticky error, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -224,8 +213,8 @@ func (r *Reader) Remaining() int { return len(r.data) - r.off }
 // Next consumes the next n bytes and returns them as one bounds-checked
 // slice, for decoding a bulk table in place (encoding/binary's
 // LittleEndian getters and DecodeBool), or nil after recording a
-// truncation error. The slice aliases the payload, which may be a shared
-// read-only blob: decode from it, never write or retain it.
+// truncation error. The slice aliases the payload, which may be the
+// caller's blob (Open): decode from it, never write or retain it.
 func (r *Reader) Next(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -550,52 +539,28 @@ func (t *SparseReader) Next() (int, []byte) {
 	return i, e
 }
 
-// NewSealer starts a sealed blob bound to prefixHash, in the versioned
-// envelope
+// Seal wraps a finished payload in the versioned envelope
 //
 //	"BMSN" | u32 version | u32 len(hash) | hash | u32 len(payload) | payload | sha256
 //
 // where the trailing checksum covers every preceding byte. prefixHash is
-// the prefix spec hash the blob is produced under (see spec.PrefixHash);
-// Open returns it so consumers can verify the binding before restoring.
-// The returned Writer holds the envelope header, writes the payload in
-// place behind it (Bytes and Len still cover the payload only), and
-// Seal finishes the blob without copying it. payloadHint is the expected
-// payload length, a capacity hint (0 if unknown).
-func NewSealer(prefixHash string, payloadHint int) *Writer {
-	w := &Writer{buf: make([]byte, 0, len(magic)+12+len(prefixHash)+max(payloadHint, 0)+sha256.Size)}
+// the prefix spec hash the payload was produced under (see
+// spec.PrefixHash); Open returns it so consumers can verify the binding
+// before restoring. The blob is allocated once, at its exact size.
+func Seal(prefixHash string, payload []byte) []byte {
+	w := Writer{buf: make([]byte, 0, len(magic)+12+len(prefixHash)+len(payload)+sha256.Size)}
 	w.buf = append(w.buf, magic...)
 	w.U32(Version)
 	w.String(prefixHash)
-	w.U32(0) // payload length, backfilled by Seal
-	w.payload = len(w.buf)
-	return w
-}
-
-// Seal finishes a blob started by NewSealer: it backfills the payload
-// length, appends the checksum and returns the sealed blob. The Writer
-// must not be used afterwards.
-func (w *Writer) Seal() []byte {
-	if w.payload == 0 {
-		panic("snapshot: Seal on a Writer not started by NewSealer")
-	}
-	binary.LittleEndian.PutUint32(w.buf[w.payload-4:], uint32(w.Len()))
+	w.Bytes8(payload)
 	sum := sha256.Sum256(w.buf)
 	return append(w.buf, sum[:]...)
 }
 
-// Seal wraps a finished payload in the versioned envelope (see NewSealer).
-func Seal(prefixHash string, payload []byte) []byte {
-	w := NewSealer(prefixHash, len(payload))
-	w.buf = append(w.buf, payload...)
-	return w.Seal()
-}
-
 // Open unwraps a sealed blob, verifying magic, version and checksum, and
 // returns the bound prefix hash and the payload. Both are sub-slices of
-// blob, not copies: blobs are shared read-only (a sweep's warm group hands
-// one blob to every member), so restore code must not write them or keep
-// slices of them.
+// blob, not copies, so restore code must not write them or keep slices of
+// them.
 func Open(blob []byte) (prefixHash, payload []byte, err error) {
 	if len(blob) < len(magic)+4+4+4+sha256.Size {
 		return nil, nil, fmt.Errorf("snapshot: blob too short (%d bytes)", len(blob))

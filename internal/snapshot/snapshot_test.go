@@ -296,48 +296,28 @@ func TestNextBoundsCheck(t *testing.T) {
 	}
 }
 
-// TestSealInPlaceMatchesSeal proves the in-place sealer writes the same
-// envelope as sealing a finished payload and as a reference envelope built
-// from primitives, and that Bytes/Len keep their payload-only meaning.
-func TestSealInPlaceMatchesSeal(t *testing.T) {
+// TestSealMatchesReferenceEnvelope proves Seal writes the envelope a
+// reference built from primitives does, at its exact size.
+func TestSealMatchesReferenceEnvelope(t *testing.T) {
 	const hash = "sha256:0123"
-	for _, hint := range []int{0, 3, 1 << 10} {
-		w := NewSealer(hash, hint)
-		w.Tag("state")
-		w.U64s([]uint64{1, 2, 3})
-		payload := append([]byte(nil), w.Bytes()...)
-		if w.Len() != len(payload) {
-			t.Fatalf("Len %d, payload %d bytes", w.Len(), len(payload))
-		}
-		plain := NewWriter()
-		plain.Tag("state")
-		plain.U64s([]uint64{1, 2, 3})
-		if !bytes.Equal(payload, plain.Bytes()) {
-			t.Fatalf("sealing writer payload %x, plain writer %x", payload, plain.Bytes())
-		}
+	w := NewWriter()
+	w.Tag("state")
+	w.U64s([]uint64{1, 2, 3})
+	payload := w.Bytes()
 
-		ref := NewWriter()
-		ref.buf = append(ref.buf, magic...)
-		ref.U32(Version)
-		ref.String(hash)
-		ref.Bytes8(payload)
-		want := sealRaw(ref)
-		if got := w.Seal(); !bytes.Equal(got, want) {
-			t.Errorf("hint %d: in-place blob\n got %x\nwant %x", hint, got, want)
-		}
-		if got := Seal(hash, payload); !bytes.Equal(got, want) {
-			t.Errorf("Seal blob\n got %x\nwant %x", got, want)
-		}
+	ref := NewWriter()
+	ref.buf = append(ref.buf, magic...)
+	ref.U32(Version)
+	ref.String(hash)
+	ref.Bytes8(payload)
+	want := sealRaw(ref)
+	got := Seal(hash, payload)
+	if !bytes.Equal(got, want) {
+		t.Errorf("Seal blob\n got %x\nwant %x", got, want)
 	}
-}
-
-func TestSealRequiresSealer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Seal on a plain Writer did not panic")
-		}
-	}()
-	NewWriter().Seal()
+	if cap(got) != len(got) {
+		t.Errorf("Seal blob cap %d, want its length %d", cap(got), len(got))
+	}
 }
 
 // TestOpenAliasesBlob pins the zero-copy contract: the payload Open returns
@@ -438,10 +418,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return v
 		}
 
-		// The script is written twice, into a plain Writer and in place
-		// behind a sealer's envelope header; both must agree.
 		w := NewWriter()
-		sw := NewSealer("sha256:fuzz", int(next()%64))
 		type op struct {
 			kind byte
 			val  uint64
@@ -451,55 +428,47 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			k %= 14
 			v := next()
 			script = append(script, op{k, v})
-			for _, wr := range []*Writer{w, sw} {
-				switch k {
-				case 0:
-					wr.U8(uint8(v))
-				case 1:
-					wr.U32(uint32(v))
-				case 2:
-					wr.U64(v)
-				case 3:
-					wr.I64(int64(v))
-				case 4:
-					wr.Bool(v%2 == 1)
-				case 5:
-					wr.F64(math.Float64frombits(v))
-				case 6:
-					wr.Tag("t")
-				case 7:
-					wr.Bytes8(data[:min(len(data), int(v%32))])
-				case 8:
-					wr.U64s(fuzzU64s(v))
-				case 9:
-					wr.U32s(fuzzU32s(v))
-				case 10:
-					wr.I64s(fuzzI64s(v))
-				case 11:
-					wr.U8s(data[:min(len(data), int(v%32))])
-				case 12:
-					// An Extend table of (bool, u64) records.
-					n := int(v % 5)
-					b := wr.Extend(n * 9)
-					for i := 0; i < n; i++ {
-						PutBool(b, (v>>i)&1 == 1)
-						binary.LittleEndian.PutUint64(b[1:], v+uint64(i))
-						b = b[9:]
-					}
-				case 13:
-					putSparse(wr, v)
+			switch k {
+			case 0:
+				w.U8(uint8(v))
+			case 1:
+				w.U32(uint32(v))
+			case 2:
+				w.U64(v)
+			case 3:
+				w.I64(int64(v))
+			case 4:
+				w.Bool(v%2 == 1)
+			case 5:
+				w.F64(math.Float64frombits(v))
+			case 6:
+				w.Tag("t")
+			case 7:
+				w.Bytes8(data[:min(len(data), int(v%32))])
+			case 8:
+				w.U64s(fuzzU64s(v))
+			case 9:
+				w.U32s(fuzzU32s(v))
+			case 10:
+				w.I64s(fuzzI64s(v))
+			case 11:
+				w.U8s(data[:min(len(data), int(v%32))])
+			case 12:
+				// An Extend table of (bool, u64) records.
+				n := int(v % 5)
+				b := w.Extend(n * 9)
+				for i := 0; i < n; i++ {
+					PutBool(b, (v>>i)&1 == 1)
+					binary.LittleEndian.PutUint64(b[1:], v+uint64(i))
+					b = b[9:]
 				}
+			case 13:
+				putSparse(w, v)
 			}
 		}
 
 		payload := w.Bytes()
-		if !bytes.Equal(sw.Bytes(), payload) {
-			t.Fatal("sealing writer's payload differs from a plain writer's")
-		}
 		blob := Seal("sha256:fuzz", payload)
-		if inPlace := sw.Seal(); !bytes.Equal(inPlace, blob) {
-			t.Fatal("in-place seal differs from Seal")
-		}
 		hash, opened, err := Open(blob)
 		if err != nil {
 			t.Fatalf("Seal/Open: %v", err)

@@ -8,8 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"bimodal/internal/snapshot"
@@ -23,9 +21,6 @@ func Ratio(num, den int64) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// Pct returns 100*num/den, or 0 when den is zero.
-func Pct(num, den int64) float64 { return 100 * Ratio(num, den) }
 
 // Improvement returns the relative improvement of after over before as a
 // fraction: (before-after)/before for "lower is better" metrics. Zero when
@@ -115,9 +110,6 @@ type Mean struct {
 // Add records one sample.
 func (m *Mean) Add(v float64) { m.sum += v; m.n++ }
 
-// AddN records a sample with weight n.
-func (m *Mean) AddN(v float64, n int64) { m.sum += v * float64(n); m.n += n }
-
 // Value returns the mean, or 0 with no samples.
 func (m *Mean) Value() float64 {
 	if m.n == 0 {
@@ -131,22 +123,6 @@ func (m *Mean) N() int64 { return m.n }
 
 // Sum returns the raw sum.
 func (m *Mean) Sum() float64 { return m.sum }
-
-// GeoMean computes the geometric mean of the values, ignoring non-positive
-// entries (which would make the geomean undefined).
-func GeoMean(vals []float64) float64 {
-	s, n := 0.0, 0
-	for _, v := range vals {
-		if v > 0 {
-			s += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
 
 // MeanOf returns the arithmetic mean of vals (0 for empty).
 func MeanOf(vals []float64) float64 {
@@ -175,23 +151,6 @@ func NewTable(title string, header ...string) *Table {
 
 // AddRow appends a row. Cells beyond the header width are permitted.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row where each cell is formatted with fmt.Sprintf from
-// the corresponding (format, value) handling of %v.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
 
 // NumRows returns the number of data rows added.
 func (t *Table) NumRows() int { return len(t.rows) }
@@ -268,20 +227,6 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts the data rows by the given column using string compare.
-func (t *Table) SortRowsBy(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		var a, b string
-		if col < len(t.rows[i]) {
-			a = t.rows[i][col]
-		}
-		if col < len(t.rows[j]) {
-			b = t.rows[j][col]
-		}
-		return a < b
-	})
 }
 
 // FmtPct formats a fraction as a percentage string like "12.3%".

@@ -13,9 +13,6 @@ func TestRatio(t *testing.T) {
 	if Ratio(1, 2) != 0.5 {
 		t.Error("Ratio(1,2) != 0.5")
 	}
-	if Pct(1, 4) != 25 {
-		t.Error("Pct(1,4) != 25")
-	}
 }
 
 func TestImprovement(t *testing.T) {
@@ -65,23 +62,6 @@ func TestMean(t *testing.T) {
 	if m.Value() != 3 {
 		t.Errorf("mean = %v", m.Value())
 	}
-	m.AddN(10, 2)
-	if m.N() != 4 || m.Value() != (2+4+20)/4.0 {
-		t.Errorf("weighted mean = %v n=%d", m.Value(), m.N())
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-	if got := GeoMean([]float64{-1, 0, 8, 2}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean ignoring non-positive = %v", got)
-	}
 }
 
 func TestMeanOf(t *testing.T) {
@@ -96,7 +76,7 @@ func TestMeanOf(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("demo", "name", "value")
 	tbl.AddRow("alpha", "1")
-	tbl.AddRowf("beta", 0.5)
+	tbl.AddRow("beta", "0.500")
 	s := tbl.String()
 	if !strings.Contains(s, "== demo ==") {
 		t.Error("missing title")
@@ -121,17 +101,6 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,\"two,three\"\n\"quo\"\"te\",plain\n"
 	if got != want {
 		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
-func TestTableSort(t *testing.T) {
-	tbl := NewTable("", "k")
-	tbl.AddRow("b")
-	tbl.AddRow("a")
-	tbl.SortRowsBy(0)
-	s := tbl.String()
-	if strings.Index(s, "a") > strings.Index(s, "b") {
-		t.Errorf("rows not sorted:\n%s", s)
 	}
 }
 
